@@ -8,10 +8,10 @@ from .core import (
     OutputMode,
     Polarity,
     RecordManifest,
-    SampleWindowPair,
     SplitMode,
     TimeSeries,
     WaveConfig,
+    WindowSet,
     duration,
 )
 
@@ -20,6 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EnvelopePair", "EnvelopeSelection", "ModelKind",
     "MultichannelRecording", "OutputMode", "Polarity", "RecordManifest",
-    "SampleWindowPair", "SplitMode", "TimeSeries", "WaveConfig", "duration",
+    "SplitMode", "TimeSeries", "WaveConfig", "WindowSet", "duration",
     "__version__",
 ]

@@ -9,7 +9,7 @@ output columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,6 +122,21 @@ def linmap_predict(m: LinearMap, x: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"x has {x.shape[1]} features, "
                             f"map expects {m.weight.shape[1]}")
     return x @ m.weight.T + m.bias
+
+
+def save_linear_map(m: LinearMap, path: str) -> None:
+    """Write every LinearMap field to an .npz; the round trip is bit-exact."""
+    np.savez(path, weight=m.weight, bias=m.bias, kind=np.array(m.kind),
+             lam=np.array(m.lam), converged=np.array(m.converged),
+             n_iter=np.array(m.n_iter))
+
+
+def load_linear_map(path: str) -> LinearMap:
+    with np.load(path) as z:
+        return LinearMap(weight=z["weight"], bias=z["bias"],
+                         kind=str(z["kind"]), lam=float(z["lam"]),
+                         converged=bool(z["converged"]),
+                         n_iter=int(z["n_iter"]))
 
 
 def lasso_objective(X: np.ndarray, Y: np.ndarray, m: LinearMap) -> float:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from .baselines import load_linear_map, save_linear_map
 from .core import (
     EnvelopeSelection,
     ModelKind,
@@ -24,6 +25,8 @@ from .errors import PwdReconError
 from .harness.experiment import (
     GRID_NAMES,
     ExperimentConfig,
+    evaluate,
+    experiment_windows,
     preprocess_record,
     run_ablation,
     run_experiment,
@@ -35,8 +38,9 @@ from .harness.io import (
     save_preprocessed,
 )
 from .harness.synth import SyntheticSpec, generate_synthetic
-from .metrics import window_metrics
-from .net import load_checkpoint, predict, save_checkpoint
+from .metrics import window_metrics  # noqa: F401  patched by perfbench/layers.py
+from .net import load_checkpoint, save_checkpoint
+from .net import predict  # noqa: F401  patched by perfbench/layers.py
 
 
 def _spec_from_json(d: dict, seed: int | None) -> SyntheticSpec:
@@ -110,9 +114,9 @@ def _cmd_train(args) -> int:
     report, artifacts = run_experiment(config, records, out_dir=args.out)
     with open(os.path.join(args.out, "experiment.json"), "w") as fh:
         json.dump(config_to_dict(config), fh, indent=1)
-    if "params" in artifacts:
-        save_checkpoint(artifacts["params"],
-                        os.path.join(args.out, "model.npz"))
+    save = (save_checkpoint if config.model is ModelKind.PWDRECNET
+            else save_linear_map)
+    save(artifacts["model"], os.path.join(args.out, "model.npz"))
     print(json.dumps({"mean_r": report.mean_r, "rendered_r":
                       report.rendered_r, "mean_mse": report.mean_mse}))
     return 0
@@ -123,14 +127,12 @@ def _cmd_evaluate(args) -> int:
         os.path.dirname(os.path.abspath(args.model)), "experiment.json")
     with open(config_path) as fh:
         config = config_from_dict(json.load(fh), args.seed)
-    params = load_checkpoint(args.model)
+    load = (load_checkpoint if config.model is ModelKind.PWDRECNET
+            else load_linear_map)
+    model = load(args.model)
     records = load_preprocessed(args.data)
-
-    from .harness.experiment import build_windows, split
-    windows = build_windows(records, config)
-    _, test_set = split(windows, config.split, config.ratio, config.seed)
-    preds = [predict(params, w.x) for w in test_set]
-    report = window_metrics(preds, [w.y for w in test_set])
+    windows, _, test_idx = experiment_windows(config, records)
+    _, report = evaluate(config, model, windows, test_idx)
     print(json.dumps({"mean_r": report.mean_r,
                       "rendered_r": report.rendered_r,
                       "mean_mse": report.mean_mse,

@@ -128,30 +128,38 @@ class ModelKind(Enum):
 
 
 @dataclass(frozen=True)
-class SampleWindowPair:
-    """One training example: an fECG window and its aligned target window.
+class WindowSet:
+    """Aligned fECG and target windows, one row per window.
 
-    x has shape (L,); y has shape (n_target_channels, L).
+    x has shape (N, L); y has shape (N, C, L) with C in (1, 2); t_start
+    (seconds into the record) and record_id have shape (N,).
     """
 
     x: np.ndarray
     y: np.ndarray
-    t_start: float
-    record_id: str
+    t_start: np.ndarray
+    record_id: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_readonly(self.x))
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        y.flags.writeable = False
-        object.__setattr__(self, "y", y)
-        if self.x.ndim != 1:
-            raise ValueError("x must be 1-D")
-        if self.y.ndim != 2:
-            raise ValueError("y must be (channels, length)")
-        if self.y.shape[1] != self.x.size:
+        for name in ("x", "y", "t_start"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        rid = np.array(self.record_id, dtype=str)
+        rid.flags.writeable = False
+        object.__setattr__(self, "record_id", rid)
+        if self.x.ndim != 2:
+            raise ValueError("x must be (windows, length)")
+        if self.y.ndim != 3:
+            raise ValueError("y must be (windows, channels, length)")
+        n, L = self.x.shape
+        if self.y.shape[0] != n or self.y.shape[2] != L:
             raise ValueError("x and y lengths must match")
-        if self.y.shape[0] not in (1, 2):
+        if self.y.shape[1] not in (1, 2):
             raise ValueError("y must have 1 or 2 channels")
+        if self.t_start.shape != (n,) or self.record_id.shape != (n,):
+            raise ValueError("t_start and record_id need one entry per window")
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
 @dataclass(frozen=True)

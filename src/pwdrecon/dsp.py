@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .core import TARGET_FS, SampleWindowPair, TimeSeries
+from .core import TARGET_FS, TimeSeries, WindowSet
 from .errors import (
     InvalidBand,
     NumericalInstability,
@@ -133,7 +133,7 @@ def window_length(window_s: float, fs: float = TARGET_FS) -> int:
 
 
 def segment(x: TimeSeries, y_channels: list[TimeSeries], window_s: float,
-            record_id: str = "") -> list[SampleWindowPair]:
+            record_id: str = "") -> WindowSet:
     """Cut aligned streams into consecutive non-overlapping windows.
 
     The trailing remainder shorter than one window is discarded.
@@ -148,11 +148,10 @@ def segment(x: TimeSeries, y_channels: list[TimeSeries], window_s: float,
     if n_win == 0:
         raise SignalShorterThanWindow(
             f"record of {len(x)} samples shorter than window of {L}")
-    out = []
-    for w in range(n_win):
-        lo = w * L
-        y = np.stack([ych.samples[lo:lo + L] for ych in y_channels])
-        out.append(SampleWindowPair(
-            x=x.samples[lo:lo + L], y=y, t_start=lo / x.fs,
-            record_id=record_id))
-    return out
+    n = n_win * L
+    return WindowSet(
+        x=x.samples[:n].reshape(n_win, L),
+        y=np.stack([y.samples[:n].reshape(n_win, L) for y in y_channels],
+                   axis=1),
+        t_start=np.arange(n_win) * L / x.fs,
+        record_id=np.full(n_win, record_id))

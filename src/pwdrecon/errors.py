@@ -33,14 +33,6 @@ class DegenerateInput(PwdReconError):
     """Input data has no usable variance structure."""
 
 
-class NonConvergence(PwdReconError):
-    """Iterative solver hit its iteration cap before converging."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class NoFetalComponent(PwdReconError):
     """No independent component has a beat rate in the fetal band."""
 

@@ -18,10 +18,10 @@ from ..core import (
     OutputMode,
     Polarity,
     RecordManifest,
-    SampleWindowPair,
     SplitMode,
     TimeSeries,
     WaveConfig,
+    WindowSet,
 )
 from ..dsp import (
     design_bandpass,
@@ -101,25 +101,27 @@ def preprocess_record(rec: MultichannelRecording, img: GrayImage,
                               polarity=polarity)
 
 
-def split(windows: list[SampleWindowPair], mode: SplitMode,
-          ratio: float = 0.8, seed: int = 0):
-    """80/20 split per record, time-ordered or seeded-random."""
-    by_record: dict[str, list[SampleWindowPair]] = {}
-    for w in windows:
-        by_record.setdefault(w.record_id, []).append(w)
+def split(windows: WindowSet, mode: SplitMode, ratio: float = 0.8,
+          seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """80/20 split per record, time-ordered or seeded-random.
+
+    Returns (train_idx, test_idx) row indices into `windows`: records in
+    sorted id order, each record's rows in time order or permuted.
+    """
     rng = np.random.default_rng(seed)
-    train_set: list[SampleWindowPair] = []
-    test_set: list[SampleWindowPair] = []
-    for rid in sorted(by_record):
-        ws = sorted(by_record[rid], key=lambda w: w.t_start)
-        if len(ws) < 2:
-            raise TooFewWindows(f"record {rid} has {len(ws)} window(s)")
+    train_idx: list[np.ndarray] = []
+    test_idx: list[np.ndarray] = []
+    for rid in np.unique(windows.record_id):
+        rows = np.flatnonzero(windows.record_id == rid)
+        rows = rows[np.argsort(windows.t_start[rows], kind="stable")]
+        if rows.size < 2:
+            raise TooFewWindows(f"record {rid} has {rows.size} window(s)")
         if mode is SplitMode.RANDOM:
-            ws = [ws[i] for i in rng.permutation(len(ws))]
-        n_train = min(max(int(round(ratio * len(ws))), 1), len(ws) - 1)
-        train_set.extend(ws[:n_train])
-        test_set.extend(ws[n_train:])
-    return train_set, test_set
+            rows = rows[rng.permutation(rows.size)]
+        n_train = min(max(int(round(ratio * rows.size)), 1), rows.size - 1)
+        train_idx.append(rows[:n_train])
+        test_idx.append(rows[n_train:])
+    return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,9 @@ def _target_channels(rec: PreprocessedRecord,
 
 
 def build_windows(records: list[PreprocessedRecord],
-                  config: ExperimentConfig) -> list[SampleWindowPair]:
-    """Filter records per config and segment them into window pairs."""
-    windows: list[SampleWindowPair] = []
+                  config: ExperimentConfig) -> WindowSet:
+    """Filter records per config and segment them into one window set."""
+    sets: list[WindowSet] = []
     for rec in records:
         if config.wave_config is not WaveConfig.GROUP \
                 and rec.wave_config is not config.wave_config:
@@ -185,16 +187,24 @@ def build_windows(records: list[PreprocessedRecord],
         except (ZeroVariance, SignalShorterThanWindow):
             continue
         if len(ws) >= 2:
-            windows.extend(ws)
-    if not windows:
+            sets.append(ws)
+    if not sets:
         raise NoWindowsAfterFilter("no windows left after filtering")
-    return windows
+    return WindowSet(*(np.concatenate([getattr(ws, f) for ws in sets])
+                       for f in ("x", "y", "t_start", "record_id")))
 
 
-def _fit_predict(config: ExperimentConfig,
-                 train_set: list[SampleWindowPair],
-                 test_set: list[SampleWindowPair]):
-    """Train the configured model; returns (test predictions, artifacts)."""
+def experiment_windows(config: ExperimentConfig,
+                       records: list[PreprocessedRecord]):
+    """The config's window set and its split: (windows, train_idx, test_idx)."""
+    windows = build_windows(records, config)
+    train_idx, test_idx = split(windows, config.split, config.ratio,
+                                config.seed)
+    return windows, train_idx, test_idx
+
+
+def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
+    """Train the configured model; returns (model, training log)."""
     if config.model is ModelKind.PWDRECNET:
         net_cfg = NetConfig(out_channels=config.out_channels,
                             channels=config.net_channels,
@@ -202,21 +212,29 @@ def _fit_predict(config: ExperimentConfig,
         train_cfg = TrainConfig(epochs=config.epochs,
                                 batch_size=config.batch_size,
                                 seed=config.seed, lr=config.lr)
-        params, log = train(train_set, net_cfg, train_cfg)
-        preds = [predict(params, w.x) for w in test_set]
-        return preds, {"params": params, "training_log": log}
-
-    X = np.stack([w.x for w in train_set])
-    Y = np.stack([w.y.ravel() for w in train_set])
+        return train(x, y, net_cfg, train_cfg)
+    Y = y.reshape(len(y), -1)
     if config.model is ModelKind.LINEAR:
-        m = ols_fit(X, Y)
-    elif config.model is ModelKind.RIDGE:
-        m = ridge_fit(X, Y, config.ridge_lam)
+        return ols_fit(x, Y), []
+    if config.model is ModelKind.RIDGE:
+        return ridge_fit(x, Y, config.ridge_lam), []
+    return lasso_fit(x, Y, config.lasso_lam), []
+
+
+def evaluate(config: ExperimentConfig, model, windows: WindowSet,
+             test_idx: np.ndarray):
+    """Predict the test windows with a fitted model and score them.
+
+    `model` is the network's parameters or a baseline's LinearMap, as
+    `config.model` says. Returns (predictions (N, C, L), MetricReport).
+    """
+    x = windows.x[test_idx]
+    if config.model is ModelKind.PWDRECNET:
+        preds = predict(model, x, config.batch_size)
     else:
-        m = lasso_fit(X, Y, config.lasso_lam)
-    C = config.out_channels
-    preds = [linmap_predict(m, w.x).reshape(C, -1) for w in test_set]
-    return preds, {"model": m, "training_log": []}
+        preds = linmap_predict(model, x).reshape(len(x), config.out_channels,
+                                                 -1)
+    return preds, window_metrics(preds, windows.y[test_idx])
 
 
 def run_experiment(config: ExperimentConfig,
@@ -224,30 +242,26 @@ def run_experiment(config: ExperimentConfig,
                    out_dir: str | None = None,
                    n_plot_windows: int = 3):
     """Execute one ablation cell; returns (MetricReport, artifacts)."""
-    windows = build_windows(records, config)
-    train_set, test_set = split(windows, config.split, config.ratio,
-                                config.seed)
-    preds, artifacts = _fit_predict(config, train_set, test_set)
-    trues = [w.y for w in test_set]
-    report = window_metrics(preds, trues)
-    artifacts["report"] = report
-    artifacts["n_train"] = len(train_set)
-    artifacts["n_test"] = len(test_set)
+    windows, train_idx, test_idx = experiment_windows(config, records)
+    model, log = _fit(config, windows.x[train_idx], windows.y[train_idx])
+    preds, report = evaluate(config, model, windows, test_idx)
+    artifacts = {"model": model, "training_log": log, "report": report,
+                 "n_train": len(train_idx), "n_test": len(test_idx)}
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_report_csv(os.path.join(out_dir, "metrics.csv"), config,
                           report)
-        _write_training_log(os.path.join(out_dir, "training_log.csv"),
-                            artifacts["training_log"])
-        for i, (w, pred) in enumerate(zip(test_set[:n_plot_windows],
-                                          preds[:n_plot_windows])):
-            t = w.t_start + np.arange(w.x.size) / TARGET_FS
-            traces = {"fecg": w.x}
-            names = (["true_upper", "true_lower"] if w.y.shape[0] == 2
+        _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
+        for i, (row, pred) in enumerate(zip(test_idx[:n_plot_windows],
+                                            preds)):
+            x, y = windows.x[row], windows.y[row]
+            t = windows.t_start[row] + np.arange(x.size) / TARGET_FS
+            traces = {"fecg": x}
+            names = (["true_upper", "true_lower"] if y.shape[0] == 2
                      else ["true_upper"])
             for c, nm in enumerate(names):
-                traces[nm] = w.y[c]
+                traces[nm] = y[c]
                 traces[nm.replace("true", "pred")] = pred[c]
             stem = os.path.join(out_dir, f"window{i}")
             write_window_csv(stem + ".csv", t, traces)

@@ -51,13 +51,16 @@ def render_r(mean_r: float, threshold: float = NEAR_ZERO_R) -> str:
 def window_metrics(pred_windows: list[np.ndarray],
                    true_windows: list[np.ndarray],
                    threshold: float = NEAR_ZERO_R) -> MetricReport:
-    """Aggregate per-window metrics over aligned prediction/target lists.
+    """Aggregate per-window metrics over aligned prediction/target windows.
+
+    Either argument is a list of windows or an array with one window per
+    row.
 
     Correlation is averaged channels-first then windows; window-channel
     pairs where either side has zero variance are excluded from the
     correlation mean (but not from the MSE) and counted per window.
     """
-    if len(pred_windows) != len(true_windows) or not pred_windows:
+    if len(pred_windows) != len(true_windows) or len(pred_windows) == 0:
         raise ValueError("need equally many prediction and target windows")
     window_rs = []
     n_excluded = 0
@@ -89,10 +92,3 @@ def window_metrics(pred_windows: list[np.ndarray],
                         n_excluded=n_excluded,
                         rendered_r=render_r(mean_r, threshold))
 
-
-def concatenated_r(pred_windows: list[np.ndarray],
-                   true_windows: list[np.ndarray]) -> float:
-    """Secondary view: correlation over all windows concatenated."""
-    pred = np.concatenate([np.atleast_2d(p).ravel() for p in pred_windows])
-    true = np.concatenate([np.atleast_2d(t).ravel() for t in true_windows])
-    return pearson_r(pred, true)

@@ -2,9 +2,7 @@ from .model import (
     ConvSpec,
     NetConfig,
     PwDRecNetParams,
-    Tensor1,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -16,8 +14,8 @@ from .optim import RmspropState, rmsprop_step
 from .train import TrainConfig, train
 
 __all__ = [
-    "ConvSpec", "NetConfig", "PwDRecNetParams", "Tensor1",
-    "backward", "forward", "forward_batch", "init_params",
+    "ConvSpec", "NetConfig", "PwDRecNetParams",
+    "backward", "forward_batch", "init_params",
     "load_checkpoint", "predict", "save_checkpoint",
     "mse_loss", "RmspropState", "rmsprop_step", "TrainConfig", "train",
 ]

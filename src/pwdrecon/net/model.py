@@ -32,27 +32,6 @@ N_LEVELS = 3
 LENGTH_MULTIPLE = 2 ** N_LEVELS  # input length must divide by 8
 
 
-@dataclass(frozen=True)
-class Tensor1:
-    """Single-sample signal tensor, shape (channels, length)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("Tensor1 must be (channels >= 1, length >= 1)")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass
 class ConvSpec:
     """One 1-D convolution: weights (out, in, k) and bias (out,)."""
@@ -75,7 +54,8 @@ class ConvSpec:
 
 @dataclass
 class BlockParams:
-    """Residual stack of three convolutions plus an optional projection."""
+    """Residual stack of three convolutions; the 1x1 projection is present
+    when the block changes the channel count."""
 
     convs: list[ConvSpec]
     proj: ConvSpec | None
@@ -86,11 +66,8 @@ class NetConfig:
     """Architecture hyperparameters; defaults sized for CPU training."""
 
     out_channels: int = 2
-    in_channels: int = 1
     channels: tuple[int, int, int] = (16, 32, 64)
     kernel_size: int = 7
-    use_skips: bool = True
-    use_residual: bool = True
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -134,14 +111,11 @@ def _init_conv(rng, c_in: int, c_out: int, k: int) -> ConvSpec:
                     b=np.zeros(c_out))
 
 
-def _init_block(rng, c_in: int, c_out: int, k: int,
-                use_residual: bool) -> BlockParams:
+def _init_block(rng, c_in: int, c_out: int, k: int) -> BlockParams:
     convs = [_init_conv(rng, c_in, c_out, k),
              _init_conv(rng, c_out, c_out, k),
              _init_conv(rng, c_out, c_out, k)]
-    proj = None
-    if use_residual and c_in != c_out:
-        proj = _init_conv(rng, c_in, c_out, 1)
+    proj = _init_conv(rng, c_in, c_out, 1) if c_in != c_out else None
     return BlockParams(convs=convs, proj=proj)
 
 
@@ -150,56 +124,48 @@ def init_params(config: NetConfig, seed: int) -> PwDRecNetParams:
     rng = np.random.default_rng(seed)
     k = config.kernel_size
     ch = config.channels
-    enc_in = (config.in_channels, ch[0], ch[1])
-    encoder = [_init_block(rng, enc_in[i], ch[i], k, config.use_residual)
-               for i in range(N_LEVELS)]
+    enc_in = (1, ch[0], ch[1])
+    encoder = [_init_block(rng, enc_in[i], ch[i], k) for i in range(N_LEVELS)]
     dec_out = (ch[2], ch[1], ch[0])
     dec_src = (ch[2], dec_out[0], dec_out[1])   # channels arriving from below
     skip_ch = (ch[2], ch[1], ch[0])             # matching encoder pre-pool
-    decoder = []
-    for i in range(N_LEVELS):
-        c_in = dec_src[i] + (skip_ch[i] if config.use_skips else 0)
-        decoder.append(_init_block(rng, c_in, dec_out[i], k,
-                                   config.use_residual))
+    decoder = [_init_block(rng, dec_src[i] + skip_ch[i], dec_out[i], k)
+               for i in range(N_LEVELS)]
     head = _init_conv(rng, dec_out[-1], config.out_channels, 1)
     return PwDRecNetParams(config=config, encoder=encoder, decoder=decoder,
                            head=head)
 
 
-def _block_forward(blk: BlockParams, h: np.ndarray, use_residual: bool):
+def _block_forward(blk: BlockParams, h: np.ndarray):
     a1 = conv1d_forward(h, blk.convs[0].w, blk.convs[0].b)
     r1 = relu_forward(a1)
     a2 = conv1d_forward(r1, blk.convs[1].w, blk.convs[1].b)
     r2 = relu_forward(a2)
     a3 = conv1d_forward(r2, blk.convs[2].w, blk.convs[2].b)
-    if use_residual:
-        if blk.proj is not None:
-            s = a3 + conv1d_forward(h, blk.proj.w, blk.proj.b)
-        else:
-            s = a3 + h
+    if blk.proj is not None:
+        s = a3 + conv1d_forward(h, blk.proj.w, blk.proj.b)
     else:
-        s = a3
+        s = a3 + h
     out = relu_forward(s)
     cache = {"h": h, "a1": a1, "r1": r1, "a2": a2, "r2": r2, "s": s}
     return out, cache
 
 
 def _block_backward(blk: BlockParams, cache: dict, dout: np.ndarray,
-                    use_residual: bool, grads: dict, name: str):
+                    grads: dict, name: str):
     ds = relu_backward(cache["s"], dout)
     dr2, dw3, db3 = conv1d_backward(cache["r2"], blk.convs[2].w, ds)
     da2 = relu_backward(cache["a2"], dr2)
     dr1, dw2, db2 = conv1d_backward(cache["r1"], blk.convs[1].w, da2)
     da1 = relu_backward(cache["a1"], dr1)
     dh, dw1, db1 = conv1d_backward(cache["h"], blk.convs[0].w, da1)
-    if use_residual:
-        if blk.proj is not None:
-            dh_res, dwp, dbp = conv1d_backward(cache["h"], blk.proj.w, ds)
-            grads[f"{name}.proj.w"] = dwp
-            grads[f"{name}.proj.b"] = dbp
-            dh = dh + dh_res
-        else:
-            dh = dh + ds
+    if blk.proj is not None:
+        dh_res, dwp, dbp = conv1d_backward(cache["h"], blk.proj.w, ds)
+        grads[f"{name}.proj.w"] = dwp
+        grads[f"{name}.proj.b"] = dbp
+        dh = dh + dh_res
+    else:
+        dh = dh + ds
     grads[f"{name}.conv0.w"] = dw1
     grads[f"{name}.conv0.b"] = db1
     grads[f"{name}.conv1.w"] = dw2
@@ -210,14 +176,13 @@ def _block_backward(blk: BlockParams, cache: dict, dout: np.ndarray,
 
 
 def forward_batch(params: PwDRecNetParams, x: np.ndarray):
-    """Run the full network on x (N, in_channels, L); L divisible by 8.
+    """Run the full network on x (N, 1, L); L divisible by 8.
 
     Returns (y, cache); y has shape (N, out_channels, L). The cache holds
     every intermediate needed by `backward`.
     """
-    cfg = params.config
-    if x.ndim != 3 or x.shape[1] != cfg.in_channels:
-        raise ShapeMismatch(f"expected (N, {cfg.in_channels}, L), got {x.shape}")
+    if x.ndim != 3 or x.shape[1] != 1:
+        raise ShapeMismatch(f"expected (N, 1, L), got {x.shape}")
     if x.shape[2] % LENGTH_MULTIPLE != 0:
         raise ShapeMismatch(
             f"length {x.shape[2]} not divisible by {LENGTH_MULTIPLE}")
@@ -226,7 +191,7 @@ def forward_batch(params: PwDRecNetParams, x: np.ndarray):
     h = x
     pre_pools = []
     for i, blk in enumerate(params.encoder):
-        pre, bc = _block_forward(blk, h, cfg.use_residual)
+        pre, bc = _block_forward(blk, h)
         cache["enc"].append(bc)
         pre_pools.append(pre)
         h, arg = maxpool2_forward(pre)
@@ -234,14 +199,9 @@ def forward_batch(params: PwDRecNetParams, x: np.ndarray):
 
     for i, blk in enumerate(params.decoder):
         up = upsample2_forward(h)
-        skip = pre_pools[N_LEVELS - 1 - i]
-        if cfg.use_skips:
-            cat = np.concatenate([up, skip], axis=1)
-            cache["cat_split"].append(up.shape[1])
-        else:
-            cat = up
-            cache["cat_split"].append(up.shape[1])
-        h, bc = _block_forward(blk, cat, cfg.use_residual)
+        cat = np.concatenate([up, pre_pools[N_LEVELS - 1 - i]], axis=1)
+        cache["cat_split"].append(up.shape[1])
+        h, bc = _block_forward(blk, cat)
         cache["dec"].append(bc)
 
     cache["head_in"] = h
@@ -254,7 +214,6 @@ def backward(params: PwDRecNetParams, cache: dict, grad_out: np.ndarray):
 
     Returns a dict keyed like `params.items()` names.
     """
-    cfg = params.config
     grads: dict[str, np.ndarray] = {}
 
     dh, dwh, dbh = conv1d_backward(cache["head_in"], params.head.w, grad_out)
@@ -265,49 +224,41 @@ def backward(params: PwDRecNetParams, cache: dict, grad_out: np.ndarray):
     skip_grads = [None] * N_LEVELS  # indexed by encoder level
     for i in range(N_LEVELS - 1, -1, -1):
         dcat = _block_backward(params.decoder[i], cache["dec"][i], dh,
-                               cfg.use_residual, grads, f"dec{i}")
+                               grads, f"dec{i}")
         n_up = cache["cat_split"][i]
-        dup = dcat[:, :n_up]
-        lvl = N_LEVELS - 1 - i
-        if cfg.use_skips:
-            skip_grads[lvl] = dcat[:, n_up:]
-        dh = upsample2_backward(dup)
+        skip_grads[N_LEVELS - 1 - i] = dcat[:, n_up:]
+        dh = upsample2_backward(dcat[:, :n_up])
 
     # encoder, deepest to shallowest; dh is grad wrt the last pooled output
     for i in range(N_LEVELS - 1, -1, -1):
-        dpre = maxpool2_backward(cache["pool_arg"][i], dh)
-        if skip_grads[i] is not None:
-            dpre = dpre + skip_grads[i]
+        dpre = maxpool2_backward(cache["pool_arg"][i], dh) + skip_grads[i]
         dh = _block_backward(params.encoder[i], cache["enc"][i], dpre,
-                             cfg.use_residual, grads, f"enc{i}")
+                             grads, f"enc{i}")
     return grads
-
-
-def forward(params: PwDRecNetParams, x: Tensor1):
-    """Single-sample wrapper around forward_batch."""
-    y, cache = forward_batch(params, x.values[None])
-    return Tensor1(y[0]), cache
 
 
 def padded_length(L: int) -> int:
     return -(-L // LENGTH_MULTIPLE) * LENGTH_MULTIPLE
 
 
-def predict(params: PwDRecNetParams, x_window: np.ndarray) -> np.ndarray:
-    """Predict an envelope window; pads to a multiple of 8, crops back.
+def predict(params: PwDRecNetParams, x: np.ndarray,
+            batch_size: int) -> np.ndarray:
+    """Predict envelope windows; pads to a multiple of 8, crops back.
 
-    x_window: (L,) -> output (out_channels, L).
+    x: (N, L) -> output (N, out_channels, L). The network runs on at most
+    batch_size windows at a time.
     """
-    x = np.asarray(x_window, dtype=np.float64)
-    L = x.shape[-1]
-    Lp = padded_length(L)
-    xp = np.zeros((1, params.config.in_channels, Lp))
-    xp[0, 0, :L] = x
-    y, _ = forward_batch(params, xp)
-    return y[0, :, :L]
+    n, L = x.shape
+    xp = np.zeros((n, 1, padded_length(L)))
+    xp[:, 0, :L] = x
+    out = np.empty((n, params.config.out_channels, L))
+    for lo in range(0, n, batch_size):
+        y, _ = forward_batch(params, xp[lo:lo + batch_size])
+        out[lo:lo + batch_size] = y[:, :, :L]
+    return out
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(params: PwDRecNetParams, path: str) -> None:

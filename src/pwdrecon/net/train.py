@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import SampleWindowPair
 from ..errors import EmptyDataset
 from .model import (
     NetConfig,
@@ -32,35 +31,27 @@ class TrainConfig:
     eps: float = 1e-8
 
 
-def _stack(dataset: list[SampleWindowPair]):
-    """Stack windows into X (N, 1, Lp) and Y (N, C, L); zero right-pad X."""
-    L = dataset[0].x.size
-    Lp = padded_length(L)
-    X = np.zeros((len(dataset), 1, Lp))
-    Y = np.stack([p.y for p in dataset])
-    for i, p in enumerate(dataset):
-        X[i, 0, :L] = p.x
-    return X, Y, L
-
-
 def _loss_on(params, X, Y, L):
     pred, _ = forward_batch(params, X)
     loss, _ = mse_loss(pred[:, :, :L], Y)
     return loss
 
 
-def train(dataset: list[SampleWindowPair], net_config: NetConfig,
+def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
           config: TrainConfig):
-    """Train the reconstruction net; returns (best_params, log).
+    """Train the reconstruction net on x (N, L) -> y (N, C, L); returns
+    (best_params, log).
 
-    A seeded fraction of the dataset is held out for validation and the
+    A seeded fraction of the windows is held out for validation and the
     parameters with the lowest validation MSE are returned. The log has
     one {"epoch", "train_loss", "val_loss"} entry per epoch.
     """
-    if not dataset:
+    n, L = x.shape
+    if n == 0:
         raise EmptyDataset("training requires at least one window")
-    X, Y, L = _stack(dataset)
-    n = len(dataset)
+    X = np.zeros((n, 1, padded_length(L)))  # zero right-pad to a multiple of 8
+    X[:, 0, :L] = x
+    Y = np.asarray(y, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)

@@ -106,12 +106,6 @@ def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,
                         lower=TimeSeries(lower, columns_per_second))
 
 
-def detect_baseline_row(img: GrayImage, threshold: float) -> int:
-    """Fallback baseline estimate: row with the most bright pixels."""
-    counts = (img.pixels >= threshold).sum(axis=1)
-    return int(np.argmax(counts))
-
-
 def preprocess_envelopes(raw: EnvelopePair, order: int = 4) -> EnvelopePair:
     """Mean-center, resample to 284 Hz, Bessel 0.1-50 Hz zero-phase filter.
 

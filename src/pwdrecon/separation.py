@@ -221,6 +221,22 @@ def extract_fecg(rec: MultichannelRecording, seed: int) -> TimeSeries:
     return TimeSeries(out, fs)
 
 
+def _group_peaks(z: np.ndarray, above: np.ndarray,
+                 refractory: int) -> np.ndarray:
+    """One peak per run of above-threshold samples: the largest |z| among
+    the samples within `refractory` of the run's first sample."""
+    peaks = []
+    i = 0
+    while i < above.size:
+        j = i
+        while j + 1 < above.size and above[j + 1] - above[i] <= refractory:
+            j += 1
+        run = above[i:j + 1]
+        peaks.append(run[np.argmax(np.abs(z[run]))])
+        i = j + 1
+    return np.array(peaks)
+
+
 def _orient_to_sensors(out: np.ndarray, data: np.ndarray,
                        fs: float) -> np.ndarray:
     """Fix the ICA sign ambiguity so the recorded polarity is preserved.
@@ -236,17 +252,7 @@ def _orient_to_sensors(out: np.ndarray, data: np.ndarray,
     if above.size == 0:
         # degenerate fallback: largest-magnitude sample positive
         return -out if out[np.argmax(np.abs(out))] < 0 else out
-    refractory = int(round(0.2 * fs))
-    peaks = []
-    i = 0
-    while i < above.size:
-        j = i
-        while j + 1 < above.size and above[j + 1] - above[i] <= refractory:
-            j += 1
-        run = above[i:j + 1]
-        peaks.append(run[np.argmax(np.abs(z[run]))])
-        i = j + 1
-    peaks = np.array(peaks)
+    peaks = _group_peaks(z, above, int(round(0.2 * fs)))
     # median baseline, not the mean: between beats each channel sits at
     # its baseline level, so the median cancels the ECG bump bias exactly
     locked = np.median(data[peaks], axis=0) - np.median(data, axis=0)
@@ -276,15 +282,6 @@ def detect_polarity(fecg: TimeSeries, threshold: float = 2.5,
     if above.size == 0:
         raise NoPeaksDetected(f"no |z| > {threshold} excursions")
 
-    refractory = int(round(refractory_s * fecg.fs))
-    peaks = []
-    i = 0
-    while i < above.size:
-        j = i
-        while j + 1 < above.size and above[j + 1] - above[i] <= refractory:
-            j += 1
-        run = above[i:j + 1]
-        peaks.append(run[np.argmax(np.abs(z[run]))])
-        i = j + 1
-    med = float(np.median(z[np.array(peaks)]))
+    peaks = _group_peaks(z, above, int(round(refractory_s * fecg.fs)))
+    med = float(np.median(z[peaks]))
     return Polarity.POSITIVE if med > 0 else Polarity.NEGATIVE

@@ -53,8 +53,8 @@ def test_a1_gradient_correctness():
     t0 = time.monotonic()
     # seed chosen so no ReLU/maxpool kink falls inside the h=1e-5 probe;
     # at a kink the two-sided difference is not the derivative
-    params = init_params(NetConfig(out_channels=2, in_channels=1,
-                                   channels=(2, 4, 8), kernel_size=3),
+    params = init_params(NetConfig(out_channels=2, channels=(2, 4, 8),
+                                   kernel_size=3),
                          seed=3)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 1, 8))

@@ -6,8 +6,10 @@ from pwdrecon.baselines import (
     lasso_lambda_max,
     lasso_objective,
     linmap_predict,
+    load_linear_map,
     ols_fit,
     ridge_fit,
+    save_linear_map,
 )
 from pwdrecon.errors import ShapeMismatch
 
@@ -127,3 +129,29 @@ def test_linmap_predict_shapes():
         linmap_predict(m, np.zeros(3))
     with pytest.raises(ShapeMismatch):
         linmap_predict(m, np.zeros((5, 3)))
+
+
+def test_linmap_predict_batch_matches_rows():
+    # a window-sized map: 20 windows of 213 samples -> 2 x 213 targets
+    rng = np.random.default_rng(9)
+    m = ridge_fit(rng.normal(size=(20, 213)), rng.normal(size=(20, 426)), 1.0)
+    X = rng.normal(size=(7, 213))
+    rows = np.stack([linmap_predict(m, x) for x in X])
+    # one GEMM sums in another order than per-row GEMVs: bound the drift
+    # relative to the output scale, not per element
+    drift = np.abs(linmap_predict(m, X) - rows).max()
+    assert drift <= 1e-12 * np.abs(rows).max()
+
+
+def test_linear_map_checkpoint_roundtrip(tmp_path):
+    rng = np.random.default_rng(10)
+    with pytest.warns(RuntimeWarning):
+        m = lasso_fit(rng.normal(size=(30, 6)), rng.normal(size=(30, 4)),
+                      1e-3, max_iter=2, tol=1e-14)
+    path = str(tmp_path / "model.npz")
+    save_linear_map(m, path)
+    loaded = load_linear_map(path)
+    assert np.array_equal(loaded.weight, m.weight)
+    assert np.array_equal(loaded.bias, m.bias)
+    assert (loaded.kind, loaded.lam, loaded.converged, loaded.n_iter) == \
+        ("lasso", 1e-3, False, 2)

@@ -6,6 +6,7 @@ import pytest
 from pwdrecon.cli import config_from_dict, config_to_dict, main
 from pwdrecon.core import ModelKind, SplitMode, WaveConfig
 from pwdrecon.harness.experiment import ExperimentConfig
+from pwdrecon.harness.io import save_preprocessed
 
 
 def test_config_dict_roundtrip():
@@ -63,6 +64,26 @@ def test_cli_full_pipeline(tmp_path, capsys):
                  "--out", abl]) == 0
     capsys.readouterr()
     assert os.path.exists(os.path.join(abl, "table2.csv"))
+
+
+@pytest.mark.parametrize("model", list(ModelKind),
+                         ids=[m.value for m in ModelKind])
+def test_evaluate_reproduces_train_for_every_model(model, small_dataset,
+                                                   tmp_path, capsys):
+    _, _, records = small_dataset
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"window_s": 0.25, "model": model.value, "epochs": 2,
+                       "net_channels": [2, 4, 8], "kernel_size": 3})
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", cfg, "--data", prep,
+                 "--out", run]) == 0
+    trained = json.loads(capsys.readouterr().out)
+    assert main(["evaluate", "--model", os.path.join(run, "model.npz"),
+                 "--data", prep]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert evaluated["mean_r"] == trained["mean_r"]
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -5,9 +5,9 @@ from pwdrecon.core import (
     EnvelopePair,
     MultichannelRecording,
     RecordManifest,
-    SampleWindowPair,
     TimeSeries,
     WaveConfig,
+    WindowSet,
     duration,
 )
 
@@ -55,16 +55,26 @@ def test_envelope_pair_invariants():
         EnvelopePair(upper=u, lower=TimeSeries(np.zeros(10), 100.0))
 
 
-def test_sample_window_pair_shape_checks():
+def test_window_set_shape_checks():
+    def ws(x, y, n=3):
+        return WindowSet(x=x, y=y, t_start=np.arange(n) * 0.5,
+                         record_id=["r"] * n)
+
+    with pytest.raises(ValueError):  # lengths differ
+        ws(np.zeros((3, 8)), np.zeros((3, 1, 7)))
+    with pytest.raises(ValueError):  # 3 target channels
+        ws(np.zeros((3, 8)), np.zeros((3, 3, 8)))
+    with pytest.raises(ValueError):  # row counts differ
+        ws(np.zeros((3, 8)), np.zeros((2, 2, 8)))
+    with pytest.raises(ValueError):  # one window, not a set of windows
+        ws(np.zeros(8), np.zeros((2, 8)))
+    with pytest.raises(ValueError):  # t_start and record_id per row
+        ws(np.zeros((2, 8)), np.zeros((2, 2, 8)))
+    w = ws(np.zeros((3, 8)), np.zeros((3, 2, 8)))
+    assert len(w) == 3 and w.y.shape == (3, 2, 8)
+    assert list(w.record_id) == ["r"] * 3
     with pytest.raises(ValueError):
-        SampleWindowPair(x=np.zeros(8), y=np.zeros((1, 7)), t_start=0.0,
-                         record_id="r")
-    with pytest.raises(ValueError):
-        SampleWindowPair(x=np.zeros(8), y=np.zeros((3, 8)), t_start=0.0,
-                         record_id="r")
-    p = SampleWindowPair(x=np.zeros(8), y=np.zeros((2, 8)), t_start=0.5,
-                         record_id="r")
-    assert p.y.shape == (2, 8)
+        w.x[0, 0] = 1.0
 
 
 def test_manifest_rejects_bad_indices():

@@ -154,12 +154,14 @@ def test_mean_center():
 def test_segment_examples():
     x = TimeSeries(np.arange(568.0), FS)
     ws = segment(x, [x], 2.0, "r")
-    assert len(ws) == 1 and ws[0].x.size == 568
+    assert len(ws) == 1 and ws.x.shape == (1, 568)
 
     x = TimeSeries(np.arange(1420.0), FS)
-    ws = segment(x, [x], 2.0, "r")
+    ws = segment(x, [x, x], 2.0, "r")
     assert len(ws) == 2  # floor(1420/568); 284 samples discarded
-    assert ws[1].t_start == pytest.approx(568 / FS)
+    assert ws.y.shape == (2, 2, 568)
+    assert ws.t_start[1] == pytest.approx(568 / FS)
+    assert list(ws.record_id) == ["r", "r"]
 
     with pytest.raises(SignalShorterThanWindow):
         segment(TimeSeries(np.zeros(100), FS), [TimeSeries(np.zeros(100), FS)],
@@ -170,5 +172,6 @@ def test_segment_concatenation_reproduces_prefix():
     rng = np.random.default_rng(1)
     x = TimeSeries(rng.normal(size=700), FS)
     ws = segment(x, [x], 0.5, "r")
-    cat = np.concatenate([w.x for w in ws])
+    cat = np.concatenate(list(ws.x))
     assert np.array_equal(cat, x.samples[:cat.size])
+    assert np.array_equal(np.concatenate(list(ws.y[:, 0])), cat)

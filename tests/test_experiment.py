@@ -9,9 +9,9 @@ from pwdrecon.core import (
     ModelKind,
     OutputMode,
     Polarity,
-    SampleWindowPair,
     SplitMode,
     WaveConfig,
+    WindowSet,
 )
 from pwdrecon.errors import NoWindowsAfterFilter, TooFewWindows
 from pwdrecon.harness.experiment import (
@@ -24,19 +24,18 @@ from pwdrecon.harness.experiment import (
     split,
 )
 from pwdrecon.harness.io import load_preprocessed, save_preprocessed
+from pwdrecon.net import PwDRecNetParams
 
 FAST = dict(epochs=2, net_channels=(2, 4, 8), kernel_size=3)
 
 
 def _windows(n_per_record, records=("a", "b"), L=8):
     rng = np.random.default_rng(0)
-    out = []
-    for rid in records:
-        for i in range(n_per_record):
-            out.append(SampleWindowPair(
-                x=rng.normal(size=L), y=rng.normal(size=(2, L)),
-                t_start=float(i), record_id=rid))
-    return out
+    n = n_per_record * len(records)
+    return WindowSet(x=rng.normal(size=(n, L)), y=rng.normal(size=(n, 2, L)),
+                     t_start=np.tile(np.arange(n_per_record, dtype=float),
+                                     len(records)),
+                     record_id=np.repeat(records, n_per_record))
 
 
 def test_split_time_based_is_per_record_prefix():
@@ -44,8 +43,8 @@ def test_split_time_based_is_per_record_prefix():
     train, test = split(ws, SplitMode.TIME_BASED, ratio=0.8)
     assert len(train) == 8 and len(test) == 2
     for rid in ("a", "b"):
-        tr = [w.t_start for w in train if w.record_id == rid]
-        te = [w.t_start for w in test if w.record_id == rid]
+        tr = ws.t_start[train][ws.record_id[train] == rid]
+        te = ws.t_start[test][ws.record_id[test] == rid]
         assert max(tr) < min(te)  # later windows go to test
 
 
@@ -54,19 +53,19 @@ def test_split_random_partitions_each_record():
     train, test = split(ws, SplitMode.RANDOM, ratio=0.8, seed=3)
     assert len(train) == 16 and len(test) == 4
     for rid in ("a", "b"):
-        ids = {(w.record_id, w.t_start) for w in ws if w.record_id == rid}
-        got = {(w.record_id, w.t_start)
-               for w in train + test if w.record_id == rid}
-        assert got == ids
+        rows = np.flatnonzero(ws.record_id == rid)
+        both = np.concatenate([train, test])
+        got = both[ws.record_id[both] == rid]
+        assert sorted(got) == list(rows)
     # deterministic given the seed
     train2, test2 = split(ws, SplitMode.RANDOM, ratio=0.8, seed=3)
-    assert [w.t_start for w in test2] == [w.t_start for w in test]
+    assert list(ws.t_start[test2]) == list(ws.t_start[test])
 
 
 def test_split_extremes_keep_both_sides_nonempty():
     ws = _windows(2)
     train, test = split(ws, SplitMode.TIME_BASED, ratio=0.99)
-    assert all(sum(w.record_id == r for w in s) == 1
+    assert all(np.sum(ws.record_id[s] == r) == 1
                for r in ("a", "b") for s in (train, test))
     with pytest.raises(TooFewWindows):
         split(_windows(1), SplitMode.TIME_BASED)
@@ -87,15 +86,15 @@ def test_build_windows_filters_and_targets(small_dataset):
     _, _, records = small_dataset
     cfg = ExperimentConfig(window_s=2.0)
     ws = build_windows(records, cfg)
-    assert ws and all(w.y.shape == (2, 568) for w in ws)
+    assert len(ws) and ws.y.shape == (len(ws), 2, 568)
     # targets are z-scored per record
-    for rid in {w.record_id for w in ws}:
-        chan = np.concatenate([w.y[0] for w in ws if w.record_id == rid])
+    for rid in set(ws.record_id):
+        chan = ws.y[ws.record_id == rid, 0].ravel()
         assert abs(chan.mean()) < 0.2 and 0.5 < chan.std() < 1.5
 
     upper_only = build_windows(records, ExperimentConfig(
         window_s=2.0, envelope_selection=EnvelopeSelection.UPPER))
-    assert all(w.y.shape == (1, 568) for w in upper_only)
+    assert upper_only.y.shape[1:] == (1, 568)
 
     # all records here are EA+; filtering on EA- leaves nothing
     with pytest.raises(NoWindowsAfterFilter):
@@ -125,7 +124,7 @@ def test_run_experiment_net_smoke(small_dataset):
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.PWDRECNET, **FAST)
     report, artifacts = run_experiment(cfg, records)
     assert len(artifacts["training_log"]) == 2
-    assert "params" in artifacts
+    assert isinstance(artifacts["model"], PwDRecNetParams)
 
 
 def test_preprocessed_record_properties(small_dataset):

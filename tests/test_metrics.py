@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pwdrecon.errors import AllWindowsExcluded, ZeroVariance
 from pwdrecon.metrics import (
     NEAR_ZERO_R,
-    concatenated_r,
     pearson_r,
     render_r,
     window_metrics,
@@ -82,10 +81,3 @@ def test_window_metrics_validates_input():
     with pytest.raises(ValueError):
         window_metrics([np.zeros((2, 5))], [np.zeros((2, 6))])
 
-
-def test_concatenated_r():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 40))
-    b = rng.normal(size=(2, 40))
-    r = concatenated_r([a, b], [2 * a, 2 * b])
-    assert r == pytest.approx(1.0)

@@ -6,9 +6,7 @@ import pytest
 from pwdrecon.errors import ShapeMismatch
 from pwdrecon.net.model import (
     NetConfig,
-    Tensor1,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -18,8 +16,7 @@ from pwdrecon.net.model import (
 )
 from pwdrecon.net.ops import mse_loss
 
-TINY = NetConfig(out_channels=2, in_channels=1, channels=(2, 4, 8),
-                 kernel_size=3)
+TINY = NetConfig(out_channels=2, channels=(2, 4, 8), kernel_size=3)
 
 
 def test_forward_shapes():
@@ -33,13 +30,23 @@ def test_forward_shapes():
         forward_batch(params, np.zeros((1, 2, 64)))  # wrong channel count
 
 
-def test_forward_single_sample_wrapper():
-    params = init_params(TINY, seed=1)
-    x = Tensor1(np.random.default_rng(1).normal(size=(1, 16)))
-    y, _ = forward(params, x)
-    assert y.values.shape == (2, 16)
-    yb, _ = forward_batch(params, x.values[None])
-    assert np.array_equal(y.values, yb[0])
+def _predict_one(params, x):
+    """Reference: one window through the network on its own."""
+    xp = np.zeros((1, 1, padded_length(x.size)))
+    xp[0, 0, :x.size] = x
+    y, _ = forward_batch(params, xp)
+    return y[0, :, :x.size]
+
+
+@pytest.mark.parametrize("config,L", [
+    (NetConfig(), 568), (NetConfig(), 142), (TINY, 213), (TINY, 71)],
+    ids=["default-L568", "default-L142", "tiny-L213", "tiny-L71"])
+def test_predict_batch_matches_per_window_loop(config, L):
+    params = init_params(config, seed=1)
+    x = np.random.default_rng(1).normal(size=(5, L))
+    loop = np.stack([_predict_one(params, row) for row in x])
+    for batch_size in (1, 2, 128):  # uneven last chunk at 2
+        assert np.array_equal(predict(params, x, batch_size), loop)
 
 
 def test_init_deterministic_and_nonzero():
@@ -113,8 +120,8 @@ def test_padded_length_and_predict():
     assert padded_length(71) == 72
     assert padded_length(213) == 216
     params = init_params(TINY, seed=2)
-    out = predict(params, np.random.default_rng(2).normal(size=213))
-    assert out.shape == (2, 213)
+    out = predict(params, np.random.default_rng(2).normal(size=(3, 213)), 2)
+    assert out.shape == (3, 2, 213)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -129,11 +136,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.config == params.config
     for (name, a), (_, b) in zip(params.items(), loaded.items()):
         assert np.array_equal(a, b), name
-    x = np.random.default_rng(1).normal(size=64)
-    assert np.array_equal(predict(params, x), predict(loaded, x))
+    x = np.random.default_rng(1).normal(size=(1, 64))
+    assert np.array_equal(predict(params, x, 1), predict(loaded, x, 1))
+    # a file of another format version is refused by name
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["__version__"] = np.array(1)
+    np.savez(str(tmp_path / "v1.npz"), **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        load_checkpoint(str(tmp_path / "v1.npz"))
 
 
 def test_config_json_roundtrip():
-    cfg = NetConfig(out_channels=1, channels=(4, 8, 16), kernel_size=5,
-                    use_skips=False, use_residual=False)
+    cfg = NetConfig(out_channels=1, channels=(4, 8, 16), kernel_size=5)
     assert NetConfig.from_json(cfg.to_json()) == cfg

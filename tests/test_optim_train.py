@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from pwdrecon.core import SampleWindowPair
 from pwdrecon.errors import EmptyDataset, ShapeMismatch
 from pwdrecon.net.model import NetConfig, forward_batch, init_params
 from pwdrecon.net.optim import RmspropState, rmsprop_step
 from pwdrecon.net.train import TrainConfig, train
 from pwdrecon.net.ops import mse_loss
 
-TINY = NetConfig(out_channels=2, in_channels=1, channels=(2, 4, 8),
-                 kernel_size=3)
+TINY = NetConfig(out_channels=2, channels=(2, 4, 8), kernel_size=3)
 
 
 def test_rmsprop_single_step_closed_form():
@@ -49,19 +47,15 @@ def test_rmsprop_validates_gradients():
 
 
 def _toy_dataset(n=24, L=16, seed=0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        x = rng.normal(size=L)
-        y = np.stack([np.roll(x, 1), -x])  # learnable linear relation
-        out.append(SampleWindowPair(x=x, y=y, t_start=float(i),
-                                    record_id="r"))
-    return out
+    x = np.random.default_rng(seed).normal(size=(n, L))
+    y = np.stack([np.roll(x, 1, axis=1), -x], axis=1)  # learnable, linear
+    return x, y
 
 
 def test_train_reduces_loss_and_logs():
-    ds = _toy_dataset()
-    params, log = train(ds, TINY, TrainConfig(epochs=8, batch_size=8, seed=0))
+    x, y = _toy_dataset()
+    params, log = train(x, y, TINY,
+                        TrainConfig(epochs=8, batch_size=8, seed=0))
     assert len(log) == 8
     assert all(set(e) == {"epoch", "train_loss", "val_loss"} for e in log)
     assert [e["epoch"] for e in log] == list(range(8))
@@ -69,27 +63,25 @@ def test_train_reduces_loss_and_logs():
 
 
 def test_train_returns_best_validation_params():
-    ds = _toy_dataset()
+    x, y = _toy_dataset()
     cfg = TrainConfig(epochs=6, batch_size=8, seed=1, val_fraction=0.25)
-    params, log = train(ds, TINY, cfg)
+    params, log = train(x, y, TINY, cfg)
     best_val = min(e["val_loss"] for e in log)
     # evaluate returned params on the same validation split
     rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(len(ds))
-    n_val = min(int(round(cfg.val_fraction * len(ds))), len(ds) - 1)
-    val = [ds[i] for i in perm[:n_val]]
-    X = np.stack([v.x for v in val])[:, None, :]
-    Y = np.stack([v.y for v in val])
-    pred, _ = forward_batch(params, X)
-    loss, _ = mse_loss(pred, Y)
+    perm = rng.permutation(len(x))
+    n_val = min(int(round(cfg.val_fraction * len(x))), len(x) - 1)
+    val = perm[:n_val]
+    pred, _ = forward_batch(params, x[val][:, None, :])
+    loss, _ = mse_loss(pred, y[val])
     assert loss == pytest.approx(best_val, rel=1e-9)
 
 
 def test_train_deterministic_given_seed():
-    ds = _toy_dataset()
+    x, y = _toy_dataset()
     cfg = TrainConfig(epochs=3, batch_size=8, seed=7)
-    a, log_a = train(ds, TINY, cfg)
-    b, log_b = train(ds, TINY, cfg)
+    a, log_a = train(x, y, TINY, cfg)
+    b, log_b = train(x, y, TINY, cfg)
     for (na, wa), (_, wb) in zip(a.items(), b.items()):
         assert np.array_equal(wa, wb), na
     assert log_a == log_b
@@ -97,4 +89,5 @@ def test_train_deterministic_given_seed():
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train([], TINY, TrainConfig(epochs=1))
+        train(np.zeros((0, 16)), np.zeros((0, 2, 16)), TINY,
+              TrainConfig(epochs=1))

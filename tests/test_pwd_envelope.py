@@ -5,7 +5,6 @@ from pwdrecon.core import TARGET_FS, EnvelopePair, TimeSeries
 from pwdrecon.errors import ConstantImage, DegenerateInput
 from pwdrecon.pwd_envelope import (
     GrayImage,
-    detect_baseline_row,
     extract_envelopes,
     normalize_intensity,
     otsu_threshold,
@@ -90,13 +89,6 @@ def test_extract_envelopes_nonnegative_upper_nonpositive_lower():
     pair = extract_envelopes(GrayImage(px), 128.0, 15, 100.0)
     assert np.all(pair.upper.samples >= 0)
     assert np.all(pair.lower.samples <= 0)
-
-
-def test_detect_baseline_row():
-    px = np.zeros((12, 20))
-    px[7, :] = 255.0
-    px[3, :5] = 255.0
-    assert detect_baseline_row(GrayImage(px), 128.0) == 7
 
 
 def test_preprocess_envelopes_preserves_shape():

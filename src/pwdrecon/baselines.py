@@ -1,19 +1,26 @@
 """Linear, Ridge and Lasso baselines on flattened window pairs.
 
 Each maps a flattened fECG window (d = L) to a flattened envelope window
-(m = L * out_channels). OLS/ridge are solved by normal equations; lasso
-by cyclic coordinate descent with soft thresholding, vectorized over the
-output columns.
+(m = L * out_channels). OLS and ridge are solved by the normal equations.
+Lasso follows each output column's exact solution path (the lasso
+homotopy, LARS-lasso) from the zero solution down to the requested
+penalty, all columns in lockstep, and certifies the result with each
+column's relative duality gap.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeMismatch
+
+# a feature whose column keeps less than this share of its squared norm
+# outside the span of the active columns would make the active Gram
+# block singular: it may not enter the active set
+_DEPENDENT = 1e-10
 
 
 @dataclass
@@ -26,6 +33,7 @@ class LinearMap:
     lam: float = 0.0
     converged: bool = True
     n_iter: int = 0
+    gap: float = 0.0    # lasso: largest per-column certificate (see lasso_fit)
 
 
 def _center(X: np.ndarray, Y: np.ndarray):
@@ -33,22 +41,17 @@ def _center(X: np.ndarray, Y: np.ndarray):
     return X - xm, Y - ym, xm, ym
 
 
-def ols_fit(X: np.ndarray, Y: np.ndarray, jitter: float = 1e-10) -> LinearMap:
-    """Least squares via normal equations with a tiny ridge jitter.
-
-    The jitter keeps rank-deficient designs solvable without materially
-    changing well-posed solutions.
-    """
-    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
-    Xc, Yc, xm, ym = _center(X, Y)
-    d = X.shape[1]
-    W = np.linalg.solve(Xc.T @ Xc + jitter * np.eye(d), Xc.T @ Yc)
-    b = ym - xm @ W
-    return LinearMap(weight=W.T, bias=b, kind="ols")
+def ols_fit(X: np.ndarray, Y: np.ndarray) -> LinearMap:
+    """Least squares: ridge with only its 1e-10 jitter."""
+    return replace(ridge_fit(X, Y, 0.0), kind="ols")
 
 
 def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
-    """Minimize ||XW + b - Y||^2 + lam * ||W||_F^2 with unpenalized bias."""
+    """Minimize ||XW + b - Y||^2 + lam * ||W||_F^2 with unpenalized bias.
+
+    A 1e-10 jitter on the diagonal keeps rank-deficient designs solvable
+    without materially changing well-posed solutions.
+    """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
@@ -65,12 +68,57 @@ def lasso_lambda_max(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.abs(Xc.T @ Yc).max() / X.shape[0])
 
 
+def _gram_blocks(Gram, act, k):
+    """Each column's active Gram block, padded with identity to the
+    largest active set: (G (c, kk, kk), idx (c, kk), valid (c, kk)).
+
+    act holds each column's active features in its first k entries.
+    """
+    kk = max(int(k.max()), 1)
+    valid = np.arange(kk) < k[:, None]
+    idx = np.where(valid, act[:, :kk], 0)
+    G = Gram[idx[:, :, None], idx[:, None, :]]
+    G[~valid] = 0.0
+    G.transpose(0, 2, 1)[~valid] = 0.0
+    r = np.arange(kk)
+    G[:, r, r] += ~valid
+    return G, idx, valid
+
+
+def _active_solution(Gram, Xty, cols, act, sgn, k, lam_path):
+    """The lasso solution of the given columns on their active sets at
+    their current lam: (dA, wA, valid), the path direction dW/d(-lam)
+    and the weights, both (c, kk) and zero in the padding, and the mask
+    of their active entries."""
+    G, idx, valid = _gram_blocks(Gram, act[cols], k[cols])
+    # on a fixed active set with fixed signs the solution is affine in
+    # lam: G w = X_A^T y / n - lam * s, so dw/d(-lam) = G^{-1} s
+    rhs = np.stack([sgn[cols, :idx.shape[1]], Xty[cols[:, None], idx]], -1)
+    sol = np.linalg.solve(G, rhs * valid[..., None])
+    dA = sol[..., 0]
+    return dA, sol[..., 1] - lam_path[cols, None] * dA, valid
+
+
 def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
               max_iter: int = 1000, tol: float = 1e-6) -> LinearMap:
-    """Cyclic coordinate descent on (1/2n)||Y - XW - b||^2 + lam*|W|_1.
+    """Exact lasso homotopy on (1/2n)||Y - XW - b||^2 + lam*|W|_1.
 
-    Converged when the largest coefficient change in a sweep drops below
-    tol; otherwise the result is flagged converged=False.
+    Each output column's solution is piecewise linear in the penalty.
+    Starting at zero from the column's lambda_max, every step moves all
+    unfinished columns, in lockstep, to their next event: a feature
+    entering the active set, an active weight reaching zero and leaving
+    it, or the target lam. A step takes one batched solve over the
+    active Gram blocks and one product with X^T for the correlations.
+    The active set never grows past rank(Xc), a feature whose column
+    lies in the span of the active ones never enters, and one that just
+    left may not re-enter on the next step. max_iter bounds the steps
+    and n_iter reports the steps taken.
+
+    The result is certified per column by its relative duality gap
+    (P - D) / P, with the residual rescaled to a feasible dual point;
+    at lam = 0, where that point is undefined, by the KKT residual
+    max|Xc^T r| / max|Xc^T y|. `gap` is the largest over the columns and
+    converged is gap <= tol.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -78,36 +126,141 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
     n, d = X.shape
     m = Y.shape[1]
     Xc, Yc, xm, ym = _center(X, Y)
-    col_sq = (Xc ** 2).sum(axis=0)
+    Gram = Xc.T @ Xc / n
+    # (m, d) correlations at W = 0, formed as lasso_lambda_max forms them
+    Xty = np.ascontiguousarray((Xc.T @ Yc / n).T)
+    rank = int(np.linalg.matrix_rank(Xc))
+    K = max(rank, 1)
+    act = np.zeros((m, K), dtype=np.intp)
+    sgn = np.zeros((m, K))
+    k = np.zeros(m, dtype=np.intp)
+    lam_path = np.abs(Xty).max(axis=1)
+    live = lam_path > lam
+    dropped = np.full(m, -1)           # a feature that left on the last step
+    blocked = np.zeros((m, d), dtype=bool)
+    it = 0
+    while live.any() and it < max_iter:
+        it += 1
+        cols = np.flatnonzero(live)
+        c = cols.size
+        lam_c = lam_path[cols]
+        dA, wA, valid = _active_solution(Gram, Xty, cols, act, sgn, k,
+                                         lam_path)
+        rows = np.arange(c)
+        kk = dA.shape[1]
+        ra, pa = np.nonzero(valid)
+        ids = act[cols[ra], pa]        # the feature of active entry (ra, pa)
+        # correlations and their rates along the step, both (c, d):
+        # X^T r / n moves as corr - gamma * slope while lam_c - gamma
+        WD = np.zeros((2 * c, d))
+        WD[ra, ids] = wA[ra, pa]
+        WD[c + ra, ids] = dA[ra, pa]
+        XWD = WD @ Xc.T
+        del WD
+        XWD[:c] = Yc[:, cols].T - XWD[:c]
+        corr, slope = np.split(XWD @ Xc / n, 2)
+
+        # entering: |corr - gamma * slope| meets lam_c - gamma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = lam_c[:, None] - corr
+            up /= 1 - slope
+            up[slope >= 1] = np.inf
+            down = lam_c[:, None] + corr
+            down /= 1 + slope
+            down[slope <= -1] = np.inf
+        positive = up <= down
+        enter = np.minimum(up, down, out=up)
+        del down
+        np.maximum(enter, 0.0, out=enter)
+        shut = blocked[cols]
+        shut[ra, ids] = True
+        back = dropped[cols] >= 0      # may not re-enter right after leaving
+        shut[rows[back], dropped[cols[back]]] = True
+        shut[k[cols] >= rank] = True
+        enter[shut] = np.inf
+        j_add = enter.argmin(axis=1)
+        g_add = enter[rows, j_add]
+        s_add = np.where(positive[rows, j_add], 1.0, -1.0)
+
+        # leaving: an active weight moving toward zero reaches it
+        s_act = sgn[cols, :kk]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            leave = np.where(valid & (s_act * dA < 0),
+                             np.maximum(s_act * wA, 0.0) / np.abs(dA), np.inf)
+        p_drop = leave.argmin(axis=1)
+        g_drop = leave[rows, p_drop]
+
+        g_end = lam_c - lam
+        gamma = np.minimum(g_end, np.minimum(g_add, g_drop))
+        is_end = g_end <= gamma
+        is_drop = ~is_end & (g_drop <= g_add)
+        is_add = ~is_end & ~is_drop
+
+        # an entering feature dependent on the active columns is refused
+        # and the column stays where it is for this step. By
+        # Cauchy-Schwarz its Schur complement |(I - P_A) x_j|^2 / n is at
+        # least n q^2 / |e|^2, with e = y - P_A y and q = x_j^T e / n =
+        # corr - lam_c * slope; it is solved for only where that bound
+        # does not clear the entry
+        gjj = Gram[j_add, j_add]
+        e2 = ((XWD[:c] - lam_c[:, None] * XWD[c:]) ** 2).sum(axis=1)
+        q = corr[rows, j_add] - lam_c * slope[rows, j_add]
+        dep = is_add & (n * q * q <= _DEPENDENT * gjj * e2)
+        a = np.flatnonzero(dep)
+        if a.size:
+            G, idx, valid_a = _gram_blocks(Gram, act[cols[a]], k[cols[a]])
+            gAj = np.where(valid_a, Gram[idx, j_add[a, None]], 0.0)
+            z = np.linalg.solve(G, gAj[..., None])[..., 0]
+            dep[a] = gjj[a] - (gAj * z).sum(axis=1) <= _DEPENDENT * gjj[a]
+        blocked[cols[dep], j_add[dep]] = True
+        is_add &= ~dep
+        gamma[dep] = 0.0
+        dropped[cols[~dep]] = -1
+
+        lam_path[cols] = np.where(is_end, lam, lam_c - gamma)
+        live[cols[is_end]] = False
+        ci = cols[is_add]
+        act[ci, k[ci]], sgn[ci, k[ci]] = j_add[is_add], s_add[is_add]
+        k[ci] += 1
+        ci, p = cols[is_drop], p_drop[is_drop]
+        dropped[ci] = act[ci, p]
+        k[ci] -= 1
+        act[ci, p], sgn[ci, p] = act[ci, k[ci]], sgn[ci, k[ci]]
+        # free this step's large arrays before the next step makes its own
+        del XWD, corr, slope, up, enter, positive, shut
 
     W = np.zeros((d, m))
-    R = Yc.copy()                     # residual Yc - Xc @ W
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        max_delta = 0.0
-        for j in range(d):
-            if col_sq[j] == 0.0:
-                continue
-            w_old = W[j].copy()
-            rho = Xc[:, j] @ R + col_sq[j] * w_old
-            w_new = np.sign(rho) * np.maximum(np.abs(rho) / n - lam, 0.0)
-            w_new /= col_sq[j] / n
-            delta = w_new - w_old
-            nz = delta != 0.0
-            if np.any(nz):
-                R[:, nz] -= np.outer(Xc[:, j], delta[nz])
-                W[j] = w_new
-                max_delta = max(max_delta, float(np.abs(delta).max()))
-        if max_delta < tol:
-            converged = True
-            break
+    on = np.flatnonzero(k > 0)
+    if on.size:
+        _, wA, valid = _active_solution(Gram, Xty, on, act, sgn, k, lam_path)
+        ra, pa = np.nonzero(valid)
+        W[act[on[ra], pa], on[ra]] = wA[ra, pa]
+    gaps = _relative_gaps(Xc, Yc, W, lam)
+    gap = float(gaps.max())
+    converged = gap <= tol
     if not converged:
-        warnings.warn(f"lasso did not converge in {max_iter} sweeps",
-                      RuntimeWarning)
+        warnings.warn(f"lasso did not converge in {it} steps: relative "
+                      f"duality gap {gap:.3g} > tol {tol:g}", RuntimeWarning)
     b = ym - xm @ W
     return LinearMap(weight=W.T, bias=b, kind="lasso", lam=lam,
-                     converged=converged, n_iter=it)
+                     converged=converged, n_iter=it, gap=gap)
+
+
+def _relative_gaps(Xc, Yc, W, lam):
+    """Each column's relative duality gap (KKT residual at lam = 0)."""
+    n = Xc.shape[0]
+    R = Yc - Xc @ W
+    corr = np.abs(Xc.T @ R).max(axis=0) / n
+    if lam == 0:
+        ref = np.abs(Xc.T @ Yc).max(axis=0) / n
+        return np.divide(corr, ref, out=np.zeros_like(corr), where=ref > 0)
+    primal = (R * R).sum(axis=0) / (2 * n) + lam * np.abs(W).sum(axis=0)
+    nu = R * np.minimum(1.0, np.divide(lam, corr, out=np.ones_like(corr),
+                                       where=corr > 0))
+    dual = (nu * Yc).sum(axis=0) / n - (nu * nu).sum(axis=0) / (2 * n)
+    rel = np.divide(primal - dual, primal, out=np.zeros_like(primal),
+                    where=primal > 0)
+    return np.maximum(rel, 0.0)
 
 
 def linmap_predict(m: LinearMap, x: np.ndarray) -> np.ndarray:
@@ -128,15 +281,17 @@ def save_linear_map(m: LinearMap, path: str) -> None:
     """Write every LinearMap field to an .npz; the round trip is bit-exact."""
     np.savez(path, weight=m.weight, bias=m.bias, kind=np.array(m.kind),
              lam=np.array(m.lam), converged=np.array(m.converged),
-             n_iter=np.array(m.n_iter))
+             n_iter=np.array(m.n_iter), gap=np.array(m.gap))
 
 
 def load_linear_map(path: str) -> LinearMap:
+    """Read a saved LinearMap; a file written without a gap reads gap=nan."""
     with np.load(path) as z:
         return LinearMap(weight=z["weight"], bias=z["bias"],
                          kind=str(z["kind"]), lam=float(z["lam"]),
                          converged=bool(z["converged"]),
-                         n_iter=int(z["n_iter"]))
+                         n_iter=int(z["n_iter"]),
+                         gap=float(z["gap"]) if "gap" in z else float("nan"))
 
 
 def lasso_objective(X: np.ndarray, Y: np.ndarray, m: LinearMap) -> float:

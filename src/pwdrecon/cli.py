@@ -98,9 +98,12 @@ def _cmd_preprocess(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     records = []
     for m in manifests:
-        rec, img = load_record(m, base_dir)
-        records.append(preprocess_record(rec, img, m,
-                                         seed=args.seed or 0))
+        try:
+            rec, img = load_record(m, base_dir)
+            records.append(preprocess_record(rec, img, m,
+                                             seed=args.seed or 0))
+        except PwdReconError as exc:
+            raise type(exc)(f"{m.record_id}: {exc}") from exc
     save_preprocessed(args.out, records)
     print(json.dumps({"records": len(records), "out": args.out}))
     return 0
@@ -117,8 +120,11 @@ def _cmd_train(args) -> int:
     save = (save_checkpoint if config.model is ModelKind.PWDRECNET
             else save_linear_map)
     save(artifacts["model"], os.path.join(args.out, "model.npz"))
-    print(json.dumps({"mean_r": report.mean_r, "rendered_r":
-                      report.rendered_r, "mean_mse": report.mean_mse}))
+    result = {"mean_r": report.mean_r, "rendered_r": report.rendered_r,
+              "mean_mse": report.mean_mse}
+    if config.model is ModelKind.LASSO:
+        result["gap"] = artifacts["model"].gap
+    print(json.dumps(result))
     return 0
 
 

@@ -36,6 +36,20 @@ def test_ols_handles_rank_deficiency():
     assert np.allclose(linmap_predict(m, X), Y, atol=1e-4)
 
 
+def test_ols_is_ridge_jitter_closed_form():
+    # oracle: the normal equations with a 1e-10 jitter, bit for bit
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 213))
+    Y = rng.normal(size=(20, 426))
+    Xc = X - X.mean(axis=0)
+    Yc = Y - Y.mean(axis=0)
+    W = np.linalg.solve(Xc.T @ Xc + 1e-10 * np.eye(213), Xc.T @ Yc)
+    m = ols_fit(X, Y)
+    assert np.array_equal(m.weight, W.T)
+    assert np.array_equal(m.bias, Y.mean(axis=0) - X.mean(axis=0) @ W)
+    assert (m.kind, m.lam, m.gap) == ("ols", 0.0, 0.0)
+
+
 def test_ridge_closed_form_1d():
     # oracle: hand-solved scalar ridge, w = Sxy / (Sxx + lam)
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -101,7 +115,7 @@ def test_lasso_objective_never_above_ols_start():
     Y = rng.normal(size=(80, 2))
     lam = 0.05
     m = lasso_fit(X, Y, lam, tol=1e-9)
-    # zero solution is the CD starting point; result must not be worse
+    # the zero solution starts the homotopy; the result must not be worse
     from pwdrecon.baselines import LinearMap
     zero = LinearMap(weight=np.zeros((2, 6)),
                      bias=Y.mean(axis=0), kind="lasso", lam=lam)
@@ -112,9 +126,79 @@ def test_lasso_nonconvergence_flag():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 10))
     Y = rng.normal(size=(40, 4))
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="relative duality gap"):
         m = lasso_fit(X, Y, 1e-6, max_iter=1, tol=1e-14)
     assert not m.converged
+    assert m.gap > 1e-14 and m.n_iter == 1
+
+
+def _walk_design(seed, n=20, d=213, m=426):
+    """Window-shaped data: n << d, each row a random walk over its
+    samples, so neighbouring features are strongly correlated."""
+    rng = np.random.default_rng(seed)
+    X = np.cumsum(rng.normal(size=(n, d)), axis=1)
+    Y = np.cumsum(rng.normal(size=(n, m)), axis=1)
+    return X, Y
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_lasso_kkt_oracle_window_shaped(lam):
+    """Oracle independent of the solver's certificate: the lasso KKT
+    conditions on the returned weights and bias."""
+    X, Y = _walk_design(12)
+    m = lasso_fit(X, Y, lam)
+    assert m.converged
+    r = Y - linmap_predict(m, X)
+    corr = (X - X.mean(axis=0)).T @ r / X.shape[0]
+    W = m.weight.T
+    nz = W != 0.0
+    assert nz.any() and (~nz).any()
+    assert np.all(np.abs(corr[~nz]) <= lam * (1 + 1e-8))
+    assert np.all(np.abs(corr[nz] - lam * np.sign(W[nz])) <= 1e-8)
+    # the active set never outgrows rank(Xc) <= n - 1
+    assert nz.sum(axis=0).max() <= X.shape[0] - 1
+
+
+def _duplicated_column():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(30, 8))
+    X[:, 3] = X[:, 1]
+    return X, X[:, :2] @ rng.normal(size=(2, 5)) + rng.normal(size=(30, 5))
+
+
+def _constant_column():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(30, 8))
+    X[:, 2] = 0.1  # centres to round-off, not to exact zeros
+    return X, X[:, :2] @ rng.normal(size=(2, 5)) + rng.normal(size=(30, 5))
+
+
+@pytest.mark.parametrize("design, lam", [
+    (_duplicated_column, 0.01), (_duplicated_column, 0.0),
+    (_constant_column, 0.01), (_constant_column, 0.0),
+    (lambda: _walk_design(15, n=12, d=40, m=6), 0.0)],
+    ids=["duplicate", "duplicate-lam0", "constant", "constant-lam0",
+         "lam0-n-le-d"])
+def test_lasso_degenerate_designs(design, lam):
+    X, Y = design()
+    m = lasso_fit(X, Y, lam)
+    assert np.all(np.isfinite(m.weight)) and np.all(np.isfinite(m.bias))
+    assert m.converged == (m.gap <= 1e-6)
+    assert m.converged
+    if lam == 0.0:
+        # the KKT stop: the fit leaves no correlation with any feature
+        r = Y - linmap_predict(m, X)
+        Xc = X - X.mean(axis=0)
+        Yc = Y - Y.mean(axis=0)
+        assert np.abs(Xc.T @ r).max() <= 1e-6 * np.abs(Xc.T @ Yc).max()
+
+
+def test_lasso_reruns_bit_identical():
+    X, Y = _walk_design(16, m=40)
+    a, b = lasso_fit(X, Y, 0.05), lasso_fit(X, Y, 0.05)
+    assert np.array_equal(a.weight, b.weight)
+    assert np.array_equal(a.bias, b.bias)
+    assert (a.n_iter, a.gap) == (b.n_iter, b.gap)
 
 
 def test_linmap_predict_shapes():
@@ -153,5 +237,11 @@ def test_linear_map_checkpoint_roundtrip(tmp_path):
     loaded = load_linear_map(path)
     assert np.array_equal(loaded.weight, m.weight)
     assert np.array_equal(loaded.bias, m.bias)
-    assert (loaded.kind, loaded.lam, loaded.converged, loaded.n_iter) == \
-        ("lasso", 1e-3, False, 2)
+    assert (loaded.kind, loaded.lam, loaded.converged, loaded.n_iter,
+            loaded.gap) == ("lasso", 1e-3, False, 2, m.gap)
+    # a file written before the gap was stored loads with gap = nan
+    old = str(tmp_path / "old.npz")
+    np.savez(old, weight=m.weight, bias=m.bias, kind=np.array("lasso"),
+             lam=np.array(1e-3), converged=np.array(False),
+             n_iter=np.array(2))
+    assert np.isnan(load_linear_map(old).gap)

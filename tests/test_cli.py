@@ -84,6 +84,26 @@ def test_evaluate_reproduces_train_for_every_model(model, small_dataset,
                  "--data", prep]) == 0
     evaluated = json.loads(capsys.readouterr().out)
     assert evaluated["mean_r"] == trained["mean_r"]
+    # the lasso's duality-gap certificate is part of the train result
+    assert ("gap" in trained) == (model is ModelKind.LASSO)
+    if model is ModelKind.LASSO:
+        assert 0.0 <= trained["gap"] <= 1e-6
+
+
+def test_preprocess_error_names_the_record(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 2, "duration_s": 10.0, "seed": 1,
+                        "fetal_maternal_ratio": 0})
+    ds = str(tmp_path / "ds")
+    assert main(["synth", "--spec", spec, "--out", ds]) == 0
+    capsys.readouterr()
+    rc = main(["preprocess", "--manifest", os.path.join(ds, "records.json"),
+               "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoFetalComponent"
+    assert err["message"].startswith("rec000: ")
+    assert not os.path.exists(tmp_path / "prep")
 
 
 def test_cli_error_paths(tmp_path, capsys):

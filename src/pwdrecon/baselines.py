@@ -4,8 +4,8 @@ Each maps a flattened fECG window (d = L) to a flattened envelope window
 (m = L * out_channels). OLS and ridge are solved by the normal equations.
 Lasso follows each output column's exact solution path (the lasso
 homotopy, LARS-lasso) from the zero solution down to the requested
-penalty, all columns in lockstep, and certifies the result with each
-column's relative duality gap.
+penalty, many columns in lockstep within a memory budget, and certifies
+the result with each column's relative duality gap.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .errors import ShapeMismatch
 # outside the span of the active columns would make the active Gram
 # block singular: it may not enter the active set
 _DEPENDENT = 1e-10
+# lasso_fit follows the output columns in groups whose padded active
+# Gram blocks stay within this many bytes
+_BLOCK_BYTES = 64 << 20
 
 
 @dataclass
@@ -103,16 +106,14 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
               max_iter: int = 1000, tol: float = 1e-6) -> LinearMap:
     """Exact lasso homotopy on (1/2n)||Y - XW - b||^2 + lam*|W|_1.
 
-    Each output column's solution is piecewise linear in the penalty.
-    Starting at zero from the column's lambda_max, every step moves all
-    unfinished columns, in lockstep, to their next event: a feature
-    entering the active set, an active weight reaching zero and leaving
-    it, or the target lam. A step takes one batched solve over the
-    active Gram blocks and one product with X^T for the correlations.
-    The active set never grows past rank(Xc), a feature whose column
-    lies in the span of the active ones never enters, and one that just
-    left may not re-enter on the next step. max_iter bounds the steps
-    and n_iter reports the steps taken.
+    Each output column's solution is piecewise linear in the penalty and
+    is followed from zero at the column's lambda_max down to lam (see
+    _homotopy). The columns are followed in lockstep, in groups whose
+    padded active Gram blocks, at most 8 * group * rank(Xc)^2 bytes,
+    fit in _BLOCK_BYTES. With fewer windows than samples (n << d) all
+    columns form one group; with n >= d, rank(Xc) = d and a 2 s window
+    (d = 568, m = 1136) takes groups of 26. max_iter bounds each
+    group's steps and n_iter reports the most steps taken.
 
     The result is certified per column by its relative duality gap
     (P - D) / P, with the residual rescaled to a feasible dual point;
@@ -130,13 +131,47 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
     # (m, d) correlations at W = 0, formed as lasso_lambda_max forms them
     Xty = np.ascontiguousarray((Xc.T @ Yc / n).T)
     rank = int(np.linalg.matrix_rank(Xc))
+    group = max(1, _BLOCK_BYTES // (8 * max(rank, 1) ** 2))
+    W = np.zeros((d, m))
+    it = 0
+    for s in range(0, m, group):
+        g = slice(s, s + group)
+        W[:, g], steps = _homotopy(Xc, Yc[:, g], Gram, Xty[g], rank, lam,
+                                   max_iter)
+        it = max(it, steps)
+    gaps = _relative_gaps(Xc, Yc, W, lam)
+    gap = float(gaps.max())
+    converged = gap <= tol
+    if not converged:
+        warnings.warn(f"lasso did not converge in {it} steps: relative "
+                      f"duality gap {gap:.3g} > tol {tol:g}", RuntimeWarning)
+    b = ym - xm @ W
+    return LinearMap(weight=W.T, bias=b, kind="lasso", lam=lam,
+                     converged=converged, n_iter=it, gap=gap)
+
+
+def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
+    """The lasso weights (d, m) of the columns of Yc at lam, and the steps
+    taken.
+
+    Every step moves all unfinished columns to their next event: a
+    feature entering the active set, an active weight reaching zero and
+    leaving it, or the target lam. A step takes one batched solve over
+    the active Gram blocks and one product with Xc^T for the
+    correlations. The active set never grows past rank(Xc), and a
+    feature whose column lies in the span of the active ones never
+    enters. A feature that has just left needs no rule of its own: on
+    the exact path its correlation moves away from +-lam (slope > 1),
+    so it has no entering step.
+    """
+    n, d = Xc.shape
+    m = Yc.shape[1]
     K = max(rank, 1)
     act = np.zeros((m, K), dtype=np.intp)
     sgn = np.zeros((m, K))
     k = np.zeros(m, dtype=np.intp)
     lam_path = np.abs(Xty).max(axis=1)
     live = lam_path > lam
-    dropped = np.full(m, -1)           # a feature that left on the last step
     blocked = np.zeros((m, d), dtype=bool)
     it = 0
     while live.any() and it < max_iter:
@@ -174,8 +209,6 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
         np.maximum(enter, 0.0, out=enter)
         shut = blocked[cols]
         shut[ra, ids] = True
-        back = dropped[cols] >= 0      # may not re-enter right after leaving
-        shut[rows[back], dropped[cols[back]]] = True
         shut[k[cols] >= rank] = True
         enter[shut] = np.inf
         j_add = enter.argmin(axis=1)
@@ -215,7 +248,6 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
         blocked[cols[dep], j_add[dep]] = True
         is_add &= ~dep
         gamma[dep] = 0.0
-        dropped[cols[~dep]] = -1
 
         lam_path[cols] = np.where(is_end, lam, lam_c - gamma)
         live[cols[is_end]] = False
@@ -223,7 +255,6 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
         act[ci, k[ci]], sgn[ci, k[ci]] = j_add[is_add], s_add[is_add]
         k[ci] += 1
         ci, p = cols[is_drop], p_drop[is_drop]
-        dropped[ci] = act[ci, p]
         k[ci] -= 1
         act[ci, p], sgn[ci, p] = act[ci, k[ci]], sgn[ci, k[ci]]
         # free this step's large arrays before the next step makes its own
@@ -235,15 +266,7 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
         _, wA, valid = _active_solution(Gram, Xty, on, act, sgn, k, lam_path)
         ra, pa = np.nonzero(valid)
         W[act[on[ra], pa], on[ra]] = wA[ra, pa]
-    gaps = _relative_gaps(Xc, Yc, W, lam)
-    gap = float(gaps.max())
-    converged = gap <= tol
-    if not converged:
-        warnings.warn(f"lasso did not converge in {it} steps: relative "
-                      f"duality gap {gap:.3g} > tol {tol:g}", RuntimeWarning)
-    b = ym - xm @ W
-    return LinearMap(weight=W.T, bias=b, kind="lasso", lam=lam,
-                     converged=converged, n_iter=it, gap=gap)
+    return W, it
 
 
 def _relative_gaps(Xc, Yc, W, lam):

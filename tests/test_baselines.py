@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pwdrecon import baselines
 from pwdrecon.baselines import (
     lasso_fit,
     lasso_lambda_max,
@@ -133,7 +136,7 @@ def test_lasso_nonconvergence_flag():
 
 
 def _walk_design(seed, n=20, d=213, m=426):
-    """Window-shaped data: n << d, each row a random walk over its
+    """Window-shaped data, n << d by default: each row a random walk over its
     samples, so neighbouring features are strongly correlated."""
     rng = np.random.default_rng(seed)
     X = np.cumsum(rng.normal(size=(n, d)), axis=1)
@@ -191,6 +194,50 @@ def test_lasso_degenerate_designs(design, lam):
         Xc = X - X.mean(axis=0)
         Yc = Y - Y.mean(axis=0)
         assert np.abs(Xc.T @ r).max() <= 1e-6 * np.abs(Xc.T @ Yc).max()
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak bytes numpy and Python allocated during it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lasso_column_groups_bound_gram_blocks(monkeypatch):
+    """With n > d the active sets grow to rank(Xc) = d, where the padded
+    Gram blocks of all m outputs take 8 m d^2 bytes. The outputs are
+    followed in groups within the byte budget, to the same fit."""
+    X, Y = _walk_design(18, n=50, d=40, m=120)
+    blocks = 8 * 120 * 40 ** 2
+    whole, whole_peak = _traced(lasso_fit, X, Y, 0.01)
+    monkeypatch.setattr(baselines, "_BLOCK_BYTES", blocks // 8)
+    grouped, peak = _traced(lasso_fit, X, Y, 0.01)
+    assert whole.converged and grouped.converged
+    assert (np.count_nonzero(whole.weight, axis=1) == 40).any()
+    assert np.abs(grouped.weight - whole.weight).max() \
+        <= 1e-9 * np.abs(whole.weight).max()
+    assert whole_peak > blocks > 2 * peak
+
+
+def test_lasso_window_width_with_more_windows_than_samples():
+    """A 2 s window (568 samples) with 600 training windows: rank(Xc) is
+    the window length, the case the budget groups for. KKT as above."""
+    X, Y = _walk_design(19, n=600, d=568, m=8)
+    lam = 0.1
+    m, peak = _traced(lasso_fit, X, Y, lam)
+    assert m.converged and m.n_iter < 1000
+    r = Y - linmap_predict(m, X)
+    corr = (X - X.mean(axis=0)).T @ r / X.shape[0]
+    W = m.weight.T
+    nz = W != 0.0
+    assert nz.sum(axis=0).max() > 50
+    assert np.all(np.abs(corr[~nz]) <= lam * (1 + 1e-8))
+    assert np.all(np.abs(corr[nz] - lam * np.sign(W[nz])) <= 1e-8)
+    # the (600, 568) design, its Gram matrix and a few (8, 568) arrays
+    assert peak <= 8 * (3 * 600 * 568 + 2 * 568 ** 2)
 
 
 def test_lasso_reruns_bit_identical():

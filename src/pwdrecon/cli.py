@@ -13,14 +13,7 @@ import os
 import sys
 
 from .baselines import load_linear_map, save_linear_map
-from .core import (
-    EnvelopeSelection,
-    ModelKind,
-    OutputMode,
-    Polarity,
-    SplitMode,
-    WaveConfig,
-)
+from .core import ModelKind, from_json_dict, to_json_dict
 from .errors import PwdReconError
 from .harness.experiment import (
     GRID_NAMES,
@@ -43,50 +36,16 @@ from .net import load_checkpoint, save_checkpoint
 from .net import predict  # noqa: F401  patched by perfbench/layers.py
 
 
-def _spec_from_json(d: dict, seed: int | None) -> SyntheticSpec:
-    if "wave_config" in d:
-        d["wave_config"] = WaveConfig(d["wave_config"])
-    for k in ("fetal_bpm", "maternal_bpm"):
-        if k in d:
-            d[k] = tuple(d[k])
-    if seed is not None:
-        d["seed"] = seed
-    return SyntheticSpec(**d)
-
-
-_ENUM_FIELDS = {
-    "wave_config": WaveConfig,
-    "envelope_selection": EnvelopeSelection,
-    "polarity_filter": Polarity,
-    "output_mode": OutputMode,
-    "model": ModelKind,
-    "split": SplitMode,
-}
-
-
 def config_from_dict(d: dict, seed: int | None = None) -> ExperimentConfig:
-    d = dict(d)
-    for k, enum in _ENUM_FIELDS.items():
-        if k in d:
-            d[k] = enum(d[k])
-    if "net_channels" in d:
-        d["net_channels"] = tuple(d["net_channels"])
-    if seed is not None:
-        d["seed"] = seed
-    return ExperimentConfig(**d)
-
-
-def config_to_dict(c: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(c)
-    for k in _ENUM_FIELDS:
-        d[k] = d[k].value
-    d["net_channels"] = list(d["net_channels"])
-    return d
+    config = from_json_dict(ExperimentConfig, d)
+    return config if seed is None else dataclasses.replace(config, seed=seed)
 
 
 def _cmd_synth(args) -> int:
     with open(args.spec) as fh:
-        spec = _spec_from_json(json.load(fh), args.seed)
+        spec = from_json_dict(SyntheticSpec, json.load(fh))
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     manifests = generate_synthetic(spec, args.out)
     print(json.dumps({"records": len(manifests),
                       "manifest": os.path.join(args.out, "records.json")}))
@@ -116,7 +75,7 @@ def _cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report, artifacts = run_experiment(config, records, out_dir=args.out)
     with open(os.path.join(args.out, "experiment.json"), "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=1)
+        json.dump(to_json_dict(config), fh, indent=1)
     save = (save_checkpoint if config.model is ModelKind.PWDRECNET
             else save_linear_map)
     save(artifacts["model"], os.path.join(args.out, "model.npz"))
@@ -148,7 +107,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    records = load_preprocessed(args.data)
     base = ExperimentConfig(seed=args.seed or 0)
     if args.grid in GRID_NAMES:
         names = [args.grid]
@@ -157,8 +115,12 @@ def _cmd_ablate(args) -> int:
     else:
         with open(args.grid) as fh:
             d = json.load(fh)
+        extra = set(d) - {"base", "grids"}
+        if extra:
+            raise ValueError(f"grid file: unknown field {min(extra)!r}")
         base = config_from_dict(d.get("base", {}), args.seed)
         names = d["grids"]
+    records = load_preprocessed(args.data)
     for name in names:
         run_ablation(name, records, out_dir=args.out, base=base)
     print(json.dumps({"grids": names, "out": args.out}))

@@ -6,7 +6,8 @@ construction time, never deferred to first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -188,3 +189,64 @@ class RecordManifest:
             raise ValueError("aecg_fs must be > 0")
         if not self.image_columns_per_second > 0:
             raise ValueError("image_columns_per_second must be > 0")
+
+
+def to_json_dict(obj) -> dict:
+    """A dataclass as a JSON-ready dict in field order: enums by value,
+    tuples as lists."""
+    d = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for key, v in d.items():
+        if isinstance(v, Enum):
+            d[key] = v.value
+        elif isinstance(v, tuple):
+            d[key] = list(v)
+    return d
+
+
+def _decode(tp, v):
+    """The value of type `tp` that JSON value `v` stands for."""
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(v, list):
+            raise ValueError(f"expected a list, got {v!r}")
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(v)
+        if len(v) != len(args):
+            raise ValueError(f"expected {len(args)} items, got {len(v)}")
+        return tuple(_decode(a, x) for a, x in zip(args, v))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(v)
+    if tp in (int, float):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or tp is int and not float(v).is_integer():
+            raise ValueError(f"expected {tp.__name__}, got {v!r}")
+        return tp(v)
+    if not isinstance(v, tp):
+        raise ValueError(f"expected {tp.__name__}, got {v!r}")
+    return v
+
+
+def from_json_dict(cls, d: dict):
+    """Inverse of to_json_dict, converting each field by its annotation.
+
+    A float field accepts JSON integers and an int field integral
+    numbers. An unknown or missing key, or a value the field cannot
+    take, is a ValueError naming the class and the field.
+    """
+    name = cls.__name__
+    if not isinstance(d, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {d!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, v in d.items():
+        if key not in hints:
+            raise ValueError(f"{name}: unknown field {key!r}")
+        try:
+            kwargs[key] = _decode(hints[key], v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}.{key}: {exc}") from None
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING \
+                and f.default_factory is MISSING:
+            raise ValueError(f"{name}: missing field {f.name!r}")
+    return cls(**kwargs)

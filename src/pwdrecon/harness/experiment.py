@@ -63,8 +63,8 @@ class PreprocessedRecord:
 
 
 def preprocess_record(rec: MultichannelRecording, img: GrayImage,
-                      manifest: RecordManifest, seed: int,
-                      filter_order: int = 4) -> PreprocessedRecord:
+                      manifest: RecordManifest,
+                      seed: int) -> PreprocessedRecord:
     """Run both preprocessing paths and align the streams.
 
     fECG path: bipolar selection, PCA-ICA-PCA extraction, z-score,
@@ -82,15 +82,14 @@ def preprocess_record(rec: MultichannelRecording, img: GrayImage,
     # shrinks the narrow R lobe and can flip marginal cases
     polarity = detect_polarity(fecg)
     fecg = resample_linear(zscore(fecg), TARGET_FS)
-    butter = design_bandpass("butterworth", 0.1, 50.0, filter_order,
-                             TARGET_FS)
+    butter = design_bandpass("butterworth", 0.1, 50.0, 4, TARGET_FS)
     fecg = filtfilt(butter, fecg)
 
     norm = normalize_intensity(img)
     thr = otsu_threshold(norm)
     raw = extract_envelopes(norm, thr, manifest.image_baseline_row,
                             manifest.image_columns_per_second)
-    env = preprocess_envelopes(raw, order=filter_order)
+    env = preprocess_envelopes(raw)
 
     n = min(len(fecg), len(env.upper))
     fecg = TimeSeries(fecg.samples[:n], TARGET_FS)
@@ -239,8 +238,7 @@ def evaluate(config: ExperimentConfig, model, windows: WindowSet,
 
 def run_experiment(config: ExperimentConfig,
                    records: list[PreprocessedRecord],
-                   out_dir: str | None = None,
-                   n_plot_windows: int = 3):
+                   out_dir: str | None = None):
     """Execute one ablation cell; returns (MetricReport, artifacts)."""
     windows, train_idx, test_idx = experiment_windows(config, records)
     model, log = _fit(config, windows.x[train_idx], windows.y[train_idx])
@@ -253,7 +251,7 @@ def run_experiment(config: ExperimentConfig,
         _write_report_csv(os.path.join(out_dir, "metrics.csv"), config,
                           report)
         _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
-        for i, (row, pred) in enumerate(zip(test_idx[:n_plot_windows],
+        for i, (row, pred) in enumerate(zip(test_idx[:3],
                                             preds)):
             x, y = windows.x[row], windows.y[row]
             t = windows.t_start[row] + np.arange(x.size) / TARGET_FS

@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from ..core import MultichannelRecording, RecordManifest, TimeSeries, WaveConfig
+from ..core import EnvelopePair, Polarity, from_json_dict, to_json_dict
 from ..errors import BadMagic, FileMissing, SizeMismatch
 from ..pwd_envelope import GrayImage
 
@@ -73,44 +74,16 @@ def read_pgm(path: str) -> GrayImage:
     return GrayImage(arr.astype(np.float64))
 
 
-def manifest_to_dict(m: RecordManifest) -> dict:
-    return {
-        "record_id": m.record_id,
-        "channel_paths": list(m.channel_paths),
-        "image_path": m.image_path,
-        "aecg_fs": m.aecg_fs,
-        "bipolar_channel_indices": list(m.bipolar_channel_indices),
-        "wave_config": m.wave_config.value,
-        "image_baseline_row": m.image_baseline_row,
-        "image_columns_per_second": m.image_columns_per_second,
-        "aux": m.aux,
-    }
-
-
-def manifest_from_dict(d: dict) -> RecordManifest:
-    return RecordManifest(
-        record_id=d["record_id"],
-        channel_paths=tuple(d["channel_paths"]),
-        image_path=d["image_path"],
-        aecg_fs=float(d["aecg_fs"]),
-        bipolar_channel_indices=tuple(d["bipolar_channel_indices"]),
-        wave_config=WaveConfig(d["wave_config"]),
-        image_baseline_row=int(d["image_baseline_row"]),
-        image_columns_per_second=float(d["image_columns_per_second"]),
-        aux=d.get("aux", {}),
-    )
-
-
 def save_manifests(path: str, manifests: list[RecordManifest]) -> None:
     with open(path, "w") as fh:
-        json.dump([manifest_to_dict(m) for m in manifests], fh, indent=1)
+        json.dump([to_json_dict(m) for m in manifests], fh, indent=1)
 
 
 def load_manifests(path: str) -> list[RecordManifest]:
     if not os.path.exists(path):
         raise FileMissing(path)
     with open(path) as fh:
-        return [manifest_from_dict(d) for d in json.load(fh)]
+        return [from_json_dict(RecordManifest, d) for d in json.load(fh)]
 
 
 def load_record(manifest: RecordManifest,
@@ -137,13 +110,10 @@ def save_preprocessed(out_dir: str, records) -> None:
     os.makedirs(out_dir, exist_ok=True)
     index = []
     for rec in records:
-        stem = rec.record_id
-        write_raw_f32(os.path.join(out_dir, f"{stem}.fecg.f32"),
-                      rec.fecg.samples)
-        write_raw_f32(os.path.join(out_dir, f"{stem}.upper.f32"),
-                      rec.env.upper.samples)
-        write_raw_f32(os.path.join(out_dir, f"{stem}.lower.f32"),
-                      rec.env.lower.samples)
+        for name, ts in (("fecg", rec.fecg), ("upper", rec.env.upper),
+                         ("lower", rec.env.lower)):
+            write_raw_f32(os.path.join(out_dir, f"{rec.record_id}.{name}.f32"),
+                          ts.samples)
         index.append({
             "record_id": rec.record_id,
             "fs": rec.fecg.fs,
@@ -157,7 +127,6 @@ def save_preprocessed(out_dir: str, records) -> None:
 
 def load_preprocessed(data_dir: str):
     """Inverse of save_preprocessed; returns PreprocessedRecord list."""
-    from ..core import EnvelopePair, Polarity
     from .experiment import PreprocessedRecord
 
     path = os.path.join(data_dir, "preprocessed.json")
@@ -167,16 +136,18 @@ def load_preprocessed(data_dir: str):
         index = json.load(fh)
     records = []
     for e in index:
-        stem = os.path.join(data_dir, e["record_id"])
-        fs = float(e["fs"])
-        fecg = TimeSeries(read_raw_f32(stem + ".fecg.f32"), fs)
-        upper = TimeSeries(read_raw_f32(stem + ".upper.f32"), fs)
-        lower = TimeSeries(read_raw_f32(stem + ".lower.f32"), fs)
-        if len(fecg) != e["n_samples"]:
-            raise SizeMismatch(f"{stem}: stream length mismatch")
+        rid, n = e["record_id"], e["n_samples"]
+        streams = {}
+        for name in ("fecg", "upper", "lower"):
+            path = os.path.join(data_dir, f"{rid}.{name}.f32")
+            samples = read_raw_f32(path)
+            if samples.size != n:
+                raise SizeMismatch(f"{rid}: {name} stream {path} has "
+                                   f"{samples.size} samples, expected {n}")
+            streams[name] = TimeSeries(samples, float(e["fs"]))
         records.append(PreprocessedRecord(
-            record_id=e["record_id"], fecg=fecg,
-            env=EnvelopePair(upper=upper, lower=lower),
+            record_id=rid, fecg=streams["fecg"],
+            env=EnvelopePair(upper=streams["upper"], lower=streams["lower"]),
             wave_config=WaveConfig(e["wave_config"]),
             polarity=Polarity(e["polarity"])))
     return records

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+WIDTH, PANEL_HEIGHT = 640, 160  # SVG pixels
+
 _COLORS = {
     "fecg": "#1f77b4",          # blue
     "true_upper": "#bfa800",    # yellow-ish
@@ -33,12 +35,11 @@ def _polyline(t, y, width, height, t_span, y_span, color):
             f'points="{pts}"/>')
 
 
-def write_window_svg(path: str, t: np.ndarray, traces: dict,
-                     width: int = 640, panel_height: int = 160) -> None:
+def write_window_svg(path: str, t: np.ndarray, traces: dict) -> None:
     """Two stacked panels: fECG input on top, envelopes below."""
     env_names = [n for n in traces if n != "fecg"]
-    total_h = 2 * panel_height + 30
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+    total_h = 2 * PANEL_HEIGHT + 30
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
              f'height="{total_h}">']
     t_span = (float(t[0]), float(t[-1]))
 
@@ -48,12 +49,12 @@ def write_window_svg(path: str, t: np.ndarray, traces: dict,
         parts.append(f'<g transform="translate(0,{y_off})">')
         for n in names:
             color = _COLORS.get(n, "#555555")
-            parts.append(_polyline(t, np.asarray(traces[n]), width,
-                                   panel_height, t_span, y_span, color))
+            parts.append(_polyline(t, np.asarray(traces[n]), WIDTH,
+                                   PANEL_HEIGHT, t_span, y_span, color))
         parts.append(f'<text x="4" y="12" font-size="10">{label}</text></g>')
 
     panel(["fecg"], 0, "fECG input")
-    panel(env_names, panel_height + 30,
+    panel(env_names, PANEL_HEIGHT + 30,
           "PwD envelopes (truth vs prediction)")
     parts.append("</svg>")
     with open(path, "w") as fh:

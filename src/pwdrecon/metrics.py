@@ -42,15 +42,14 @@ def pearson_r(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(ac @ bc / (na * nb), -1.0, 1.0))
 
 
-def render_r(mean_r: float, threshold: float = NEAR_ZERO_R) -> str:
-    if abs(mean_r) < threshold:
+def render_r(mean_r: float) -> str:
+    if abs(mean_r) < NEAR_ZERO_R:
         return "+" if mean_r >= 0 else "-"
     return f"{mean_r:.4f}"
 
 
 def window_metrics(pred_windows: list[np.ndarray],
-                   true_windows: list[np.ndarray],
-                   threshold: float = NEAR_ZERO_R) -> MetricReport:
+                   true_windows: list[np.ndarray]) -> MetricReport:
     """Aggregate per-window metrics over aligned prediction/target windows.
 
     Either argument is a list of windows or an array with one window per
@@ -90,5 +89,5 @@ def window_metrics(pred_windows: list[np.ndarray],
                         mean_mse=mse_sum / n_windows,
                         n_windows=n_windows,
                         n_excluded=n_excluded,
-                        rendered_r=render_r(mean_r, threshold))
+                        rendered_r=render_r(mean_r))
 

@@ -9,13 +9,13 @@ against finite differences.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core import from_json_dict, to_json_dict
 from ..errors import ShapeMismatch
 from .ops import (
     conv1d_backward,
@@ -47,10 +47,6 @@ class ConvSpec:
         if self.b.shape != (self.w.shape[0],):
             raise ValueError("bias shape inconsistent with kernel")
 
-    @property
-    def kernel_size(self) -> int:
-        return self.w.shape[2]
-
 
 @dataclass
 class BlockParams:
@@ -70,13 +66,11 @@ class NetConfig:
     kernel_size: int = 7
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(to_json_dict(self), sort_keys=True)
 
     @staticmethod
     def from_json(s: str) -> "NetConfig":
-        d = json.loads(s)
-        d["channels"] = tuple(d["channels"])
-        return NetConfig(**d)
+        return from_json_dict(NetConfig, json.loads(s))
 
 
 @dataclass
@@ -100,9 +94,6 @@ class PwDRecNetParams:
                     yield f"{tag}{i}.proj.b", blk.proj.b
         yield "head.w", self.head.w
         yield "head.b", self.head.b
-
-    def n_parameters(self) -> int:
-        return sum(a.size for _, a in self.items())
 
 
 def _init_conv(rng, c_in: int, c_out: int, k: int) -> ConvSpec:

@@ -10,11 +10,11 @@ import numpy as np
 from ..errors import EmptyDataset
 from .model import (
     NetConfig,
-    PwDRecNetParams,
     backward,
     forward_batch,
     init_params,
     padded_length,
+    predict,
 )
 from .ops import mse_loss
 from .optim import RmspropState, rmsprop_step
@@ -27,14 +27,6 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.1
     lr: float = 1e-3
-    rho: float = 0.9
-    eps: float = 1e-8
-
-
-def _loss_on(params, X, Y, L):
-    pred, _ = forward_batch(params, X)
-    loss, _ = mse_loss(pred[:, :, :L], Y)
-    return loss
 
 
 def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
@@ -60,7 +52,7 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     params = init_params(net_config, seed=config.seed)
-    state = RmspropState(lr=config.lr, rho=config.rho, eps=config.eps)
+    state = RmspropState(lr=config.lr)
 
     best = copy.deepcopy(params)
     best_val = np.inf
@@ -79,10 +71,9 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
-        if n_val > 0:
-            val_loss = _loss_on(params, X[val_idx], Y[val_idx], L)
-        else:
-            val_loss = _loss_on(params, X[train_idx], Y[train_idx], L)
+        held = val_idx if n_val > 0 else train_idx
+        val_loss, _ = mse_loss(predict(params, x[held], config.batch_size),
+                               Y[held])
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss})
         if val_loss < best_val:

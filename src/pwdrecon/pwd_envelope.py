@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import TARGET_FS, EnvelopePair, TimeSeries
 from .dsp import design_bandpass, filtfilt, mean_center, resample_linear
-from .errors import ConstantImage, DegenerateInput
+from .errors import ConstantImage
+from .separation import pca_fit
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,13 @@ def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,
                         lower=TimeSeries(lower, columns_per_second))
 
 
-def preprocess_envelopes(raw: EnvelopePair, order: int = 4) -> EnvelopePair:
+def preprocess_envelopes(raw: EnvelopePair) -> EnvelopePair:
     """Mean-center, resample to 284 Hz, Bessel 0.1-50 Hz zero-phase filter.
 
     Both channels get the identical chain; a final re-centering keeps the
     mean at zero despite bandpass edge transients.
     """
-    f = design_bandpass("bessel", 0.1, 50.0, order, TARGET_FS)
+    f = design_bandpass("bessel", 0.1, 50.0, 4, TARGET_FS)
 
     def chain(ts: TimeSeries) -> TimeSeries:
         centered = mean_center(ts)
@@ -130,18 +131,12 @@ def pca_compress_envelopes(pair: EnvelopePair) -> TimeSeries:
     """Project (upper, lower) sample pairs onto their first principal axis.
 
     Output sign is fixed so correlation with the upper envelope is >= 0.
+    Raises DegenerateInput when both channels are constant.
     """
-    u, l = pair.upper.samples, pair.lower.samples
-    if len(u) < 2:
-        raise ValueError("need at least 2 samples")
-    data = np.stack([u, l], axis=1)
-    centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / (len(u) - 1)
-    if np.all(cov == 0.0):
-        raise DegenerateInput("both envelope channels are constant")
-    evals, evecs = np.linalg.eigh(cov)
-    axis = evecs[:, np.argmax(evals)]
-    out = centered @ axis
+    u = pair.upper.samples
+    data = np.stack([u, pair.lower.samples], axis=1)
+    pca = pca_fit(data)
+    out = (data - pca.mean) @ pca.components[0]
     uc = u - u.mean()
     if float(out @ uc) < 0:
         out = -out

@@ -96,21 +96,17 @@ def fastica(data: np.ndarray, n_components: int, seed: int,
     as a warning; the model is returned with converged=False.
     """
     data = np.asarray(data, dtype=np.float64)
-    n, c = data.shape
-    if n_components > c:
+    if n_components > data.shape[1]:
         raise ValueError("n_components must be <= n_channels")
 
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (n - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:n_components]
-    evals, evecs = evals[order], evecs[:, order]
+    # whitening is PCA scaled to unit variance per component
+    pca = pca_fit(data)
+    evals = pca.eigenvalues[:n_components]
     if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
         raise DegenerateInput(
             "covariance rank-deficient; cannot whiten requested components")
-    whitening = (evecs / np.sqrt(evals)).T   # (n_components, c)
-    z = centered @ whitening.T               # whitened, (n, n_components)
+    whitening = (pca.components[:n_components].T / np.sqrt(evals)).T
+    z = (data - pca.mean) @ whitening.T      # whitened, (n, n_components)
 
     rng = np.random.default_rng(seed)
     W = np.zeros((n_components, n_components))
@@ -148,7 +144,7 @@ def fastica(data: np.ndarray, n_components: int, seed: int,
         if peak < 0:
             W[i] = -W[i]
 
-    return IcaModel(whitening=whitening, unmixing=W, mean=mean,
+    return IcaModel(whitening=whitening, unmixing=W, mean=pca.mean,
                     n_components=n_components, converged=converged,
                     iterations=total_iter)
 
@@ -264,11 +260,10 @@ def _orient_to_sensors(out: np.ndarray, data: np.ndarray,
     return out
 
 
-def detect_polarity(fecg: TimeSeries, threshold: float = 2.5,
-                    refractory_s: float = 0.25) -> Polarity:
+def detect_polarity(fecg: TimeSeries) -> Polarity:
     """Classify R-deflection direction from high-amplitude peaks.
 
-    Peaks are |z-scored| excursions above `threshold` with a refractory
+    Peaks are |z-scored| excursions above 2.5 with a 0.25 s refractory
     period; the median signed amplitude at peak locations decides.
     """
     if len(fecg) / fecg.fs < 1.0:
@@ -278,10 +273,10 @@ def detect_polarity(fecg: TimeSeries, threshold: float = 2.5,
     if sd == 0:
         raise NoPeaksDetected("flat signal")
     z = (x - x.mean()) / sd
-    above = np.flatnonzero(np.abs(z) > threshold)
+    above = np.flatnonzero(np.abs(z) > 2.5)
     if above.size == 0:
-        raise NoPeaksDetected(f"no |z| > {threshold} excursions")
+        raise NoPeaksDetected("no |z| > 2.5 excursions")
 
-    peaks = _group_peaks(z, above, int(round(refractory_s * fecg.fs)))
+    peaks = _group_peaks(z, above, int(round(0.25 * fecg.fs)))
     med = float(np.median(z[peaks]))
     return Polarity.POSITIVE if med > 0 else Polarity.NEGATIVE

@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from pwdrecon.cli import config_from_dict, config_to_dict, main
-from pwdrecon.core import ModelKind, SplitMode, WaveConfig
+from pwdrecon.cli import config_from_dict, main
+from pwdrecon.core import ModelKind, SplitMode, to_json_dict
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import save_preprocessed
 
@@ -13,7 +13,7 @@ def test_config_dict_roundtrip():
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE,
                            split=SplitMode.RANDOM, seed=5,
                            net_channels=(2, 4, 8))
-    d = config_to_dict(cfg)
+    d = json.loads(json.dumps(to_json_dict(cfg)))
     assert d["model"] == "Ridge" and d["split"] == "Random"
     assert config_from_dict(d) == cfg
     assert config_from_dict(d, seed=9).seed == 9
@@ -121,6 +121,31 @@ def test_cli_error_paths(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command, body, field", [
+    ("train", {"modle": "Ridge"}, "modle"),
+    ("synth", {"n_recrods": 2}, "n_recrods"),
+    ("ablate", {"base": {"epoch": 2}, "grids": ["table2"]}, "epoch"),
+    ("ablate", {"bsae": {}, "grids": ["table2"]}, "bsae"),
+    ("preprocess", [{"record_id": "r", "chanel_paths": []}], "chanel_paths"),
+    ("train", {"model": "Ridgee"}, "model"),
+    ("synth", {"wave_config": "EA"}, "wave_config"),
+    ("train", {"batch_size": 12.5}, "batch_size"),
+], ids=["train-key", "synth-key", "grid-base-key", "grid-key",
+        "manifest-key", "enum-value", "spec-enum-value", "int-value"])
+def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
+                                        capsys):
+    path = _write_json(tmp_path / "in.json", body)
+    flag = {"train": "--config", "synth": "--spec", "ablate": "--grid",
+            "preprocess": "--manifest"}[command]
+    argv = [command, flag, path, "--out", str(tmp_path / "out")]
+    if command in ("train", "ablate"):
+        argv += ["--data", str(tmp_path / "no-data")]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert repr(field) in err["message"] or f".{field}:" in err["message"]
 
 
 def test_cli_requires_subcommand():

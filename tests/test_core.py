@@ -1,15 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from pwdrecon.core import (
     EnvelopePair,
+    ModelKind,
     MultichannelRecording,
+    OutputMode,
     RecordManifest,
     TimeSeries,
     WaveConfig,
     WindowSet,
     duration,
+    from_json_dict,
+    to_json_dict,
 )
+from pwdrecon.harness.experiment import ExperimentConfig
+from pwdrecon.harness.synth import SyntheticSpec
+from pwdrecon.net import NetConfig
 
 
 def test_duration_examples():
@@ -88,3 +97,58 @@ def test_manifest_rejects_bad_indices():
         RecordManifest(bipolar_channel_indices=(0, 1, 5), **kwargs)
     m = RecordManifest(bipolar_channel_indices=(2, 0, 1), **kwargs)
     assert m.bipolar_channel_indices == (2, 0, 1)
+
+
+CODEC_CASES = [
+    ExperimentConfig(window_s=0.75, model=ModelKind.LASSO,
+                     output_mode=OutputMode.PCA_SINGLE, seed=3,
+                     net_channels=(2, 4, 8), lasso_lam=0.5),
+    SyntheticSpec(n_records=2, fetal_bpm=(130.0, 140.0), fecg_polarity=-1,
+                  wave_config=WaveConfig.EA_MINUS),
+    RecordManifest(record_id="r1", channel_paths=("a.f32", "b.f32", "c.f32"),
+                   image_path="r1.pgm", aecg_fs=500.0,
+                   bipolar_channel_indices=(2, 0, 1),
+                   wave_config=WaveConfig.GROUP, image_baseline_row=7,
+                   image_columns_per_second=90.0, aux={"n_samples": 64}),
+    NetConfig(out_channels=1, channels=(4, 8, 16), kernel_size=5),
+]
+
+
+@pytest.mark.parametrize("obj", CODEC_CASES,
+                         ids=[type(o).__name__ for o in CODEC_CASES])
+def test_json_codec_roundtrip(obj):
+    d = json.loads(json.dumps(to_json_dict(obj)))
+    assert list(d) == list(obj.__dataclass_fields__)
+    assert from_json_dict(type(obj), d) == obj
+
+
+def test_json_codec_normalises_numbers():
+    c = from_json_dict(ExperimentConfig, {"window_s": 2, "epochs": 100.0})
+    assert repr(c.window_s) == "2.0" and repr(c.epochs) == "100"
+    assert to_json_dict(c)["window_s"] == 2.0
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"modle": "Ridge"}, "ExperimentConfig: unknown field 'modle'"),
+    ({"model": "Ridgee"}, "ExperimentConfig.model: 'Ridgee'"),
+    ({"epochs": 2.5}, "ExperimentConfig.epochs: expected int, got 2.5"),
+    ({"epochs": True}, "ExperimentConfig.epochs: expected int, got True"),
+    ({"lr": "fast"}, "ExperimentConfig.lr: expected float, got 'fast'"),
+    ({"net_channels": [2, 4]}, "ExperimentConfig.net_channels: expected 3"),
+    ({"net_channels": 8}, "ExperimentConfig.net_channels: expected a list"),
+])
+def test_json_codec_names_the_bad_field(d, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        from_json_dict(ExperimentConfig, d)
+
+
+def test_json_codec_requires_fields_without_defaults():
+    d = to_json_dict(CODEC_CASES[2])
+    del d["aux"]  # a field with a default may be left out
+    assert from_json_dict(RecordManifest, d).aux == {}
+    del d["image_path"]
+    with pytest.raises(ValueError,
+                       match="^RecordManifest: missing field 'image_path'"):
+        from_json_dict(RecordManifest, d)
+    with pytest.raises(ValueError, match="^RecordManifest: expected a JSON"):
+        from_json_dict(RecordManifest, ["r1"])

@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
-from pwdrecon.core import WaveConfig
+from pwdrecon.core import (
+    RecordManifest,
+    WaveConfig,
+    from_json_dict,
+    to_json_dict,
+)
 from pwdrecon.errors import BadMagic, FileMissing, SizeMismatch
 from pwdrecon.harness.io import (
     load_manifests,
+    load_preprocessed,
     load_record,
-    manifest_from_dict,
-    manifest_to_dict,
     read_pgm,
     read_raw_f32,
     save_manifests,
+    save_preprocessed,
     write_pgm,
     write_raw_f32,
 )
-from pwdrecon.core import RecordManifest
 from pwdrecon.pwd_envelope import GrayImage
 
 
@@ -81,7 +85,10 @@ def _manifest(rid="rec000"):
 
 def test_manifest_dict_roundtrip():
     m = _manifest()
-    assert manifest_from_dict(manifest_to_dict(m)) == m
+    d = to_json_dict(m)
+    assert d["wave_config"] == "EA+"
+    assert d["channel_paths"] == list(m.channel_paths)
+    assert from_json_dict(RecordManifest, d) == m
 
 
 def test_manifest_file_roundtrip(tmp_path):
@@ -108,3 +115,16 @@ def test_load_record_checks_sizes(tmp_path):
     write_raw_f32(str(tmp_path / m.channel_paths[0]), rng.normal(size=63))
     with pytest.raises(SizeMismatch):
         load_record(m, str(tmp_path))
+
+
+def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):
+    _, _, records = small_dataset
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    assert len(load_preprocessed(prep)) == len(records)
+    rid = records[0].record_id
+    for name in ("upper", "lower"):
+        path = str(tmp_path / "prep" / f"{rid}.{name}.f32")
+        write_raw_f32(path, read_raw_f32(path)[:-300])
+    with pytest.raises(SizeMismatch, match=f"^{rid}: upper stream"):
+        load_preprocessed(prep)

@@ -120,6 +120,11 @@ def _cmd_ablate(args) -> int:
             raise ValueError(f"grid file: unknown field {min(extra)!r}")
         base = config_from_dict(d.get("base", {}), args.seed)
         names = d["grids"]
+        if not isinstance(names, list):
+            raise ValueError(f"grid file: 'grids' must be a list: {names!r}")
+        for name in names:
+            if name not in GRID_NAMES:
+                raise ValueError(f"grid file: unknown grid {name!r}")
     records = load_preprocessed(args.data)
     for name in names:
         run_ablation(name, records, out_dir=args.out, base=base)

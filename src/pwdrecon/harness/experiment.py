@@ -31,6 +31,7 @@ from ..dsp import (
     zscore,
 )
 from ..errors import (
+    DegenerateInput,
     NoWindowsAfterFilter,
     PwdReconError,
     SignalShorterThanWindow,
@@ -183,7 +184,7 @@ def build_windows(records: list[PreprocessedRecord],
         try:
             targets = _target_channels(rec, config)
             ws = segment(rec.fecg, targets, config.window_s, rec.record_id)
-        except (ZeroVariance, SignalShorterThanWindow):
+        except (ZeroVariance, DegenerateInput, SignalShorterThanWindow):
             continue
         if len(ws) >= 2:
             sets.append(ws)

@@ -30,7 +30,7 @@ class GrayImage:
         object.__setattr__(self, "pixels", px)
         if px.ndim != 2 or px.shape[0] < 2 or px.shape[1] < 2:
             raise ValueError("image must be at least 2x2")
-        if px.min() < 0 or px.max() > 255:
+        if not (px.min() >= 0 and px.max() <= 255):  # NaN fails too
             raise ValueError("intensities must lie in [0, 255]")
 
     @property
@@ -56,14 +56,14 @@ def otsu_threshold(img: GrayImage) -> int:
     Ties are broken toward the smallest threshold. A pixel is foreground
     when intensity >= threshold.
     """
-    hist, _ = np.histogram(img.pixels, bins=256, range=(0.0, 256.0))
+    # pixels lie in [0, 255], so truncation is the integer-edged binning
+    hist = np.bincount(img.pixels.astype(np.intp).ravel(), minlength=256)
     total = hist.sum()
     if np.count_nonzero(hist) < 2:
         raise ConstantImage("need at least 2 distinct intensity values")
 
-    levels = np.arange(256)
     w_bg = np.cumsum(hist)                     # pixels with level < t+1
-    sum_bg = np.cumsum(hist * levels)
+    sum_bg = np.cumsum(hist * np.arange(256))
     sum_all = sum_bg[-1]
 
     best_t, best_var = 0, -1.0
@@ -92,17 +92,10 @@ def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,
     if not 0 < baseline_row < img.height - 1:
         raise ValueError("baseline_row must be strictly inside the image")
     bright = img.pixels >= threshold
-    upper = np.zeros(img.width)
-    lower = np.zeros(img.width)
-    rows_above = np.arange(baseline_row)
-    rows_below = np.arange(baseline_row + 1, img.height)
-    for c in range(img.width):
-        above = rows_above[bright[:baseline_row, c]]
-        if above.size:
-            upper[c] = baseline_row - above.min()
-        below = rows_below[bright[baseline_row + 1:, c]]
-        if below.size:
-            lower[c] = -(below.max() - baseline_row)
+    above = bright[:baseline_row]        # first True is the highest row
+    below = bright[:baseline_row:-1]     # bottom-up: first True is lowest
+    upper = np.where(above.any(0), len(above) - above.argmax(0), 0)
+    lower = np.where(below.any(0), below.argmax(0) - len(below), 0)
     return EnvelopePair(upper=TimeSeries(upper, columns_per_second),
                         lower=TimeSeries(lower, columns_per_second))
 

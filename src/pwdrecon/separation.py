@@ -155,7 +155,8 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     Searched over periods 0.25-1.2 s on the rectified signal; returns
     (rate_hz, normalized autocorrelation at the peak lag), or None when
     the signal is too short or flat. The strength separates genuinely
-    periodic components from noise, whose peak lag is arbitrary.
+    periodic components from noise, whose peak lag is arbitrary. Only
+    lags 0..min(round(1.2 fs), n - 1) are computed: linear in n.
     """
     x = x - x.mean()
     if np.std(x) == 0:
@@ -170,7 +171,7 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     width = max(int(round(0.08 * fs)), 1)
     e = np.convolve(e, np.ones(width) / width, mode="same")
     e = e - e.mean()
-    ac = np.correlate(e, e, mode="full")[len(e) - 1:]
+    ac = np.array([e[:e.size - lag] @ e[lag:] for lag in range(lag_max + 1)])
     if ac[0] <= 0:
         return None
     lag = lag_min + int(np.argmax(ac[lag_min:lag_max + 1]))

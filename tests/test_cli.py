@@ -148,6 +148,25 @@ def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
     assert repr(field) in err["message"] or f".{field}:" in err["message"]
 
 
+@pytest.mark.parametrize("grids, bad", [
+    (["table2", "tablex"], "tablex"),
+    ("table1", "table1"),
+], ids=["unknown-name", "bare-string"])
+def test_cli_ablate_checks_grid_names_before_running(grids, bad, small_dataset,
+                                                     tmp_path, capsys):
+    _, _, records = small_dataset
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    grid = _write_json(tmp_path / "grid.json",
+                       {"base": {"model": "Ridge"}, "grids": grids})
+    out = tmp_path / "abl"
+    assert main(["ablate", "--grid", grid, "--data", prep,
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and repr(bad) in err["message"]
+    assert not out.exists()  # no grid ran, so no CSV was written
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

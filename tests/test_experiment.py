@@ -5,11 +5,13 @@ import pytest
 
 from pwdrecon.core import (
     TARGET_FS,
+    EnvelopePair,
     EnvelopeSelection,
     ModelKind,
     OutputMode,
     Polarity,
     SplitMode,
+    TimeSeries,
     WaveConfig,
     WindowSet,
 )
@@ -17,6 +19,7 @@ from pwdrecon.errors import NoWindowsAfterFilter, TooFewWindows
 from pwdrecon.harness.experiment import (
     GRID_NAMES,
     ExperimentConfig,
+    PreprocessedRecord,
     build_windows,
     grid_cells,
     run_ablation,
@@ -100,6 +103,25 @@ def test_build_windows_filters_and_targets(small_dataset):
     with pytest.raises(NoWindowsAfterFilter):
         build_windows(records, ExperimentConfig(
             window_s=2.0, wave_config=WaveConfig.EA_MINUS))
+
+
+@pytest.mark.parametrize("mode", list(OutputMode), ids=lambda m: m.value)
+def test_build_windows_skips_record_with_constant_envelopes(mode):
+    rng = np.random.default_rng(3)
+    n = int(4 * TARGET_FS)
+
+    def record(rid, upper, lower):
+        fecg, up, lo = (TimeSeries(a, TARGET_FS)
+                        for a in (rng.normal(size=n), upper, lower))
+        return PreprocessedRecord(rid, fecg, EnvelopePair(up, lo),
+                                  WaveConfig.EA_PLUS, Polarity.POSITIVE)
+
+    flat = record("flat", np.zeros(n), np.zeros(n))
+    good = record("good", rng.normal(size=n), rng.normal(size=n))
+    ws = build_windows([flat, good],
+                       ExperimentConfig(window_s=1.0, output_mode=mode))
+    assert set(ws.record_id) == {"good"} and len(ws) == 4
+    assert ws.y.shape[1] == (1 if mode is OutputMode.PCA_SINGLE else 2)
 
 
 def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):

@@ -32,6 +32,20 @@ def otsu_oracle(pixels):
     return best_t
 
 
+def envelopes_by_column(bright, baseline_row):
+    """Reference: the per-column loop over a boolean image."""
+    height, width = bright.shape
+    upper, lower = np.zeros(width), np.zeros(width)
+    for c in range(width):
+        above = np.flatnonzero(bright[:baseline_row, c])
+        if above.size:
+            upper[c] = baseline_row - above.min()
+        below = baseline_row + 1 + np.flatnonzero(bright[baseline_row + 1:, c])
+        if below.size:
+            lower[c] = -(below.max() - baseline_row)
+    return upper, lower
+
+
 def test_normalize_intensity():
     img = GrayImage(np.array([[10.0, 20.0], [30.0, 50.0]]))
     out = normalize_intensity(img)
@@ -66,6 +80,29 @@ def test_otsu_two_level_image():
         otsu_threshold(GrayImage(np.full((4, 4), 128.0)))
 
 
+def test_otsu_bins_integer_edges_like_histogram():
+    # A pixel just below an integer edge belongs to the bin beneath it.
+    # On a two-level image every threshold between the levels ties, so
+    # the smallest one, low bin + 1, shows which bin the low level took.
+    for k in range(1, 256):
+        low = np.nextafter(float(k), 0.0)
+        px = np.full((4, 4), 255.0)
+        px[:2] = low
+        assert otsu_threshold(GrayImage(px)) == otsu_oracle(px) == k
+    rng = np.random.default_rng(7)
+    edges = np.arange(256.0)
+    values = np.concatenate([edges, np.nextafter(edges[1:], 0.0)])
+    for _ in range(20):
+        px = rng.choice(values, size=(16, 16))
+        px[0, :2] = 0.0, 255.0
+        assert otsu_threshold(GrayImage(px)) == otsu_oracle(px)
+
+
+def test_gray_image_rejects_nan():
+    with pytest.raises(ValueError):
+        GrayImage(np.array([[np.nan, 1.0], [2.0, 3.0]]))
+
+
 def test_extract_envelopes_synthetic_columns():
     # column 0: bright rows 2..4 above baseline 5 and row 8 below
     px = np.zeros((10, 4))
@@ -81,6 +118,22 @@ def test_extract_envelopes_synthetic_columns():
     with pytest.raises(ValueError):
         extract_envelopes(GrayImage(px), 128.0, baseline_row=0,
                           columns_per_second=100.0)
+
+
+@pytest.mark.parametrize("density", [0.02, 0.2, 0.6])
+def test_extract_envelopes_equals_column_loop(density):
+    rng = np.random.default_rng(int(density * 100))
+    height, width = 24, 300
+    px = (rng.random((height, width)) < density) * 255.0
+    px[0, ::7] = 255.0                 # bright pixels on the image edges
+    px[-1, ::5] = 255.0
+    px[:, ::11] = 0.0                  # empty columns
+    bright = px >= 128.0
+    for baseline_row in (1, height // 2, height - 2):
+        pair = extract_envelopes(GrayImage(px), 128.0, baseline_row, 100.0)
+        upper, lower = envelopes_by_column(bright, baseline_row)
+        assert pair.upper.samples.tobytes() == upper.tobytes()
+        assert pair.lower.samples.tobytes() == lower.tobytes()
 
 
 def test_extract_envelopes_nonnegative_upper_nonpositive_lower():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pwdrecon.core import MultichannelRecording, Polarity, TimeSeries
 from pwdrecon.errors import DegenerateInput, NoPeaksDetected
 from pwdrecon.separation import (
+    _beat_rate,
     detect_polarity,
     extract_fecg,
     fastica,
@@ -115,6 +117,65 @@ def _beat_train(t, r_times, polarity=1):
     for c in r_times:
         x += polarity * np.exp(-0.5 * ((t - c) / 0.012) ** 2)
     return x
+
+
+def _beat_rate_full_correlation(x, fs):
+    """Reference: _beat_rate with the full-length np.correlate."""
+    x = x - x.mean()
+    if np.std(x) == 0:
+        return None
+    lag_min = int(round(0.25 * fs))
+    lag_max = min(int(round(1.2 * fs)), len(x) - 1)
+    if lag_max <= lag_min:
+        return None
+    e = np.abs(x)
+    width = max(int(round(0.08 * fs)), 1)
+    e = np.convolve(e, np.ones(width) / width, mode="same")
+    e = e - e.mean()
+    ac = np.correlate(e, e, mode="full")[len(e) - 1:]
+    if ac[0] <= 0:
+        return None
+    lag = lag_min + int(np.argmax(ac[lag_min:lag_max + 1]))
+    return fs / lag, float(ac[lag] / ac[0])
+
+
+def _beat_rate_input(kind):
+    rng = np.random.default_rng(9)
+    fs = 512.0
+    if kind == "periodic":
+        t = np.arange(int(20 * fs)) / fs
+        x = _beat_train(t, np.arange(0.1, 20.0, 1 / 2.3))
+        return x + 0.05 * rng.normal(size=t.size), fs
+    if kind == "noise":
+        return rng.normal(size=5000), fs
+    if kind == "shorter-than-lag-range":    # lag_max = n - 1 < 1.2 fs
+        return rng.normal(size=400), fs
+    if kind == "flat":
+        return np.full(1000, 3.0), fs
+    if kind == "too-short":                 # n - 1 <= lag_min
+        return rng.normal(size=100), fs
+    # |x| is constant and the smoother is one sample wide: ac[0] == 0
+    return np.tile([1.0, -1.0], 25), 8.0
+
+
+@pytest.mark.parametrize("kind", [
+    "periodic", "noise", "shorter-than-lag-range", "flat", "too-short",
+    "rectified-flat"])
+def test_beat_rate_equals_full_correlation(kind):
+    x, fs = _beat_rate_input(kind)
+    got = _beat_rate(x, fs)
+    assert got == _beat_rate_full_correlation(x, fs)
+    assert (got is None) == (kind in ("flat", "too-short", "rectified-flat"))
+
+
+def test_beat_rate_is_linear_in_length():
+    # 10 min at 512 Hz: on a 2-core machine the full-length np.correlate
+    # took ~17 s, the lag-limited dot products ~0.04 s
+    x, fs = _beat_rate_input("noise")
+    x = np.resize(x, 307200)
+    t0 = time.perf_counter()
+    assert _beat_rate(x, fs) is not None
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_extract_fecg_recovers_fetal_source():

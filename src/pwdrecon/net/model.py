@@ -276,5 +276,9 @@ def load_checkpoint(path: str) -> PwDRecNetParams:
         cfg = NetConfig.from_json(cfg_json)
         params = init_params(cfg, seed=0)
         for name, a in params.items():
+            found = z[name].shape if name in z else "missing"
+            if found != a.shape:
+                raise ShapeMismatch(f"{path}: parameter {name} is {found}, "
+                                    f"expected shape {a.shape}")
             a[...] = z[name]
     return params

@@ -16,6 +16,8 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     x: (N, Cin, L); w: (Cout, Cin, k) with k odd; b: (Cout,).
     out[n, o, t] = b[o] + sum_{i,j} w[o,i,j] * x[n, i, t + j - k//2]
+    Per-window matmuls keep each window's output bits independent of its
+    batch; one GEMM over the batch (as in the backward) would not be.
     """
     if x.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(
@@ -32,22 +34,33 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv1d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    """Gradients of conv1d_forward; returns (dx, dw, db)."""
-    n, cin, L = x.shape
-    cout, _, k = w.shape
-    pad = k // 2
-    xp = np.zeros((n, cin, L + k - 1))
-    xp[:, :, pad:pad + L] = x
+def _flat(a: np.ndarray, pad: int) -> np.ndarray:
+    """(N, C, L) -> (C, N*(L + 2*pad)): windows end to end, zero-padded."""
+    n, c, L = a.shape
+    flat = np.zeros((c, n, L + 2 * pad))
+    flat[:, :, pad:pad + L] = a.transpose(1, 0, 2)
+    return flat.reshape(c, -1)
 
+
+def conv1d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
+    """Gradients of conv1d_forward; returns (dx, dw, db).
+
+    On the `_flat` layout each tap is one GEMM over the whole batch: dw
+    correlates dout with x, dx correlates dout with the flipped, transposed
+    kernel; the k//2 zeros keep every tap inside its own window.
+    """
+    n, cin, L = x.shape
+    k = w.shape[2]
+    pad = k // 2
+    xf, df = _flat(x, pad), _flat(dout, pad)
+    m = xf.shape[1] - 2 * pad  # positions whose k taps stay inside xf
     db = dout.sum(axis=(0, 2))
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
+    dxf = np.zeros_like(xf)
     for j in range(k):
-        dw[:, :, j] = np.tensordot(dout, xp[:, :, j:j + L],
-                                   axes=([0, 2], [0, 2]))
-        dxp[:, :, j:j + L] += np.matmul(w[:, :, j].T, dout)
-    return dxp[:, :, pad:pad + L], dw, db
+        dw[:, :, j] = df[:, pad:pad + m] @ xf[:, j:j + m].T
+        dxf[:, :m] += w[:, :, k - 1 - j].T @ df[:, j:j + m]
+    return dxf.reshape(cin, n, -1)[:, :, :L].transpose(1, 0, 2), dw, db
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
     params = init_params(net_config, seed=config.seed)
     state = RmspropState(lr=config.lr)
 
-    best = copy.deepcopy(params)
+    best = init_params(net_config, seed=config.seed)
     best_val = np.inf
     log = []
     for epoch in range(config.epochs):
@@ -78,5 +77,6 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
                     "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
-            best = copy.deepcopy(params)
+            for (_, b), (_, a) in zip(best.items(), params.items()):
+                b[...] = a
     return best, log

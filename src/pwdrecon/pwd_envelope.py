@@ -58,26 +58,16 @@ def otsu_threshold(img: GrayImage) -> int:
     """
     # pixels lie in [0, 255], so truncation is the integer-edged binning
     hist = np.bincount(img.pixels.astype(np.intp).ravel(), minlength=256)
-    total = hist.sum()
     if np.count_nonzero(hist) < 2:
         raise ConstantImage("need at least 2 distinct intensity values")
 
-    w_bg = np.cumsum(hist)                     # pixels with level < t+1
+    nb = np.cumsum(hist)[:-1]  # background = levels < t, for t = 1..255
+    nf = hist.sum() - nb
     sum_bg = np.cumsum(hist * np.arange(256))
-    sum_all = sum_bg[-1]
-
-    best_t, best_var = 0, -1.0
-    for t in range(1, 256):                    # background = levels < t
-        nb = w_bg[t - 1]
-        nf = total - nb
-        if nb == 0 or nf == 0:
-            continue
-        mu_b = sum_bg[t - 1] / nb
-        mu_f = (sum_all - sum_bg[t - 1]) / nf
-        var = nb * nf * (mu_b - mu_f) ** 2
-        if var > best_var:
-            best_var, best_t = var, t
-    return best_t
+    mu_b = sum_bg[:-1] / np.maximum(nb, 1)
+    mu_f = (sum_bg[-1] - sum_bg[:-1]) / np.maximum(nf, 1)
+    var = np.where((nb > 0) & (nf > 0), nb * nf * (mu_b - mu_f) ** 2, -1.0)
+    return int(np.argmax(var)) + 1  # the first maximum: smallest t
 
 
 def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -145,6 +146,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     np.savez(str(tmp_path / "v1.npz"), **arrays)
     with pytest.raises(ValueError, match="unsupported checkpoint version"):
         load_checkpoint(str(tmp_path / "v1.npz"))
+
+
+@pytest.mark.parametrize("name,array,found", [
+    ("enc0.conv0.w", np.ones((1, 1, 5)), "(1, 1, 5)"),
+    ("head.b", None, "missing")], ids=["misshaped", "missing"])
+def test_load_checkpoint_checks_every_array(tmp_path, name, array, found):
+    params = init_params(NetConfig(channels=(4, 8, 16), kernel_size=5),
+                         seed=9)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(params, path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    if array is None:
+        del arrays[name]
+    else:
+        arrays[name] = array  # would broadcast row 0 into every output row
+    np.savez(path, **arrays)
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            f"{path}: parameter {name} is {found}, expected shape")):
+        load_checkpoint(path)
 
 
 def test_config_json_roundtrip():

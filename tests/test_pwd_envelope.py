@@ -98,6 +98,23 @@ def test_otsu_bins_integer_edges_like_histogram():
         assert otsu_threshold(GrayImage(px)) == otsu_oracle(px)
 
 
+@pytest.mark.parametrize("seed,kind", [
+    (0, "uniform"), (1, "palette"), (2, "two-level")],
+    ids=["uniform", "palette", "two-level"])
+def test_otsu_equals_oracle_on_seeded_images(seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        shape = tuple(rng.integers(2, 40, size=2))
+        if kind == "uniform":
+            px = rng.uniform(0.0, 255.0, size=shape)
+        else:
+            n_levels = 2 if kind == "two-level" else rng.integers(3, 9)
+            levels = rng.choice(256, size=n_levels, replace=False)
+            px = rng.choice(levels, size=shape).astype(float)
+            px.flat[:n_levels] = levels    # every level present
+        assert otsu_threshold(GrayImage(px)) == otsu_oracle(px)
+
+
 def test_gray_image_rejects_nan():
     with pytest.raises(ValueError):
         GrayImage(np.array([[np.nan, 1.0], [2.0, 3.0]]))

@@ -1,11 +1,11 @@
 """Linear, Ridge and Lasso baselines on flattened window pairs.
 
 Each maps a flattened fECG window (d = L) to a flattened envelope window
-(m = L * out_channels). OLS and ridge are solved by the normal equations.
-Lasso follows each output column's exact solution path (the lasso
-homotopy, LARS-lasso) from the zero solution down to the requested
-penalty, many columns in lockstep within a memory budget, and certifies
-the result with each column's relative duality gap.
+(m = L * out_channels). OLS and ridge solve the smaller of the d x d
+normal equations and the n x n dual system. Lasso follows each output
+column's exact solution path (the lasso homotopy, LARS-lasso) down to the
+requested penalty, many columns in lockstep within a memory budget, and
+certifies the result with each column's relative duality gap.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .errors import ShapeMismatch
 # outside the span of the active columns would make the active Gram
 # block singular: it may not enter the active set
 _DEPENDENT = 1e-10
-# lasso_fit follows the output columns in groups whose padded active
-# Gram blocks stay within this many bytes
+# lasso_fit follows the output columns in groups whose active-set
+# inverses, at most rank(Xc)^2 floats per column, stay within this many bytes
 _BLOCK_BYTES = 64 << 20
 
 
@@ -52,15 +52,20 @@ def ols_fit(X: np.ndarray, Y: np.ndarray) -> LinearMap:
 def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
     """Minimize ||XW + b - Y||^2 + lam * ||W||_F^2 with unpenalized bias.
 
-    A 1e-10 jitter on the diagonal keeps rank-deficient designs solvable
-    without materially changing well-posed solutions.
+    Solved by the smaller of the d x d normal equations and the n x n dual
+    system W = Xc^T (Xc Xc^T + lam I)^-1 Yc, which give the same W. A 1e-10
+    jitter on the diagonal keeps rank-deficient designs solvable; with
+    n < d and lam = 0 it picks the minimum-norm least-squares solution.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     Xc, Yc, xm, ym = _center(X, Y)
-    d = X.shape[1]
-    W = np.linalg.solve(Xc.T @ Xc + (lam + 1e-10) * np.eye(d), Xc.T @ Yc)
+    n, d = X.shape
+    if n < d:
+        W = Xc.T @ np.linalg.solve(Xc @ Xc.T + (lam + 1e-10) * np.eye(n), Yc)
+    else:
+        W = np.linalg.solve(Xc.T @ Xc + (lam + 1e-10) * np.eye(d), Xc.T @ Yc)
     b = ym - xm @ W
     return LinearMap(weight=W.T, bias=b, kind="ridge", lam=lam)
 
@@ -71,37 +76,6 @@ def lasso_lambda_max(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.abs(Xc.T @ Yc).max() / X.shape[0])
 
 
-def _gram_blocks(Gram, act, k):
-    """Each column's active Gram block, padded with identity to the
-    largest active set: (G (c, kk, kk), idx (c, kk), valid (c, kk)).
-
-    act holds each column's active features in its first k entries.
-    """
-    kk = max(int(k.max()), 1)
-    valid = np.arange(kk) < k[:, None]
-    idx = np.where(valid, act[:, :kk], 0)
-    G = Gram[idx[:, :, None], idx[:, None, :]]
-    G[~valid] = 0.0
-    G.transpose(0, 2, 1)[~valid] = 0.0
-    r = np.arange(kk)
-    G[:, r, r] += ~valid
-    return G, idx, valid
-
-
-def _active_solution(Gram, Xty, cols, act, sgn, k, lam_path):
-    """The lasso solution of the given columns on their active sets at
-    their current lam: (dA, wA, valid), the path direction dW/d(-lam)
-    and the weights, both (c, kk) and zero in the padding, and the mask
-    of their active entries."""
-    G, idx, valid = _gram_blocks(Gram, act[cols], k[cols])
-    # on a fixed active set with fixed signs the solution is affine in
-    # lam: G w = X_A^T y / n - lam * s, so dw/d(-lam) = G^{-1} s
-    rhs = np.stack([sgn[cols, :idx.shape[1]], Xty[cols[:, None], idx]], -1)
-    sol = np.linalg.solve(G, rhs * valid[..., None])
-    dA = sol[..., 0]
-    return dA, sol[..., 1] - lam_path[cols, None] * dA, valid
-
-
 def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
               max_iter: int = 1000, tol: float = 1e-6) -> LinearMap:
     """Exact lasso homotopy on (1/2n)||Y - XW - b||^2 + lam*|W|_1.
@@ -109,11 +83,11 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
     Each output column's solution is piecewise linear in the penalty and
     is followed from zero at the column's lambda_max down to lam (see
     _homotopy). The columns are followed in lockstep, in groups whose
-    padded active Gram blocks, at most 8 * group * rank(Xc)^2 bytes,
-    fit in _BLOCK_BYTES. With fewer windows than samples (n << d) all
-    columns form one group; with n >= d, rank(Xc) = d and a 2 s window
-    (d = 568, m = 1136) takes groups of 26. max_iter bounds each
-    group's steps and n_iter reports the most steps taken.
+    active-set inverses, at most 8 * group * rank(Xc)^2 bytes, fit in
+    _BLOCK_BYTES. With fewer windows than samples (n << d) all columns
+    form one group; with n >= d, rank(Xc) = d and a 2 s window (d = 568,
+    m = 1136) takes groups of 26. max_iter bounds each group's steps and
+    n_iter reports the most steps taken.
 
     The result is certified per column by its relative duality gap
     (P - D) / P, with the residual rescaled to a feasible dual point;
@@ -151,18 +125,17 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
 
 
 def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
-    """The lasso weights (d, m) of the columns of Yc at lam, and the steps
-    taken.
+    """The lasso weights (d, m) of Yc's columns at lam and the steps taken.
 
     Every step moves all unfinished columns to their next event: a
     feature entering the active set, an active weight reaching zero and
-    leaving it, or the target lam. A step takes one batched solve over
-    the active Gram blocks and one product with Xc^T for the
-    correlations. The active set never grows past rank(Xc), and a
-    feature whose column lies in the span of the active ones never
-    enters. A feature that has just left needs no rule of its own: on
-    the exact path its correlation moves away from +-lam (slope > 1),
-    so it has no entering step.
+    leaving it, or the target lam. Each unfinished column carries the
+    inverse of its active Gram block (zero outside its active entries), so
+    a step takes batched products with the inverses and one product with
+    Xc^T for the correlations. The active set never grows past rank(Xc),
+    and a feature whose column lies in the span of the active ones never
+    enters. A feature that has just left needs no rule of its own: on the
+    exact path its correlation moves away from +-lam (slope > 1).
     """
     n, d = Xc.shape
     m = Yc.shape[1]
@@ -172,6 +145,7 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
     k = np.zeros(m, dtype=np.intp)
     lam_path = np.abs(Xty).max(axis=1)
     live = lam_path > lam
+    Ginv = np.zeros((live.sum(), 1, 1))     # the live columns' inverses
     blocked = np.zeros((m, d), dtype=bool)
     it = 0
     while live.any() and it < max_iter:
@@ -179,10 +153,15 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
         cols = np.flatnonzero(live)
         c = cols.size
         lam_c = lam_path[cols]
-        dA, wA, valid = _active_solution(Gram, Xty, cols, act, sgn, k,
-                                         lam_path)
         rows = np.arange(c)
-        kk = dA.shape[1]
+        kk = Ginv.shape[1]
+        valid = np.arange(kk) < k[cols, None]
+        s_act = sgn[cols, :kk]
+        # on a fixed active set with fixed signs the solution is affine in
+        # lam: G w = X_A^T y / n - lam * s, so dw/d(-lam) = G^{-1} s
+        rhs = np.stack([s_act, Xty[cols[:, None], act[cols, :kk]]], -1)
+        dA, wA = np.moveaxis(Ginv @ rhs, -1, 0)
+        wA = wA - lam_c[:, None] * dA
         ra, pa = np.nonzero(valid)
         ids = act[cols[ra], pa]        # the feature of active entry (ra, pa)
         # correlations and their rates along the step, both (c, d):
@@ -194,6 +173,7 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
         del WD
         XWD[:c] = Yc[:, cols].T - XWD[:c]
         corr, slope = np.split(XWD @ Xc / n, 2)
+        del XWD
 
         # entering: |corr - gamma * slope| meets lam_c - gamma
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -214,9 +194,9 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
         j_add = enter.argmin(axis=1)
         g_add = enter[rows, j_add]
         s_add = np.where(positive[rows, j_add], 1.0, -1.0)
+        del corr, slope, up, enter, positive, shut    # before Ginv grows
 
         # leaving: an active weight moving toward zero reaches it
-        s_act = sgn[cols, :kk]
         with np.errstate(divide="ignore", invalid="ignore"):
             leave = np.where(valid & (s_act * dA < 0),
                              np.maximum(s_act * wA, 0.0) / np.abs(dA), np.inf)
@@ -229,41 +209,63 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter):
         is_drop = ~is_end & (g_drop <= g_add)
         is_add = ~is_end & ~is_drop
 
-        # an entering feature dependent on the active columns is refused
-        # and the column stays where it is for this step. By
-        # Cauchy-Schwarz its Schur complement |(I - P_A) x_j|^2 / n is at
-        # least n q^2 / |e|^2, with e = y - P_A y and q = x_j^T e / n =
-        # corr - lam_c * slope; it is solved for only where that bound
-        # does not clear the entry
+        # an entering feature borders its column's inverse with its Schur
+        # complement gjj - g^T G^-1 g = |(I - P_A) x_j|^2 / n; a dependent
+        # one is refused and the column stays where it is for this step
+        if (is_add & (k[cols] == kk)).any():     # the inverses grow a slot
+            Ginv = np.concatenate([Ginv, np.zeros((c, 1, kk))], 1)
+            Ginv = np.concatenate([Ginv, np.zeros((c, kk + 1, 1))], 2)
+            kk += 1
+        g = Gram[act[cols, :kk], j_add[:, None]]
+        z = (Ginv @ g[..., None])[..., 0]
         gjj = Gram[j_add, j_add]
-        e2 = ((XWD[:c] - lam_c[:, None] * XWD[c:]) ** 2).sum(axis=1)
-        q = corr[rows, j_add] - lam_c * slope[rows, j_add]
-        dep = is_add & (n * q * q <= _DEPENDENT * gjj * e2)
-        a = np.flatnonzero(dep)
-        if a.size:
-            G, idx, valid_a = _gram_blocks(Gram, act[cols[a]], k[cols[a]])
-            gAj = np.where(valid_a, Gram[idx, j_add[a, None]], 0.0)
-            z = np.linalg.solve(G, gAj[..., None])[..., 0]
-            dep[a] = gjj[a] - (gAj * z).sum(axis=1) <= _DEPENDENT * gjj[a]
+        schur = gjj - (g * z).sum(axis=1)
+        dep = is_add & (schur <= _DEPENDENT * gjj)
         blocked[cols[dep], j_add[dep]] = True
         is_add &= ~dep
         gamma[dep] = 0.0
-
+        # bordering adds z z^T / s to an entering column's inverse, and
+        # eliminating slot p subtracts Ginv[:, p] Ginv[p, :] / Ginv[p, p]:
+        # both u v^T, added an eighth of the blocks at a time
+        a, r = np.flatnonzero(is_add), np.flatnonzero(is_drop)
+        p, q = k[cols[a]], p_drop[r]
+        u, v = np.zeros((c, kk)), np.zeros((c, kk))
+        u[a], u[r] = z[a], Ginv[r, :, q]
+        v[a], v[r] = z[a] / schur[a, None], -Ginv[r, q] / Ginv[r, q, q, None]
+        step = max(1, c // 8)
+        for s in range(0, c, step):
+            Ginv[s:s + step] += u[s:s + step, :, None] * v[s:s + step, None, :]
+        # then an entering feature takes slot k, and a leaving one's slot
+        # takes the last active entry
+        Ginv[a, p] = Ginv[a, :, p] = -v[a]
+        Ginv[a, p, p] = 1 / schur[a]
+        act[cols[a], p], sgn[cols[a], p] = j_add[a], s_add[a]
+        k[cols[a]] += 1
+        ci = cols[r]
+        last = k[ci] = k[ci] - 1
+        act[ci, q], sgn[ci, q] = act[ci, last], sgn[ci, last]
+        Ginv[r, q] = Ginv[r, last]
+        Ginv[r, :, q] = Ginv[r, :, last]
+        Ginv[r, last] = Ginv[r, :, last] = 0.0
         lam_path[cols] = np.where(is_end, lam, lam_c - gamma)
         live[cols[is_end]] = False
-        ci = cols[is_add]
-        act[ci, k[ci]], sgn[ci, k[ci]] = j_add[is_add], s_add[is_add]
-        k[ci] += 1
-        ci, p = cols[is_drop], p_drop[is_drop]
-        k[ci] -= 1
-        act[ci, p], sgn[ci, p] = act[ci, k[ci]], sgn[ci, k[ci]]
-        # free this step's large arrays before the next step makes its own
-        del XWD, corr, slope, up, enter, positive, shut
+        if is_end.any():
+            Ginv = Ginv[~is_end]
 
+    # the weights, solved afresh on the final active sets: each column's
+    # active Gram block, padded with identity, against X_A^T y / n - lam s
     W = np.zeros((d, m))
     on = np.flatnonzero(k > 0)
     if on.size:
-        _, wA, valid = _active_solution(Gram, Xty, on, act, sgn, k, lam_path)
+        kk = int(k[on].max())
+        valid = np.arange(kk) < k[on, None]
+        idx = np.where(valid, act[on, :kk], 0)
+        G = Gram[idx[:, :, None], idx[:, None, :]]
+        G *= valid[:, :, None] & valid[:, None, :]
+        G[:, np.arange(kk), np.arange(kk)] += ~valid
+        rhs = np.stack([sgn[on, :kk], Xty[on[:, None], idx]], -1)
+        sol = np.linalg.solve(G, rhs * valid[..., None])
+        wA = sol[..., 1] - lam_path[on, None] * sol[..., 0]
         ra, pa = np.nonzero(valid)
         W[act[on[ra], pa], on[ra]] = wA[ra, pa]
     return W, it
@@ -289,15 +291,10 @@ def _relative_gaps(Xc, Yc, W, lam):
 def linmap_predict(m: LinearMap, x: np.ndarray) -> np.ndarray:
     """Apply y = Wx + b to one vector or a (n, d) batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.size != m.weight.shape[1]:
-            raise ShapeMismatch(f"x has {x.size} features, "
-                                f"map expects {m.weight.shape[1]}")
-        return m.weight @ x + m.bias
-    if x.shape[1] != m.weight.shape[1]:
-        raise ShapeMismatch(f"x has {x.shape[1]} features, "
+    if x.shape[-1] != m.weight.shape[1]:
+        raise ShapeMismatch(f"x has {x.shape[-1]} features, "
                             f"map expects {m.weight.shape[1]}")
-    return x @ m.weight.T + m.bias
+    return m.weight @ x + m.bias if x.ndim == 1 else x @ m.weight.T + m.bias
 
 
 def save_linear_map(m: LinearMap, path: str) -> None:
@@ -308,18 +305,18 @@ def save_linear_map(m: LinearMap, path: str) -> None:
 
 
 def load_linear_map(path: str) -> LinearMap:
-    """Read a saved LinearMap; a file written without a gap reads gap=nan."""
+    """Read a saved LinearMap (gap=nan if the file has none); a missing
+    array, or a weight and bias that are not one map, is a ShapeMismatch."""
     with np.load(path) as z:
-        return LinearMap(weight=z["weight"], bias=z["bias"],
+        for name in ("weight", "bias", "kind", "lam", "converged", "n_iter"):
+            if name not in z:
+                raise ShapeMismatch(f"{path}: array {name} is missing")
+        W, b = z["weight"], z["bias"]
+        if W.ndim != 2 or b.shape != W.shape[:1]:
+            raise ShapeMismatch(f"{path}: weight is {W.shape} and bias "
+                                f"{b.shape}, expected (out, in) and (out,)")
+        return LinearMap(weight=W, bias=b,
                          kind=str(z["kind"]), lam=float(z["lam"]),
                          converged=bool(z["converged"]),
                          n_iter=int(z["n_iter"]),
                          gap=float(z["gap"]) if "gap" in z else float("nan"))
-
-
-def lasso_objective(X: np.ndarray, Y: np.ndarray, m: LinearMap) -> float:
-    """(1/2n)||Y - XW - b||^2 + lam*|W|_1, for the monotonicity property."""
-    resid = Y - linmap_predict(m, X)
-    n = X.shape[0]
-    return float((resid ** 2).sum() / (2 * n)
-                 + m.lam * np.abs(m.weight).sum())

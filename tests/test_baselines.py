@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,6 @@ from pwdrecon import baselines
 from pwdrecon.baselines import (
     lasso_fit,
     lasso_lambda_max,
-    lasso_objective,
     linmap_predict,
     load_linear_map,
     ols_fit,
@@ -40,17 +40,62 @@ def test_ols_handles_rank_deficiency():
 
 
 def test_ols_is_ridge_jitter_closed_form():
-    # oracle: the normal equations with a 1e-10 jitter, bit for bit
+    # oracle: with more windows than samples (n > d), the d x d normal
+    # equations with a 1e-10 jitter, bit for bit
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(20, 213))
-    Y = rng.normal(size=(20, 426))
+    X = rng.normal(size=(300, 40))
+    Y = rng.normal(size=(300, 80))
     Xc = X - X.mean(axis=0)
     Yc = Y - Y.mean(axis=0)
-    W = np.linalg.solve(Xc.T @ Xc + 1e-10 * np.eye(213), Xc.T @ Yc)
+    W = np.linalg.solve(Xc.T @ Xc + 1e-10 * np.eye(40), Xc.T @ Yc)
     m = ols_fit(X, Y)
     assert np.array_equal(m.weight, W.T)
     assert np.array_equal(m.bias, Y.mean(axis=0) - X.mean(axis=0) @ W)
     assert (m.kind, m.lam, m.gap) == ("ols", 0.0, 0.0)
+
+
+def test_ols_with_fewer_windows_than_samples_is_min_norm():
+    # oracle: with n < d the jitter picks the minimum-norm least-squares
+    # solution, pinv(Xc) @ Yc
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 213))
+    Y = rng.normal(size=(20, 426))
+    Xc = X - X.mean(axis=0)
+    W = np.linalg.pinv(Xc) @ (Y - Y.mean(axis=0))
+    m = ols_fit(X, Y)
+    assert np.abs(m.weight - W.T).max() <= 1e-9 * np.abs(W).max()
+    assert np.allclose(m.bias, Y.mean(axis=0) - X.mean(axis=0) @ W,
+                       rtol=0, atol=1e-9 * np.abs(Y).max())
+
+
+@pytest.mark.parametrize("n, d", [(20, 213), (300, 40)])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_ridge_normal_equation_residual(n, d, lam):
+    """Oracle: the ridge normal equations Xc^T (Xc W - Yc) + lam' W = 0,
+    lam' = lam + 1e-10, on both sides of n = d."""
+    X, Y = _walk_design(20, n=n, d=d, m=2 * d)
+    Xc = X - X.mean(axis=0)
+    Yc = Y - Y.mean(axis=0)
+    W = ridge_fit(X, Y, lam).weight.T
+    resid = Xc.T @ (Xc @ W - Yc) + (lam + 1e-10) * W
+    assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(Xc.T @ Yc)
+
+
+@pytest.mark.parametrize("n, d", [(20, 213), (212, 213), (213, 213),
+                                  (300, 40)])
+def test_ridge_solves_the_smaller_system(monkeypatch, n, d):
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(baselines.np.linalg, "solve", recording)
+    X, Y = _walk_design(21, n=n, d=d, m=2 * d)
+    ridge_fit(X, Y, 1.0)
+    ols_fit(X, Y)
+    assert shapes == [(min(n, d),) * 2] * 2
 
 
 def test_ridge_closed_form_1d():
@@ -110,6 +155,13 @@ def test_lasso_orthogonal_soft_threshold():
     assert np.allclose(m.weight.T, w_exp, atol=1e-8)
     # the small true coefficient is driven exactly to zero
     assert m.weight[0, 2] == 0.0
+
+
+def lasso_objective(X, Y, m):
+    """(1/2n)||Y - XW - b||^2 + lam*|W|_1."""
+    resid = Y - linmap_predict(m, X)
+    return float((resid ** 2).sum() / (2 * X.shape[0])
+                 + m.lam * np.abs(m.weight).sum())
 
 
 def test_lasso_objective_never_above_ols_start():
@@ -248,6 +300,29 @@ def test_lasso_reruns_bit_identical():
     assert (a.n_iter, a.gap) == (b.n_iter, b.gap)
 
 
+def test_lasso_path_that_drops_features():
+    """A design on whose path features leave the active set, fitted column
+    by column and all at once. With n > d no entry is refused, so a
+    column that took more steps than its nonzeros + 1 dropped a feature.
+    Oracle: the KKT conditions on the returned weights and bias."""
+    rng = np.random.default_rng(0)
+    X = np.cumsum(rng.normal(size=(40, 10)), axis=1)
+    Y = X @ rng.normal(size=(10, 6)) + rng.normal(size=(40, 6))
+    lam = 0.01 * lasso_lambda_max(X, Y)
+    single = [lasso_fit(X, Y[:, [j]], lam) for j in range(6)]
+    assert any(s.n_iter > np.count_nonzero(s.weight) + 1 for s in single)
+    joint = lasso_fit(X, Y, lam)
+    assert np.abs(joint.weight - np.vstack([s.weight for s in single])).max() \
+        <= 1e-12 * np.abs(joint.weight).max()
+    for m, Yj in zip(single + [joint], [Y[:, [j]] for j in range(6)] + [Y]):
+        assert m.converged and m.gap <= 1e-10
+        corr = (X - X.mean(axis=0)).T @ (Yj - linmap_predict(m, X)) / 40
+        W = m.weight.T
+        nz = W != 0.0
+        assert np.all(np.abs(corr[~nz]) <= lam * (1 + 1e-8))
+        assert np.all(np.abs(corr[nz] - lam * np.sign(W[nz])) <= 1e-8 * lam)
+
+
 def test_linmap_predict_shapes():
     m = ols_fit(np.random.default_rng(7).normal(size=(30, 4)),
                 np.random.default_rng(8).normal(size=(30, 2)))
@@ -292,3 +367,23 @@ def test_linear_map_checkpoint_roundtrip(tmp_path):
              lam=np.array(1e-3), converged=np.array(False),
              n_iter=np.array(2))
     assert np.isnan(load_linear_map(old).gap)
+
+
+@pytest.mark.parametrize("edit, array", [
+    (lambda a: a.update(bias=a["bias"][:1]), "bias"),
+    (lambda a: a.update(weight=a["weight"][0]), "weight"),
+    (lambda a: a.pop("weight"), "weight"),
+    (lambda a: a.pop("n_iter"), "n_iter")],
+    ids=["bias-of-one-output", "weight-1d", "weight-missing",
+         "n_iter-missing"])
+def test_load_linear_map_checks_its_arrays(tmp_path, edit, array):
+    rng = np.random.default_rng(17)
+    path = str(tmp_path / "model.npz")
+    save_linear_map(ridge_fit(rng.normal(size=(30, 6)),
+                              rng.normal(size=(30, 4)), 1.0), path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ShapeMismatch, match=re.escape(path) + f": .*{array}"):
+        load_linear_map(path)

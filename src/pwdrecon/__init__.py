@@ -12,7 +12,6 @@ from .core import (
     TimeSeries,
     WaveConfig,
     WindowSet,
-    duration,
 )
 
 __version__ = "0.1.0"
@@ -20,6 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EnvelopePair", "EnvelopeSelection", "ModelKind",
     "MultichannelRecording", "OutputMode", "Polarity", "RecordManifest",
-    "SplitMode", "TimeSeries", "WaveConfig", "WindowSet", "duration",
+    "SplitMode", "TimeSeries", "WaveConfig", "WindowSet",
     "__version__",
 ]

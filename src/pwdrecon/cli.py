@@ -118,6 +118,8 @@ def _cmd_ablate(args) -> int:
         extra = set(d) - {"base", "grids"}
         if extra:
             raise ValueError(f"grid file: unknown field {min(extra)!r}")
+        if "grids" not in d:
+            raise ValueError("grid file: missing field 'grids'")
         base = config_from_dict(d.get("base", {}), args.seed)
         names = d["grids"]
         if not isinstance(names, list):

@@ -39,11 +39,6 @@ class TimeSeries:
         return self.samples.size
 
 
-def duration(ts: TimeSeries) -> float:
-    """Duration in seconds, len(samples)/fs with no truncation."""
-    return len(ts) / ts.fs
-
-
 @dataclass(frozen=True)
 class MultichannelRecording:
     """Channels sharing one time base, plus the original acquisition rate."""

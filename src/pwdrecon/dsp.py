@@ -63,10 +63,9 @@ def design_bandpass(kind: str, low_hz: float, high_hz: float,
         raise ValueError("order must be even and >= 2")
 
     kind = kind.lower()
-    if kind in ("butterworth", "butter"):
+    if kind == "butterworth":
         sos = sps.butter(order, [low_hz, high_hz], btype="bandpass",
                          output="sos", fs=fs)
-        kind = "butterworth"
     elif kind == "bessel":
         sos = sps.bessel(order, [low_hz, high_hz], btype="bandpass",
                          norm="mag", output="sos", fs=fs)

@@ -24,6 +24,7 @@ from ..core import (
     WindowSet,
 )
 from ..dsp import (
+    WINDOW_SECONDS,
     design_bandpass,
     filtfilt,
     resample_linear,
@@ -146,6 +147,22 @@ class ExperimentConfig:
     lasso_lam: float = 0.01
 
     def __post_init__(self):
+        for name, ok, rule in (
+                ("window_s", self.window_s in WINDOW_SECONDS,
+                 f"one of {WINDOW_SECONDS}"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("ratio", 0 < self.ratio < 1, "in (0, 1)"),
+                ("lr", self.lr > 0, "> 0"),
+                ("ridge_lam", self.ridge_lam >= 0, ">= 0"),
+                ("lasso_lam", self.lasso_lam >= 0, ">= 0"),
+                ("kernel_size", self.kernel_size >= 1
+                 and self.kernel_size % 2 == 1, "odd and >= 1"),
+                ("net_channels", all(c >= 1 for c in self.net_channels),
+                 ">= 1 in every entry")):
+            if not ok:
+                raise ValueError(f"ExperimentConfig.{name}: must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
         if self.output_mode is OutputMode.PCA_SINGLE \
                 and self.envelope_selection is not EnvelopeSelection.BOTH:
             raise ValueError("PCA-compressed output consumes both envelopes")

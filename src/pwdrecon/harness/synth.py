@@ -27,6 +27,13 @@ _ECG_SHAPE = (
     (150.0, 0.30, 40.0),    # T
 )
 
+# (latency ms from R, amplitude px, width ms) per PwD envelope hump
+_PWD_HUMPS = {
+    "inflow": ((170.0, 60.0, 35.0),    # E
+               (300.0, 40.0, 30.0)),   # A
+    "outflow": ((60.0, 55.0, 40.0),),  # V
+}
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -36,12 +43,6 @@ class SyntheticSpec:
     maternal_bpm: tuple[float, float] = (70.0, 90.0)
     fetal_maternal_ratio: float = 0.1
     noise_sigma: float = 0.01
-    e_latency_ms: float = 170.0
-    a_latency_ms: float = 300.0
-    v_latency_ms: float = 60.0
-    e_width_ms: float = 35.0
-    a_width_ms: float = 30.0
-    v_width_ms: float = 40.0
     jitter_ms: float = 0.0          # envelope misalignment vs fECG
     fetal_rr_jitter: float = 0.0    # fractional beat-to-beat RR variability
     seed: int = 0
@@ -51,9 +52,6 @@ class SyntheticSpec:
     columns_per_second: float = 100.0
     image_height: int = 200
     baseline_row: int = 100
-    e_amp_px: float = 60.0
-    a_amp_px: float = 40.0
-    v_amp_px: float = 55.0
 
     def __post_init__(self):
         if self.n_records < 1 or self.duration_s <= 0:
@@ -61,9 +59,6 @@ class SyntheticSpec:
         if any(r[0] <= 0 or r[0] > r[1]
                for r in (self.fetal_bpm, self.maternal_bpm)):
             raise ValueError("bpm ranges must be positive and ordered")
-        if not (0 < self.v_latency_ms < self.e_latency_ms
-                < self.a_latency_ms):
-            raise ValueError("latencies must satisfy 0 < V < E < A")
         if self.fecg_polarity not in (1, -1):
             raise ValueError("fecg_polarity must be +1 or -1")
         if not 0.0 <= self.fetal_rr_jitter < 0.5:
@@ -92,11 +87,13 @@ def _beat_times(rng, duration_s: float, period: float,
     return np.array(times)
 
 
-def _ecg_train(t: np.ndarray, r_times: np.ndarray, polarity: int) -> np.ndarray:
+def _beat_train(t: np.ndarray, r_times: np.ndarray,
+                shape: tuple) -> np.ndarray:
+    """One Gaussian per (offset ms, amplitude, width ms) row, per beat."""
     x = np.zeros_like(t)
-    for off_ms, amp, width_ms in _ECG_SHAPE:
+    for off_ms, amp, width_ms in shape:
         x += _gauss_train(t, r_times + off_ms / 1000.0, amp, width_ms / 1000.0)
-    return polarity * x
+    return x
 
 
 def generate_synthetic(spec: SyntheticSpec,
@@ -122,9 +119,9 @@ def generate_synthetic(spec: SyntheticSpec,
         maternal_r = np.arange(rng.uniform(0.0, maternal_period),
                                spec.duration_s, maternal_period)
 
-        fetal = spec.fetal_maternal_ratio * _ecg_train(
-            t, fetal_r, spec.fecg_polarity)
-        maternal = _ecg_train(t, maternal_r, polarity=1)
+        fetal = spec.fetal_maternal_ratio * (
+            spec.fecg_polarity * _beat_train(t, fetal_r, _ECG_SHAPE))
+        maternal = _beat_train(t, maternal_r, _ECG_SHAPE)
 
         # fixed random mixing into 3 channels, maternal dominant; keep the
         # fetal mixing direction away from the maternal one so the fetal
@@ -152,12 +149,9 @@ def generate_synthetic(spec: SyntheticSpec,
             / spec.columns_per_second
         jit = rng.uniform(-spec.jitter_ms, spec.jitter_ms,
                           size=fetal_r.size) / 1000.0
-        inflow = (_gauss_train(tc, fetal_r + jit + spec.e_latency_ms / 1000.0,
-                               spec.e_amp_px, spec.e_width_ms / 1000.0)
-                  + _gauss_train(tc, fetal_r + jit + spec.a_latency_ms / 1000.0,
-                                 spec.a_amp_px, spec.a_width_ms / 1000.0))
-        outflow = _gauss_train(tc, fetal_r + jit + spec.v_latency_ms / 1000.0,
-                               spec.v_amp_px, spec.v_width_ms / 1000.0)
+        beats = fetal_r + jit
+        inflow = _beat_train(tc, beats, _PWD_HUMPS["inflow"])
+        outflow = _beat_train(tc, beats, _PWD_HUMPS["outflow"])
         if spec.wave_config is WaveConfig.EA_MINUS:
             upper, lower = outflow, -inflow
         else:

@@ -32,12 +32,6 @@ class PcaModel:
     components: np.ndarray    # (n_channels, n_channels), rows are components
     eigenvalues: np.ndarray   # (n_channels,), non-increasing
 
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        return (data - self.mean) @ self.components.T
-
-    def reconstruct(self, scores: np.ndarray) -> np.ndarray:
-        return scores @ self.components + self.mean
-
 
 @dataclass(frozen=True)
 class IcaModel:

@@ -132,8 +132,17 @@ def test_cli_error_paths(tmp_path, capsys):
     ("train", {"model": "Ridgee"}, "model"),
     ("synth", {"wave_config": "EA"}, "wave_config"),
     ("train", {"batch_size": 12.5}, "batch_size"),
+    ("train", {"batch_size": -1}, "batch_size"),
+    ("train", {"batch_size": 0}, "batch_size"),
+    ("train", {"epochs": 0}, "epochs"),
+    ("train", {"kernel_size": 4}, "kernel_size"),
+    ("train", {"window_s": 1.5}, "window_s"),
+    ("ablate", {"base": {"ridge_lam": -1}, "grids": ["table2"]}, "ridge_lam"),
+    ("ablate", {"base": {"model": "Ridge"}}, "grids"),
 ], ids=["train-key", "synth-key", "grid-base-key", "grid-key",
-        "manifest-key", "enum-value", "spec-enum-value", "int-value"])
+        "manifest-key", "enum-value", "spec-enum-value", "int-value",
+        "negative-batch", "zero-batch", "zero-epochs", "even-kernel",
+        "window-length", "grid-base-range", "grid-without-grids"])
 def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
                                         capsys):
     path = _write_json(tmp_path / "in.json", body)

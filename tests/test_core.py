@@ -12,19 +12,12 @@ from pwdrecon.core import (
     TimeSeries,
     WaveConfig,
     WindowSet,
-    duration,
     from_json_dict,
     to_json_dict,
 )
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.synth import SyntheticSpec
 from pwdrecon.net import NetConfig
-
-
-def test_duration_examples():
-    assert duration(TimeSeries(np.zeros(568), 284.0)) == 2.0
-    assert duration(TimeSeries(np.zeros(284), 284.0)) == 1.0
-    assert duration(TimeSeries(np.zeros(213), 284.0)) == 0.75
 
 
 def test_timeseries_rejects_bad_construction():

@@ -55,6 +55,8 @@ def test_invalid_band_rejected():
         design_bandpass("bessel", 0.1, 150.0, 4, FS)
     with pytest.raises(ValueError):
         design_bandpass("butterworth", 0.1, 50.0, 3, FS)
+    with pytest.raises(ValueError, match="unknown filter kind: 'butter'"):
+        design_bandpass("butter", 0.1, 50.0, 4, FS)
 
 
 def test_filtfilt_passes_inband_sinusoid():

@@ -85,6 +85,17 @@ def test_config_validation_and_out_channels():
                          envelope_selection=EnvelopeSelection.UPPER)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window_s", 1.5), ("batch_size", -1), ("batch_size", 0), ("epochs", 0),
+    ("ratio", 0.0), ("ratio", 1.0), ("lr", 0.0), ("ridge_lam", -1.0),
+    ("lasso_lam", -0.01), ("kernel_size", 4), ("kernel_size", -1),
+    ("net_channels", (16, 0, 64)),
+])
+def test_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=f"^ExperimentConfig.{field}: "):
+        ExperimentConfig(**{field: value})
+
+
 def test_build_windows_filters_and_targets(small_dataset):
     _, _, records = small_dataset
     cfg = ExperimentConfig(window_s=2.0)

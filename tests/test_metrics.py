@@ -1,15 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwdrecon.errors import AllWindowsExcluded, ZeroVariance
+from pwdrecon.errors import AllWindowsExcluded
 from pwdrecon.metrics import (
     NEAR_ZERO_R,
-    pearson_r,
+    MetricReport,
     render_r,
     window_metrics,
 )
+
+
+def pearson_r(a, b) -> float:
+    """r of one (length,) window pair, as window_metrics scores it."""
+    return window_metrics([a], [b]).mean_r
 
 
 def test_pearson_r_known_values():
@@ -18,10 +25,12 @@ def test_pearson_r_known_values():
     assert pearson_r(a, -a) == pytest.approx(-1.0)
     # hand-computed: r of [1,2,3] vs [1,3,2] = 0.5
     assert pearson_r([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == pytest.approx(0.5)
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(AllWindowsExcluded):
         pearson_r(a, np.full(4, 2.0))
     with pytest.raises(ValueError):
         pearson_r(a, a[:3])
+    with pytest.raises(ValueError):
+        pearson_r([1.0], [2.0])
 
 
 @given(st.lists(st.floats(-100, 100), min_size=3, max_size=50),
@@ -81,3 +90,76 @@ def test_window_metrics_validates_input():
     with pytest.raises(ValueError):
         window_metrics([np.zeros((2, 5))], [np.zeros((2, 6))])
 
+
+def _loop_window_metrics(pred_windows, true_windows) -> MetricReport:
+    """Reference: the per-window, per-channel loop window_metrics replaced."""
+    window_rs = []
+    n_excluded = 0
+    mse_sum = 0.0
+    for pred, true in zip(pred_windows, true_windows):
+        pred = np.atleast_2d(pred)
+        true = np.atleast_2d(true)
+        mse_sum += float(np.mean((pred - true) ** 2))
+        ch_rs = []
+        for a, b in zip(pred, true):
+            ac = a - a.mean()
+            bc = b - b.mean()
+            na, nb = np.sqrt(ac @ ac), np.sqrt(bc @ bc)
+            if na == 0.0 or nb == 0.0:
+                continue
+            ch_rs.append(float(np.clip(ac @ bc / (na * nb), -1.0, 1.0)))
+        if ch_rs:
+            window_rs.append(float(np.mean(ch_rs)))
+        else:
+            n_excluded += 1
+    if not window_rs:
+        raise AllWindowsExcluded("no window had a defined correlation")
+    n_windows = len(pred_windows)
+    return MetricReport(mean_r=float(np.mean(window_rs)),
+                        mean_mse=mse_sum / n_windows, n_windows=n_windows,
+                        n_excluded=n_excluded)
+
+
+def _window_cases():
+    """(name, pred, true) cases: random, flat, constant and NaN windows."""
+    for seed, (c, n, length) in enumerate(itertools.product(
+            (1, 2), (1, 2, 37), (71, 213, 568))):
+        rng = np.random.default_rng(seed)
+        true = rng.normal(size=(n, c, length))
+        pred = 0.5 * true + rng.normal(size=true.shape)
+        yield f"random-{c}x{n}x{length}", pred, true
+        if n == 1:
+            continue
+        flat_one = pred.copy()
+        flat_one[1, 0] = 0.0
+        yield f"flat-channel-{c}x{n}x{length}", flat_one, true
+        flat_all = true.copy()
+        flat_all[0] = 0.0
+        yield f"flat-window-{c}x{n}x{length}", pred, flat_all
+        const = pred.copy()
+        const[-1] = 0.1
+        yield f"constant-{c}x{n}x{length}", const, true
+        nan = pred.copy()
+        nan[0, 0, length // 2] = np.nan
+        yield f"nan-{c}x{n}x{length}", nan, true
+
+
+def test_window_metrics_equals_per_window_loop():
+    n_cases = 0
+    for name, pred, true in _window_cases():
+        expected = _loop_window_metrics(pred, true)
+        inputs = [(pred, true), (list(pred), list(true))]
+        if pred.shape[1] == 1:
+            inputs.append((list(pred[:, 0]), list(true[:, 0])))
+        for got in (window_metrics(p, t) for p, t in inputs):
+            if name.startswith("nan"):
+                assert np.isnan(got.mean_r) and np.isnan(got.mean_mse), name
+                assert repr(got) == repr(expected), name
+            else:
+                assert got == expected, name
+        n_cases += 1
+    assert n_cases == 18 + 12 * 4
+    flat = np.zeros((3, 2, 71))
+    for score in (_loop_window_metrics, window_metrics):
+        with pytest.raises(AllWindowsExcluded):
+            score(flat + 1.0, flat)

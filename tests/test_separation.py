@@ -37,9 +37,6 @@ def test_pca_eigenvalues_sorted_and_orthonormal():
     m = pca_fit(data)
     assert np.all(np.diff(m.eigenvalues) <= 1e-12)
     assert np.allclose(m.components @ m.components.T, np.eye(4), atol=1e-10)
-    # round trip
-    rec = m.reconstruct(m.transform(data))
-    assert np.max(np.abs(rec - data)) < 1e-8
 
 
 def test_pca_fit_rejects_degenerate():

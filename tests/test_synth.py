@@ -13,8 +13,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(n_records=0)
     with pytest.raises(ValueError):
-        SyntheticSpec(e_latency_ms=400.0, a_latency_ms=300.0)
-    with pytest.raises(ValueError):
         SyntheticSpec(fecg_polarity=0)
 
 

@@ -12,7 +12,8 @@ class InvalidBand(PwdReconError):
 
 
 class NumericalInstability(PwdReconError):
-    """A designed filter has a pole on or outside the unit circle."""
+    """A result that cannot be trusted: a designed filter with a pole on or
+    outside the unit circle, or a baseline fit that did not converge."""
 
 
 class SignalTooShort(PwdReconError):
@@ -85,3 +86,7 @@ class NoWindowsAfterFilter(PwdReconError):
 
 class AllWindowsExcluded(PwdReconError):
     """Every window pair had zero variance; no correlation defined."""
+
+
+class NonFinitePrediction(PwdReconError):
+    """A model predicted NaN or infinite samples; no metric is defined."""

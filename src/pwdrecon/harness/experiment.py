@@ -34,6 +34,7 @@ from ..dsp import (
 from ..errors import (
     DegenerateInput,
     NoWindowsAfterFilter,
+    NumericalInstability,
     PwdReconError,
     SignalShorterThanWindow,
     TooFewWindows,
@@ -243,12 +244,18 @@ def evaluate(config: ExperimentConfig, model, windows: WindowSet,
     """Predict the test windows with a fitted model and score them.
 
     `model` is the network's parameters or a baseline's LinearMap, as
-    `config.model` says. Returns (predictions (N, C, L), MetricReport).
+    `config.model` says; a LinearMap that did not converge raises
+    NumericalInstability, so no number comes from it. Returns
+    (predictions (N, C, L), MetricReport).
     """
     x = windows.x[test_idx]
     if config.model is ModelKind.PWDRECNET:
         preds = predict(model, x, config.batch_size)
     else:
+        if not model.converged:
+            raise NumericalInstability(
+                f"{model.kind} fit did not converge in {model.n_iter} steps: "
+                f"relative duality gap {model.gap:.3g}")
         preds = linmap_predict(model, x).reshape(len(x), config.out_channels,
                                                  -1)
     return preds, window_metrics(preds, windows.y[test_idx])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWindowsExcluded
+from .errors import AllWindowsExcluded, NonFinitePrediction
 
 NEAR_ZERO_R = 0.001
 
@@ -52,7 +52,8 @@ def window_metrics(pred_windows, true_windows) -> MetricReport:
     correlation coefficient, clipped to [-1, 1]. Correlation is averaged
     channels-first then windows; pairs where either side has zero
     variance are excluded from the correlation mean (but not from the
-    MSE), and a window with no pair left is counted as excluded.
+    MSE), and a window with no pair left is counted as excluded. A NaN
+    or infinite prediction raises NonFinitePrediction.
     """
     pred = np.asarray(pred_windows, dtype=np.float64)
     true = np.asarray(true_windows, dtype=np.float64)
@@ -60,6 +61,10 @@ def window_metrics(pred_windows, true_windows) -> MetricReport:
             or len(pred) == 0 or pred.shape[-1] < 2:
         raise ValueError("need equally many aligned windows of >= 2 samples, "
                          f"got {pred.shape} and {true.shape}")
+    bad = pred.size - np.count_nonzero(np.isfinite(pred))
+    if bad:
+        raise NonFinitePrediction(f"{bad} of {pred.size} predicted samples "
+                                  "are NaN or infinite")
     if pred.ndim == 2:  # (length,) windows
         pred, true = pred[:, None], true[:, None]
     n_windows = len(pred)

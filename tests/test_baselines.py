@@ -7,7 +7,6 @@ import pytest
 from pwdrecon import baselines
 from pwdrecon.baselines import (
     lasso_fit,
-    lasso_lambda_max,
     linmap_predict,
     load_linear_map,
     ols_fit,
@@ -125,6 +124,12 @@ def test_ridge_shrinks_toward_zero():
     assert norms[-1] < 0.1 * norms[0]
 
 
+def lasso_lambda_max(X, Y):
+    """Smallest lambda for which the lasso solution is exactly zero."""
+    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+    return float(np.abs(Xc.T @ Yc).max() / X.shape[0])
+
+
 def test_lasso_lambda_max_zeroes_solution():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 5))
@@ -185,6 +190,20 @@ def test_lasso_nonconvergence_flag():
         m = lasso_fit(X, Y, 1e-6, max_iter=1, tol=1e-14)
     assert not m.converged
     assert m.gap > 1e-14 and m.n_iter == 1
+
+
+def test_lasso_max_iter_cuts_every_chained_column():
+    """max_iter bounds each column's own steps, and a cut column's right
+    neighbour runs its own path rather than continuing from the cut state:
+    with one step each, every column stops at its first event, lambda_max,
+    where the entering weight is still zero."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 10))
+    Y = np.cumsum(rng.normal(size=(40, 9)), axis=1)   # near neighbours
+    with pytest.warns(RuntimeWarning, match="relative duality gap"):
+        m = lasso_fit(X, Y, 1e-6, max_iter=1, tol=1e-14)
+    assert not m.converged and m.n_iter == 1
+    assert np.abs(m.weight).max() <= 1e-12
 
 
 def _walk_design(seed, n=20, d=213, m=426):
@@ -258,20 +277,26 @@ def _traced(fn, *args):
         tracemalloc.stop()
 
 
-def test_lasso_column_groups_bound_gram_blocks(monkeypatch):
-    """With n > d the active sets grow to rank(Xc) = d, where the padded
-    Gram blocks of all m outputs take 8 m d^2 bytes. The outputs are
-    followed in groups within the byte budget, to the same fit."""
+def test_lasso_chains_bound_memory(monkeypatch):
+    """With n > d the active sets grow to rank(Xc) = d, and an output's
+    active-set inverse takes 8 d^2 bytes. Only the chains carry inverses:
+    ceil(sqrt(m)) of them, or fewer if the byte budget says so. Fewer
+    chains give the same fit, and twice the outputs on as many chains add
+    much less memory than their inverses would take."""
     X, Y = _walk_design(18, n=50, d=40, m=120)
-    blocks = 8 * 120 * 40 ** 2
-    whole, whole_peak = _traced(lasso_fit, X, Y, 0.01)
-    monkeypatch.setattr(baselines, "_BLOCK_BYTES", blocks // 8)
-    grouped, peak = _traced(lasso_fit, X, Y, 0.01)
-    assert whole.converged and grouped.converged
+    blocks = 8 * 120 * 40 ** 2         # every output's inverse at once
+    whole, whole_peak = _traced(lasso_fit, X, Y, 0.01)     # 11 chains
+    monkeypatch.setattr(baselines, "_BLOCK_BYTES", 8 * 4 * 40 ** 2)
+    grouped, peak = _traced(lasso_fit, X, Y, 0.01)         # 4 chains
+    X2, Y2 = _walk_design(18, n=50, d=40, m=240)
+    assert np.array_equal(X2, X)
+    wide, wide_peak = _traced(lasso_fit, X, Y2, 0.01)      # 4 chains
+    assert whole.converged and grouped.converged and wide.converged
     assert (np.count_nonzero(whole.weight, axis=1) == 40).any()
     assert np.abs(grouped.weight - whole.weight).max() \
         <= 1e-9 * np.abs(whole.weight).max()
-    assert whole_peak > blocks > 2 * peak
+    assert blocks > 2 * peak and whole_peak < blocks
+    assert wide_peak - peak < (240 - 120) * 8 * 40 ** 2 / 4
 
 
 def test_lasso_window_width_with_more_windows_than_samples():
@@ -300,15 +325,19 @@ def test_lasso_reruns_bit_identical():
     assert (a.n_iter, a.gap) == (b.n_iter, b.gap)
 
 
+def _drops_features_design():
+    rng = np.random.default_rng(0)
+    X = np.cumsum(rng.normal(size=(40, 10)), axis=1)
+    Y = X @ rng.normal(size=(10, 6)) + rng.normal(size=(40, 6))
+    return X, Y, 0.01 * lasso_lambda_max(X, Y)
+
+
 def test_lasso_path_that_drops_features():
     """A design on whose path features leave the active set, fitted column
     by column and all at once. With n > d no entry is refused, so a
     column that took more steps than its nonzeros + 1 dropped a feature.
     Oracle: the KKT conditions on the returned weights and bias."""
-    rng = np.random.default_rng(0)
-    X = np.cumsum(rng.normal(size=(40, 10)), axis=1)
-    Y = X @ rng.normal(size=(10, 6)) + rng.normal(size=(40, 6))
-    lam = 0.01 * lasso_lambda_max(X, Y)
+    X, Y, lam = _drops_features_design()
     single = [lasso_fit(X, Y[:, [j]], lam) for j in range(6)]
     assert any(s.n_iter > np.count_nonzero(s.weight) + 1 for s in single)
     joint = lasso_fit(X, Y, lam)
@@ -321,6 +350,138 @@ def test_lasso_path_that_drops_features():
         nz = W != 0.0
         assert np.all(np.abs(corr[~nz]) <= lam * (1 + 1e-8))
         assert np.all(np.abs(corr[nz] - lam * np.sign(W[nz])) <= 1e-8 * lam)
+
+
+def _per_column(X, Y, lam):
+    """Each output fitted on its own: a chain of one runs its penalty path."""
+    return np.vstack([lasso_fit(X, Y[:, [j]], lam).weight
+                      for j in range(Y.shape[1])])
+
+
+def _assert_same_fit(W, ref):
+    """Same active sets and signs; weights within 1e-10 of each output's
+    largest."""
+    assert np.array_equal(np.sign(W), np.sign(ref))
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(W - ref) <= 1e-10 * scale)
+
+
+def _between_columns(Y, steps=4):
+    """Targets on the segments between Y's neighbouring columns, so that
+    each column's left neighbour is near it."""
+    s = np.arange(steps) / steps
+    parts = [Y[:, [j]] + s * (Y[:, [j + 1]] - Y[:, [j]])
+             for j in range(Y.shape[1] - 1)]
+    return np.hstack(parts + [Y[:, -1:]])
+
+
+@pytest.mark.parametrize("design", [
+    lambda: (*_walk_design(22, n=20, d=213, m=60), 0.01),
+    lambda: (*_walk_design(23, n=80, d=30, m=60), 0.01),
+    lambda: (lambda X, Y, lam: (X, _between_columns(Y), lam))(
+        *_drops_features_design()),
+    lambda: (*_walk_design(15, n=12, d=40, m=6), 0.0)],
+    ids=["n-lt-d", "n-gt-d", "drops-features", "lam0-n-lt-d"])
+def test_lasso_chained_fit_equals_per_column_fits(design):
+    """Each chained column starts from its left neighbour's solution and
+    moves the target to its own: it must land on the solution its own
+    penalty path finds. At lam = 0 with n < d, where least squares has many
+    solutions, every column runs its own path to the path's limit."""
+    X, Y, lam = design()
+    m = lasso_fit(X, Y, lam)
+    assert m.converged and m.gap <= 1e-10
+    _assert_same_fit(m.weight, _per_column(X, Y, lam))
+
+
+def test_lasso_identical_neighbours():
+    """A zero-length target segment: the neighbour's solution is the
+    column's own, reached in one step."""
+    X, Y = _walk_design(24, m=1)
+    m = lasso_fit(X, np.repeat(Y, 9, axis=1), 0.05)
+    single = lasso_fit(X, Y, 0.05)
+    assert m.converged and m.n_iter == single.n_iter
+    _assert_same_fit(m.weight, np.repeat(single.weight, 9, axis=0))
+
+
+def test_lasso_sign_flipped_neighbour():
+    """Neighbours whose weights change sign. A target next to its own
+    negative is nearer zero than its neighbour and runs its own path;
+    a target that flips a few small weights moves them through zero."""
+    rng = np.random.default_rng(25)
+    X = np.cumsum(rng.normal(size=(40, 12)), axis=1)
+    w = rng.normal(size=12)
+    flip = np.where(np.abs(w) < np.median(np.abs(w)), -1.0, 1.0)
+    noise = 0.1 * rng.normal(size=40)
+    y, y_flip = X @ w + noise, X @ (w * flip) + noise
+    Y = np.column_stack([y, -y, y, y_flip, y, y_flip])
+    lam = 0.001 * lasso_lambda_max(X, Y)
+    m = lasso_fit(X, Y, lam)
+    assert m.converged
+    W = m.weight
+    assert np.array_equal(np.sign(W[1]), -np.sign(W[0]))
+    changed = np.sign(W[3]) * np.sign(W[2]) < 0
+    assert changed.any() and (~changed & (W[2] != 0)).any()
+    _assert_same_fit(W, _per_column(X, Y, lam))
+
+
+def test_lasso_channel_boundary():
+    """Two-channel targets flatten to (upper, lower) samples: the chain
+    that crosses from the upper channel's last sample to the lower's first
+    meets an unrelated neighbour."""
+    rng = np.random.default_rng(26)
+    X = np.cumsum(rng.normal(size=(20, 60)), axis=1)
+    upper = np.cumsum(rng.normal(size=(20, 25)), axis=1)
+    lower = 3 * rng.normal(size=(20, 1)) + np.cumsum(
+        rng.normal(size=(20, 25)), axis=1)
+    Y = np.hstack([upper, lower])      # 9 chains; one spans columns 22-26
+    m = lasso_fit(X, Y, 0.05)
+    assert m.converged
+    _assert_same_fit(m.weight, _per_column(X, Y, 0.05))
+
+
+def _tied_design():
+    """Three features +-x_i + z, with z orthogonal to the constant and to
+    every column of X and Y: each meets +-lam exactly when its x_i does,
+    and round-off then decides whether it enters, and leaves again, at a
+    step of zero length."""
+    rng = np.random.default_rng(28)
+    n, d = 28, 7
+    X = np.cumsum(rng.normal(size=(n, d)), axis=1)
+    Y = 3 * np.cumsum(rng.normal(size=(n, 8)), axis=1) \
+        + X @ rng.normal(size=(d, 1))
+    basis = np.column_stack([np.ones(n), X, Y])
+    ties = []
+    for i, sign, norm in [(6, 1, 10.0), (3, -1, 1e-3), (5, -1, 10.0)]:
+        z = rng.normal(size=n)
+        z -= basis @ np.linalg.lstsq(basis, z, rcond=None)[0]
+        ties.append(sign * X[:, i] + norm * z / np.linalg.norm(z))
+    return np.column_stack([X] + ties), Y
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.01, 0.001])
+def test_lasso_tied_features_do_not_cycle(frac):
+    """Regression example: on this design the lockstep path used to enter
+    and drop a tied feature at zero-length steps until max_iter, with a
+    gap near 1. A feature that has just entered may not leave on the next
+    step, nor one that has just left re-enter on its side."""
+    X, Y = _tied_design()
+    lam = frac * lasso_lambda_max(X, Y)
+    m = lasso_fit(X, Y, lam)
+    assert m.converged and m.n_iter < 30
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.001])
+def test_lasso_segment_refusing_a_feature_runs_the_path(frac):
+    """Regression example: with near-twin features (pairs 1e-3 apart) a
+    target segment may have to refuse a feature as dependent on the active
+    ones, and then ends off the column's solution; the column runs its own
+    penalty path instead."""
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(13, 21))
+    X[:, 1::2] = X[:, 0:20:2] + 1e-3 * rng.normal(size=(13, 10))
+    Y = np.cumsum(rng.normal(size=(13, 9)), axis=1)
+    m = lasso_fit(X, Y, frac * lasso_lambda_max(X, Y))
+    assert m.converged
 
 
 def test_linmap_predict_shapes():

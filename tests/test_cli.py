@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+from pwdrecon.baselines import load_linear_map, save_linear_map
 from pwdrecon.cli import config_from_dict, main
 from pwdrecon.core import ModelKind, SplitMode, to_json_dict
+from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import save_preprocessed
 
@@ -88,6 +91,42 @@ def test_evaluate_reproduces_train_for_every_model(model, small_dataset,
     assert ("gap" in trained) == (model is ModelKind.LASSO)
     if model is ModelKind.LASSO:
         assert 0.0 <= trained["gap"] <= 1e-6
+
+
+def test_unconverged_lasso_exits_2(small_dataset, tmp_path, capsys,
+                                   monkeypatch):
+    """train refuses to report a lasso that did not converge, and evaluate
+    refuses a saved map that says it did not."""
+    _, _, records = small_dataset
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"window_s": 0.25, "model": "Lasso"})
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", cfg, "--data", prep,
+                 "--out", run]) == 0
+    capsys.readouterr()
+    model = os.path.join(run, "model.npz")
+    fitted = load_linear_map(model)
+    save_linear_map(dataclasses.replace(fitted, converged=False, gap=0.5),
+                    model)
+    assert main(["evaluate", "--model", model, "--data", prep]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalInstability"
+    assert "relative duality gap 0.5" in err["message"]
+
+    fit = experiment.lasso_fit
+    monkeypatch.setattr(experiment, "lasso_fit",
+                        lambda x, Y, lam: fit(x, Y, lam, max_iter=1))
+    with pytest.warns(RuntimeWarning, match="lasso did not converge"):
+        rc = main(["train", "--config", cfg, "--data", prep,
+                   "--out", str(tmp_path / "run1")])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "NumericalInstability"
+    assert "relative duality gap" in err["message"]
 
 
 def test_preprocess_error_names_the_record(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from pwdrecon.core import (
     WaveConfig,
     WindowSet,
 )
-from pwdrecon.errors import NoWindowsAfterFilter, TooFewWindows
+from pwdrecon.errors import (
+    NonFinitePrediction,
+    NoWindowsAfterFilter,
+    NumericalInstability,
+    TooFewWindows,
+)
+from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import (
     GRID_NAMES,
     ExperimentConfig,
@@ -217,3 +224,38 @@ def test_run_ablation_writes_csv_with_markers(small_dataset, tmp_path):
     # EA+ rows contain rendered correlations
     ea_plus_line = [l for l in lines if l.startswith("EA+")][0]
     assert all(c not in ("-", "x") for c in ea_plus_line.split(",")[1:])
+
+
+def _unconverged_lasso(monkeypatch):
+    """Every lasso fit stops after one step, far from its solution."""
+    fit = experiment.lasso_fit
+    monkeypatch.setattr(experiment, "lasso_fit",
+                        lambda x, Y, lam: fit(x, Y, lam, max_iter=1))
+
+
+def _nan_predictions(monkeypatch):
+    monkeypatch.setattr(experiment, "linmap_predict",
+                        lambda m, x: np.full((len(x), len(m.bias)), np.nan))
+
+
+@pytest.mark.parametrize("fault, model, error, match", [
+    (_unconverged_lasso, ModelKind.LASSO, NumericalInstability,
+     "lasso fit did not converge in 1 steps: relative duality gap"),
+    (_nan_predictions, ModelKind.RIDGE, NonFinitePrediction,
+     "predicted samples are NaN or infinite")],
+    ids=["unconverged-lasso", "nan-prediction"])
+def test_untrustworthy_fit_gives_no_number(fault, model, error, match,
+                                           small_dataset, monkeypatch):
+    """No table number from an unconverged baseline or a NaN prediction:
+    the experiment raises, and its grid cells become failure markers."""
+    _, _, records = small_dataset
+    fault(monkeypatch)
+    base = ExperimentConfig(model=model, **FAST)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # lasso's own warning
+        with pytest.raises(error, match=match):
+            run_experiment(base, records)
+        _, cols, cells = run_ablation("table2", records, base=base)
+    # all records are EA+: EA- cells have no windows, the rest fail
+    assert [cells[("EA+", c)] for c in cols] == ["x"] * 3
+    assert [cells[("EA-", c)] for c in cols] == ["-"] * 3

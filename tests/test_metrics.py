@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwdrecon.errors import AllWindowsExcluded
+from pwdrecon.errors import AllWindowsExcluded, NonFinitePrediction
 from pwdrecon.metrics import (
     NEAR_ZERO_R,
     MetricReport,
@@ -151,15 +151,22 @@ def test_window_metrics_equals_per_window_loop():
         inputs = [(pred, true), (list(pred), list(true))]
         if pred.shape[1] == 1:
             inputs.append((list(pred[:, 0]), list(true[:, 0])))
-        for got in (window_metrics(p, t) for p, t in inputs):
+        for p, t in inputs:
             if name.startswith("nan"):
-                assert np.isnan(got.mean_r) and np.isnan(got.mean_mse), name
-                assert repr(got) == repr(expected), name
+                # the loop scores a NaN prediction as NaN; the array path
+                # refuses to score it at all
+                assert np.isnan(expected.mean_r), name
+                with pytest.raises(NonFinitePrediction, match="1 of "):
+                    window_metrics(p, t)
             else:
-                assert got == expected, name
+                assert window_metrics(p, t) == expected, name
         n_cases += 1
     assert n_cases == 18 + 12 * 4
     flat = np.zeros((3, 2, 71))
     for score in (_loop_window_metrics, window_metrics):
         with pytest.raises(AllWindowsExcluded):
             score(flat + 1.0, flat)
+    pred = np.ones((3, 2, 71)) + np.arange(71)
+    pred[1, 1, :5] = [np.inf, -np.inf, np.nan, np.inf, 0.0]
+    with pytest.raises(NonFinitePrediction, match="4 of 426 predicted"):
+        window_metrics(pred, pred)

@@ -41,10 +41,9 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class MultichannelRecording:
-    """Channels sharing one time base, plus the original acquisition rate."""
+    """Channels sharing one time base."""
 
     channels: tuple[TimeSeries, ...]
-    source_fs: float
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -54,8 +53,6 @@ class MultichannelRecording:
         for ch in self.channels:
             if ch.fs != fs0 or len(ch) != n0:
                 raise ValueError("all channels must share fs and length")
-        if not self.source_fs > 0:
-            raise ValueError("source_fs must be > 0")
 
     @property
     def n_channels(self) -> int:
@@ -184,6 +181,17 @@ class RecordManifest:
             raise ValueError("aecg_fs must be > 0")
         if not self.image_columns_per_second > 0:
             raise ValueError("image_columns_per_second must be > 0")
+
+
+@dataclass(frozen=True)
+class PreprocessedRecord:
+    """One record after the full preprocessing pipeline, at 284 Hz."""
+
+    record_id: str
+    fecg: TimeSeries
+    env: EnvelopePair
+    wave_config: WaveConfig
+    polarity: Polarity
 
 
 def to_json_dict(obj) -> dict:

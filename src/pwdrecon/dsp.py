@@ -2,12 +2,10 @@
 
 Applied to both the extracted fECG stream and the PwD envelope stream.
 Filter design and zero-phase application are delegated to scipy.signal
-behind the IIRFilter contract.
+behind second-order-section arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -24,37 +22,15 @@ from .errors import (
 WINDOW_SECONDS = (0.25, 0.5, 0.75, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class IIRFilter:
-    """Stable biquad cascade plus its design metadata.
-
-    sos: (n_sections, 6) array of [b0, b1, b2, 1, a1, a2] rows.
-    """
-
-    sos: np.ndarray
-    kind: str  # "bessel" | "butterworth"
-    low_hz: float
-    high_hz: float
-    order: int
-    design_fs: float
-
-    def poles(self) -> np.ndarray:
-        return np.concatenate([np.roots(sec[3:]) for sec in self.sos])
-
-    def impulse_response(self, n: int = 8192) -> np.ndarray:
-        x = np.zeros(n)
-        x[0] = 1.0
-        return sps.sosfilt(self.sos, x)
-
-
 def design_bandpass(kind: str, low_hz: float, high_hz: float,
-                    order: int, fs: float) -> IIRFilter:
-    """Design a bandpass biquad cascade from an analog prototype.
+                    order: int, fs: float) -> np.ndarray:
+    """Design a stable bandpass biquad cascade from an analog prototype.
 
     `order` is the lowpass prototype order (even, >= 2); the bandpass
     transform doubles it. Discretization is bilinear with band-edge
     prewarping. Bessel prototypes are magnitude-normalized (-3 dB at the
-    band edges).
+    band edges). Returns the (order, 6) second-order sections, one
+    [b0, b1, b2, 1, a1, a2] row each.
     """
     if not (0 < low_hz < high_hz < fs / 2):
         raise InvalidBand(
@@ -72,28 +48,26 @@ def design_bandpass(kind: str, low_hz: float, high_hz: float,
     else:
         raise ValueError(f"unknown filter kind: {kind!r}")
 
-    f = IIRFilter(sos=sos, kind=kind, low_hz=low_hz, high_hz=high_hz,
-                  order=order, design_fs=fs)
-    pole_mag = np.abs(f.poles())
+    pole_mag = np.abs(sps.sos2zpk(sos)[1])
     if np.any(pole_mag >= 1.0):
         raise NumericalInstability(
             f"designed pole magnitude {pole_mag.max():.6f} >= 1")
-    return f
+    return sos
 
 
-def filtfilt(f: IIRFilter, x: TimeSeries) -> TimeSeries:
-    """Zero-phase forward-backward application of `f`.
+def filtfilt(sos: np.ndarray, x: TimeSeries) -> TimeSeries:
+    """Zero-phase forward-backward application of the sections `sos`.
 
     Output length equals input length. The signal is reflect-padded
     before the forward pass to suppress edge transients.
     """
-    digital_order = 2 * f.order  # bandpass doubles the prototype order
+    digital_order = 2 * len(sos)  # two poles per section
     if len(x) <= 3 * digital_order:
         raise SignalTooShort(
             f"need more than {3 * digital_order} samples, got {len(x)}")
     # long even-reflection padding tames the near-DC pole's transient
     padlen = min(len(x) - 1, int(10 * x.fs))
-    y = sps.sosfiltfilt(f.sos, x.samples, padtype="even", padlen=padlen)
+    y = sps.sosfiltfilt(sos, x.samples, padtype="even", padlen=padlen)
     return TimeSeries(y, x.fs)
 
 

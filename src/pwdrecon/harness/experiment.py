@@ -17,6 +17,7 @@ from ..core import (
     MultichannelRecording,
     OutputMode,
     Polarity,
+    PreprocessedRecord,
     RecordManifest,
     SplitMode,
     TimeSeries,
@@ -54,17 +55,6 @@ from ..separation import detect_polarity, extract_fecg
 from .plots import write_window_csv, write_window_svg
 
 
-@dataclass(frozen=True)
-class PreprocessedRecord:
-    """One record after the full preprocessing pipeline, at 284 Hz."""
-
-    record_id: str
-    fecg: TimeSeries
-    env: EnvelopePair
-    wave_config: WaveConfig
-    polarity: Polarity
-
-
 def preprocess_record(rec: MultichannelRecording, img: GrayImage,
                       manifest: RecordManifest,
                       seed: int) -> PreprocessedRecord:
@@ -78,8 +68,7 @@ def preprocess_record(rec: MultichannelRecording, img: GrayImage,
     """
     bipolar = MultichannelRecording(
         channels=tuple(rec.channels[i]
-                       for i in manifest.bipolar_channel_indices),
-        source_fs=rec.source_fs)
+                       for i in manifest.bipolar_channel_indices))
     fecg = extract_fecg(bipolar, seed=seed)
     # polarity belongs to the extracted waveform; the 50 Hz cutoff below
     # shrinks the narrow R lobe and can flip marginal cases

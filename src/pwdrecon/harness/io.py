@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import MultichannelRecording, RecordManifest, TimeSeries, WaveConfig
-from ..core import EnvelopePair, Polarity, from_json_dict, to_json_dict
+from ..core import EnvelopePair, Polarity, PreprocessedRecord
+from ..core import from_json_dict, to_json_dict
 from ..errors import BadMagic, FileMissing, SizeMismatch
 from ..pwd_envelope import GrayImage
 
@@ -99,13 +101,23 @@ def load_record(manifest: RecordManifest,
         channels.append(TimeSeries(samples, manifest.aecg_fs))
     if len({len(ch) for ch in channels}) != 1:
         raise SizeMismatch("channel files disagree on length")
-    rec = MultichannelRecording(channels=tuple(channels),
-                                source_fs=manifest.aecg_fs)
+    rec = MultichannelRecording(channels=tuple(channels))
     img = read_pgm(os.path.join(base_dir, manifest.image_path))
     return rec, img
 
 
-def save_preprocessed(out_dir: str, records) -> None:
+@dataclass(frozen=True)
+class PreprocessedIndexEntry:
+    """One record's entry in preprocessed.json."""
+
+    record_id: str
+    fs: float
+    n_samples: int
+    wave_config: WaveConfig
+    polarity: Polarity
+
+
+def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
     """Persist preprocessed records: f32 streams plus an index JSON."""
     os.makedirs(out_dir, exist_ok=True)
     index = []
@@ -114,40 +126,37 @@ def save_preprocessed(out_dir: str, records) -> None:
                          ("lower", rec.env.lower)):
             write_raw_f32(os.path.join(out_dir, f"{rec.record_id}.{name}.f32"),
                           ts.samples)
-        index.append({
-            "record_id": rec.record_id,
-            "fs": rec.fecg.fs,
-            "n_samples": len(rec.fecg),
-            "wave_config": rec.wave_config.value,
-            "polarity": rec.polarity.value,
-        })
+        index.append(to_json_dict(PreprocessedIndexEntry(
+            record_id=rec.record_id, fs=rec.fecg.fs, n_samples=len(rec.fecg),
+            wave_config=rec.wave_config, polarity=rec.polarity)))
     with open(os.path.join(out_dir, "preprocessed.json"), "w") as fh:
         json.dump(index, fh, indent=1)
 
 
-def load_preprocessed(data_dir: str):
-    """Inverse of save_preprocessed; returns PreprocessedRecord list."""
-    from .experiment import PreprocessedRecord
-
+def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
+    """Inverse of save_preprocessed."""
     path = os.path.join(data_dir, "preprocessed.json")
     if not os.path.exists(path):
         raise FileMissing(path)
     with open(path) as fh:
         index = json.load(fh)
+    try:
+        entries = [from_json_dict(PreprocessedIndexEntry, d) for d in index]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     records = []
-    for e in index:
-        rid, n = e["record_id"], e["n_samples"]
+    for e in entries:
+        rid, n = e.record_id, e.n_samples
         streams = {}
         for name in ("fecg", "upper", "lower"):
-            path = os.path.join(data_dir, f"{rid}.{name}.f32")
-            samples = read_raw_f32(path)
+            stream = os.path.join(data_dir, f"{rid}.{name}.f32")
+            samples = read_raw_f32(stream)
             if samples.size != n:
-                raise SizeMismatch(f"{rid}: {name} stream {path} has "
+                raise SizeMismatch(f"{rid}: {name} stream {stream} has "
                                    f"{samples.size} samples, expected {n}")
-            streams[name] = TimeSeries(samples, float(e["fs"]))
+            streams[name] = TimeSeries(samples, e.fs)
         records.append(PreprocessedRecord(
             record_id=rid, fecg=streams["fecg"],
             env=EnvelopePair(upper=streams["upper"], lower=streams["lower"]),
-            wave_config=WaveConfig(e["wave_config"]),
-            polarity=Polarity(e["polarity"])))
+            wave_config=e.wave_config, polarity=e.polarity))
     return records

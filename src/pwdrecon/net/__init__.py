@@ -1,8 +1,7 @@
 from .model import (
-    ConvSpec,
     NetConfig,
-    PwDRecNetParams,
     backward,
+    config_of,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -10,12 +9,11 @@ from .model import (
     save_checkpoint,
 )
 from .ops import mse_loss
-from .optim import RmspropState, rmsprop_step
+from .optim import rmsprop_step
 from .train import TrainConfig, train
 
 __all__ = [
-    "ConvSpec", "NetConfig", "PwDRecNetParams",
-    "backward", "forward_batch", "init_params",
+    "NetConfig", "backward", "config_of", "forward_batch", "init_params",
     "load_checkpoint", "predict", "save_checkpoint",
-    "mse_loss", "RmspropState", "rmsprop_step", "TrainConfig", "train",
+    "mse_loss", "rmsprop_step", "TrainConfig", "train",
 ]

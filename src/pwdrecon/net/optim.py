@@ -2,33 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .model import PwDRecNetParams
+
+RHO = 0.9  # decay of the squared-gradient average
+EPS = 1e-8
 
 
-@dataclass
-class RmspropState:
-    """Per-parameter squared-gradient accumulator plus hyperparameters."""
-
-    lr: float = 1e-3
-    rho: float = 0.9
-    eps: float = 1e-8
-    v: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-
-
-def rmsprop_step(params: PwDRecNetParams, grads: dict,
-                 state: RmspropState) -> tuple[PwDRecNetParams, RmspropState]:
+def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                 v: dict[str, np.ndarray], lr: float) -> None:
     """v <- rho*v + (1-rho)*g^2;  p <- p - lr * g / (sqrt(v) + eps).
 
-    Updates parameters and state in place; returns them for chaining.
+    `v` holds each parameter's squared-gradient average under the
+    parameter's name; a missing entry starts at zero. Updates `params`
+    and `v` in place.
     """
     for name, p in params.items():
         g = grads.get(name)
@@ -37,11 +25,9 @@ def rmsprop_step(params: PwDRecNetParams, grads: dict,
         if g.shape != p.shape:
             raise ShapeMismatch(
                 f"gradient shape {g.shape} != parameter shape {p.shape}")
-        v = state.v.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-            state.v[name] = v
-        v *= state.rho
-        v += (1.0 - state.rho) * g * g
-        p -= state.lr * g / (np.sqrt(v) + state.eps)
-    return params, state
+        acc = v.get(name)
+        if acc is None:
+            acc = v[name] = np.zeros_like(p)
+        acc *= RHO
+        acc += (1.0 - RHO) * g * g
+        p -= lr * g / (np.sqrt(acc) + EPS)

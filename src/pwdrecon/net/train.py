@@ -16,7 +16,9 @@ from .model import (
     predict,
 )
 from .ops import mse_loss
-from .optim import RmspropState, rmsprop_step
+from .optim import rmsprop_step
+
+VAL_FRACTION = 0.1  # share of the windows held out for validation
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 128
     seed: int = 0
-    val_fraction: float = 0.1
     lr: float = 1e-3
 
 
@@ -46,14 +47,14 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
-    n_val = int(round(config.val_fraction * n)) if n >= 2 else 0
+    n_val = int(round(VAL_FRACTION * n)) if n >= 2 else 0
     n_val = min(n_val, n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     params = init_params(net_config, seed=config.seed)
-    state = RmspropState(lr=config.lr)
+    v: dict[str, np.ndarray] = {}
 
-    best = init_params(net_config, seed=config.seed)
+    best = {name: p.copy() for name, p in params.items()}
     best_val = np.inf
     log = []
     for epoch in range(config.epochs):
@@ -66,7 +67,7 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
             grad_out = np.zeros_like(pred)
             grad_out[:, :, :L] = dpred
             grads = backward(params, cache, grad_out)
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, grads, v, config.lr)
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
@@ -77,6 +78,5 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
                     "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
-            for (_, b), (_, a) in zip(best.items(), params.items()):
-                b[...] = a
+            best = {name: p.copy() for name, p in params.items()}
     return best, log

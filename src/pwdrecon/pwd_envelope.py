@@ -96,7 +96,7 @@ def preprocess_envelopes(raw: EnvelopePair) -> EnvelopePair:
     Both channels get the identical chain; a final re-centering keeps the
     mean at zero despite bandpass edge transients.
     """
-    f = design_bandpass("bessel", 0.1, 50.0, 4, TARGET_FS)
+    sos = design_bandpass("bessel", 0.1, 50.0, 4, TARGET_FS)
 
     def chain(ts: TimeSeries) -> TimeSeries:
         centered = mean_center(ts)
@@ -104,7 +104,7 @@ def preprocess_envelopes(raw: EnvelopePair) -> EnvelopePair:
             # constant raw envelope: DC removal yields the zero signal
             n_out = int(round(len(ts) * TARGET_FS / ts.fs))
             return TimeSeries(np.zeros(max(n_out, 1)), TARGET_FS)
-        out = filtfilt(f, resample_linear(centered, TARGET_FS))
+        out = filtfilt(sos, resample_linear(centered, TARGET_FS))
         return mean_center(out)
 
     return EnvelopePair(upper=chain(raw.upper), lower=chain(raw.lower))

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from pwdrecon.baselines import lasso_fit, ols_fit, ridge_fit
 from pwdrecon.core import (
@@ -35,7 +36,7 @@ from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.metrics import render_r
 from pwdrecon.net.model import NetConfig, backward, forward_batch, init_params
 from pwdrecon.net.ops import mse_loss
-from pwdrecon.net.optim import RmspropState, rmsprop_step
+from pwdrecon.net.optim import rmsprop_step
 from pwdrecon.pwd_envelope import (
     EnvelopePair,
     GrayImage,
@@ -96,8 +97,8 @@ def test_a2_optimizer_correctness():
     _, p0 = next(iter(params.items()))
     before = p0.copy()
     grads = {n: np.full_like(a, 3.0) for n, a in params.items()}
-    state = RmspropState(lr=0.01, rho=0.9, eps=1e-8)
-    rmsprop_step(params, grads, state)
+    v = {}
+    rmsprop_step(params, grads, v, 0.01)
     # v = 0.1 * 9 = 0.9; step = 0.01 * 3 / (sqrt(0.9) + 1e-8)
     expected = 0.01 * 3.0 / (np.sqrt(0.9) + 1e-8)
     err = np.max(np.abs((before - p0) - expected))
@@ -105,10 +106,10 @@ def test_a2_optimizer_correctness():
 
     # repeated identical gradient: v -> g^2, step -> lr * sign(g)
     for _ in range(300):
-        rmsprop_step(params, grads, state)
+        rmsprop_step(params, grads, v, 0.01)
     _, p0b = next(iter(params.items()))
     last = p0b.copy()
-    rmsprop_step(params, grads, state)
+    rmsprop_step(params, grads, v, 0.01)
     step = np.max(np.abs(last - p0b))
     assert step == pytest.approx(0.01, rel=1e-3)
     print(f"\nA2 PASS scalar err {err:.1e}, asymptotic step {step:.6f}")
@@ -121,9 +122,12 @@ def test_a3_filter_contract():
     results = []
     for kind in ("butterworth", "bessel"):
         f = design_bandpass(kind, 0.1, 50.0, 4, FS)
-        assert np.all(np.abs(f.poles()) < 1.0)
+        poles = np.concatenate([np.roots(sec[3:]) for sec in f])
+        assert np.all(np.abs(poles) < 1.0)
         # oracle: gain from the DFT of the impulse response
-        H = np.abs(np.fft.rfft(f.impulse_response(8192)))
+        impulse = np.zeros(8192)
+        impulse[0] = 1.0
+        H = np.abs(np.fft.rfft(sps.sosfilt(f, impulse)))
         freqs = np.fft.rfftfreq(8192, 1.0 / FS)
         g10 = H[np.argmin(np.abs(freqs - 10.0))]
         g60 = H[np.argmin(np.abs(freqs - 60.0))]

@@ -40,12 +40,12 @@ def test_multichannel_requires_consistent_channels():
     b = TimeSeries(np.zeros(11), 100.0)
     c = TimeSeries(np.zeros(10), 200.0)
     with pytest.raises(ValueError):
-        MultichannelRecording(channels=(a, b), source_fs=100.0)
+        MultichannelRecording(channels=(a, b))
     with pytest.raises(ValueError):
-        MultichannelRecording(channels=(a, c), source_fs=100.0)
+        MultichannelRecording(channels=(a, c))
     with pytest.raises(ValueError):
-        MultichannelRecording(channels=(), source_fs=100.0)
-    rec = MultichannelRecording(channels=(a, a), source_fs=100.0)
+        MultichannelRecording(channels=())
+    rec = MultichannelRecording(channels=(a, a))
     assert rec.as_matrix().shape == (10, 2)
 
 

@@ -34,7 +34,7 @@ from pwdrecon.harness.experiment import (
     split,
 )
 from pwdrecon.harness.io import load_preprocessed, save_preprocessed
-from pwdrecon.net import PwDRecNetParams
+from pwdrecon.net import NetConfig, config_of
 
 FAST = dict(epochs=2, net_channels=(2, 4, 8), kernel_size=3)
 
@@ -164,7 +164,9 @@ def test_run_experiment_net_smoke(small_dataset):
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.PWDRECNET, **FAST)
     report, artifacts = run_experiment(cfg, records)
     assert len(artifacts["training_log"]) == 2
-    assert isinstance(artifacts["model"], PwDRecNetParams)
+    assert config_of(artifacts["model"]) == NetConfig(
+        out_channels=cfg.out_channels, channels=cfg.net_channels,
+        kernel_size=cfg.kernel_size)
 
 
 def test_preprocessed_record_properties(small_dataset):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,25 @@ def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):
         write_raw_f32(path, read_raw_f32(path)[:-300])
     with pytest.raises(SizeMismatch, match=f"^{rid}: upper stream"):
         load_preprocessed(prep)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"polarity": None}, "missing field 'polarity'"),  # None drops the key
+    ({"polarty": "+ve"}, "unknown field 'polarty'"),
+    ({"polarity": "+"}, ".polarity: '+' is not a valid Polarity"),
+    ({"fs": "284"}, ".fs: expected float, got '284'"),
+], ids=["missing-key", "unknown-key", "enum-value", "string-number"])
+def test_load_preprocessed_names_the_file_and_field(tmp_path, edit, message):
+    entry = {"record_id": "r", "fs": 284.0, "n_samples": 8,
+             "wave_config": "EA+", "polarity": "+ve"}
+    for name in ("fecg", "upper", "lower"):
+        write_raw_f32(str(tmp_path / f"r.{name}.f32"), np.zeros(8))
+    index = tmp_path / "preprocessed.json"
+    index.write_text(json.dumps([entry]))
+    assert load_preprocessed(str(tmp_path))[0].polarity.value == "+ve"
+    entry.update(edit)
+    index.write_text(json.dumps([{k: v for k, v in entry.items()
+                                  if v is not None}]))
+    with pytest.raises(ValueError, match=re.escape(f"{index}: ") + ".*"
+                       + re.escape(message)):
+        load_preprocessed(str(tmp_path))

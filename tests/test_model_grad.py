@@ -1,3 +1,4 @@
+import hashlib
 import re
 import time
 
@@ -8,6 +9,7 @@ from pwdrecon.errors import ShapeMismatch
 from pwdrecon.net.model import (
     NetConfig,
     backward,
+    config_of,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -59,16 +61,48 @@ def test_init_deterministic_and_nonzero():
     assert any(not np.array_equal(wa, wc)
                for (_, wa), (_, wc) in zip(a.items(), c.items()))
     # biases start at zero, weights do not
-    assert np.all(a.head.b == 0.0)
-    assert np.any(a.head.w != 0.0)
+    assert np.all(a["head.b"] == 0.0)
+    assert np.any(a["head.w"] != 0.0)
 
 
-def test_full_gradient_check_against_finite_differences():
-    """Every parameter gradient matches central finite differences."""
-    params = init_params(TINY, seed=3)
-    rng = np.random.default_rng(3)
+# init_params(NetConfig(), 0) as recorded when the parameters were a
+# tree of per-convolution objects: the checkpoint's names, their order
+# and the sha256 of every array's bytes in that order
+DEFAULT_NAMES = [f"{block}.{conv}.{p}"
+                 for block in ("enc0", "enc1", "enc2", "dec0", "dec1", "dec2")
+                 for conv in ("conv0", "conv1", "conv2", "proj")
+                 for p in ("w", "b")] + ["head.w", "head.b"]
+DEFAULT_SHA256 = \
+    "01bd93dead29477d929f9535c6007b0f7ee43edc8320aec90a8ac4e75568686b"
+# enc1 keeps its 4 channels, so it has no projection
+SAME_WIDTH = NetConfig(out_channels=1, channels=(4, 4, 8), kernel_size=5)
+
+
+def test_init_params_layout_is_pinned():
+    params = init_params(NetConfig(), seed=0)
+    assert list(params) == DEFAULT_NAMES
+    digest = hashlib.sha256()
+    for a in params.values():
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == DEFAULT_SHA256
+    assert list(init_params(SAME_WIDTH, seed=0)) == [
+        n for n in DEFAULT_NAMES if not n.startswith("enc1.proj.")]
+
+
+@pytest.mark.parametrize("config", [NetConfig(), TINY, SAME_WIDTH],
+                         ids=["default", "tiny", "same-width"])
+def test_config_of_recovers_the_config(config):
+    assert config_of(init_params(config, seed=4)) == config
+
+
+def _worst_gradient_error(config, seed):
+    """Largest relative gap between `backward` and central finite
+    differences over every parameter of a seeded net on a seeded batch."""
+    params = init_params(config, seed=seed)
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 1, 8))
-    target = rng.normal(size=(2, 2, 8))
+    target = rng.normal(size=(2, config.out_channels, 8))
 
     def loss_value():
         y, _ = forward_batch(params, x)
@@ -79,9 +113,7 @@ def test_full_gradient_check_against_finite_differences():
     grads = backward(params, cache, dpred)
 
     h = 1e-5
-    t0 = time.monotonic()
-    names = dict(params.items())
-    assert set(grads) == set(names)
+    assert set(grads) == set(params)
     worst = 0.0
     for name, arr in params.items():
         flat = arr.reshape(-1)
@@ -96,8 +128,22 @@ def test_full_gradient_check_against_finite_differences():
             num = (fp - fm) / (2 * h)
             denom = max(abs(num), abs(g_flat[idx]), 1e-8)
             worst = max(worst, abs(num - g_flat[idx]) / denom)
-    assert worst <= 1e-4
+    return worst
+
+
+def test_full_gradient_check_against_finite_differences():
+    """Every parameter gradient matches central finite differences."""
+    t0 = time.monotonic()
+    assert _worst_gradient_error(TINY, seed=3) <= 1e-4
     assert time.monotonic() - t0 < 30.0
+
+
+def test_gradient_check_with_identity_residual():
+    """A block that keeps its channel count adds its input unprojected;
+    seed 0 puts no ReLU or max-pool kink inside the probe."""
+    config = NetConfig(out_channels=1, channels=(2, 2, 4), kernel_size=3)
+    assert "enc1.proj.w" not in init_params(config, seed=0)
+    assert _worst_gradient_error(config, seed=0) <= 1e-4
 
 
 def test_training_step_reduces_loss():
@@ -134,9 +180,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path = str(tmp_path / "ckpt.npz")
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    assert loaded.config == params.config
-    for (name, a), (_, b) in zip(params.items(), loaded.items()):
-        assert np.array_equal(a, b), name
+    assert list(loaded) == list(params)
+    for name, a in params.items():
+        assert np.array_equal(a, loaded[name]), name
     x = np.random.default_rng(1).normal(size=(1, 64))
     assert np.array_equal(predict(params, x, 1), predict(loaded, x, 1))
     # a file of another format version is refused by name
@@ -167,7 +213,3 @@ def test_load_checkpoint_checks_every_array(tmp_path, name, array, found):
             f"{path}: parameter {name} is {found}, expected shape")):
         load_checkpoint(path)
 
-
-def test_config_json_roundtrip():
-    cfg = NetConfig(out_channels=1, channels=(4, 8, 16), kernel_size=5)
-    assert NetConfig.from_json(cfg.to_json()) == cfg

@@ -186,8 +186,7 @@ def test_extract_fecg_recovers_fetal_source():
     mix = (np.outer(maternal, mat_w) + np.outer(fetal, fet_w)
            + 0.005 * rng.normal(size=(t.size, 3)))
     rec = MultichannelRecording(
-        channels=tuple(TimeSeries(mix[:, i], fs) for i in range(3)),
-        source_fs=fs)
+        channels=tuple(TimeSeries(mix[:, i], fs) for i in range(3)))
     out = extract_fecg(rec, seed=0)
     r = abs(np.corrcoef(out.samples, fetal)[0, 1])
     assert r >= 0.8
@@ -196,7 +195,7 @@ def test_extract_fecg_recovers_fetal_source():
 
 def test_extract_fecg_requires_three_channels():
     ts = TimeSeries(np.random.default_rng(0).normal(size=600), FS)
-    rec = MultichannelRecording(channels=(ts, ts), source_fs=FS)
+    rec = MultichannelRecording(channels=(ts, ts))
     with pytest.raises(ValueError):
         extract_fecg(rec, seed=0)
 

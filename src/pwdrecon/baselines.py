@@ -416,12 +416,11 @@ def _relative_gaps(Xc, Yc, W, lam):
 
 
 def linmap_predict(m: LinearMap, x: np.ndarray) -> np.ndarray:
-    """Apply y = Wx + b to one vector or a (n, d) batch."""
-    x = np.asarray(x, dtype=np.float64)
+    """Apply y = Wx + b to each row of an (n, d) batch."""
     if x.shape[-1] != m.weight.shape[1]:
         raise ShapeMismatch(f"x has {x.shape[-1]} features, "
                             f"map expects {m.weight.shape[1]}")
-    return m.weight @ x + m.bias if x.ndim == 1 else x @ m.weight.T + m.bias
+    return x @ m.weight.T + m.bias
 
 
 def save_linear_map(m: LinearMap, path: str) -> None:

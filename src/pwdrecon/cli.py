@@ -13,11 +13,12 @@ import os
 import sys
 
 from .baselines import load_linear_map, save_linear_map
-from .core import ModelKind, from_json_dict, to_json_dict
+from .core import ModelKind, read_json, write_json
 from .errors import PwdReconError
 from .harness.experiment import (
     GRID_NAMES,
     ExperimentConfig,
+    GridFile,
     evaluate,
     experiment_windows,
     preprocess_record,
@@ -36,16 +37,13 @@ from .net import load_checkpoint, save_checkpoint
 from .net import predict  # noqa: F401  patched by perfbench/layers.py
 
 
-def config_from_dict(d: dict, seed: int | None = None) -> ExperimentConfig:
-    config = from_json_dict(ExperimentConfig, d)
-    return config if seed is None else dataclasses.replace(config, seed=seed)
+def _seeded(obj, seed: int | None):
+    """A spec or config with its seed replaced by --seed, when given."""
+    return obj if seed is None else dataclasses.replace(obj, seed=seed)
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        spec = from_json_dict(SyntheticSpec, json.load(fh))
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = _seeded(read_json(args.spec, SyntheticSpec), args.seed)
     manifests = generate_synthetic(spec, args.out)
     print(json.dumps({"records": len(manifests),
                       "manifest": os.path.join(args.out, "records.json")}))
@@ -69,13 +67,11 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config) as fh:
-        config = config_from_dict(json.load(fh), args.seed)
+    config = _seeded(read_json(args.config, ExperimentConfig), args.seed)
     records = load_preprocessed(args.data)
     os.makedirs(args.out, exist_ok=True)
     report, artifacts = run_experiment(config, records, out_dir=args.out)
-    with open(os.path.join(args.out, "experiment.json"), "w") as fh:
-        json.dump(to_json_dict(config), fh, indent=1)
+    write_json(os.path.join(args.out, "experiment.json"), config)
     save = (save_checkpoint if config.model is ModelKind.PWDRECNET
             else save_linear_map)
     save(artifacts["model"], os.path.join(args.out, "model.npz"))
@@ -90,8 +86,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.model)), "experiment.json")
-    with open(config_path) as fh:
-        config = config_from_dict(json.load(fh), args.seed)
+    config = _seeded(read_json(config_path, ExperimentConfig), args.seed)
     load = (load_checkpoint if config.model is ModelKind.PWDRECNET
             else load_linear_map)
     model = load(args.model)
@@ -107,30 +102,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    base = ExperimentConfig(seed=args.seed or 0)
     if args.grid in GRID_NAMES:
-        names = [args.grid]
+        grid = GridFile(grids=(args.grid,))
     elif args.grid == "all":
-        names = list(GRID_NAMES)
+        grid = GridFile(grids=GRID_NAMES)
     else:
-        with open(args.grid) as fh:
-            d = json.load(fh)
-        extra = set(d) - {"base", "grids"}
-        if extra:
-            raise ValueError(f"grid file: unknown field {min(extra)!r}")
-        if "grids" not in d:
-            raise ValueError("grid file: missing field 'grids'")
-        base = config_from_dict(d.get("base", {}), args.seed)
-        names = d["grids"]
-        if not isinstance(names, list):
-            raise ValueError(f"grid file: 'grids' must be a list: {names!r}")
-        for name in names:
-            if name not in GRID_NAMES:
-                raise ValueError(f"grid file: unknown grid {name!r}")
+        grid = read_json(args.grid, GridFile)
+    base = _seeded(grid.base, args.seed)
     records = load_preprocessed(args.data)
-    for name in names:
+    for name in grid.grids:
         run_ablation(name, records, out_dir=args.out, base=base)
-    print(json.dumps({"grids": names, "out": args.out}))
+    print(json.dumps({"grids": grid.grids, "out": args.out}))
     return 0
 
 

@@ -6,8 +6,9 @@ construction time, never deferred to first use.
 
 from __future__ import annotations
 
+import json
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -208,6 +209,8 @@ def to_json_dict(obj) -> dict:
 
 def _decode(tp, v):
     """The value of type `tp` that JSON value `v` stands for."""
+    if is_dataclass(tp):
+        return from_json_dict(tp, v)
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if not isinstance(v, list):
@@ -253,3 +256,22 @@ def from_json_dict(cls, d: dict):
                 and f.default_factory is MISSING:
             raise ValueError(f"{name}: missing field {f.name!r}")
     return cls(**kwargs)
+
+
+def read_json(path: str, tp):
+    """The `tp` value (a dataclass, or a tuple of them) the JSON file at
+    `path` holds. Any fault in the file -- bad syntax, a wrong top-level
+    type, a field the type cannot take -- is a ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return _decode(tp, json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path: str, value) -> None:
+    """Write a dataclass, or a list of them, as read_json reads it back."""
+    obj = ([to_json_dict(v) for v in value] if isinstance(value, list)
+           else to_json_dict(value))
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1)

@@ -12,7 +12,6 @@ from scipy import signal as sps
 
 from .core import TARGET_FS, TimeSeries, WindowSet
 from .errors import (
-    InvalidBand,
     NumericalInstability,
     SignalShorterThanWindow,
     SignalTooShort,
@@ -20,31 +19,26 @@ from .errors import (
 )
 
 WINDOW_SECONDS = (0.25, 0.5, 0.75, 1.0, 2.0)
+BAND_HZ = (0.1, 50.0)  # passband of both streams' filters
+FILTER_ORDER = 4       # lowpass prototype order; the bandpass doubles it
 
 
-def design_bandpass(kind: str, low_hz: float, high_hz: float,
-                    order: int, fs: float) -> np.ndarray:
-    """Design a stable bandpass biquad cascade from an analog prototype.
+def design_bandpass(kind: str) -> np.ndarray:
+    """Design a stable 0.1-50 Hz bandpass biquad cascade at 284 Hz from a
+    Butterworth or Bessel analog prototype of order 4.
 
-    `order` is the lowpass prototype order (even, >= 2); the bandpass
-    transform doubles it. Discretization is bilinear with band-edge
-    prewarping. Bessel prototypes are magnitude-normalized (-3 dB at the
-    band edges). Returns the (order, 6) second-order sections, one
-    [b0, b1, b2, 1, a1, a2] row each.
+    Discretization is bilinear with band-edge prewarping. Bessel
+    prototypes are magnitude-normalized (-3 dB at the band edges).
+    Returns the (4, 6) second-order sections, one [b0, b1, b2, 1, a1, a2]
+    row each.
     """
-    if not (0 < low_hz < high_hz < fs / 2):
-        raise InvalidBand(
-            f"need 0 < low ({low_hz}) < high ({high_hz}) < fs/2 ({fs / 2})")
-    if order < 2 or order % 2 != 0:
-        raise ValueError("order must be even and >= 2")
-
     kind = kind.lower()
     if kind == "butterworth":
-        sos = sps.butter(order, [low_hz, high_hz], btype="bandpass",
-                         output="sos", fs=fs)
+        sos = sps.butter(FILTER_ORDER, BAND_HZ, btype="bandpass",
+                         output="sos", fs=TARGET_FS)
     elif kind == "bessel":
-        sos = sps.bessel(order, [low_hz, high_hz], btype="bandpass",
-                         norm="mag", output="sos", fs=fs)
+        sos = sps.bessel(FILTER_ORDER, BAND_HZ, btype="bandpass",
+                         norm="mag", output="sos", fs=TARGET_FS)
     else:
         raise ValueError(f"unknown filter kind: {kind!r}")
 
@@ -75,8 +69,6 @@ def resample_linear(x: TimeSeries, fs_out: float) -> TimeSeries:
     """Resample by linear interpolation at exact output timestamps."""
     if not fs_out > 0:
         raise ValueError("fs_out must be > 0")
-    if fs_out == x.fs:
-        return TimeSeries(x.samples.copy(), x.fs)
     n_out = int(round(len(x) * fs_out / x.fs))
     if n_out < 1:
         raise ValueError("resampled signal would be empty")
@@ -101,10 +93,6 @@ def mean_center(x: TimeSeries) -> TimeSeries:
     return TimeSeries(x.samples - np.mean(x.samples), x.fs)
 
 
-def window_length(window_s: float, fs: float = TARGET_FS) -> int:
-    return int(round(window_s * fs))
-
-
 def segment(x: TimeSeries, y_channels: list[TimeSeries], window_s: float,
             record_id: str = "") -> WindowSet:
     """Cut aligned streams into consecutive non-overlapping windows.
@@ -116,7 +104,7 @@ def segment(x: TimeSeries, y_channels: list[TimeSeries], window_s: float,
     for y in y_channels:
         if y.fs != x.fs or len(y) != len(x):
             raise ValueError("x and y_channels must share fs and length")
-    L = window_length(window_s, x.fs)
+    L = int(round(window_s * x.fs))
     n_win = len(x) // L
     if n_win == 0:
         raise SignalShorterThanWindow(

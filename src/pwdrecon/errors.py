@@ -7,10 +7,6 @@ class PwdReconError(Exception):
 
 # --- dsp ---
 
-class InvalidBand(PwdReconError):
-    """Band edges do not satisfy 0 < low < high < fs/2."""
-
-
 class NumericalInstability(PwdReconError):
     """A result that cannot be trusted: a designed filter with a pole on or
     outside the unit circle, or a baseline fit that did not converge."""

@@ -4,7 +4,7 @@ the ablation grids mirroring the six reported study layouts."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ..errors import (
     ZeroVariance,
 )
 from ..metrics import MetricReport, window_metrics
-from ..net import NetConfig, TrainConfig, predict, train
+from ..net import NetConfig, predict, train
 from ..pwd_envelope import (
     GrayImage,
     extract_envelopes,
@@ -53,6 +53,8 @@ from ..pwd_envelope import (
 )
 from ..separation import detect_polarity, extract_fecg
 from .plots import write_window_csv, write_window_svg
+
+FECG_SOS = design_bandpass("butterworth")  # the fECG stream's filter
 
 
 def preprocess_record(rec: MultichannelRecording, img: GrayImage,
@@ -73,9 +75,7 @@ def preprocess_record(rec: MultichannelRecording, img: GrayImage,
     # polarity belongs to the extracted waveform; the 50 Hz cutoff below
     # shrinks the narrow R lobe and can flip marginal cases
     polarity = detect_polarity(fecg)
-    fecg = resample_linear(zscore(fecg), TARGET_FS)
-    butter = design_bandpass("butterworth", 0.1, 50.0, 4, TARGET_FS)
-    fecg = filtfilt(butter, fecg)
+    fecg = filtfilt(FECG_SOS, resample_linear(zscore(fecg), TARGET_FS))
 
     norm = normalize_intensity(img)
     thr = otsu_threshold(norm)
@@ -216,10 +216,8 @@ def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
         net_cfg = NetConfig(out_channels=config.out_channels,
                             channels=config.net_channels,
                             kernel_size=config.kernel_size)
-        train_cfg = TrainConfig(epochs=config.epochs,
-                                batch_size=config.batch_size,
-                                seed=config.seed, lr=config.lr)
-        return train(x, y, net_cfg, train_cfg)
+        return train(x, y, net_cfg, config.epochs, config.batch_size,
+                     config.seed, config.lr)
     Y = y.reshape(len(y), -1)
     if config.model is ModelKind.LINEAR:
         return ols_fit(x, Y), []
@@ -368,6 +366,19 @@ def grid_cells(name: str, base: ExperimentConfig):
 
 
 GRID_NAMES = ("table1", "table2", "table3", "table4", "table5", "table6")
+
+
+@dataclass(frozen=True)
+class GridFile:
+    """An ablation grid file: the grids to run, over a base config."""
+
+    grids: tuple[str, ...]
+    base: ExperimentConfig = ExperimentConfig()
+
+    def __post_init__(self):
+        for name in self.grids:
+            if name not in GRID_NAMES:
+                raise ValueError(f"GridFile.grids: unknown grid {name!r}")
 
 
 def run_ablation(name: str, records: list[PreprocessedRecord],

@@ -7,7 +7,6 @@ converting a real dataset into it is a one-shot external step.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from ..core import MultichannelRecording, RecordManifest, TimeSeries, WaveConfig
 from ..core import EnvelopePair, Polarity, PreprocessedRecord
-from ..core import from_json_dict, to_json_dict
+from ..core import read_json, write_json
 from ..errors import BadMagic, FileMissing, SizeMismatch
 from ..pwd_envelope import GrayImage
 
@@ -76,16 +75,10 @@ def read_pgm(path: str) -> GrayImage:
     return GrayImage(arr.astype(np.float64))
 
 
-def save_manifests(path: str, manifests: list[RecordManifest]) -> None:
-    with open(path, "w") as fh:
-        json.dump([to_json_dict(m) for m in manifests], fh, indent=1)
-
-
 def load_manifests(path: str) -> list[RecordManifest]:
     if not os.path.exists(path):
         raise FileMissing(path)
-    with open(path) as fh:
-        return [from_json_dict(RecordManifest, d) for d in json.load(fh)]
+    return list(read_json(path, tuple[RecordManifest, ...]))
 
 
 def load_record(manifest: RecordManifest,
@@ -126,11 +119,10 @@ def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
                          ("lower", rec.env.lower)):
             write_raw_f32(os.path.join(out_dir, f"{rec.record_id}.{name}.f32"),
                           ts.samples)
-        index.append(to_json_dict(PreprocessedIndexEntry(
+        index.append(PreprocessedIndexEntry(
             record_id=rec.record_id, fs=rec.fecg.fs, n_samples=len(rec.fecg),
-            wave_config=rec.wave_config, polarity=rec.polarity)))
-    with open(os.path.join(out_dir, "preprocessed.json"), "w") as fh:
-        json.dump(index, fh, indent=1)
+            wave_config=rec.wave_config, polarity=rec.polarity))
+    write_json(os.path.join(out_dir, "preprocessed.json"), index)
 
 
 def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
@@ -138,14 +130,8 @@ def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
     path = os.path.join(data_dir, "preprocessed.json")
     if not os.path.exists(path):
         raise FileMissing(path)
-    with open(path) as fh:
-        index = json.load(fh)
-    try:
-        entries = [from_json_dict(PreprocessedIndexEntry, d) for d in index]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     records = []
-    for e in entries:
+    for e in read_json(path, tuple[PreprocessedIndexEntry, ...]):
         rid, n = e.record_id, e.n_samples
         streams = {}
         for name in ("fecg", "upper", "lower"):

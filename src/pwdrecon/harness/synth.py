@@ -10,13 +10,13 @@ Clean sources are written alongside for oracle checks.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RecordManifest, WaveConfig
+from ..core import RecordManifest, WaveConfig, write_json
 from ..pwd_envelope import GrayImage
-from .io import save_manifests, write_pgm, write_raw_f32
+from .io import write_pgm, write_raw_f32
 
 # (offset ms from R, amplitude, width ms) per deflection
 _ECG_SHAPE = (
@@ -189,7 +189,7 @@ def generate_synthetic(spec: SyntheticSpec,
                 "truth_lower_path": f"{rid}.truth_lower.f32",
             },
         ))
-    save_manifests(os.path.join(out_dir, "records.json"), manifests)
+    write_json(os.path.join(out_dir, "records.json"), manifests)
     return manifests
 
 

@@ -42,11 +42,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def window_metrics(pred_windows, true_windows) -> MetricReport:
+def window_metrics(pred: np.ndarray, true: np.ndarray) -> MetricReport:
     """Aggregate per-window metrics over aligned prediction/target windows.
 
-    Either argument is a list of windows or an array with one window per
-    row; a window is (length,) or (channels, length), length >= 2.
+    Both arguments are (windows, channels, length) arrays, length >= 2.
 
     Each (window, channel) pair is scored by the product-moment
     correlation coefficient, clipped to [-1, 1]. Correlation is averaged
@@ -55,9 +54,7 @@ def window_metrics(pred_windows, true_windows) -> MetricReport:
     MSE), and a window with no pair left is counted as excluded. A NaN
     or infinite prediction raises NonFinitePrediction.
     """
-    pred = np.asarray(pred_windows, dtype=np.float64)
-    true = np.asarray(true_windows, dtype=np.float64)
-    if pred.shape != true.shape or pred.ndim not in (2, 3) \
+    if pred.shape != true.shape or pred.ndim != 3 \
             or len(pred) == 0 or pred.shape[-1] < 2:
         raise ValueError("need equally many aligned windows of >= 2 samples, "
                          f"got {pred.shape} and {true.shape}")
@@ -65,8 +62,6 @@ def window_metrics(pred_windows, true_windows) -> MetricReport:
     if bad:
         raise NonFinitePrediction(f"{bad} of {pred.size} predicted samples "
                                   "are NaN or infinite")
-    if pred.ndim == 2:  # (length,) windows
-        pred, true = pred[:, None], true[:, None]
     n_windows = len(pred)
     mse = np.mean(((pred - true) ** 2).reshape(n_windows, -1), axis=1)
 

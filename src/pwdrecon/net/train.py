@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import EmptyDataset
@@ -21,21 +19,15 @@ from .optim import rmsprop_step
 VAL_FRACTION = 0.1  # share of the windows held out for validation
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 128
-    seed: int = 0
-    lr: float = 1e-3
-
-
-def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
-          config: TrainConfig):
+def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig, epochs: int,
+          batch_size: int, seed: int, lr: float):
     """Train the reconstruction net on x (N, L) -> y (N, C, L); returns
     (best_params, log).
 
-    A seeded fraction of the windows is held out for validation and the
-    parameters with the lowest validation MSE are returned. The log has
+    Each epoch takes RMSprop steps of rate `lr` on shuffled batches of
+    `batch_size` windows; `seed` fixes the initial parameters, the
+    validation split and the shuffles. A seeded fraction of the windows
+    is held out for validation and the parameters with the lowest validation MSE are returned. The log has
     one {"epoch", "train_loss", "val_loss"} entry per epoch.
     """
     n, L = x.shape
@@ -45,34 +37,34 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig,
     X[:, 0, :L] = x
     Y = np.asarray(y, dtype=np.float64)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_val = int(round(VAL_FRACTION * n)) if n >= 2 else 0
     n_val = min(n_val, n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    params = init_params(net_config, seed=config.seed)
+    params = init_params(net_config, seed=seed)
     v: dict[str, np.ndarray] = {}
 
     best = {name: p.copy() for name, p in params.items()}
     best_val = np.inf
     log = []
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         epoch_loss, n_batches = 0.0, 0
-        for lo in range(0, order.size, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+        for lo in range(0, order.size, batch_size):
+            idx = order[lo:lo + batch_size]
             pred, cache = forward_batch(params, X[idx])
             loss, dpred = mse_loss(pred[:, :, :L], Y[idx])
             grad_out = np.zeros_like(pred)
             grad_out[:, :, :L] = dpred
             grads = backward(params, cache, grad_out)
-            rmsprop_step(params, grads, v, config.lr)
+            rmsprop_step(params, grads, v, lr)
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
         held = val_idx if n_val > 0 else train_idx
-        val_loss, _ = mse_loss(predict(params, x[held], config.batch_size),
+        val_loss, _ = mse_loss(predict(params, x[held], batch_size),
                                Y[held])
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss})

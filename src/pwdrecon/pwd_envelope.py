@@ -17,6 +17,8 @@ from .dsp import design_bandpass, filtfilt, mean_center, resample_linear
 from .errors import ConstantImage
 from .separation import pca_fit
 
+ENVELOPE_SOS = design_bandpass("bessel")  # the envelope stream's filter
+
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -96,15 +98,10 @@ def preprocess_envelopes(raw: EnvelopePair) -> EnvelopePair:
     Both channels get the identical chain; a final re-centering keeps the
     mean at zero despite bandpass edge transients.
     """
-    sos = design_bandpass("bessel", 0.1, 50.0, 4, TARGET_FS)
-
     def chain(ts: TimeSeries) -> TimeSeries:
-        centered = mean_center(ts)
-        if np.all(centered.samples == 0.0):
-            # constant raw envelope: DC removal yields the zero signal
-            n_out = int(round(len(ts) * TARGET_FS / ts.fs))
-            return TimeSeries(np.zeros(max(n_out, 1)), TARGET_FS)
-        out = filtfilt(sos, resample_linear(centered, TARGET_FS))
+        # a constant raw envelope comes out as exact zeros
+        out = filtfilt(ENVELOPE_SOS, resample_linear(mean_center(ts),
+                                                     TARGET_FS))
         return mean_center(out)
 
     return EnvelopePair(upper=chain(raw.upper), lower=chain(raw.lower))

@@ -22,6 +22,8 @@ from .errors import (
 
 FETAL_RATE_HZ = (1.8, 3.0)  # plausible fetal beat rates, 108-180 bpm
 MIN_BEAT_STRENGTH = 0.15    # autocorrelation floor for a real beat train
+FASTICA_MAX_ITER = 500      # fixed-point iterations allowed per component
+FASTICA_TOL = 1e-6          # |1 - |w_new . w|| at which a component converged
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class IcaModel:
     whitening: np.ndarray     # (n_components, n_channels)
     unmixing: np.ndarray      # (n_components, n_components), rows unit-norm
     mean: np.ndarray          # (n_channels,)
-    n_components: int
     converged: bool
     iterations: int
 
@@ -69,20 +70,15 @@ def pca_fit(data: np.ndarray) -> PcaModel:
                     eigenvalues=evals[order])
 
 
-def pca_remove_top(data: np.ndarray, k: int) -> np.ndarray:
-    """Centered residual after removing the top-k principal components."""
-    data = np.asarray(data, dtype=np.float64)
-    n_channels = data.shape[1]
-    if not 1 <= k < n_channels:
-        raise ValueError(f"k must be in [1, {n_channels - 1}]")
+def pca_remove_top(data: np.ndarray) -> np.ndarray:
+    """Centered residual after removing the top principal component."""
     model = pca_fit(data)
     centered = data - model.mean
-    top = model.components[:k]
+    top = model.components[:1]
     return centered - (centered @ top.T) @ top
 
 
-def fastica(data: np.ndarray, n_components: int, seed: int,
-            max_iter: int = 500, tol: float = 1e-6) -> IcaModel:
+def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
     """Deflation-based FastICA with tanh contrast.
 
     Raises DegenerateInput when the covariance is rank-deficient for the
@@ -110,7 +106,7 @@ def fastica(data: np.ndarray, n_components: int, seed: int,
         w = rng.normal(size=n_components)
         w /= np.linalg.norm(w)
         ok = False
-        for it in range(max_iter):
+        for _ in range(FASTICA_MAX_ITER):
             wx = z @ w
             g = np.tanh(wx)
             g_prime = 1.0 - g ** 2
@@ -121,14 +117,13 @@ def fastica(data: np.ndarray, n_components: int, seed: int,
             delta = abs(abs(w_new @ w) - 1.0)
             w = w_new
             total_iter += 1
-            if delta < tol:
+            if delta < FASTICA_TOL:
                 ok = True
                 break
         if not ok:
             converged = False
-            warnings.warn(
-                f"FastICA component {i} did not converge in {max_iter} "
-                "iterations", RuntimeWarning)
+            warnings.warn(f"FastICA component {i} did not converge in "
+                          f"{FASTICA_MAX_ITER} iterations", RuntimeWarning)
         W[i] = w
 
     # Sign convention: largest-magnitude sample of each source positive.
@@ -139,8 +134,7 @@ def fastica(data: np.ndarray, n_components: int, seed: int,
             W[i] = -W[i]
 
     return IcaModel(whitening=whitening, unmixing=W, mean=pca.mean,
-                    n_components=n_components, converged=converged,
-                    iterations=total_iter)
+                    converged=converged, iterations=total_iter)
 
 
 def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
@@ -184,7 +178,7 @@ def extract_fecg(rec: MultichannelRecording, seed: int) -> TimeSeries:
     data = rec.as_matrix()
     fs = rec.channels[0].fs
 
-    residual = pca_remove_top(data, k=1)
+    residual = pca_remove_top(data)
     # top-1 removal leaves a rank-2 subspace; unmix 2 components
     ica = fastica(residual, n_components=2, seed=seed)
     sources = ica.transform(residual)

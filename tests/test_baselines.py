@@ -487,13 +487,13 @@ def test_lasso_segment_refusing_a_feature_runs_the_path(frac):
 def test_linmap_predict_shapes():
     m = ols_fit(np.random.default_rng(7).normal(size=(30, 4)),
                 np.random.default_rng(8).normal(size=(30, 2)))
-    single = linmap_predict(m, np.zeros(4))
+    single = linmap_predict(m, np.zeros((1, 4)))
     batch = linmap_predict(m, np.zeros((5, 4)))
-    assert single.shape == (2,)
+    assert single.shape == (1, 2)
     assert batch.shape == (5, 2)
-    assert np.allclose(batch[0], single)
+    assert np.allclose(batch[0], single[0])
     with pytest.raises(ShapeMismatch):
-        linmap_predict(m, np.zeros(3))
+        linmap_predict(m, np.zeros((1, 3)))
     with pytest.raises(ShapeMismatch):
         linmap_predict(m, np.zeros((5, 3)))
 
@@ -503,7 +503,7 @@ def test_linmap_predict_batch_matches_rows():
     rng = np.random.default_rng(9)
     m = ridge_fit(rng.normal(size=(20, 213)), rng.normal(size=(20, 426)), 1.0)
     X = rng.normal(size=(7, 213))
-    rows = np.stack([linmap_predict(m, x) for x in X])
+    rows = np.stack([m.weight @ x + m.bias for x in X])  # per-row GEMVs
     # one GEMM sums in another order than per-row GEMVs: bound the drift
     # relative to the output scale, not per element
     drift = np.abs(linmap_predict(m, X) - rows).max()

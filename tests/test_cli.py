@@ -2,30 +2,41 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from pwdrecon.baselines import load_linear_map, save_linear_map
-from pwdrecon.cli import config_from_dict, main
-from pwdrecon.core import ModelKind, SplitMode, to_json_dict
+from pwdrecon.baselines import LinearMap, load_linear_map, save_linear_map
+from pwdrecon.cli import main
+from pwdrecon.core import ModelKind, SplitMode, read_json
 from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import save_preprocessed
-
-
-def test_config_dict_roundtrip():
-    cfg = ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE,
-                           split=SplitMode.RANDOM, seed=5,
-                           net_channels=(2, 4, 8))
-    d = json.loads(json.dumps(to_json_dict(cfg)))
-    assert d["model"] == "Ridge" and d["split"] == "Random"
-    assert config_from_dict(d) == cfg
-    assert config_from_dict(d, seed=9).seed == 9
 
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
     return str(path)
+
+
+def test_train_seed_flag_lands_in_experiment_json(small_dataset, tmp_path,
+                                                   capsys):
+    _, _, records = small_dataset
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"window_s": 1.0, "model": "Ridge", "split": "Random",
+                       "seed": 5, "net_channels": [2, 4, 8]})
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", prep, "--out", str(run),
+                 "--seed", "9"]) == 0
+    capsys.readouterr()
+    saved = json.loads((run / "experiment.json").read_text())
+    assert saved["model"] == "Ridge" and saved["split"] == "Random"
+    assert read_json(str(run / "experiment.json"), ExperimentConfig) \
+        == ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE,
+                            split=SplitMode.RANDOM, seed=9,
+                            net_channels=(2, 4, 8))
 
 
 def test_cli_full_pipeline(tmp_path, capsys):
@@ -213,6 +224,58 @@ def test_cli_ablate_checks_grid_names_before_running(grids, bad, small_dataset,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and repr(bad) in err["message"]
     assert not out.exists()  # no grid ran, so no CSV was written
+
+
+def _cli_argv(command, tmp_path, **paths):
+    """argv for `command` whose file flags default to valid or unread
+    files in tmp_path; `paths` overrides them by flag name."""
+    model = str(tmp_path / "model.npz")
+    if not os.path.exists(model):
+        save_linear_map(LinearMap(weight=np.zeros((2, 1)), bias=np.zeros(2)),
+                        model)
+    flags = {"spec": None, "manifest": None, "grid": None,
+             "model": model,
+             "config": _write_json(tmp_path / "ridge.json", {"model": "Ridge"}),
+             "data": str(tmp_path), "out": str(tmp_path / "out")}
+    flags.update(paths)
+    need = {"synth": ("spec", "out"), "preprocess": ("manifest", "out"),
+            "train": ("config", "data", "out"),
+            "evaluate": ("model", "config", "data"),
+            "ablate": ("grid", "data", "out")}[command]
+    return [command] + [a for f in need for a in (f"--{f}", flags[f])]
+
+
+@pytest.mark.parametrize("command, flag, name, text", [
+    ("ablate", "grid", "grid.json", "7"),
+    ("evaluate", "data", "preprocessed.json", "7"),
+    ("preprocess", "manifest", "records.json", '{"a": 1}'),
+    ("train", "config", "cfg.json", '{"epochs": 2,}'),
+], ids=["grid-not-an-object", "preprocessed-not-a-list",
+        "manifest-not-a-list", "syntax-error"])
+def test_cli_bad_json_file_is_a_value_error_naming_it(command, flag, name,
+                                                      text, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_text(text)
+    given = str(tmp_path) if name == "preprocessed.json" else str(bad)
+    assert main(_cli_argv(command, tmp_path, **{flag: given})) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("command, flag, code, error", [
+    ("preprocess", "manifest", 2, "FileMissing"),
+    ("evaluate", "data", 2, "FileMissing"),
+    ("synth", "spec", 1, "FileNotFoundError"),
+    ("train", "config", 1, "FileNotFoundError"),
+    ("ablate", "grid", 1, "FileNotFoundError"),
+], ids=["manifest", "preprocessed", "spec", "config", "grid"])
+def test_cli_missing_file_keeps_its_exit_code(command, flag, code, error,
+                                              tmp_path, capsys):
+    missing = str(tmp_path / "absent")
+    assert main(_cli_argv(command, tmp_path, **{flag: missing})) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and missing in err["message"]
 
 
 def test_cli_requires_subcommand():

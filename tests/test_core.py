@@ -12,10 +12,14 @@ from pwdrecon.core import (
     TimeSeries,
     WaveConfig,
     WindowSet,
+    Polarity,
     from_json_dict,
+    read_json,
     to_json_dict,
+    write_json,
 )
-from pwdrecon.harness.experiment import ExperimentConfig
+from pwdrecon.harness.experiment import ExperimentConfig, GridFile
+from pwdrecon.harness.io import PreprocessedIndexEntry
 from pwdrecon.harness.synth import SyntheticSpec
 from pwdrecon.net import NetConfig
 
@@ -145,3 +149,43 @@ def test_json_codec_requires_fields_without_defaults():
         from_json_dict(RecordManifest, d)
     with pytest.raises(ValueError, match="^RecordManifest: expected a JSON"):
         from_json_dict(RecordManifest, ["r1"])
+
+
+FILE_CASES = [
+    ([CODEC_CASES[2], CODEC_CASES[2]], tuple[RecordManifest, ...]),
+    ([PreprocessedIndexEntry(record_id="r1", fs=284.0, n_samples=568,
+                             wave_config=WaveConfig.EA_PLUS,
+                             polarity=Polarity.NEGATIVE)],
+     tuple[PreprocessedIndexEntry, ...]),
+    (CODEC_CASES[0], ExperimentConfig),
+]
+
+
+@pytest.mark.parametrize("value, tp", FILE_CASES,
+                         ids=["manifests", "preprocessed", "config"])
+def test_json_file_codec_roundtrip(value, tp, tmp_path):
+    path = tmp_path / "v.json"
+    write_json(str(path), value)
+    # oracle: each dataclass as its to_json_dict, dumped with indent=1
+    obj = ([to_json_dict(v) for v in value] if isinstance(value, list)
+           else to_json_dict(value))
+    assert path.read_text() == json.dumps(obj, indent=1)
+    back = read_json(str(path), tp)
+    assert back == (tuple(value) if isinstance(value, list) else value)
+
+
+@pytest.mark.parametrize("text, tp, message", [
+    ("[7]", tuple[RecordManifest, ...],
+     "RecordManifest: expected a JSON object, got 7"),
+    ('{"grids": ["table0"]}', GridFile,
+     "GridFile.grids: unknown grid 'table0'"),
+    ('{"grids": [], "base": {"epochs": 0}}', GridFile,
+     "GridFile.base: ExperimentConfig.epochs: must be >= 1"),
+], ids=["item-not-an-object", "post-init", "nested-field"])
+def test_read_json_names_the_file(text, tp, message, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_json(str(path), tp)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)

@@ -14,11 +14,12 @@ from pwdrecon.dsp import (
     zscore,
 )
 from pwdrecon.errors import (
-    InvalidBand,
     SignalShorterThanWindow,
     SignalTooShort,
     ZeroVariance,
 )
+from pwdrecon.harness.experiment import FECG_SOS
+from pwdrecon.pwd_envelope import ENVELOPE_SOS
 
 FS = 284.0
 
@@ -39,7 +40,7 @@ def dft_gain(sos, freq_hz, n=8192):
 
 @pytest.mark.parametrize("kind", ["butterworth", "bessel"])
 def test_designed_filter_is_stable(kind):
-    sos = design_bandpass(kind, 0.1, 50.0, 4, FS)
+    sos = design_bandpass(kind)
     assert sos.shape == (4, 6)  # the bandpass doubles the order 4
     # oracle: each section's poles are the roots of its denominator
     poles = np.concatenate([np.roots(sec[3:]) for sec in sos])
@@ -47,7 +48,7 @@ def test_designed_filter_is_stable(kind):
 
 
 def test_butterworth_band_response():
-    f = design_bandpass("butterworth", 0.1, 50.0, 4, FS)
+    f = design_bandpass("butterworth")
     peak = dft_gain_max(f)
     assert 0.95 * peak <= dft_gain(f, 10.0) <= 1.0 * peak + 1e-12
     assert dft_gain(f, 100.0) <= 0.05
@@ -59,18 +60,17 @@ def dft_gain_max(sos, n=8192):
 
 
 def test_invalid_band_rejected():
-    with pytest.raises(InvalidBand):
-        design_bandpass("butterworth", 60.0, 50.0, 4, FS)
-    with pytest.raises(InvalidBand):
-        design_bandpass("bessel", 0.1, 150.0, 4, FS)
-    with pytest.raises(ValueError):
-        design_bandpass("butterworth", 0.1, 50.0, 3, FS)
     with pytest.raises(ValueError, match="unknown filter kind: 'butter'"):
-        design_bandpass("butter", 0.1, 50.0, 4, FS)
+        design_bandpass("butter")
+
+
+def test_stream_filters_are_designed_once_at_import():
+    assert np.array_equal(FECG_SOS, design_bandpass("butterworth"))
+    assert np.array_equal(ENVELOPE_SOS, design_bandpass("bessel"))
 
 
 def test_filtfilt_passes_inband_sinusoid():
-    f = design_bandpass("butterworth", 0.1, 50.0, 4, FS)
+    f = design_bandpass("butterworth")
     t = np.arange(568) / FS
     x = TimeSeries(np.sin(2 * np.pi * 10.0 * t), FS)
     y = filtfilt(f, x)
@@ -86,7 +86,7 @@ def test_filtfilt_passes_inband_sinusoid():
 
 @pytest.mark.parametrize("kind", ["butterworth", "bessel"])
 def test_filtfilt_attenuates_60hz(kind):
-    f = design_bandpass(kind, 0.1, 50.0, 4, FS)
+    f = design_bandpass(kind)
     # oracle: squared single-pass gain bounds the forward-backward result
     g = dft_gain(f, 60.0)
     assert g <= 0.6
@@ -98,7 +98,7 @@ def test_filtfilt_attenuates_60hz(kind):
 
 
 def test_filtfilt_zero_signal_and_too_short():
-    f = design_bandpass("butterworth", 0.1, 50.0, 4, FS)
+    f = design_bandpass("butterworth")
     y = filtfilt(f, TimeSeries(np.zeros(100), FS))
     assert np.allclose(y.samples, 0.0)
     with pytest.raises(SignalTooShort):
@@ -106,7 +106,7 @@ def test_filtfilt_zero_signal_and_too_short():
 
 
 def test_filtfilt_linearity():
-    f = design_bandpass("butterworth", 0.1, 50.0, 4, FS)
+    f = design_bandpass("butterworth")
     rng = np.random.default_rng(0)
     x = rng.normal(size=500)
     y = rng.normal(size=500)

@@ -9,6 +9,7 @@ from pwdrecon.core import (
     WaveConfig,
     from_json_dict,
     to_json_dict,
+    write_json,
 )
 from pwdrecon.errors import BadMagic, FileMissing, SizeMismatch
 from pwdrecon.harness.io import (
@@ -17,7 +18,6 @@ from pwdrecon.harness.io import (
     load_record,
     read_pgm,
     read_raw_f32,
-    save_manifests,
     save_preprocessed,
     write_pgm,
     write_raw_f32,
@@ -97,7 +97,7 @@ def test_manifest_dict_roundtrip():
 def test_manifest_file_roundtrip(tmp_path):
     path = str(tmp_path / "records.json")
     ms = [_manifest("a"), _manifest("b")]
-    save_manifests(path, ms)
+    write_json(path, ms)
     assert load_manifests(path) == ms
     with pytest.raises(FileMissing):
         load_manifests(str(tmp_path / "nope.json"))

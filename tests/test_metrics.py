@@ -16,7 +16,8 @@ from pwdrecon.metrics import (
 
 def pearson_r(a, b) -> float:
     """r of one (length,) window pair, as window_metrics scores it."""
-    return window_metrics([a], [b]).mean_r
+    a, b = (np.asarray(v, dtype=np.float64)[None, None] for v in (a, b))
+    return window_metrics(a, b).mean_r
 
 
 def test_pearson_r_known_values():
@@ -62,7 +63,7 @@ def test_window_metrics_aggregation():
     true = [np.stack([np.sin(6 * t), np.cos(6 * t)]) for _ in range(3)]
     pred = [w.copy() for w in true]
     pred[1] = -pred[1]  # one anti-correlated window
-    rep = window_metrics(pred, true)
+    rep = window_metrics(np.array(pred), np.array(true))
     assert rep.n_windows == 3
     assert rep.n_excluded == 0
     assert rep.mean_r == pytest.approx((1.0 - 1.0 + 1.0) / 3, abs=1e-9)
@@ -76,19 +77,21 @@ def test_window_metrics_excludes_flat_windows():
     t = np.linspace(0, 1, 30)
     good = np.stack([np.sin(5 * t), np.cos(5 * t)])
     flat = np.zeros_like(good)
-    rep = window_metrics([good, flat], [good.copy(), flat.copy()])
+    rep = window_metrics(np.array([good, flat]), np.array([good, flat]))
     assert rep.n_windows == 2
     assert rep.n_excluded == 1
     assert rep.mean_r == pytest.approx(1.0)
     with pytest.raises(AllWindowsExcluded):
-        window_metrics([flat], [flat.copy()])
+        window_metrics(flat[None], flat[None])
 
 
 def test_window_metrics_validates_input():
     with pytest.raises(ValueError):
-        window_metrics([], [])
+        window_metrics(np.zeros((0, 1, 5)), np.zeros((0, 1, 5)))
     with pytest.raises(ValueError):
-        window_metrics([np.zeros((2, 5))], [np.zeros((2, 6))])
+        window_metrics(np.zeros((1, 2, 5)), np.zeros((1, 2, 6)))
+    with pytest.raises(ValueError):
+        window_metrics(np.zeros((1, 5)), np.zeros((1, 5)))
 
 
 def _loop_window_metrics(pred_windows, true_windows) -> MetricReport:
@@ -148,18 +151,14 @@ def test_window_metrics_equals_per_window_loop():
     n_cases = 0
     for name, pred, true in _window_cases():
         expected = _loop_window_metrics(pred, true)
-        inputs = [(pred, true), (list(pred), list(true))]
-        if pred.shape[1] == 1:
-            inputs.append((list(pred[:, 0]), list(true[:, 0])))
-        for p, t in inputs:
-            if name.startswith("nan"):
-                # the loop scores a NaN prediction as NaN; the array path
-                # refuses to score it at all
-                assert np.isnan(expected.mean_r), name
-                with pytest.raises(NonFinitePrediction, match="1 of "):
-                    window_metrics(p, t)
-            else:
-                assert window_metrics(p, t) == expected, name
+        if name.startswith("nan"):
+            # the loop scores a NaN prediction as NaN; the array path
+            # refuses to score it at all
+            assert np.isnan(expected.mean_r), name
+            with pytest.raises(NonFinitePrediction, match="1 of "):
+                window_metrics(pred, true)
+        else:
+            assert window_metrics(pred, true) == expected, name
         n_cases += 1
     assert n_cases == 18 + 12 * 4
     flat = np.zeros((3, 2, 71))

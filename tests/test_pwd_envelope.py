@@ -184,8 +184,9 @@ def test_preprocess_envelopes_constant_input():
     pair = EnvelopePair(upper=TimeSeries(np.full(500, 12.0), 100.0),
                         lower=TimeSeries(np.zeros(500), 100.0))
     out = preprocess_envelopes(pair)
-    assert np.allclose(out.upper.samples, 0.0)
-    assert np.allclose(out.lower.samples, 0.0)
+    assert len(out.upper) == int(round(500 / 100.0 * TARGET_FS))
+    assert np.all(out.upper.samples == 0.0)  # exact zeros, not merely small
+    assert np.all(out.lower.samples == 0.0)
 
 
 def test_pca_compress_envelopes_collinear_case():

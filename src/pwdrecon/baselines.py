@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,10 @@ _BLOCK_BYTES = 64 << 20
 
 @dataclass
 class LinearMap:
-    """y = W x + b with optional regularization metadata."""
+    """y = W x + b, with the fit's convergence certificate."""
 
     weight: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray    # (out_dim,)
-    kind: str = "ols"   # "ols" | "ridge" | "lasso"
-    lam: float = 0.0
     converged: bool = True
     n_iter: int = 0
     gap: float = 0.0    # lasso: largest per-column certificate (see lasso_fit)
@@ -50,7 +48,7 @@ def _center(X: np.ndarray, Y: np.ndarray):
 
 def ols_fit(X: np.ndarray, Y: np.ndarray) -> LinearMap:
     """Least squares: ridge with only its 1e-10 jitter."""
-    return replace(ridge_fit(X, Y, 0.0), kind="ols")
+    return ridge_fit(X, Y, 0.0)
 
 
 def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
@@ -71,7 +69,7 @@ def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
     else:
         W = np.linalg.solve(Xc.T @ Xc + (lam + 1e-10) * np.eye(d), Xc.T @ Yc)
     b = ym - xm @ W
-    return LinearMap(weight=W.T, bias=b, kind="ridge", lam=lam)
+    return LinearMap(weight=W.T, bias=b)
 
 
 def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
@@ -122,8 +120,8 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
         warnings.warn(f"lasso did not converge in {it} steps: relative "
                       f"duality gap {gap:.3g} > tol {tol:g}", RuntimeWarning)
     b = ym - xm @ W
-    return LinearMap(weight=W.T, bias=b, kind="lasso", lam=lam,
-                     converged=converged, n_iter=it, gap=gap)
+    return LinearMap(weight=W.T, bias=b, converged=converged, n_iter=it,
+                     gap=gap)
 
 
 def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
@@ -421,28 +419,3 @@ def linmap_predict(m: LinearMap, x: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"x has {x.shape[-1]} features, "
                             f"map expects {m.weight.shape[1]}")
     return x @ m.weight.T + m.bias
-
-
-def save_linear_map(m: LinearMap, path: str) -> None:
-    """Write every LinearMap field to an .npz; the round trip is bit-exact."""
-    np.savez(path, weight=m.weight, bias=m.bias, kind=np.array(m.kind),
-             lam=np.array(m.lam), converged=np.array(m.converged),
-             n_iter=np.array(m.n_iter), gap=np.array(m.gap))
-
-
-def load_linear_map(path: str) -> LinearMap:
-    """Read a saved LinearMap (gap=nan if the file has none); a missing
-    array, or a weight and bias that are not one map, is a ShapeMismatch."""
-    with np.load(path) as z:
-        for name in ("weight", "bias", "kind", "lam", "converged", "n_iter"):
-            if name not in z:
-                raise ShapeMismatch(f"{path}: array {name} is missing")
-        W, b = z["weight"], z["bias"]
-        if W.ndim != 2 or b.shape != W.shape[:1]:
-            raise ShapeMismatch(f"{path}: weight is {W.shape} and bias "
-                                f"{b.shape}, expected (out, in) and (out,)")
-        return LinearMap(weight=W, bias=b,
-                         kind=str(z["kind"]), lam=float(z["lam"]),
-                         converged=bool(z["converged"]),
-                         n_iter=int(z["n_iter"]),
-                         gap=float(z["gap"]) if "gap" in z else float("nan"))

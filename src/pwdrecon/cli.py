@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from .baselines import load_linear_map, save_linear_map
 from .core import ModelKind, read_json, write_json
 from .errors import PwdReconError
 from .harness.experiment import (
@@ -27,14 +26,15 @@ from .harness.experiment import (
 )
 from .harness.io import (
     load_manifests,
+    load_model,
     load_preprocessed,
     load_record,
+    save_model,
     save_preprocessed,
 )
 from .harness.synth import SyntheticSpec, generate_synthetic
 from .metrics import window_metrics  # noqa: F401  patched by perfbench/layers.py
-from .net import load_checkpoint, save_checkpoint
-from .net import predict  # noqa: F401  patched by perfbench/layers.py
+from .net.model import predict  # noqa: F401  patched by perfbench/layers.py
 
 
 def _seeded(obj, seed: int | None):
@@ -70,15 +70,13 @@ def _cmd_train(args) -> int:
     config = _seeded(read_json(args.config, ExperimentConfig), args.seed)
     records = load_preprocessed(args.data)
     os.makedirs(args.out, exist_ok=True)
-    report, artifacts = run_experiment(config, records, out_dir=args.out)
+    report, model = run_experiment(config, records, out_dir=args.out)
     write_json(os.path.join(args.out, "experiment.json"), config)
-    save = (save_checkpoint if config.model is ModelKind.PWDRECNET
-            else save_linear_map)
-    save(artifacts["model"], os.path.join(args.out, "model.npz"))
+    save_model(config, model, os.path.join(args.out, "model.npz"))
     result = {"mean_r": report.mean_r, "rendered_r": report.rendered_r,
               "mean_mse": report.mean_mse}
     if config.model is ModelKind.LASSO:
-        result["gap"] = artifacts["model"].gap
+        result["gap"] = model.gap
     print(json.dumps(result))
     return 0
 
@@ -87,9 +85,7 @@ def _cmd_evaluate(args) -> int:
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.model)), "experiment.json")
     config = _seeded(read_json(config_path, ExperimentConfig), args.seed)
-    load = (load_checkpoint if config.model is ModelKind.PWDRECNET
-            else load_linear_map)
-    model = load(args.model)
+    model = load_model(config, args.model)
     records = load_preprocessed(args.data)
     windows, _, test_idx = experiment_windows(config, records)
     _, report = evaluate(config, model, windows, test_idx)
@@ -141,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int)
     s.set_defaults(func=_cmd_train)
 
-    s = sub.add_parser("evaluate", help="evaluate a saved checkpoint")
+    s = sub.add_parser("evaluate", help="evaluate a saved model")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--config")

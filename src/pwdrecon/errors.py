@@ -61,7 +61,7 @@ class EmptyDataset(PwdReconError):
 # --- harness / eval ---
 
 class FileMissing(PwdReconError):
-    """A file referenced by a manifest does not exist."""
+    """An input file does not exist."""
 
 
 class SizeMismatch(PwdReconError):

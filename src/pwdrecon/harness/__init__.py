@@ -1,17 +1,3 @@
-from .experiment import (
-    ExperimentConfig,
-    PreprocessedRecord,
-    preprocess_record,
-    run_ablation,
-    run_experiment,
-    split,
-)
-from .io import load_record, read_pgm, read_raw_f32, write_pgm, write_raw_f32
-from .synth import SyntheticSpec, generate_synthetic
-
-__all__ = [
-    "ExperimentConfig", "PreprocessedRecord", "preprocess_record",
-    "run_ablation", "run_experiment", "split",
-    "load_record", "read_pgm", "read_raw_f32", "write_pgm", "write_raw_f32",
-    "SyntheticSpec", "generate_synthetic",
-]
+"""The experiment harness: file formats (`io`), the synthetic generator
+(`synth`), the protocol and ablation grids (`experiment`) and plot
+writers (`plots`). Import from the defining module."""

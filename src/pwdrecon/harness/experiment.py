@@ -42,7 +42,8 @@ from ..errors import (
     ZeroVariance,
 )
 from ..metrics import MetricReport, window_metrics
-from ..net import NetConfig, predict, train
+from ..net.model import NetConfig, predict
+from ..net.train import train
 from ..pwd_envelope import (
     GrayImage,
     extract_envelopes,
@@ -163,6 +164,13 @@ class ExperimentConfig:
             return 1
         return 2 if self.envelope_selection is EnvelopeSelection.BOTH else 1
 
+    @property
+    def net_config(self) -> NetConfig:
+        """The network this config trains, saves and loads."""
+        return NetConfig(out_channels=self.out_channels,
+                         channels=self.net_channels,
+                         kernel_size=self.kernel_size)
+
 
 def _target_channels(rec: PreprocessedRecord,
                      config: ExperimentConfig) -> list[TimeSeries]:
@@ -213,11 +221,8 @@ def experiment_windows(config: ExperimentConfig,
 def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
     """Train the configured model; returns (model, training log)."""
     if config.model is ModelKind.PWDRECNET:
-        net_cfg = NetConfig(out_channels=config.out_channels,
-                            channels=config.net_channels,
-                            kernel_size=config.kernel_size)
-        return train(x, y, net_cfg, config.epochs, config.batch_size,
-                     config.seed, config.lr)
+        return train(x, y, config.net_config, config.epochs,
+                     config.batch_size, config.seed, config.lr)
     Y = y.reshape(len(y), -1)
     if config.model is ModelKind.LINEAR:
         return ols_fit(x, Y), []
@@ -241,8 +246,8 @@ def evaluate(config: ExperimentConfig, model, windows: WindowSet,
     else:
         if not model.converged:
             raise NumericalInstability(
-                f"{model.kind} fit did not converge in {model.n_iter} steps: "
-                f"relative duality gap {model.gap:.3g}")
+                f"{config.model.value} fit did not converge in "
+                f"{model.n_iter} steps: relative duality gap {model.gap:.3g}")
         preds = linmap_predict(model, x).reshape(len(x), config.out_channels,
                                                  -1)
     return preds, window_metrics(preds, windows.y[test_idx])
@@ -251,12 +256,10 @@ def evaluate(config: ExperimentConfig, model, windows: WindowSet,
 def run_experiment(config: ExperimentConfig,
                    records: list[PreprocessedRecord],
                    out_dir: str | None = None):
-    """Execute one ablation cell; returns (MetricReport, artifacts)."""
+    """Execute one ablation cell; returns (MetricReport, fitted model)."""
     windows, train_idx, test_idx = experiment_windows(config, records)
     model, log = _fit(config, windows.x[train_idx], windows.y[train_idx])
     preds, report = evaluate(config, model, windows, test_idx)
-    artifacts = {"model": model, "training_log": log, "report": report,
-                 "n_train": len(train_idx), "n_test": len(test_idx)}
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -276,7 +279,7 @@ def run_experiment(config: ExperimentConfig,
             stem = os.path.join(out_dir, f"window{i}")
             write_window_csv(stem + ".csv", t, traces)
             write_window_svg(stem + ".svg", t, traces)
-    return report, artifacts
+    return report, model
 
 
 METRICS_HEADER = ("window_s,batch_size,wave_config,envelope,polarity,"

@@ -1,5 +1,5 @@
 """File formats: raw little-endian float32 channels, binary PGM images,
-JSON manifests.
+JSON manifests and preprocessed indexes, and model.npz.
 
 The raw layout keeps the toolkit free of any archive-format dependency;
 converting a real dataset into it is a one-shot external step.
@@ -7,16 +7,22 @@ converting a real dataset into it is a one-shot external step.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..baselines import LinearMap
 from ..core import MultichannelRecording, RecordManifest, TimeSeries, WaveConfig
-from ..core import EnvelopePair, Polarity, PreprocessedRecord
-from ..core import read_json, write_json
-from ..errors import BadMagic, FileMissing, SizeMismatch
+from ..core import EnvelopePair, ModelKind, Polarity, PreprocessedRecord
+from ..core import TARGET_FS, read_json, to_json_dict, write_json
+from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
+from ..net.model import init_params
 from ..pwd_envelope import GrayImage
+from .experiment import ExperimentConfig
 
 
 def write_raw_f32(path: str, samples: np.ndarray) -> None:
@@ -109,6 +115,11 @@ class PreprocessedIndexEntry:
     wave_config: WaveConfig
     polarity: Polarity
 
+    def __post_init__(self):
+        if self.fs != TARGET_FS:
+            raise ValueError(f"PreprocessedIndexEntry.fs: must be "
+                             f"{TARGET_FS}, got {self.fs!r}")
+
 
 def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
     """Persist preprocessed records: f32 streams plus an index JSON."""
@@ -146,3 +157,80 @@ def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
             env=EnvelopePair(upper=streams["upper"], lower=streams["lower"]),
             wave_config=e.wave_config, polarity=e.polarity))
     return records
+
+
+MODEL_VERSION = 2  # model.npz's layout, for every model kind
+
+
+def _model_shapes(config: ExperimentConfig) -> dict[str, tuple]:
+    """Every array a model.npz of this config holds, by name, in file order,
+    with its shape."""
+    if config.model is ModelKind.PWDRECNET:
+        return {name: a.shape
+                for name, a in init_params(config.net_config, 0).items()}
+    L = int(round(config.window_s * TARGET_FS))
+    m = config.out_channels * L
+    return {"weight": (m, L), "bias": (m,), "converged": (), "n_iter": (),
+            "gap": ()}
+
+
+def save_model(config: ExperimentConfig, model, path: str) -> None:
+    """Write the model `config` fitted (the network's parameters or a
+    baseline's LinearMap) as model.npz: `__version__`, then a network's
+    header (its NetConfig as sorted-key JSON, and that JSON's sha256) and
+    parameters, or a baseline's arrays. The round trip through load_model
+    is bit-exact."""
+    if config.model is ModelKind.PWDRECNET:
+        cfg = json.dumps(to_json_dict(config.net_config),
+                         sort_keys=True).encode()
+        arrays = {"__config__": np.frombuffer(cfg, dtype=np.uint8),
+                  "__config_sha256__": np.frombuffer(
+                      hashlib.sha256(cfg).digest(), dtype=np.uint8),
+                  **model}
+    else:
+        arrays = {"weight": model.weight, "bias": model.bias,
+                  "converged": np.array(model.converged),
+                  "n_iter": np.array(model.n_iter),
+                  "gap": np.array(model.gap)}
+    np.savez(path, __version__=np.array(MODEL_VERSION), **arrays)
+
+
+def load_model(config: ExperimentConfig, path: str):
+    """Read what save_model wrote for `config`: the network's parameters
+    or a baseline's LinearMap.
+
+    Checks, in this order, each fault naming `path`: the file exists
+    (FileMissing); it is an .npz archive, its version is MODEL_VERSION
+    and a network's header matches its sha256 (ValueError); every array
+    `config` implies is present with its shape (ShapeMismatch), so a
+    model of the other family, or of another window or channel count,
+    is refused.
+    """
+    if not os.path.exists(path):
+        raise FileMissing(path)
+    if not zipfile.is_zipfile(path):
+        raise ValueError(f"{path}: not an .npz archive")
+    with np.load(path) as z:
+        version = (z["__version__"].tolist() if "__version__" in z
+                   else "missing")
+        if version != MODEL_VERSION:
+            raise ValueError(f"{path}: model file version {version}, "
+                             f"expected {MODEL_VERSION}")
+        if config.model is ModelKind.PWDRECNET and not (
+                "__config__" in z and "__config_sha256__" in z
+                and hashlib.sha256(z["__config__"].tobytes()).digest()
+                == z["__config_sha256__"].tobytes()):
+            raise ValueError(f"{path}: network header missing or not "
+                             f"matching its sha256")
+        shapes = _model_shapes(config)
+        arrays = {name: z[name] for name in shapes if name in z}
+    for name, shape in shapes.items():
+        found = arrays[name].shape if name in arrays else "missing"
+        if found != shape:
+            raise ShapeMismatch(f"{path}: array {name} is {found}, "
+                                f"expected {shape}")
+    if config.model is ModelKind.PWDRECNET:
+        return arrays
+    return LinearMap(weight=arrays["weight"], bias=arrays["bias"],
+                     converged=bool(arrays["converged"]),
+                     n_iter=int(arrays["n_iter"]), gap=float(arrays["gap"]))

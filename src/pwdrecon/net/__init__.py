@@ -1,19 +1,3 @@
-from .model import (
-    NetConfig,
-    backward,
-    config_of,
-    forward_batch,
-    init_params,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-)
-from .ops import mse_loss
-from .optim import rmsprop_step
-from .train import train
-
-__all__ = [
-    "NetConfig", "backward", "config_of", "forward_batch", "init_params",
-    "load_checkpoint", "predict", "save_checkpoint",
-    "mse_loss", "rmsprop_step", "train",
-]
+"""The reconstruction network: conv ops (`ops`), the encoder-decoder and
+its gradients (`model`), RMSprop (`optim`) and the training loop
+(`train`). Import from the defining module."""

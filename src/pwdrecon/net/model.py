@@ -9,13 +9,10 @@ against finite differences.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import from_json_dict, to_json_dict
 from ..errors import ShapeMismatch
 from .ops import (
     conv1d_backward,
@@ -49,7 +46,7 @@ def init_params(config: NetConfig, seed: int) -> dict[str, np.ndarray]:
     its 1x1 projection (present when the block changes the channel
     count), the same under "dec<i>", then "head.w"/".b". Weights are
     (out, in, k), biases (out,). Insertion order is the draw order and
-    the checkpoint's layout.
+    the model file's layout.
     """
     rng = np.random.default_rng(seed)
     k, ch = config.kernel_size, config.channels
@@ -73,15 +70,6 @@ def init_params(config: NetConfig, seed: int) -> dict[str, np.ndarray]:
             conv(f"{name}.proj", c_in, c_out, 1)
     conv("head", ch[0], config.out_channels, 1)
     return params
-
-
-def config_of(params: dict[str, np.ndarray]) -> NetConfig:
-    """The NetConfig that `init_params` built these arrays' shapes from."""
-    return NetConfig(
-        out_channels=params["head.w"].shape[0],
-        channels=tuple(params[f"enc{i}.conv0.w"].shape[0]
-                       for i in range(N_LEVELS)),
-        kernel_size=params["enc0.conv0.w"].shape[2])
 
 
 def _conv(params: dict, name: str, x: np.ndarray) -> np.ndarray:
@@ -205,38 +193,3 @@ def predict(params: dict[str, np.ndarray], x: np.ndarray,
         y, _ = forward_batch(params, xp[lo:lo + batch_size])
         out[lo:lo + batch_size] = y[:, :, :L]
     return out
-
-
-CHECKPOINT_VERSION = 2
-
-
-def save_checkpoint(params: dict[str, np.ndarray], path: str) -> None:
-    """Dump all parameters plus their config to an .npz; round trip is
-    bit-exact."""
-    cfg_json = json.dumps(to_json_dict(config_of(params)), sort_keys=True)
-    np.savez(path,
-             __version__=np.array(CHECKPOINT_VERSION),
-             __config__=np.frombuffer(cfg_json.encode(), dtype=np.uint8),
-             __config_sha256__=np.frombuffer(
-                 hashlib.sha256(cfg_json.encode()).digest(), dtype=np.uint8),
-             **params)
-
-
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    with np.load(path) as z:
-        version = int(z["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        cfg_json = bytes(z["__config__"].tobytes()).decode()
-        if hashlib.sha256(cfg_json.encode()).digest() != \
-                z["__config_sha256__"].tobytes():
-            raise ValueError("checkpoint config hash mismatch")
-        cfg = from_json_dict(NetConfig, json.loads(cfg_json))
-        params = init_params(cfg, seed=0)
-        for name, a in params.items():
-            found = z[name].shape if name in z else "missing"
-            if found != a.shape:
-                raise ShapeMismatch(f"{path}: parameter {name} is {found}, "
-                                    f"expected shape {a.shape}")
-            a[...] = z[name]
-    return params

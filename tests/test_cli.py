@@ -5,12 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from pwdrecon.baselines import LinearMap, load_linear_map, save_linear_map
+from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
-from pwdrecon.core import ModelKind, SplitMode, read_json
+from pwdrecon.core import ModelKind, SplitMode, read_json, write_json
 from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import ExperimentConfig
-from pwdrecon.harness.io import save_preprocessed
+from pwdrecon.harness.io import load_model, save_model, save_preprocessed
 
 
 def _write_json(path, obj):
@@ -118,9 +118,10 @@ def test_unconverged_lasso_exits_2(small_dataset, tmp_path, capsys,
                  "--out", run]) == 0
     capsys.readouterr()
     model = os.path.join(run, "model.npz")
-    fitted = load_linear_map(model)
-    save_linear_map(dataclasses.replace(fitted, converged=False, gap=0.5),
-                    model)
+    config = read_json(os.path.join(run, "experiment.json"), ExperimentConfig)
+    fitted = load_model(config, model)
+    save_model(config, dataclasses.replace(fitted, converged=False, gap=0.5),
+               model)
     assert main(["evaluate", "--model", model, "--data", prep]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NumericalInstability"
@@ -226,16 +227,22 @@ def test_cli_ablate_checks_grid_names_before_running(grids, bad, small_dataset,
     assert not out.exists()  # no grid ran, so no CSV was written
 
 
+RIDGE = ExperimentConfig(model=ModelKind.RIDGE, window_s=0.25)
+
+
 def _cli_argv(command, tmp_path, **paths):
     """argv for `command` whose file flags default to valid or unread
-    files in tmp_path; `paths` overrides them by flag name."""
+    files in tmp_path; `paths` overrides them by flag name. The model is
+    the zero map of the shapes RIDGE implies: 2 x 71 outputs of 71
+    samples."""
     model = str(tmp_path / "model.npz")
     if not os.path.exists(model):
-        save_linear_map(LinearMap(weight=np.zeros((2, 1)), bias=np.zeros(2)),
-                        model)
+        save_model(RIDGE, LinearMap(weight=np.zeros((142, 71)),
+                                    bias=np.zeros(142)), model)
+    config = str(tmp_path / "ridge.json")
+    write_json(config, RIDGE)
     flags = {"spec": None, "manifest": None, "grid": None,
-             "model": model,
-             "config": _write_json(tmp_path / "ridge.json", {"model": "Ridge"}),
+             "model": model, "config": config,
              "data": str(tmp_path), "out": str(tmp_path / "out")}
     flags.update(paths)
     need = {"synth": ("spec", "out"), "preprocess": ("manifest", "out"),
@@ -266,16 +273,49 @@ def test_cli_bad_json_file_is_a_value_error_naming_it(command, flag, name,
 @pytest.mark.parametrize("command, flag, code, error", [
     ("preprocess", "manifest", 2, "FileMissing"),
     ("evaluate", "data", 2, "FileMissing"),
+    ("evaluate", "model", 2, "FileMissing"),
     ("synth", "spec", 1, "FileNotFoundError"),
     ("train", "config", 1, "FileNotFoundError"),
     ("ablate", "grid", 1, "FileNotFoundError"),
-], ids=["manifest", "preprocessed", "spec", "config", "grid"])
+], ids=["manifest", "preprocessed", "model", "spec", "config", "grid"])
 def test_cli_missing_file_keeps_its_exit_code(command, flag, code, error,
                                               tmp_path, capsys):
     missing = str(tmp_path / "absent")
     assert main(_cli_argv(command, tmp_path, **{flag: missing})) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and missing in err["message"]
+
+
+@pytest.mark.parametrize("config, code, error, fault", [
+    ({"model": "PwDRecNet"}, 1, "ValueError", "network header missing"),
+    ({"model": "Ridge", "window_s": 0.5}, 2, "ShapeMismatch",
+     "array weight is (142, 71), expected (284, 142)"),
+], ids=["other-family", "other-window"])
+def test_cli_evaluate_refuses_a_model_its_config_does_not_describe(
+        config, code, error, fault, tmp_path, capsys):
+    argv = _cli_argv("evaluate", tmp_path,
+                     config=_write_json(tmp_path / "other.json", config))
+    assert main(argv) == code
+    err = json.loads(capsys.readouterr().err)
+    model = str(tmp_path / "model.npz")
+    assert err["error"] == error
+    assert err["message"].startswith(f"{model}: {fault}")
+
+
+def test_cli_refuses_preprocessed_streams_not_at_284_hz(small_dataset,
+                                                        tmp_path, capsys):
+    _, _, records = small_dataset
+    save_preprocessed(str(tmp_path), records)
+    index = tmp_path / "preprocessed.json"
+    entries = json.loads(index.read_text())
+    entries[0]["fs"] = 100
+    index.write_text(json.dumps(entries))
+    assert main(_cli_argv("train", tmp_path)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == (f"{index}: PreprocessedIndexEntry.fs: "
+                              "must be 284.0, got 100.0")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_requires_subcommand():

@@ -21,7 +21,7 @@ from pwdrecon.core import (
 from pwdrecon.harness.experiment import ExperimentConfig, GridFile
 from pwdrecon.harness.io import PreprocessedIndexEntry
 from pwdrecon.harness.synth import SyntheticSpec
-from pwdrecon.net import NetConfig
+from pwdrecon.net.model import NetConfig
 
 
 def test_timeseries_rejects_bad_construction():

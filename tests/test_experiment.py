@@ -28,13 +28,14 @@ from pwdrecon.harness.experiment import (
     ExperimentConfig,
     PreprocessedRecord,
     build_windows,
+    experiment_windows,
     grid_cells,
     run_ablation,
     run_experiment,
     split,
 )
 from pwdrecon.harness.io import load_preprocessed, save_preprocessed
-from pwdrecon.net import NetConfig, config_of
+from pwdrecon.net.model import NetConfig, init_params
 
 FAST = dict(epochs=2, net_channels=(2, 4, 8), kernel_size=3)
 
@@ -146,8 +147,10 @@ def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):
     _, _, records = small_dataset
     out = str(tmp_path / "run")
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE, **FAST)
-    report, artifacts = run_experiment(cfg, records, out_dir=out)
-    assert report.n_windows == artifacts["n_test"]
+    report, model = run_experiment(cfg, records, out_dir=out)
+    _, _, test_idx = experiment_windows(cfg, records)
+    assert report.n_windows == len(test_idx)
+    assert model.weight.shape == (2 * 284, 284)
     assert -1.0 <= report.mean_r <= 1.0
     assert os.path.exists(os.path.join(out, "metrics.csv"))
     assert os.path.exists(os.path.join(out, "training_log.csv"))
@@ -159,14 +162,17 @@ def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):
     assert row.startswith("1.0,")
 
 
-def test_run_experiment_net_smoke(small_dataset):
+def test_run_experiment_net_smoke(small_dataset, tmp_path):
     _, _, records = small_dataset
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.PWDRECNET, **FAST)
-    report, artifacts = run_experiment(cfg, records)
-    assert len(artifacts["training_log"]) == 2
-    assert config_of(artifacts["model"]) == NetConfig(
-        out_channels=cfg.out_channels, channels=cfg.net_channels,
-        kernel_size=cfg.kernel_size)
+    report, model = run_experiment(cfg, records, out_dir=str(tmp_path))
+    with open(tmp_path / "training_log.csv") as fh:
+        assert len(fh.read().splitlines()) == 1 + 2  # header, 2 epochs
+    # the network the config describes, in init_params' order
+    net = init_params(NetConfig(out_channels=2, channels=(2, 4, 8),
+                                kernel_size=3), seed=0)
+    assert [(n, a.shape) for n, a in model.items()] == \
+        [(n, a.shape) for n, a in net.items()]
 
 
 def test_preprocessed_record_properties(small_dataset):
@@ -242,7 +248,7 @@ def _nan_predictions(monkeypatch):
 
 @pytest.mark.parametrize("fault, model, error, match", [
     (_unconverged_lasso, ModelKind.LASSO, NumericalInstability,
-     "lasso fit did not converge in 1 steps: relative duality gap"),
+     "Lasso fit did not converge in 1 steps: relative duality gap"),
     (_nan_predictions, ModelKind.RIDGE, NonFinitePrediction,
      "predicted samples are NaN or infinite")],
     ids=["unconverged-lasso", "nan-prediction"])

@@ -1,27 +1,37 @@
+import dataclasses
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+from pwdrecon.baselines import LinearMap, lasso_fit, ridge_fit
 from pwdrecon.core import (
+    EnvelopeSelection,
+    ModelKind,
     RecordManifest,
     WaveConfig,
     from_json_dict,
     to_json_dict,
     write_json,
 )
-from pwdrecon.errors import BadMagic, FileMissing, SizeMismatch
+from pwdrecon.errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
+from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import (
+    MODEL_VERSION,
     load_manifests,
+    load_model,
     load_preprocessed,
     load_record,
     read_pgm,
     read_raw_f32,
+    save_model,
     save_preprocessed,
     write_pgm,
     write_raw_f32,
 )
+from pwdrecon.net.model import init_params, predict
 from pwdrecon.pwd_envelope import GrayImage
 
 
@@ -138,7 +148,9 @@ def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):
     ({"polarty": "+ve"}, "unknown field 'polarty'"),
     ({"polarity": "+"}, ".polarity: '+' is not a valid Polarity"),
     ({"fs": "284"}, ".fs: expected float, got '284'"),
-], ids=["missing-key", "unknown-key", "enum-value", "string-number"])
+    ({"fs": 100}, ".fs: must be 284.0, got 100.0"),
+], ids=["missing-key", "unknown-key", "enum-value", "string-number",
+        "other-rate"])
 def test_load_preprocessed_names_the_file_and_field(tmp_path, edit, message):
     entry = {"record_id": "r", "fs": 284.0, "n_samples": 8,
              "wave_config": "EA+", "polarity": "+ve"}
@@ -153,3 +165,128 @@ def test_load_preprocessed_names_the_file_and_field(tmp_path, edit, message):
     with pytest.raises(ValueError, match=re.escape(f"{index}: ") + ".*"
                        + re.escape(message)):
         load_preprocessed(str(tmp_path))
+
+
+# one config per model family; 0.25 s windows are 71 samples
+CONFIGS = {
+    "PwDRecNet": ExperimentConfig(window_s=0.25, net_channels=(4, 8, 16),
+                                  kernel_size=5),
+    "Ridge": ExperimentConfig(window_s=0.25, model=ModelKind.RIDGE),
+    "Lasso": ExperimentConfig(window_s=0.25, model=ModelKind.LASSO,
+                              envelope_selection=EnvelopeSelection.UPPER),
+}
+
+
+def _fitted(config):
+    """A model of the shapes `config` implies, with distinctive values; the
+    lasso stops after 2 steps, unconverged."""
+    rng = np.random.default_rng(9)
+    if config.model is ModelKind.PWDRECNET:
+        params = init_params(config.net_config, seed=9)
+        for a in params.values():
+            a += rng.normal(size=a.shape) * 0.01
+        return params
+    X = rng.normal(size=(30, 71))
+    Y = rng.normal(size=(30, 71 * config.out_channels))
+    if config.model is ModelKind.RIDGE:
+        return ridge_fit(X, Y, 1.0)
+    with pytest.warns(RuntimeWarning, match="lasso did not converge"):
+        return lasso_fit(X, Y, 1e-3, max_iter=2, tol=1e-14)
+
+
+@pytest.mark.parametrize("kind", list(CONFIGS))
+def test_model_file_roundtrip_bit_exact(kind, tmp_path):
+    config = CONFIGS[kind]
+    model = _fitted(config)
+    path = str(tmp_path / "model.npz")
+    save_model(config, model, path)
+    loaded = load_model(config, path)
+    with np.load(path) as z:
+        names = z.files
+    if config.model is ModelKind.PWDRECNET:
+        assert names == ["__version__", "__config__", "__config_sha256__",
+                         *model]
+        assert list(loaded) == list(model)
+        for name, a in model.items():
+            assert np.array_equal(a, loaded[name]), name
+        x = np.random.default_rng(1).normal(size=(2, 71))
+        assert np.array_equal(predict(model, x, 2), predict(loaded, x, 2))
+        return
+    assert names == ["__version__", "weight", "bias", "converged", "n_iter",
+                     "gap"]
+    for f in dataclasses.fields(LinearMap):
+        assert np.array_equal(getattr(loaded, f.name),
+                              getattr(model, f.name)), f.name
+    if config.model is ModelKind.LASSO:
+        assert (loaded.converged, loaded.n_iter) == (False, 2)
+        assert loaded.gap == model.gap > 1e-14
+
+
+def _set(name, value):
+    return lambda arrays: arrays.update({name: value})
+
+
+def _drop(name):
+    return lambda arrays: arrays.pop(name)
+
+
+def _flip_header_byte(arrays):
+    arrays["__config__"] = arrays["__config__"].copy()
+    arrays["__config__"][-2] ^= 1
+
+
+NET, RIDGE, LASSO = CONFIGS.values()
+VERSION = f"model file version {{}}, expected {MODEL_VERSION}"
+HEADER = "network header missing or not matching its sha256"
+FAULTS = [
+    # (kind, fault, edit of the saved arrays, load under, error, message)
+    *((kind, "missing-file", None, CONFIGS[kind], FileMissing, "")
+      for kind in CONFIGS),
+    *((kind, "not-an-archive", None, CONFIGS[kind], ValueError,
+       "not an .npz archive") for kind in CONFIGS),
+    *((kind, "no-version", _drop("__version__"), CONFIGS[kind], ValueError,
+       VERSION.format("missing")) for kind in CONFIGS),
+    *((kind, "other-version", _set("__version__", np.array(1)),
+       CONFIGS[kind], ValueError, VERSION.format(1)) for kind in CONFIGS),
+    ("PwDRecNet", "header-hash", _flip_header_byte, NET, ValueError, HEADER),
+    ("PwDRecNet", "missing-array", _drop("head.b"), NET, ShapeMismatch,
+     "array head.b is missing, expected (2,)"),
+    ("Ridge", "missing-array", _drop("weight"), RIDGE, ShapeMismatch,
+     "array weight is missing, expected (142, 71)"),
+    ("Lasso", "missing-array", _drop("n_iter"), LASSO, ShapeMismatch,
+     "array n_iter is missing, expected ()"),
+    ("PwDRecNet", "misshaped-array", _set("enc0.conv0.w", np.ones((1, 1, 5))),
+     NET, ShapeMismatch,
+     "array enc0.conv0.w is (1, 1, 5), expected (4, 1, 5)"),
+    ("Ridge", "misshaped-array", _set("bias", np.zeros(1)), RIDGE,
+     ShapeMismatch, "array bias is (1,), expected (142,)"),
+    ("Lasso", "misshaped-array", _set("weight", np.zeros(71)), LASSO,
+     ShapeMismatch, "array weight is (71,), expected (71, 71)"),
+    ("PwDRecNet", "other-family", None, RIDGE, ShapeMismatch,
+     "array weight is missing, expected (142, 71)"),
+    ("Ridge", "other-family", None, NET, ValueError, HEADER),
+    ("Lasso", "other-family", None, NET, ValueError, HEADER),
+    ("Lasso", "other-channels", None, RIDGE, ShapeMismatch,
+     "array weight is (71, 71), expected (142, 71)"),
+]
+
+
+@pytest.mark.parametrize("kind, fault, edit, load_as, error, message",
+                         FAULTS, ids=[f"{k}-{f}" for k, f, *_ in FAULTS])
+def test_model_file_faults_name_the_file(kind, fault, edit, load_as, error,
+                                         message, tmp_path):
+    path = str(tmp_path / "model.npz")
+    save_model(CONFIGS[kind], _fitted(CONFIGS[kind]), path)
+    if fault == "missing-file":
+        os.remove(path)
+    elif fault == "not-an-archive":
+        with open(path, "wb") as fh:  # one .npy array under the .npz name
+            np.save(fh, np.zeros(3))
+    elif edit is not None:
+        with np.load(path) as z:
+            arrays = dict(z)
+        edit(arrays)
+        np.savez(path, **arrays)
+    with pytest.raises(error) as exc:
+        load_model(load_as, path)
+    assert str(exc.value) == (f"{path}: {message}" if message else path)

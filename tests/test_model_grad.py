@@ -1,5 +1,4 @@
 import hashlib
-import re
 import time
 
 import numpy as np
@@ -9,13 +8,10 @@ from pwdrecon.errors import ShapeMismatch
 from pwdrecon.net.model import (
     NetConfig,
     backward,
-    config_of,
     forward_batch,
     init_params,
-    load_checkpoint,
     padded_length,
     predict,
-    save_checkpoint,
 )
 from pwdrecon.net.ops import mse_loss
 
@@ -88,12 +84,6 @@ def test_init_params_layout_is_pinned():
     assert digest.hexdigest() == DEFAULT_SHA256
     assert list(init_params(SAME_WIDTH, seed=0)) == [
         n for n in DEFAULT_NAMES if not n.startswith("enc1.proj.")]
-
-
-@pytest.mark.parametrize("config", [NetConfig(), TINY, SAME_WIDTH],
-                         ids=["default", "tiny", "same-width"])
-def test_config_of_recovers_the_config(config):
-    assert config_of(init_params(config, seed=4)) == config
 
 
 def _worst_gradient_error(config, seed):
@@ -169,47 +159,3 @@ def test_padded_length_and_predict():
     params = init_params(TINY, seed=2)
     out = predict(params, np.random.default_rng(2).normal(size=(3, 213)), 2)
     assert out.shape == (3, 2, 213)
-
-
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    params = init_params(NetConfig(channels=(4, 8, 16), kernel_size=5),
-                         seed=9)
-    # make values distinctive
-    for _, arr in params.items():
-        arr += np.random.default_rng(0).normal(size=arr.shape) * 0.01
-    path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    assert list(loaded) == list(params)
-    for name, a in params.items():
-        assert np.array_equal(a, loaded[name]), name
-    x = np.random.default_rng(1).normal(size=(1, 64))
-    assert np.array_equal(predict(params, x, 1), predict(loaded, x, 1))
-    # a file of another format version is refused by name
-    with np.load(path) as z:
-        arrays = dict(z)
-    arrays["__version__"] = np.array(1)
-    np.savez(str(tmp_path / "v1.npz"), **arrays)
-    with pytest.raises(ValueError, match="unsupported checkpoint version"):
-        load_checkpoint(str(tmp_path / "v1.npz"))
-
-
-@pytest.mark.parametrize("name,array,found", [
-    ("enc0.conv0.w", np.ones((1, 1, 5)), "(1, 1, 5)"),
-    ("head.b", None, "missing")], ids=["misshaped", "missing"])
-def test_load_checkpoint_checks_every_array(tmp_path, name, array, found):
-    params = init_params(NetConfig(channels=(4, 8, 16), kernel_size=5),
-                         seed=9)
-    path = str(tmp_path / "ckpt.npz")
-    save_checkpoint(params, path)
-    with np.load(path) as z:
-        arrays = dict(z)
-    if array is None:
-        del arrays[name]
-    else:
-        arrays[name] = array  # would broadcast row 0 into every output row
-    np.savez(path, **arrays)
-    with pytest.raises(ShapeMismatch, match=re.escape(
-            f"{path}: parameter {name} is {found}, expected shape")):
-        load_checkpoint(path)
-

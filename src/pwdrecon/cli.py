@@ -13,7 +13,7 @@ import os
 import sys
 
 from .core import ModelKind, read_json, write_json
-from .errors import PwdReconError
+from .errors import FileMissing, PwdReconError
 from .harness.experiment import (
     GRID_NAMES,
     ExperimentConfig,
@@ -82,6 +82,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if not os.path.exists(args.model):  # before the config beside it
+        raise FileMissing(args.model)
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.model)), "experiment.json")
     config = _seeded(read_json(config_path, ExperimentConfig), args.seed)

@@ -41,15 +41,15 @@ def read_raw_f32(path: str) -> np.ndarray:
 
 
 def write_pgm(path: str, img: GrayImage) -> None:
-    """Write a binary (P5) 8-bit PGM."""
-    data = np.clip(np.round(img.pixels), 0, 255).astype(np.uint8)
+    """Write a binary (P5) 8-bit PGM, each level rounded to a byte."""
+    byte_of = np.clip(np.round(img.levels), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode())
-        fh.write(data.tobytes())
+        fh.write(byte_of[img.codes].tobytes())
 
 
 def read_pgm(path: str) -> GrayImage:
-    """Read a binary (P5) 8-bit PGM, bit-exact."""
+    """Read a binary (P5) 8-bit PGM, bit-exact: its bytes are the pixels."""
     if not os.path.exists(path):
         raise FileMissing(path)
     with open(path, "rb") as fh:
@@ -73,12 +73,12 @@ def read_pgm(path: str) -> GrayImage:
     if maxval != 255:
         raise BadMagic(f"{path}: only maxval 255 supported")
     pos += 1  # single whitespace after maxval
-    pixels = blob[pos:pos + width * height]
+    pixels = memoryview(blob)[pos:pos + width * height]  # no copy
     if len(pixels) != width * height:
         raise SizeMismatch(f"{path}: expected {width * height} pixel bytes, "
                            f"got {len(pixels)}")
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return GrayImage(arr.astype(np.float64))
+    return GrayImage(arr)
 
 
 def load_manifests(path: str) -> list[RecordManifest]:

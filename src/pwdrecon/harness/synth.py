@@ -196,13 +196,9 @@ def generate_synthetic(spec: SyntheticSpec,
 def _rasterize(upper: np.ndarray, lower: np.ndarray, height: int,
                baseline_row: int) -> GrayImage:
     """Fill bright pixels from the baseline out to each envelope curve."""
-    width = upper.size
-    px = np.zeros((height, width))
     up = np.clip(np.round(upper), 0, baseline_row - 1).astype(int)
     lo = np.clip(np.round(-lower), 0, height - baseline_row - 2).astype(int)
-    for c in range(width):
-        if up[c] >= 1:
-            px[baseline_row - up[c]:baseline_row, c] = 255.0
-        if lo[c] >= 1:
-            px[baseline_row + 1:baseline_row + 1 + lo[c], c] = 255.0
-    return GrayImage(px)
+    # a pixel is bright when its signed offset from the baseline row lies
+    # in [-up, lo] of its column; the baseline row itself stays dark
+    off = np.arange(height)[:, None] - baseline_row
+    return GrayImage(np.uint8(255) * ((-up <= off) & (off <= lo) & (off != 0)))

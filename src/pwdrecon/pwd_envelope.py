@@ -8,7 +8,7 @@ the upper/lower pair into one channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 
@@ -20,36 +20,84 @@ from .separation import pca_fit
 ENVELOPE_SOS = design_bandpass("bessel")  # the envelope stream's filter
 
 
-@dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image, intensities in [0, 255], row-major."""
+    """8-bit grayscale image, intensities in [0, 255], row-major.
 
-    pixels: np.ndarray  # (height, width), float64
+    Held by level, not by pixel: pixel (r, c) has intensity
+    `levels[codes[r, c]]`, `levels` never decreases and `counts[k]` is
+    the number of pixels of code k. Built from uint8 pixels, an image is
+    its own codes over the levels 0..255, so a PGM's bytes are used as
+    read; float pixels are coded by their distinct values. Normalizing,
+    Otsu and thresholding then work on the levels and counts, and no
+    per-pixel float copy of the image is made.
+    """
 
-    def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.float64)
-        px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
+    def __init__(self, pixels: np.ndarray):
+        px = np.asarray(pixels)
         if px.ndim != 2 or px.shape[0] < 2 or px.shape[1] < 2:
             raise ValueError("image must be at least 2x2")
-        if not (px.min() >= 0 and px.max() <= 255):  # NaN fails too
-            raise ValueError("intensities must lie in [0, 255]")
+        if px.dtype == np.uint8:
+            codes, levels = px, BYTE_LEVELS
+        else:
+            levels, codes = np.unique(np.asarray(px, np.float64),
+                                      return_inverse=True)
+        self.codes = np.ascontiguousarray(codes).reshape(px.shape)
+        self.codes.flags.writeable = False
+        self.counts = np.bincount(self.codes.ravel(), minlength=levels.size)
+        self.counts.flags.writeable = False
+        self.levels = _checked_levels(levels)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """(height, width) intensities: for an image built from uint8
+        pixels its codes, else a float64 array built from the levels."""
+        if self.levels is BYTE_LEVELS:
+            return self.codes
+        return self.levels[self.codes]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.codes.shape[0]
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.codes.shape[1]
+
+    def with_levels(self, levels: np.ndarray) -> GrayImage:
+        """The same pixels, each code k now at intensity levels[k]."""
+        out = copy.copy(self)
+        out.levels = _checked_levels(levels)
+        return out
+
+
+def _checked_levels(levels) -> np.ndarray:
+    lv = np.asarray(levels, dtype=np.float64)
+    lv.flags.writeable = False
+    if not (lv[0] >= 0 and lv[-1] <= 255):  # NaN fails too
+        raise ValueError("intensities must lie in [0, 255]")
+    if not np.all(np.diff(lv) >= 0):
+        raise ValueError("levels must not decrease")
+    return lv
+
+
+BYTE_LEVELS = _checked_levels(np.arange(256))  # the levels of a uint8 image
 
 
 def normalize_intensity(img: GrayImage) -> GrayImage:
-    """Min-max rescale to the full [0, 255] range."""
-    lo, hi = img.pixels.min(), img.pixels.max()
+    """Min-max rescale to the full [0, 255] range.
+
+    Only the levels are rescaled. Those of absent codes, which may fall
+    outside the image's range, are clipped into [0, 255]; they keep their
+    order and count no pixel.
+    """
+    present = np.flatnonzero(img.counts)
+    lo, hi = img.levels[present[0]], img.levels[present[-1]]
     if hi == lo:
         raise ConstantImage("cannot normalize a constant image")
-    return GrayImage((img.pixels - lo) * (255.0 / (hi - lo)))
+    # clipping also takes the top level back to 255 where the rescale
+    # rounds it one ulp above
+    return img.with_levels(np.clip((img.levels - lo) * (255.0 / (hi - lo)),
+                                   0.0, 255.0))
 
 
 def otsu_threshold(img: GrayImage) -> int:
@@ -58,8 +106,10 @@ def otsu_threshold(img: GrayImage) -> int:
     Ties are broken toward the smallest threshold. A pixel is foreground
     when intensity >= threshold.
     """
-    # pixels lie in [0, 255], so truncation is the integer-edged binning
-    hist = np.bincount(img.pixels.astype(np.intp).ravel(), minlength=256)
+    # levels lie in [0, 255], so truncation is the integer-edged binning;
+    # each level weighs its pixel count, so an absent one weighs nothing
+    hist = np.zeros(256, dtype=np.intp)
+    np.add.at(hist, img.levels.astype(np.intp), img.counts)
     if np.count_nonzero(hist) < 2:
         raise ConstantImage("need at least 2 distinct intensity values")
 
@@ -83,7 +133,9 @@ def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,
     """
     if not 0 < baseline_row < img.height - 1:
         raise ValueError("baseline_row must be strictly inside the image")
-    bright = img.pixels >= threshold
+    # levels never decrease, so intensity >= threshold exactly when the
+    # code is at least the first code whose level reaches the threshold
+    bright = img.codes >= int(np.searchsorted(img.levels, threshold))
     above = bright[:baseline_row]        # first True is the highest row
     below = bright[:baseline_row:-1]     # bottom-up: first True is lowest
     upper = np.where(above.any(0), len(above) - above.argmax(0), 0)

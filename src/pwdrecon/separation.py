@@ -210,16 +210,16 @@ def _group_peaks(z: np.ndarray, above: np.ndarray,
                  refractory: int) -> np.ndarray:
     """One peak per run of above-threshold samples: the largest |z| among
     the samples within `refractory` of the run's first sample."""
-    peaks = []
-    i = 0
-    while i < above.size:
-        j = i
-        while j + 1 < above.size and above[j + 1] - above[i] <= refractory:
-            j += 1
-        run = above[i:j + 1]
-        peaks.append(run[np.argmax(np.abs(z[run]))])
-        i = j + 1
-    return np.array(peaks)
+    end = np.searchsorted(above, above + refractory, side="right").tolist()
+    starts, i = [], 0
+    while i < above.size:  # each run starts where the one before it ends
+        starts.append(i)
+        i = end[i]
+    mag = np.abs(z[above])
+    peak = np.maximum.reduceat(mag, starts)
+    sizes = np.diff(starts + [above.size])
+    hits = np.flatnonzero(mag == np.repeat(peak, sizes))
+    return above[hits[np.searchsorted(hits, starts)]]  # a run's first hit
 
 
 def _orient_to_sensors(out: np.ndarray, data: np.ndarray,

@@ -232,9 +232,9 @@ RIDGE = ExperimentConfig(model=ModelKind.RIDGE, window_s=0.25)
 
 def _cli_argv(command, tmp_path, **paths):
     """argv for `command` whose file flags default to valid or unread
-    files in tmp_path; `paths` overrides them by flag name. The model is
-    the zero map of the shapes RIDGE implies: 2 x 71 outputs of 71
-    samples."""
+    files in tmp_path; `paths` overrides them by flag name, and a flag
+    set to None is left out. The model is the zero map of the shapes
+    RIDGE implies: 2 x 71 outputs of 71 samples."""
     model = str(tmp_path / "model.npz")
     if not os.path.exists(model):
         save_model(RIDGE, LinearMap(weight=np.zeros((142, 71)),
@@ -249,7 +249,8 @@ def _cli_argv(command, tmp_path, **paths):
             "train": ("config", "data", "out"),
             "evaluate": ("model", "config", "data"),
             "ablate": ("grid", "data", "out")}[command]
-    return [command] + [a for f in need for a in (f"--{f}", flags[f])]
+    return [command] + [a for f in need if flags[f] is not None
+                        for a in (f"--{f}", flags[f])]
 
 
 @pytest.mark.parametrize("command, flag, name, text", [
@@ -270,18 +271,21 @@ def test_cli_bad_json_file_is_a_value_error_naming_it(command, flag, name,
     assert err["message"].startswith(f"{bad}: ")
 
 
-@pytest.mark.parametrize("command, flag, code, error", [
-    ("preprocess", "manifest", 2, "FileMissing"),
-    ("evaluate", "data", 2, "FileMissing"),
-    ("evaluate", "model", 2, "FileMissing"),
-    ("synth", "spec", 1, "FileNotFoundError"),
-    ("train", "config", 1, "FileNotFoundError"),
-    ("ablate", "grid", 1, "FileNotFoundError"),
-], ids=["manifest", "preprocessed", "model", "spec", "config", "grid"])
+@pytest.mark.parametrize("command, flag, code, error, others", [
+    ("preprocess", "manifest", 2, "FileMissing", {}),
+    ("evaluate", "data", 2, "FileMissing", {}),
+    ("evaluate", "model", 2, "FileMissing", {}),
+    ("evaluate", "model", 2, "FileMissing", {"config": None}),
+    ("synth", "spec", 1, "FileNotFoundError", {}),
+    ("train", "config", 1, "FileNotFoundError", {}),
+    ("ablate", "grid", 1, "FileNotFoundError", {}),
+], ids=["manifest", "preprocessed", "model", "model-without-config", "spec",
+        "config", "grid"])
 def test_cli_missing_file_keeps_its_exit_code(command, flag, code, error,
-                                              tmp_path, capsys):
+                                              others, tmp_path, capsys):
     missing = str(tmp_path / "absent")
-    assert main(_cli_argv(command, tmp_path, **{flag: missing})) == code
+    argv = _cli_argv(command, tmp_path, **{flag: missing}, **others)
+    assert main(argv) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and missing in err["message"]
 

@@ -70,6 +70,16 @@ def test_pgm_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.pixels, px)
 
 
+def test_read_pgm_keeps_the_file_bytes(tmp_path):
+    px = np.random.default_rng(3).integers(0, 256, size=(13, 17),
+                                           dtype=np.uint8)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n17 13\n255\n" + px.tobytes())
+    img = read_pgm(str(path))
+    assert img.pixels.dtype == np.uint8
+    assert img.pixels.tobytes() == px.tobytes()
+
+
 def test_pgm_reads_comments_and_rejects_bad(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment line\n3 2\n255\n" + bytes(6))

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pwdrecon.core import TARGET_FS, EnvelopePair, TimeSeries
 from pwdrecon.errors import ConstantImage, DegenerateInput
+from pwdrecon.harness.io import load_record, read_pgm, write_pgm
+from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.pwd_envelope import (
     GrayImage,
     extract_envelopes,
@@ -44,6 +48,22 @@ def envelopes_by_column(bright, baseline_row):
         if below.size:
             lower[c] = -(below.max() - baseline_row)
     return upper, lower
+
+
+def image_path_reference(px, baseline_row):
+    """Reference: the float64 per-pixel image path. Returns the Otsu
+    threshold of the normalized image and the envelopes of its pixels
+    at or above it."""
+    px = px.astype(np.float64)
+    norm = (px - px.min()) * (255.0 / (px.max() - px.min()))
+    thr = otsu_oracle(norm)
+    return thr, envelopes_by_column(norm >= thr, baseline_row)
+
+
+def image_path(img, baseline_row):
+    norm = normalize_intensity(img)
+    thr = otsu_threshold(norm)
+    return thr, extract_envelopes(norm, thr, baseline_row, 100.0)
 
 
 def test_normalize_intensity():
@@ -113,6 +133,92 @@ def test_otsu_equals_oracle_on_seeded_images(seed, kind):
             px = rng.choice(levels, size=shape).astype(float)
             px.flat[:n_levels] = levels    # every level present
         assert otsu_threshold(GrayImage(px)) == otsu_oracle(px)
+
+
+def _seeded_bytes(kind, rng):
+    shape = tuple(rng.integers(3, 40, size=2))
+    if kind == "uniform":
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    if kind == "inner-range":      # absent levels below and above
+        lo = rng.integers(1, 200)
+        hi = rng.integers(lo + 1, 255)
+        px = rng.integers(lo, hi + 1, size=shape, dtype=np.uint8)
+        px.flat[:2] = lo, hi
+        return px
+    n_levels = 2 if kind == "two-level" else rng.integers(3, 9)
+    levels = rng.choice(256, size=n_levels, replace=False).astype(np.uint8)
+    px = rng.choice(levels, size=shape)
+    px.flat[:n_levels] = levels    # every level present
+    return px
+
+
+@pytest.mark.parametrize("kind", ["uniform", "palette", "two-level",
+                                  "inner-range"])
+def test_image_path_equals_float_reference(kind):
+    rng = np.random.default_rng(["uniform", "palette", "two-level",
+                                 "inner-range"].index(kind))
+    for _ in range(100):
+        px = _seeded_bytes(kind, rng)
+        baseline_row = int(rng.integers(1, px.shape[0] - 1))
+        thr, pair = image_path(GrayImage(px), baseline_row)
+        ref_thr, (upper, lower) = image_path_reference(px, baseline_row)
+        assert thr == ref_thr
+        assert pair.upper.samples.tobytes() == upper.tobytes()
+        assert pair.lower.samples.tobytes() == lower.tobytes()
+
+
+def test_image_path_equals_float_reference_on_a_pwd_raster(tmp_path):
+    (m,) = generate_synthetic(SyntheticSpec(n_records=1, duration_s=4.0,
+                                            seed=4), str(tmp_path))
+    _, img = load_record(m, str(tmp_path))
+    thr, pair = image_path(img, m.image_baseline_row)
+    ref_thr, (upper, lower) = image_path_reference(img.pixels,
+                                                   m.image_baseline_row)
+    assert thr == ref_thr
+    assert pair.upper.samples.tobytes() == upper.tobytes()
+    assert pair.lower.samples.tobytes() == lower.tobytes()
+    assert np.any(upper > 0) and np.any(lower < 0)
+
+
+def test_normalize_intensity_accepts_any_8bit_range():
+    # (hi - lo) * (255 / (hi - lo)) is one ulp above 255 for 35 of the
+    # 255 ranges; the top level must still be a valid intensity
+    for lo, hi in [(0, d) for d in range(1, 256)] + [(7, 18), (100, 161)]:
+        px = np.full((3, 4), lo, dtype=np.uint8)
+        px[0] = hi
+        norm = normalize_intensity(GrayImage(px))
+        assert np.nextafter(255.0, 0.0) <= norm.pixels.max() <= 255.0
+        assert norm.pixels.min() == 0.0
+        assert otsu_threshold(norm) == 1    # every threshold ties
+
+
+def test_gray_image_is_held_by_level():
+    px = np.array([[3, 9, 3], [200, 9, 3]], dtype=np.uint8)
+    img = GrayImage(px)
+    assert img.pixels.dtype == np.uint8 and np.array_equal(img.pixels, px)
+    assert img.counts[[3, 9, 200]].tolist() == [3, 2, 1]
+    assert img.counts.sum() == px.size
+    floats = GrayImage(px / 2.0)
+    assert floats.levels.tolist() == [1.5, 4.5, 100.0]
+    assert floats.counts.tolist() == [3, 2, 1]
+    assert np.array_equal(floats.pixels, px / 2.0)
+    with pytest.raises(ValueError):
+        img.with_levels(np.arange(256.0)[::-1])    # decreasing levels
+
+
+def test_image_path_allocates_at_most_12_bytes_per_pixel(tmp_path):
+    rng = np.random.default_rng(5)
+    height, width = 200, 12000
+    path = str(tmp_path / "pwd.pgm")
+    write_pgm(path, GrayImage(rng.integers(0, 256, size=(height, width),
+                                           dtype=np.uint8)))
+    tracemalloc.start()
+    try:
+        image_path(read_pgm(path), height // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * height * width
 
 
 def test_gray_image_rejects_nan():

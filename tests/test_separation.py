@@ -8,6 +8,7 @@ from pwdrecon.core import MultichannelRecording, Polarity, TimeSeries
 from pwdrecon.errors import DegenerateInput, NoPeaksDetected
 from pwdrecon.separation import (
     _beat_rate,
+    _group_peaks,
     detect_polarity,
     extract_fecg,
     fastica,
@@ -196,6 +197,50 @@ def test_extract_fecg_requires_three_channels():
     rec = MultichannelRecording(channels=(ts, ts))
     with pytest.raises(ValueError):
         extract_fecg(rec, seed=0)
+
+
+def group_peaks_by_sample(z, above, refractory):
+    """Reference: extend each run one sample at a time."""
+    peaks = []
+    i = 0
+    while i < above.size:
+        j = i
+        while j + 1 < above.size and above[j + 1] - above[i] <= refractory:
+            j += 1
+        run = above[i:j + 1]
+        peaks.append(run[np.argmax(np.abs(z[run]))])
+        i = j + 1
+    return np.array(peaks)
+
+
+@pytest.mark.parametrize("kind", ["tied", "refractory-0", "single-run",
+                                  "one-sample-runs", "beat-train"])
+def test_group_peaks_equals_sample_loop(kind):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        # quantized |z| makes ties within a run common
+        z = np.round(rng.normal(size=n) * 2) / 2
+        above = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 1.0))
+        if above.size == 0:
+            above = np.array([int(rng.integers(n))])
+        refractory = int(rng.integers(1, 30))
+        if kind == "tied":
+            z = np.where(rng.random(n) < 0.5, 3.0, -3.0)
+        elif kind == "refractory-0":
+            refractory = 0
+        elif kind == "single-run":
+            refractory = n
+        elif kind == "one-sample-runs":
+            above = np.arange(0, n, refractory + 1)
+        elif kind == "beat-train":
+            beats = np.cumsum(rng.integers(100, 140, size=n // 20 + 1))
+            above = np.unique((beats[:, None] + np.arange(-3, 4)).ravel())
+            z = rng.normal(size=above[-1] + 1)
+            refractory = 57
+        got = _group_peaks(z, above, refractory)
+        want = group_peaks_by_sample(z, above, refractory)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_detect_polarity():

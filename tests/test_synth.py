@@ -5,8 +5,42 @@ import pytest
 
 from pwdrecon.core import WaveConfig
 from pwdrecon.harness.io import load_manifests, load_record, read_raw_f32
-from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
+from pwdrecon.harness.synth import (
+    SyntheticSpec,
+    _rasterize,
+    generate_synthetic,
+)
 from pwdrecon.pwd_envelope import extract_envelopes
+
+
+def raster_by_column(upper, lower, height, baseline_row):
+    """Reference: fill each column's bright span in a loop."""
+    px = np.zeros((height, upper.size))
+    up = np.clip(np.round(upper), 0, baseline_row - 1).astype(int)
+    lo = np.clip(np.round(-lower), 0, height - baseline_row - 2).astype(int)
+    for c in range(upper.size):
+        if up[c] >= 1:
+            px[baseline_row - up[c]:baseline_row, c] = 255.0
+        if lo[c] >= 1:
+            px[baseline_row + 1:baseline_row + 1 + lo[c], c] = 255.0
+    return px
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rasterize_equals_column_loop(seed):
+    rng = np.random.default_rng(seed)
+    height = int(rng.integers(4, 60))
+    baseline_row = int(rng.integers(1, height - 1))
+    # curves beyond both image edges, on either side of zero and at .5
+    upper = np.concatenate([rng.uniform(-3, height + 3, size=300),
+                            np.arange(-2, height + 2) + 0.5])
+    lower = -rng.permutation(np.concatenate(
+        [rng.uniform(-3, height + 3, size=300),
+         np.arange(-2, height + 2) - 0.5]))
+    img = _rasterize(upper, lower, height, baseline_row)
+    ref = raster_by_column(upper, lower, height, baseline_row)
+    assert img.pixels.dtype == np.uint8
+    assert img.pixels.tobytes() == ref.astype(np.uint8).tobytes()
 
 
 def test_spec_validation():

@@ -8,7 +8,6 @@ from .core import (
     OutputMode,
     Polarity,
     RecordManifest,
-    SplitMode,
     TimeSeries,
     WaveConfig,
     WindowSet,
@@ -19,6 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EnvelopePair", "EnvelopeSelection", "ModelKind",
     "MultichannelRecording", "OutputMode", "Polarity", "RecordManifest",
-    "SplitMode", "TimeSeries", "WaveConfig", "WindowSet",
+    "TimeSeries", "WaveConfig", "WindowSet",
     "__version__",
 ]

@@ -59,7 +59,7 @@ def _cmd_preprocess(args) -> int:
             rec, img = load_record(m, base_dir)
             records.append(preprocess_record(rec, img, m,
                                              seed=args.seed or 0))
-        except PwdReconError as exc:
+        except (PwdReconError, ValueError) as exc:
             raise type(exc)(f"{m.record_id}: {exc}") from exc
     save_preprocessed(args.out, records)
     print(json.dumps({"records": len(records), "out": args.out}))
@@ -109,7 +109,7 @@ def _cmd_ablate(args) -> int:
     base = _seeded(grid.base, args.seed)
     records = load_preprocessed(args.data)
     for name in grid.grids:
-        run_ablation(name, records, out_dir=args.out, base=base)
+        run_ablation(name, records, base, out_dir=args.out)
     print(json.dumps({"grids": grid.grids, "out": args.out}))
     return 0
 

@@ -109,11 +109,6 @@ class OutputMode(Enum):
     PCA_SINGLE = "PcaSingle"
 
 
-class SplitMode(Enum):
-    TIME_BASED = "TimeBased"
-    RANDOM = "Random"
-
-
 class ModelKind(Enum):
     PWDRECNET = "PwDRecNet"
     LINEAR = "Linear"

@@ -94,7 +94,7 @@ def mean_center(x: TimeSeries) -> TimeSeries:
 
 
 def segment(x: TimeSeries, y_channels: list[TimeSeries], window_s: float,
-            record_id: str = "") -> WindowSet:
+            record_id: str) -> WindowSet:
     """Cut aligned streams into consecutive non-overlapping windows.
 
     The trailing remainder shorter than one window is discarded.

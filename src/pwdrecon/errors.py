@@ -69,11 +69,8 @@ class SizeMismatch(PwdReconError):
 
 
 class BadMagic(PwdReconError):
-    """Unsupported file magic (only binary P5 PGM accepted)."""
-
-
-class TooFewWindows(PwdReconError):
-    """A record must contribute at least 2 windows to be split."""
+    """Not a binary 8-bit P5 PGM, a malformed PGM header, or an image
+    smaller than 2x2."""
 
 
 class NoWindowsAfterFilter(PwdReconError):

@@ -19,7 +19,6 @@ from ..core import (
     Polarity,
     PreprocessedRecord,
     RecordManifest,
-    SplitMode,
     TimeSeries,
     WaveConfig,
     WindowSet,
@@ -38,7 +37,6 @@ from ..errors import (
     NumericalInstability,
     PwdReconError,
     SignalShorterThanWindow,
-    TooFewWindows,
     ZeroVariance,
 )
 from ..metrics import MetricReport, window_metrics
@@ -56,6 +54,12 @@ from ..separation import detect_polarity, extract_fecg
 from .plots import write_window_csv, write_window_svg
 
 FECG_SOS = design_bandpass("butterworth")  # the fECG stream's filter
+
+# the fixed protocol: per-record time split, RMSprop rate, penalties
+TRAIN_RATIO = 0.8
+LR = 1e-3
+RIDGE_LAM = 1.0
+LASSO_LAM = 0.01
 
 
 def preprocess_record(rec: MultichannelRecording, img: GrayImage,
@@ -93,24 +97,22 @@ def preprocess_record(rec: MultichannelRecording, img: GrayImage,
                               polarity=polarity)
 
 
-def split(windows: WindowSet, mode: SplitMode, ratio: float = 0.8,
-          seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """80/20 split per record, time-ordered or seeded-random.
+def split(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """Time-ordered split per record: the first TRAIN_RATIO of each
+    record's windows train, the rest test.
 
     Returns (train_idx, test_idx) row indices into `windows`: records in
-    sorted id order, each record's rows in time order or permuted.
+    sorted id order, each record's rows in time order. Every record has
+    at least 2 windows (build_windows drops the others), and each side
+    gets at least one of them.
     """
-    rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for rid in np.unique(windows.record_id):
         rows = np.flatnonzero(windows.record_id == rid)
         rows = rows[np.argsort(windows.t_start[rows], kind="stable")]
-        if rows.size < 2:
-            raise TooFewWindows(f"record {rid} has {rows.size} window(s)")
-        if mode is SplitMode.RANDOM:
-            rows = rows[rng.permutation(rows.size)]
-        n_train = min(max(int(round(ratio * rows.size)), 1), rows.size - 1)
+        n_train = min(max(int(round(TRAIN_RATIO * rows.size)), 1),
+                      rows.size - 1)
         train_idx.append(rows[:n_train])
         test_idx.append(rows[n_train:])
     return np.concatenate(train_idx), np.concatenate(test_idx)
@@ -127,15 +129,10 @@ class ExperimentConfig:
     polarity_filter: Polarity = Polarity.GROUP
     output_mode: OutputMode = OutputMode.ORIGINAL
     model: ModelKind = ModelKind.PWDRECNET
-    split: SplitMode = SplitMode.TIME_BASED
     seed: int = 0
     epochs: int = 50
-    lr: float = 1e-3
-    ratio: float = 0.8
     net_channels: tuple[int, int, int] = (16, 32, 64)
     kernel_size: int = 7
-    ridge_lam: float = 1.0
-    lasso_lam: float = 0.01
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -143,10 +140,6 @@ class ExperimentConfig:
                  f"one of {WINDOW_SECONDS}"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("epochs", self.epochs >= 1, ">= 1"),
-                ("ratio", 0 < self.ratio < 1, "in (0, 1)"),
-                ("lr", self.lr > 0, "> 0"),
-                ("ridge_lam", self.ridge_lam >= 0, ">= 0"),
-                ("lasso_lam", self.lasso_lam >= 0, ">= 0"),
                 ("kernel_size", self.kernel_size >= 1
                  and self.kernel_size % 2 == 1, "odd and >= 1"),
                 ("net_channels", all(c >= 1 for c in self.net_channels),
@@ -213,8 +206,7 @@ def experiment_windows(config: ExperimentConfig,
                        records: list[PreprocessedRecord]):
     """The config's window set and its split: (windows, train_idx, test_idx)."""
     windows = build_windows(records, config)
-    train_idx, test_idx = split(windows, config.split, config.ratio,
-                                config.seed)
+    train_idx, test_idx = split(windows)
     return windows, train_idx, test_idx
 
 
@@ -222,13 +214,13 @@ def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
     """Train the configured model; returns (model, training log)."""
     if config.model is ModelKind.PWDRECNET:
         return train(x, y, config.net_config, config.epochs,
-                     config.batch_size, config.seed, config.lr)
+                     config.batch_size, config.seed, LR)
     Y = y.reshape(len(y), -1)
     if config.model is ModelKind.LINEAR:
         return ols_fit(x, Y), []
     if config.model is ModelKind.RIDGE:
-        return ridge_fit(x, Y, config.ridge_lam), []
-    return lasso_fit(x, Y, config.lasso_lam), []
+        return ridge_fit(x, Y, RIDGE_LAM), []
+    return lasso_fit(x, Y, LASSO_LAM), []
 
 
 def evaluate(config: ExperimentConfig, model, windows: WindowSet,
@@ -282,6 +274,8 @@ def run_experiment(config: ExperimentConfig,
     return report, model
 
 
+# `split` is always TimeBased, the one split protocol; the column keeps
+# the file layout
 METRICS_HEADER = ("window_s,batch_size,wave_config,envelope,polarity,"
                   "output_mode,model,split,seed,mean_r,rendered_r,mean_mse,"
                   "n_windows,n_excluded\n")
@@ -291,7 +285,7 @@ def _metrics_row(config: ExperimentConfig, report: MetricReport) -> str:
     return (f"{config.window_s},{config.batch_size},"
             f"{config.wave_config.value},{config.envelope_selection.value},"
             f"{config.polarity_filter.value},{config.output_mode.value},"
-            f"{config.model.value},{config.split.value},{config.seed},"
+            f"{config.model.value},TimeBased,{config.seed},"
             f"{report.mean_r:.6f},{report.rendered_r},"
             f"{report.mean_mse:.6f},{report.n_windows},"
             f"{report.n_excluded}\n")
@@ -385,14 +379,12 @@ class GridFile:
 
 
 def run_ablation(name: str, records: list[PreprocessedRecord],
-                 out_dir: str | None = None,
-                 base: ExperimentConfig | None = None):
+                 base: ExperimentConfig, out_dir: str | None = None):
     """Run every cell of a named grid; failures become marker cells.
 
     Returns (rows, cols, cell strings dict); writes `<name>.csv` in the
     paper's row-by-column layout when out_dir is given.
     """
-    base = base or ExperimentConfig()
     rows: list[str] = []
     cols: list[str] = []
     cells: dict[tuple[str, str], str] = {}

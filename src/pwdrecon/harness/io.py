@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zipfile
 from dataclasses import dataclass
 
@@ -48,6 +49,13 @@ def write_pgm(path: str, img: GrayImage) -> None:
         fh.write(byte_of[img.codes].tobytes())
 
 
+# magic, width, height and maxval, separated by whitespace or comment
+# lines, then the single whitespace byte before the pixels
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP
+                         + rb"(\d+)\s")
+
+
 def read_pgm(path: str) -> GrayImage:
     """Read a binary (P5) 8-bit PGM, bit-exact: its bytes are the pixels."""
     if not os.path.exists(path):
@@ -56,29 +64,23 @@ def read_pgm(path: str) -> GrayImage:
         blob = fh.read()
     if blob[:2] != b"P5":
         raise BadMagic(f"{path}: only binary P5 PGM supported")
-    # header: magic, width, height, maxval as whitespace-separated tokens
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":          # comment line
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(blob[start:pos])
-    width, height, maxval = (int(t) for t in tokens)
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise BadMagic(f"{path}: malformed PGM header: expected P5, then "
+                       "width, height and maxval as unsigned integers")
+    width, height, maxval = (int(t) for t in header.groups())
     if maxval != 255:
         raise BadMagic(f"{path}: only maxval 255 supported")
-    pos += 1  # single whitespace after maxval
+    pos = header.end()
     pixels = memoryview(blob)[pos:pos + width * height]  # no copy
     if len(pixels) != width * height:
         raise SizeMismatch(f"{path}: expected {width * height} pixel bytes, "
                            f"got {len(pixels)}")
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return GrayImage(arr)
+    try:
+        return GrayImage(arr)
+    except ValueError as exc:  # too small
+        raise BadMagic(f"{path}: {exc}") from None
 
 
 def load_manifests(path: str) -> list[RecordManifest]:
@@ -88,7 +90,7 @@ def load_manifests(path: str) -> list[RecordManifest]:
 
 
 def load_record(manifest: RecordManifest,
-                base_dir: str = ".") -> tuple[MultichannelRecording, GrayImage]:
+                base_dir: str) -> tuple[MultichannelRecording, GrayImage]:
     """Load AECG channels and the PwD image referenced by a manifest."""
     channels = []
     for rel in manifest.channel_paths:

@@ -7,7 +7,7 @@ import pytest
 
 from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
-from pwdrecon.core import ModelKind, SplitMode, read_json, write_json
+from pwdrecon.core import ModelKind, read_json, to_json_dict, write_json
 from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import load_model, save_model, save_preprocessed
@@ -25,18 +25,17 @@ def test_train_seed_flag_lands_in_experiment_json(small_dataset, tmp_path,
     prep = str(tmp_path / "prep")
     save_preprocessed(prep, records)
     cfg = _write_json(tmp_path / "cfg.json",
-                      {"window_s": 1.0, "model": "Ridge", "split": "Random",
+                      {"window_s": 1.0, "model": "Ridge", "kernel_size": 3,
                        "seed": 5, "net_channels": [2, 4, 8]})
     run = tmp_path / "run"
     assert main(["train", "--config", cfg, "--data", prep, "--out", str(run),
                  "--seed", "9"]) == 0
     capsys.readouterr()
     saved = json.loads((run / "experiment.json").read_text())
-    assert saved["model"] == "Ridge" and saved["split"] == "Random"
+    assert saved["model"] == "Ridge" and saved["kernel_size"] == 3
     assert read_json(str(run / "experiment.json"), ExperimentConfig) \
         == ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE,
-                            split=SplitMode.RANDOM, seed=9,
-                            net_channels=(2, 4, 8))
+                            kernel_size=3, seed=9, net_channels=(2, 4, 8))
 
 
 def test_cli_full_pipeline(tmp_path, capsys):
@@ -157,6 +156,25 @@ def test_preprocess_error_names_the_record(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "prep")
 
 
+def test_preprocess_value_error_names_the_record(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 2, "duration_s": 4.0, "seed": 1})
+    ds = tmp_path / "ds"
+    assert main(["synth", "--spec", spec, "--out", str(ds)]) == 0
+    capsys.readouterr()
+    manifest = ds / "records.json"
+    entries = json.loads(manifest.read_text())
+    entries[0]["image_baseline_row"] = 500  # below the 200-row image
+    manifest.write_text(json.dumps(entries))
+    rc = main(["preprocess", "--manifest", str(manifest),
+               "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "rec000: baseline_row "
+                   "must be strictly inside the image"}
+    assert not os.path.exists(tmp_path / "prep")
+
+
 def test_cli_error_paths(tmp_path, capsys):
     # missing manifest -> PwdReconError -> exit 2 with JSON on stderr
     rc = main(["preprocess", "--manifest", str(tmp_path / "nope.json"),
@@ -188,7 +206,7 @@ def test_cli_error_paths(tmp_path, capsys):
     ("train", {"epochs": 0}, "epochs"),
     ("train", {"kernel_size": 4}, "kernel_size"),
     ("train", {"window_s": 1.5}, "window_s"),
-    ("ablate", {"base": {"ridge_lam": -1}, "grids": ["table2"]}, "ridge_lam"),
+    ("ablate", {"base": {"batch_size": 0}, "grids": ["table2"]}, "batch_size"),
     ("ablate", {"base": {"model": "Ridge"}}, "grids"),
 ], ids=["train-key", "synth-key", "grid-base-key", "grid-key",
         "manifest-key", "enum-value", "spec-enum-value", "int-value",
@@ -320,6 +338,21 @@ def test_cli_refuses_preprocessed_streams_not_at_284_hz(small_dataset,
     assert err["message"] == (f"{index}: PreprocessedIndexEntry.fs: "
                               "must be 284.0, got 100.0")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("split", "TimeBased"), ("ratio", 0.8), ("lr", 1e-3), ("ridge_lam", 1.0),
+    ("lasso_lam", 0.01),
+], ids=["split", "ratio", "lr", "ridge_lam", "lasso_lam"])
+def test_removed_config_keys_are_refused(key, value, tmp_path, capsys):
+    """An experiment.json written before the split, its ratio, the rate
+    and the penalties became fixed is refused, naming the key."""
+    saved = tmp_path / "experiment.json"  # beside the model
+    _write_json(saved, {**to_json_dict(RIDGE), key: value})
+    assert main(_cli_argv("evaluate", tmp_path, config=None)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{saved}: "
+                   f"ExperimentConfig: unknown field {key!r}"}
 
 
 def test_cli_requires_subcommand():

@@ -99,7 +99,7 @@ def test_manifest_rejects_bad_indices():
 CODEC_CASES = [
     ExperimentConfig(window_s=0.75, model=ModelKind.LASSO,
                      output_mode=OutputMode.PCA_SINGLE, seed=3,
-                     net_channels=(2, 4, 8), lasso_lam=0.5),
+                     net_channels=(2, 4, 8), kernel_size=5),
     SyntheticSpec(n_records=2, fetal_bpm=(130.0, 140.0), fecg_polarity=-1,
                   wave_config=WaveConfig.EA_MINUS),
     RecordManifest(record_id="r1", channel_paths=("a.f32", "b.f32", "c.f32"),
@@ -130,7 +130,8 @@ def test_json_codec_normalises_numbers():
     ({"model": "Ridgee"}, "ExperimentConfig.model: 'Ridgee'"),
     ({"epochs": 2.5}, "ExperimentConfig.epochs: expected int, got 2.5"),
     ({"epochs": True}, "ExperimentConfig.epochs: expected int, got True"),
-    ({"lr": "fast"}, "ExperimentConfig.lr: expected float, got 'fast'"),
+    ({"window_s": "fast"},
+     "ExperimentConfig.window_s: expected float, got 'fast'"),
     ({"net_channels": [2, 4]}, "ExperimentConfig.net_channels: expected 3"),
     ({"net_channels": 8}, "ExperimentConfig.net_channels: expected a list"),
 ])

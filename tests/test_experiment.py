@@ -11,7 +11,6 @@ from pwdrecon.core import (
     ModelKind,
     OutputMode,
     Polarity,
-    SplitMode,
     TimeSeries,
     WaveConfig,
     WindowSet,
@@ -20,7 +19,6 @@ from pwdrecon.errors import (
     NonFinitePrediction,
     NoWindowsAfterFilter,
     NumericalInstability,
-    TooFewWindows,
 )
 from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import (
@@ -51,7 +49,7 @@ def _windows(n_per_record, records=("a", "b"), L=8):
 
 def test_split_time_based_is_per_record_prefix():
     ws = _windows(5)
-    train, test = split(ws, SplitMode.TIME_BASED, ratio=0.8)
+    train, test = split(ws)
     assert len(train) == 8 and len(test) == 2
     for rid in ("a", "b"):
         tr = ws.t_start[train][ws.record_id[train] == rid]
@@ -59,27 +57,11 @@ def test_split_time_based_is_per_record_prefix():
         assert max(tr) < min(te)  # later windows go to test
 
 
-def test_split_random_partitions_each_record():
-    ws = _windows(10)
-    train, test = split(ws, SplitMode.RANDOM, ratio=0.8, seed=3)
-    assert len(train) == 16 and len(test) == 4
-    for rid in ("a", "b"):
-        rows = np.flatnonzero(ws.record_id == rid)
-        both = np.concatenate([train, test])
-        got = both[ws.record_id[both] == rid]
-        assert sorted(got) == list(rows)
-    # deterministic given the seed
-    train2, test2 = split(ws, SplitMode.RANDOM, ratio=0.8, seed=3)
-    assert list(ws.t_start[test2]) == list(ws.t_start[test])
-
-
 def test_split_extremes_keep_both_sides_nonempty():
-    ws = _windows(2)
-    train, test = split(ws, SplitMode.TIME_BASED, ratio=0.99)
+    ws = _windows(2)  # round(0.8 * 2) = 2 train windows, clamped to 1
+    train, test = split(ws)
     assert all(np.sum(ws.record_id[s] == r) == 1
                for r in ("a", "b") for s in (train, test))
-    with pytest.raises(TooFewWindows):
-        split(_windows(1), SplitMode.TIME_BASED)
 
 
 def test_config_validation_and_out_channels():
@@ -95,9 +77,7 @@ def test_config_validation_and_out_channels():
 
 @pytest.mark.parametrize("field, value", [
     ("window_s", 1.5), ("batch_size", -1), ("batch_size", 0), ("epochs", 0),
-    ("ratio", 0.0), ("ratio", 1.0), ("lr", 0.0), ("ridge_lam", -1.0),
-    ("lasso_lam", -0.01), ("kernel_size", 4), ("kernel_size", -1),
-    ("net_channels", (16, 0, 64)),
+    ("kernel_size", 4), ("kernel_size", -1), ("net_channels", (16, 0, 64)),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=f"^ExperimentConfig.{field}: "):
@@ -141,6 +121,24 @@ def test_build_windows_skips_record_with_constant_envelopes(mode):
                        ExperimentConfig(window_s=1.0, output_mode=mode))
     assert set(ws.record_id) == {"good"} and len(ws) == 4
     assert ws.y.shape[1] == (1 if mode is OutputMode.PCA_SINGLE else 2)
+
+
+def test_build_windows_leaves_out_a_one_window_record():
+    """split needs 2 windows a record; a record with 1 never reaches it."""
+    rng = np.random.default_rng(4)
+
+    def record(rid, seconds):
+        n = int(seconds * TARGET_FS)
+        fecg, up, lo = (TimeSeries(rng.normal(size=n), TARGET_FS)
+                        for _ in range(3))
+        return PreprocessedRecord(rid, fecg, EnvelopePair(up, lo),
+                                  WaveConfig.EA_PLUS, Polarity.POSITIVE)
+
+    cfg = ExperimentConfig(window_s=1.0)
+    ws = build_windows([record("one", 1.5), record("two", 2.0)], cfg)
+    assert list(ws.record_id) == ["two", "two"]
+    with pytest.raises(NoWindowsAfterFilter):
+        build_windows([record("one", 1.5)], cfg)
 
 
 def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):

@@ -96,6 +96,20 @@ def test_pgm_reads_comments_and_rejects_bad(tmp_path):
         read_pgm(str(tmp_path / "short.pgm"))
 
 
+@pytest.mark.parametrize("blob, fault", [
+    (b"P5\n", "malformed PGM header"),
+    (b"P5\nab 2\n255\n" + bytes(4), "malformed PGM header"),
+    (b"P5\n-2 2\n255\n" + bytes(4), "malformed PGM header"),
+    (b"P5\n1 1\n255\n" + bytes(1), "image must be at least 2x2"),
+], ids=["truncated", "non-numeric", "negative", "too-small"])
+def test_read_pgm_header_faults_name_the_file(blob, fault, tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(BadMagic) as exc:
+        read_pgm(str(path))
+    assert str(exc.value).startswith(f"{path}: {fault}")
+
+
 def _manifest(rid="rec000"):
     return RecordManifest(
         record_id=rid, channel_paths=(f"{rid}.ch0.f32", f"{rid}.ch1.f32",

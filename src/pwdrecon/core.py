@@ -59,10 +59,6 @@ class MultichannelRecording:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def as_matrix(self) -> np.ndarray:
-        """(n_samples, n_channels) matrix view of the channels."""
-        return np.stack([ch.samples for ch in self.channels], axis=1)
-
 
 @dataclass(frozen=True)
 class EnvelopePair:

@@ -18,6 +18,7 @@ from .errors import ConstantImage
 from .separation import pca_fit
 
 ENVELOPE_SOS = design_bandpass("bessel")  # the envelope stream's filter
+COUNT_SLICE = 1 << 16  # pixels per bincount, which copies them to intp
 
 
 class GrayImage:
@@ -43,7 +44,10 @@ class GrayImage:
                                       return_inverse=True)
         self.codes = np.ascontiguousarray(codes).reshape(px.shape)
         self.codes.flags.writeable = False
-        self.counts = np.bincount(self.codes.ravel(), minlength=levels.size)
+        flat, self.counts = self.codes.ravel(), np.zeros(levels.size, np.intp)
+        for i in range(0, flat.size, COUNT_SLICE):
+            self.counts += np.bincount(flat[i:i + COUNT_SLICE],
+                                       minlength=levels.size)
         self.counts.flags.writeable = False
         self.levels = _checked_levels(levels)
 
@@ -166,9 +170,9 @@ def pca_compress_envelopes(pair: EnvelopePair) -> TimeSeries:
     Raises DegenerateInput when both channels are constant.
     """
     u = pair.upper.samples
-    data = np.stack([u, pair.lower.samples], axis=1)
+    data = np.stack([u, pair.lower.samples])
     pca = pca_fit(data)
-    out = (data - pca.mean) @ pca.components[0]
+    out = pca.components[0] @ (data - pca.mean[:, None])
     uc = u - u.mean()
     if float(out @ uc) < 0:
         out = -out

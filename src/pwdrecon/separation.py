@@ -3,7 +3,8 @@
 The chain removes the dominant maternal component with PCA, unmixes the
 residual with deflation FastICA (tanh contrast), picks the component(s)
 whose beat rate lies in the fetal band, and compresses them back to a
-single channel with PCA.
+single channel with PCA. Multichannel arrays are (n_channels, n_samples)
+rows, so each per-sample reduction runs along a row or in one BLAS call.
 """
 
 from __future__ import annotations
@@ -46,22 +47,22 @@ class IcaModel:
     iterations: int
 
     def transform(self, data: np.ndarray) -> np.ndarray:
-        """Recover sources: (n_samples, n_components)."""
-        return (data - self.mean) @ self.whitening.T @ self.unmixing.T
+        """Sources of (n_channels, n_samples) rows, one source per row."""
+        return self.unmixing @ (self.whitening @ (data - self.mean[:, None]))
 
 
 def pca_fit(data: np.ndarray) -> PcaModel:
     """Eigendecomposition of the sample covariance.
 
-    data: (n_samples, n_channels) with n_samples > n_channels >= 1.
+    data: (n_channels, n_samples) rows with n_samples > n_channels >= 1.
     """
     data = np.asarray(data, dtype=np.float64)
-    n, c = data.shape
+    c, n = data.shape
     if n <= c:
         raise ValueError("need n_samples > n_channels")
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (n - 1)
+    mean = data.mean(axis=1)
+    centered = data - mean[:, None]
+    cov = centered @ centered.T / (n - 1)
     if np.all(cov == 0.0):
         raise DegenerateInput("all-zero covariance")
     evals, evecs = np.linalg.eigh(cov)
@@ -73,20 +74,20 @@ def pca_fit(data: np.ndarray) -> PcaModel:
 def pca_remove_top(data: np.ndarray) -> np.ndarray:
     """Centered residual after removing the top principal component."""
     model = pca_fit(data)
-    centered = data - model.mean
+    centered = data - model.mean[:, None]
     top = model.components[:1]
-    return centered - (centered @ top.T) @ top
+    return centered - top.T @ (top @ centered)
 
 
 def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
-    """Deflation-based FastICA with tanh contrast.
+    """Deflation FastICA with tanh contrast on (n_channels, n_samples) rows.
 
     Raises DegenerateInput when the covariance is rank-deficient for the
     requested component count. Non-convergence of a component is reported
     as a warning; the model is returned with converged=False.
     """
     data = np.asarray(data, dtype=np.float64)
-    if n_components > data.shape[1]:
+    if n_components > data.shape[0]:
         raise ValueError("n_components must be <= n_channels")
 
     # whitening is PCA scaled to unit variance per component
@@ -95,8 +96,9 @@ def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
     if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
         raise DegenerateInput(
             "covariance rank-deficient; cannot whiten requested components")
-    whitening = (pca.components[:n_components].T / np.sqrt(evals)).T
-    z = (data - pca.mean) @ whitening.T      # whitened, (n, n_components)
+    whitening = pca.components[:n_components] / np.sqrt(evals)[:, None]
+    z = whitening @ (data - pca.mean[:, None])  # whitened, one row each
+    n = z.shape[1]
 
     rng = np.random.default_rng(seed)
     W = np.zeros((n_components, n_components))
@@ -105,12 +107,10 @@ def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
     for i in range(n_components):
         w = rng.normal(size=n_components)
         w /= np.linalg.norm(w)
-        ok = False
         for _ in range(FASTICA_MAX_ITER):
-            wx = z @ w
-            g = np.tanh(wx)
-            g_prime = 1.0 - g ** 2
-            w_new = (z * g[:, None]).mean(axis=0) - g_prime.mean() * w
+            g = np.tanh(w @ z)
+            # E[z g(w.z)] - E[g'(w.z)] w, with g' = 1 - g^2
+            w_new = z @ g / n - (1.0 - g @ g / n) * w
             # Gram-Schmidt against already-extracted directions
             w_new -= W[:i].T @ (W[:i] @ w_new)
             w_new /= np.linalg.norm(w_new)
@@ -118,19 +118,16 @@ def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
             w = w_new
             total_iter += 1
             if delta < FASTICA_TOL:
-                ok = True
                 break
-        if not ok:
+        else:
             converged = False
             warnings.warn(f"FastICA component {i} did not converge in "
                           f"{FASTICA_MAX_ITER} iterations", RuntimeWarning)
         W[i] = w
 
     # Sign convention: largest-magnitude sample of each source positive.
-    sources = z @ W.T
-    for i in range(n_components):
-        peak = sources[:, i][np.argmax(np.abs(sources[:, i]))]
-        if peak < 0:
+    for i, source in enumerate(W @ z):
+        if source[np.argmax(np.abs(source))] < 0:
             W[i] = -W[i]
 
     return IcaModel(whitening=whitening, unmixing=W, mean=pca.mean,
@@ -142,9 +139,10 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
 
     Searched over periods 0.25-1.2 s on the rectified signal; returns
     (rate_hz, normalized autocorrelation at the peak lag), or None when
-    the signal is too short or flat. The strength separates genuinely
-    periodic components from noise, whose peak lag is arbitrary. Only
-    lags 0..min(round(1.2 fs), n - 1) are computed: linear in n.
+    the signal is too short, flat or not finite. The strength separates
+    genuinely periodic components from noise, whose peak lag is arbitrary.
+    The FFT locates the peak; the lags within round-off of its maximum are
+    then certified by direct dot products, whose first maximum is returned.
     """
     x = x - x.mean()
     if np.std(x) == 0:
@@ -155,15 +153,22 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
         return None
     # autocorrelation of the smoothed rectified signal emphasizes beat
     # periodicity; smoothing keeps the peak under beat-to-beat jitter
-    e = np.abs(x)
     width = max(int(round(0.08 * fs)), 1)
-    e = np.convolve(e, np.ones(width) / width, mode="same")
+    e = np.convolve(np.abs(x), np.ones(width) / width, mode="same")
     e = e - e.mean()
-    ac = np.array([e[:e.size - lag] @ e[lag:] for lag in range(lag_max + 1)])
-    if ac[0] <= 0:
+    ac0 = np.correlate(e, e)[0]  # e @ e rounds otherwise below 12 samples
+    if not ac0 > 0:
         return None
-    lag = lag_min + int(np.argmax(ac[lag_min:lag_max + 1]))
-    return fs / lag, float(ac[lag] / ac[0])
+    nfft = 1 << (e.size + lag_max - 1).bit_length()  # no circular wrap
+    ac = np.fft.irfft(np.abs(np.fft.rfft(e, nfft)) ** 2, nfft)
+    ac = ac[lag_min:lag_max + 1]
+    # FFT values lie within ~1e-14 ac0 of the exact ones, dot products within
+    # n eps ac0 (sum |e_i e_i+lag| <= ac0): the first maximum of the dot
+    # products is within 1e-9 ac0 of the FFT maximum while n < ~4e6
+    near = lag_min + np.flatnonzero(ac >= ac.max() - 1e-9 * ac0)
+    exact = [e[:e.size - lag] @ e[lag:] for lag in near.tolist()]
+    best = int(np.argmax(exact))
+    return fs / int(near[best]), float(exact[best] / ac0)
 
 
 def extract_fecg(rec: MultichannelRecording, seed: int) -> TimeSeries:
@@ -175,7 +180,7 @@ def extract_fecg(rec: MultichannelRecording, seed: int) -> TimeSeries:
     """
     if rec.n_channels != 3:
         raise ValueError("fECG extraction requires exactly 3 bipolar channels")
-    data = rec.as_matrix()
+    data = np.stack([ch.samples for ch in rec.channels])
     fs = rec.channels[0].fs
 
     residual = pca_remove_top(data)
@@ -183,25 +188,20 @@ def extract_fecg(rec: MultichannelRecording, seed: int) -> TimeSeries:
     ica = fastica(residual, n_components=2, seed=seed)
     sources = ica.transform(residual)
 
-    fetal_cols = []
-    for i in range(sources.shape[1]):
-        est = _beat_rate(sources[:, i], fs)
-        if est is None:
-            continue
-        rate, strength = est
-        if FETAL_RATE_HZ[0] <= rate <= FETAL_RATE_HZ[1] \
-                and strength >= MIN_BEAT_STRENGTH:
-            fetal_cols.append(i)
-    if not fetal_cols:
+    rates = [_beat_rate(source, fs) or (0.0, 0.0) for source in sources]
+    fetal_rows = [i for i, (rate, strength) in enumerate(rates)
+                  if FETAL_RATE_HZ[0] <= rate <= FETAL_RATE_HZ[1]
+                  and strength >= MIN_BEAT_STRENGTH]
+    if not fetal_rows:
         raise NoFetalComponent(
             "no independent component with a beat rate in "
             f"{FETAL_RATE_HZ} Hz")
-    if len(fetal_cols) == 1:
-        out = sources[:, fetal_cols[0]]
+    if len(fetal_rows) == 1:
+        out = sources[fetal_rows[0]]
     else:
-        fetal = sources[:, fetal_cols]
+        fetal = sources[fetal_rows]
         model = pca_fit(fetal)
-        out = (fetal - model.mean) @ model.components[0]
+        out = model.components[0] @ (fetal - model.mean[:, None])
     out = _orient_to_sensors(out, data, fs)
     return TimeSeries(out, fs)
 
@@ -240,7 +240,7 @@ def _orient_to_sensors(out: np.ndarray, data: np.ndarray,
     peaks = _group_peaks(z, above, int(round(0.2 * fs)))
     # median baseline, not the mean: between beats each channel sits at
     # its baseline level, so the median cancels the ECG bump bias exactly
-    locked = np.median(data[peaks], axis=0) - np.median(data, axis=0)
+    locked = np.median(data[:, peaks], axis=1) - np.median(data, axis=1)
     dominant = int(np.argmax(np.abs(locked)))
     recorded_sign = np.sign(locked[dominant])
     source_sign = np.sign(np.median(z[peaks]))

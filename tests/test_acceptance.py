@@ -203,8 +203,8 @@ def test_a5_source_separation(tmp_path):
         np.sin(2 * np.pi * 0.41 * tt) ** 3,
     ], axis=1)
     A = np.array([[1.0, 0.5, -0.3], [0.4, -1.1, 0.5], [-0.6, 0.3, 1.2]])
-    model = fastica(s @ A.T, n_components=3, seed=0)
-    rec = model.transform(s @ A.T)
+    model = fastica((s @ A.T).T, n_components=3, seed=0)
+    rec = model.transform((s @ A.T).T).T
     best = -1.0
     for perm in itertools.permutations(range(3)):
         rs = [abs(np.corrcoef(s[:, i], rec[:, perm[i]])[0, 1])

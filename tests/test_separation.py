@@ -25,7 +25,7 @@ def test_pca_fit_matches_closed_form_2x2():
     rng = np.random.default_rng(0)
     root = np.linalg.cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
     data = rng.normal(size=(200_000, 2)) @ root.T + np.array([3.0, -1.0])
-    m = pca_fit(data)
+    m = pca_fit(data.T)
     assert np.allclose(m.mean, [3.0, -1.0], atol=0.02)
     assert np.allclose(m.eigenvalues, [3.0, 1.0], atol=0.05)
     v = m.components[0]
@@ -35,16 +35,16 @@ def test_pca_fit_matches_closed_form_2x2():
 def test_pca_eigenvalues_sorted_and_orthonormal():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(500, 4)) * np.array([5.0, 2.0, 1.0, 0.1])
-    m = pca_fit(data)
+    m = pca_fit(data.T)
     assert np.all(np.diff(m.eigenvalues) <= 1e-12)
     assert np.allclose(m.components @ m.components.T, np.eye(4), atol=1e-10)
 
 
 def test_pca_fit_rejects_degenerate():
     with pytest.raises(DegenerateInput):
-        pca_fit(np.zeros((50, 3)))
+        pca_fit(np.zeros((50, 3)).T)
     with pytest.raises(ValueError):
-        pca_fit(np.zeros((2, 3)))
+        pca_fit(np.zeros((2, 3)).T)
 
 
 def test_pca_remove_top_kills_dominant_direction():
@@ -53,7 +53,7 @@ def test_pca_remove_top_kills_dominant_direction():
     weak = rng.normal(size=1000)
     mix = np.stack([strong + 0.1 * weak, strong - 0.1 * weak,
                     strong + 0.05 * weak], axis=1)
-    resid = pca_remove_top(mix)
+    resid = pca_remove_top(mix.T).T
     assert resid.shape == mix.shape
     assert np.max(np.abs(resid.mean(axis=0))) < 1e-9  # centered
     # dominant shared component should be essentially gone
@@ -83,8 +83,8 @@ def test_fastica_recovers_independent_sources():
     ], axis=1)
     A = np.array([[1.0, 0.6, -0.4], [0.5, -1.2, 0.3], [-0.7, 0.2, 1.1]])
     x = s @ A.T
-    model = fastica(x, n_components=3, seed=0)
-    rec = model.transform(x)
+    model = fastica(x.T, n_components=3, seed=0)
+    rec = model.transform(x.T).T
     assert _best_abs_corr_assignment(s, rec) >= 0.95
     assert model.converged
     # unmixing rows are unit-norm
@@ -94,8 +94,8 @@ def test_fastica_recovers_independent_sources():
 def test_fastica_deterministic_given_seed():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2000, 3)) @ rng.normal(size=(3, 3))
-    a = fastica(x, n_components=3, seed=11)
-    b = fastica(x, n_components=3, seed=11)
+    a = fastica(x.T, n_components=3, seed=11)
+    b = fastica(x.T, n_components=3, seed=11)
     assert np.array_equal(a.unmixing, b.unmixing)
     assert np.array_equal(a.whitening, b.whitening)
 
@@ -105,7 +105,7 @@ def test_fastica_rejects_rank_deficient():
     one = rng.normal(size=1000)
     x = np.stack([one, 2 * one, -one], axis=1)
     with pytest.raises(DegenerateInput):
-        fastica(x, n_components=3, seed=0)
+        fastica(x.T, n_components=3, seed=0)
 
 
 def _beat_train(t, r_times, polarity=1):
@@ -162,6 +162,47 @@ def test_beat_rate_equals_full_correlation(kind):
     got = _beat_rate(x, fs)
     assert got == _beat_rate_full_correlation(x, fs)
     assert (got is None) == (kind in ("flat", "too-short", "rectified-flat"))
+
+
+def _beat_rate_case(seed):
+    """A seeded beat train, noise, or a pure beat train whose period lies
+    half a sample between two lags, at 8, 256 or 512 Hz and lag_min + 2
+    samples to 60 s long."""
+    rng = np.random.default_rng(seed)
+    fs = (8.0, 256.0, 512.0)[seed % 3]
+    kind = ("beat-train", "noise", "near-tie")[seed // 3 % 3]
+    lag_min = int(round(0.25 * fs))
+    n = int(np.exp(rng.uniform(np.log(lag_min + 2), np.log(60 * fs + 1))))
+    if kind == "noise":
+        return rng.normal(size=n), fs
+    t = np.arange(n) / fs
+    if kind == "near-tie":
+        lag = int(rng.integers(lag_min, int(round(1.2 * fs))))
+        return _beat_train(t, np.arange(0.1, n / fs, (lag + 0.5) / fs)), fs
+    period = 1.0 / rng.uniform(0.8, 4.0)
+    rr = period * (1.0 + rng.uniform(-1, 1, size=n) * rng.uniform(0, 0.2))
+    beats = rng.uniform(0, period) + np.cumsum(rr)
+    x = _beat_train(t, beats[beats < n / fs], rng.choice([-1, 1]))
+    return x + rng.uniform(0.0, 1.0) * rng.normal(size=n), fs
+
+
+# 0/1 at 8 Hz: every value below is exact, and lags 2 and 10 tie for the
+# maximum; the FFT's own maximum falls on lag 10
+EXACT_TIE = np.array([0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1,
+                      0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1], float)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_beat_rate_equals_full_correlation_on_seeded_inputs(block):
+    for seed in range(20 * block, 20 * block + 20):
+        x, fs = _beat_rate_case(seed)
+        assert _beat_rate(x, fs) == _beat_rate_full_correlation(x, fs)
+
+
+def test_beat_rate_takes_the_first_of_tied_lags():
+    got = _beat_rate(EXACT_TIE, 8.0)
+    assert got == _beat_rate_full_correlation(EXACT_TIE, 8.0)
+    assert got[0] == 8.0 / 2
 
 
 def test_beat_rate_is_linear_in_length():

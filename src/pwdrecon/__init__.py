@@ -4,7 +4,6 @@ from .core import (
     EnvelopePair,
     EnvelopeSelection,
     ModelKind,
-    MultichannelRecording,
     OutputMode,
     Polarity,
     RecordManifest,
@@ -16,8 +15,7 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnvelopePair", "EnvelopeSelection", "ModelKind",
-    "MultichannelRecording", "OutputMode", "Polarity", "RecordManifest",
-    "TimeSeries", "WaveConfig", "WindowSet",
+    "EnvelopePair", "EnvelopeSelection", "ModelKind", "OutputMode",
+    "Polarity", "RecordManifest", "TimeSeries", "WaveConfig", "WindowSet",
     "__version__",
 ]

@@ -56,8 +56,8 @@ def _cmd_preprocess(args) -> int:
     records = []
     for m in manifests:
         try:
-            rec, img = load_record(m, base_dir)
-            records.append(preprocess_record(rec, img, m,
+            rows, img = load_record(m, base_dir)
+            records.append(preprocess_record(rows, img, m,
                                              seed=args.seed or 0))
         except (PwdReconError, ValueError) as exc:
             raise type(exc)(f"{m.record_id}: {exc}") from exc
@@ -86,7 +86,7 @@ def _cmd_evaluate(args) -> int:
         raise FileMissing(args.model)
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.model)), "experiment.json")
-    config = _seeded(read_json(config_path, ExperimentConfig), args.seed)
+    config = read_json(config_path, ExperimentConfig)
     model = load_model(config, args.model)
     records = load_preprocessed(args.data)
     windows, _, test_idx = experiment_windows(config, records)
@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--config")
-    s.add_argument("--seed", type=int)
     s.set_defaults(func=_cmd_evaluate)
 
     s = sub.add_parser("ablate", help="run an ablation grid")

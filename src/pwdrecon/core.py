@@ -41,26 +41,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class MultichannelRecording:
-    """Channels sharing one time base."""
-
-    channels: tuple[TimeSeries, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(self.channels))
-        if len(self.channels) < 1:
-            raise ValueError("at least one channel required")
-        fs0, n0 = self.channels[0].fs, len(self.channels[0])
-        for ch in self.channels:
-            if ch.fs != fs0 or len(ch) != n0:
-                raise ValueError("all channels must share fs and length")
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channels)
-
-
-@dataclass(frozen=True)
 class EnvelopePair:
     """Upper and lower PwD envelopes on one shared time base."""
 

@@ -14,7 +14,6 @@ from ..core import (
     EnvelopePair,
     EnvelopeSelection,
     ModelKind,
-    MultichannelRecording,
     OutputMode,
     Polarity,
     PreprocessedRecord,
@@ -62,21 +61,19 @@ RIDGE_LAM = 1.0
 LASSO_LAM = 0.01
 
 
-def preprocess_record(rec: MultichannelRecording, img: GrayImage,
+def preprocess_record(rows: np.ndarray, img: GrayImage,
                       manifest: RecordManifest,
                       seed: int) -> PreprocessedRecord:
     """Run both preprocessing paths and align the streams.
 
-    fECG path: bipolar selection, PCA-ICA-PCA extraction, z-score,
-    resampling to 284 Hz, Butterworth 0.1-50 Hz zero-phase filter.
+    fECG path, on the (3, n_samples) bipolar rows load_record returns:
+    PCA-ICA-PCA extraction, z-score, resampling to 284 Hz, Butterworth
+    0.1-50 Hz zero-phase filter.
     PwD path: intensity normalization, Otsu binarization, max-min
     envelope extraction, then the envelope chain (Bessel filtered).
     Both outputs are truncated to the shorter common duration.
     """
-    bipolar = MultichannelRecording(
-        channels=tuple(rec.channels[i]
-                       for i in manifest.bipolar_channel_indices))
-    fecg = extract_fecg(bipolar, seed=seed)
+    fecg = extract_fecg(rows, manifest.aecg_fs, seed=seed)
     # polarity belongs to the extracted waveform; the 50 Hz cutoff below
     # shrinks the narrow R lobe and can flip marginal cases
     polarity = detect_polarity(fecg)

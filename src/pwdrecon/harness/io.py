@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines import LinearMap
-from ..core import MultichannelRecording, RecordManifest, TimeSeries, WaveConfig
+from ..core import RecordManifest, TimeSeries, WaveConfig
 from ..core import EnvelopePair, ModelKind, Polarity, PreprocessedRecord
 from ..core import TARGET_FS, read_json, to_json_dict, write_json
 from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
@@ -90,21 +90,22 @@ def load_manifests(path: str) -> list[RecordManifest]:
 
 
 def load_record(manifest: RecordManifest,
-                base_dir: str) -> tuple[MultichannelRecording, GrayImage]:
-    """Load AECG channels and the PwD image referenced by a manifest."""
+                base_dir: str) -> tuple[np.ndarray, GrayImage]:
+    """The manifest's three bipolar channels, in bipolar_channel_indices
+    order, as (3, n_samples) float64 rows, and its PwD image."""
     channels = []
-    for rel in manifest.channel_paths:
+    for i in manifest.bipolar_channel_indices:
+        rel = manifest.channel_paths[i]
         samples = read_raw_f32(os.path.join(base_dir, rel))
         expected = manifest.aux.get("n_samples")
         if expected is not None and samples.size != expected:
             raise SizeMismatch(
                 f"{rel}: {samples.size} samples, manifest says {expected}")
-        channels.append(TimeSeries(samples, manifest.aecg_fs))
-    if len({len(ch) for ch in channels}) != 1:
+        channels.append(samples)
+    if len({ch.size for ch in channels}) != 1:
         raise SizeMismatch("channel files disagree on length")
-    rec = MultichannelRecording(channels=tuple(channels))
     img = read_pgm(os.path.join(base_dir, manifest.image_path))
-    return rec, img
+    return np.stack(channels), img
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """PCA / FastICA primitives and the PCA-ICA-PCA fECG extraction chain.
 
 The chain removes the dominant maternal component with PCA, unmixes the
-residual with deflation FastICA (tanh contrast), picks the component(s)
-whose beat rate lies in the fetal band, and compresses them back to a
-single channel with PCA. Multichannel arrays are (n_channels, n_samples)
-rows, so each per-sample reduction runs along a row or in one BLAS call.
+residual with deflation FastICA (tanh contrast), and keeps the fetal-band
+component with the strongest beat. Multichannel arrays are
+(n_channels, n_samples) rows, so each per-sample reduction runs along a
+row or in one BLAS call.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MultichannelRecording, Polarity, TimeSeries
+from .core import Polarity, TimeSeries
 from .errors import (
     DegenerateInput,
     NoFetalComponent,
@@ -171,38 +171,33 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     return fs / int(near[best]), float(exact[best] / ac0)
 
 
-def extract_fecg(rec: MultichannelRecording, seed: int) -> TimeSeries:
+def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> TimeSeries:
     """PCA-ICA-PCA chain: 3 bipolar abdominal channels -> 1 fECG channel.
 
-    The first PCA removes the maternal-dominant top component; FastICA
-    unmixes the rank-2 residual; component(s) with a beat rate in the
-    fetal band are kept and compressed to one channel.
+    rows: (3, n_samples) bipolar channels sampled at fs. The first PCA
+    removes the maternal-dominant top component; FastICA unmixes the
+    rank-2 residual; of the components with a beat rate in the fetal band,
+    the one with the strongest beat is kept. The sources are whitened, so
+    a second component is not merged in: a PCA of the two would find an
+    identity covariance and keep an axis set by round-off.
     """
-    if rec.n_channels != 3:
+    if rows.ndim != 2 or rows.shape[0] != 3:
         raise ValueError("fECG extraction requires exactly 3 bipolar channels")
-    data = np.stack([ch.samples for ch in rec.channels])
-    fs = rec.channels[0].fs
 
-    residual = pca_remove_top(data)
+    residual = pca_remove_top(rows)
     # top-1 removal leaves a rank-2 subspace; unmix 2 components
     ica = fastica(residual, n_components=2, seed=seed)
     sources = ica.transform(residual)
 
     rates = [_beat_rate(source, fs) or (0.0, 0.0) for source in sources]
-    fetal_rows = [i for i, (rate, strength) in enumerate(rates)
-                  if FETAL_RATE_HZ[0] <= rate <= FETAL_RATE_HZ[1]
-                  and strength >= MIN_BEAT_STRENGTH]
-    if not fetal_rows:
+    strength = [s if FETAL_RATE_HZ[0] <= rate <= FETAL_RATE_HZ[1] else 0.0
+                for rate, s in rates]
+    best = int(np.argmax(strength))
+    if strength[best] < MIN_BEAT_STRENGTH:
         raise NoFetalComponent(
             "no independent component with a beat rate in "
             f"{FETAL_RATE_HZ} Hz")
-    if len(fetal_rows) == 1:
-        out = sources[fetal_rows[0]]
-    else:
-        fetal = sources[fetal_rows]
-        model = pca_fit(fetal)
-        out = model.components[0] @ (fetal - model.mean[:, None])
-    out = _orient_to_sensors(out, data, fs)
+    out = _orient_to_sensors(sources[best], rows, fs)
     return TimeSeries(out, fs)
 
 

@@ -13,6 +13,6 @@ def small_dataset(tmp_path_factory):
     manifests = generate_synthetic(spec, out)
     records = []
     for m in manifests:
-        rec, img = load_record(m, out)
-        records.append(preprocess_record(rec, img, m, seed=0))
+        rows, img = load_record(m, out)
+        records.append(preprocess_record(rows, img, m, seed=0))
     return out, manifests, records

@@ -18,7 +18,6 @@ from scipy import signal as sps
 from pwdrecon.baselines import lasso_fit, ols_fit, ridge_fit
 from pwdrecon.core import (
     ModelKind,
-    MultichannelRecording,
     Polarity,
     TimeSeries,
     WaveConfig,
@@ -219,8 +218,8 @@ def test_a5_source_separation(tmp_path):
     manifests = generate_synthetic(spec, out)
     worst_r = 1.0
     for m in manifests:
-        recd, _ = load_record(m, out)
-        fecg = extract_fecg(recd, seed=0)
+        rows, _ = load_record(m, out)
+        fecg = extract_fecg(rows, m.aecg_fs, seed=0)
         clean = read_raw_f32(os.path.join(out, m.aux["fetal_clean_path"]))
         worst_r = min(worst_r, abs(np.corrcoef(fecg.samples, clean)[0, 1]))
     elapsed = time.monotonic() - t0

@@ -358,3 +358,12 @@ def test_removed_config_keys_are_refused(key, value, tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_evaluate_has_no_seed_flag(capsys):
+    # evaluate draws nothing at random: the split is by time and the
+    # model's parameters come from its file
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", "m.npz", "--data", "d", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

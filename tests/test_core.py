@@ -6,7 +6,6 @@ import pytest
 from pwdrecon.core import (
     EnvelopePair,
     ModelKind,
-    MultichannelRecording,
     OutputMode,
     RecordManifest,
     TimeSeries,
@@ -37,19 +36,6 @@ def test_timeseries_is_immutable():
     ts = TimeSeries(np.arange(5.0), 10.0)
     with pytest.raises(ValueError):
         ts.samples[0] = 99.0
-
-
-def test_multichannel_requires_consistent_channels():
-    a = TimeSeries(np.zeros(10), 100.0)
-    b = TimeSeries(np.zeros(11), 100.0)
-    c = TimeSeries(np.zeros(10), 200.0)
-    with pytest.raises(ValueError):
-        MultichannelRecording(channels=(a, b))
-    with pytest.raises(ValueError):
-        MultichannelRecording(channels=(a, c))
-    with pytest.raises(ValueError):
-        MultichannelRecording(channels=())
-    MultichannelRecording(channels=(a, a))
 
 
 def test_envelope_pair_invariants():

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 import warnings
 
 import numpy as np
 import pytest
 
+from pwdrecon import separation
 from pwdrecon.core import (
     TARGET_FS,
     EnvelopePair,
@@ -28,12 +30,19 @@ from pwdrecon.harness.experiment import (
     build_windows,
     experiment_windows,
     grid_cells,
+    preprocess_record,
     run_ablation,
     run_experiment,
     split,
 )
-from pwdrecon.harness.io import load_preprocessed, save_preprocessed
+from pwdrecon.harness.io import (
+    load_preprocessed,
+    load_record,
+    save_preprocessed,
+)
+from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.net.model import NetConfig, init_params
+from pwdrecon.separation import FETAL_RATE_HZ, MIN_BEAT_STRENGTH
 
 FAST = dict(epochs=2, net_channels=(2, 4, 8), kernel_size=3)
 
@@ -265,3 +274,62 @@ def test_untrustworthy_fit_gives_no_number(fault, model, error, match,
     # all records are EA+: EA- cells have no windows, the rest fail
     assert [cells[("EA+", c)] for c in cols] == ["x"] * 3
     assert [cells[("EA-", c)] for c in cols] == ["-"] * 3
+
+
+# The benchmark's ablate_all set at seed 1604 (np.random.SeedSequence(1604)
+# draws the two synth seeds): its record neg-rec000 has two ICA sources in
+# the fetal band.
+PERTURBED_SET = {
+    "pos": SyntheticSpec(n_records=2, duration_s=10.0, seed=2320802988,
+                         wave_config=WaveConfig.EA_PLUS, fecg_polarity=1),
+    "neg": SyntheticSpec(n_records=2, duration_s=10.0, seed=314377722,
+                         wave_config=WaveConfig.EA_MINUS, fecg_polarity=-1)}
+# Rescaling the loaded rows by 1 + 1e-12 u moved no cell's mean r by more
+# than 6.4e-13. A cell prints r to 4 decimals, so it can change only where
+# r lies that close to a rounding boundary, and then by one printed step.
+CELL_DRIFT = 1e-4
+
+
+def _cell_kind(cell):
+    return cell if cell in ("-", "+", "x") else "number"
+
+
+def test_grid_cells_survive_round_off_perturbation_of_the_input(
+        tmp_path, monkeypatch):
+    manifests = {g: generate_synthetic(spec, str(tmp_path / g))
+                 for g, spec in PERTURBED_SET.items()}
+    beat_rate, rates = separation._beat_rate, []
+
+    def recorded_beat_rate(x, fs):
+        rates.append(beat_rate(x, fs))
+        return rates[-1]
+
+    monkeypatch.setattr(separation, "_beat_rate", recorded_beat_rate)
+
+    def cells(scale):
+        records = []
+        for g, ms in manifests.items():
+            for m in ms:
+                rows, img = load_record(m, str(tmp_path / g))
+                records.append(preprocess_record(
+                    rows * scale(rows.shape), img, dataclasses.replace(
+                        m, record_id=f"{g}-{m.record_id}"), seed=0))
+        base = ExperimentConfig(model=ModelKind.RIDGE, **FAST)
+        return {(name, *key): cell for name in ("table3", "table6")
+                for key, cell in run_ablation(name, records, base)[2].items()}
+
+    plain = cells(lambda shape: 1.0)
+    # two sources per record, so consecutive pairs of rates
+    fetal = [est is not None and FETAL_RATE_HZ[0] <= est[0] <= FETAL_RATE_HZ[1]
+             and est[1] >= MIN_BEAT_STRENGTH for est in rates]
+    assert any(fetal[i] and fetal[i + 1] for i in range(0, len(fetal), 2))
+    rng = np.random.default_rng(0)
+    perturbed = cells(lambda shape: 1.0 + 1e-12 * rng.uniform(-1, 1, shape))
+
+    assert plain.keys() == perturbed.keys()
+    for key, cell in plain.items():
+        other = perturbed[key]
+        assert _cell_kind(cell) == _cell_kind(other), (key, cell, other)
+        if _cell_kind(cell) == "number":
+            assert abs(float(cell) - float(other)) <= CELL_DRIFT + 1e-12, \
+                (key, cell, other)

@@ -138,20 +138,29 @@ def test_manifest_file_roundtrip(tmp_path):
 
 
 def test_load_record_checks_sizes(tmp_path):
-    m = _manifest()
+    # four channel files, of which the bipolar three are read in their order
+    m = dataclasses.replace(
+        _manifest(), channel_paths=tuple(f"ch{i}.f32" for i in range(4)),
+        bipolar_channel_indices=(2, 0, 3))
     rng = np.random.default_rng(1)
-    for p in m.channel_paths:
-        write_raw_f32(str(tmp_path / p), rng.normal(size=64))
+    chans = rng.normal(size=(4, 64)).astype(np.float32)
+    for p, ch in zip(m.channel_paths, chans):
+        if p != "ch1.f32":  # not bipolar, so never opened
+            write_raw_f32(str(tmp_path / p), ch)
     write_pgm(str(tmp_path / m.image_path),
               GrayImage(rng.integers(0, 256, size=(20, 30)).astype(float)))
-    rec, img = load_record(m, str(tmp_path))
-    assert rec.n_channels == 3 and len(rec.channels[0]) == 64
+    rows, img = load_record(m, str(tmp_path))
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, chans[[2, 0, 3]])
     assert img.pixels.shape == (20, 30)
 
-    # wrong-length channel file is rejected
-    write_raw_f32(str(tmp_path / m.channel_paths[0]), rng.normal(size=63))
-    with pytest.raises(SizeMismatch):
+    # wrong-length channel file is rejected, against the manifest and,
+    # without its n_samples, against the other channels
+    write_raw_f32(str(tmp_path / "ch0.f32"), chans[0, :63])
+    with pytest.raises(SizeMismatch, match="manifest says 64"):
         load_record(m, str(tmp_path))
+    with pytest.raises(SizeMismatch, match="disagree on length"):
+        load_record(dataclasses.replace(m, aux={}), str(tmp_path))
 
 
 def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):

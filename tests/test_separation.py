@@ -1,12 +1,18 @@
 import itertools
+import os
 import time
 
 import numpy as np
 import pytest
 
-from pwdrecon.core import MultichannelRecording, Polarity, TimeSeries
+from pwdrecon import separation
+from pwdrecon.core import Polarity, TimeSeries
 from pwdrecon.errors import DegenerateInput, NoPeaksDetected
+from pwdrecon.harness.io import load_record, read_raw_f32
+from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.separation import (
+    FETAL_RATE_HZ,
+    MIN_BEAT_STRENGTH,
     _beat_rate,
     _group_peaks,
     detect_polarity,
@@ -225,19 +231,51 @@ def test_extract_fecg_recovers_fetal_source():
     fet_w = np.array([0.8, -1.2, 0.5])
     mix = (np.outer(maternal, mat_w) + np.outer(fetal, fet_w)
            + 0.005 * rng.normal(size=(t.size, 3)))
-    rec = MultichannelRecording(
-        channels=tuple(TimeSeries(mix[:, i], fs) for i in range(3)))
-    out = extract_fecg(rec, seed=0)
+    out = extract_fecg(mix.T, fs, seed=0)
     r = abs(np.corrcoef(out.samples, fetal)[0, 1])
     assert r >= 0.8
     assert out.fs == fs
 
 
+def test_extract_fecg_keeps_the_strongest_fetal_component(tmp_path,
+                                                         monkeypatch):
+    # rec009 of the benchmark's train_net set at seed 1: both ICA sources
+    # pass the fetal-band test, with beat strengths 0.85 and 0.22
+    spec = SyntheticSpec(n_records=10, duration_s=5.0, jitter_ms=0.0,
+                         fetal_rr_jitter=0.05, seed=1)
+    m = generate_synthetic(spec, str(tmp_path))[9]
+    rows, _ = load_record(m, str(tmp_path))
+    calls = []
+    beat_rate = separation._beat_rate
+
+    def recorded_beat_rate(x, fs):
+        calls.append((x, beat_rate(x, fs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(separation, "_beat_rate", recorded_beat_rate)
+    out = extract_fecg(rows, m.aecg_fs, seed=0)
+    (x0, (rate0, strength0)), (x1, (rate1, strength1)) = calls
+    for rate in (rate0, rate1):
+        assert FETAL_RATE_HZ[0] <= rate <= FETAL_RATE_HZ[1]
+    assert min(strength0, strength1) >= MIN_BEAT_STRENGTH
+    strongest, weaker = (x0, x1) if strength0 > strength1 else (x1, x0)
+    assert np.array_equal(np.abs(out.samples), np.abs(strongest))
+    clean = read_raw_f32(os.path.join(tmp_path, m.aux["fetal_clean_path"]))
+    assert abs(np.corrcoef(out.samples, clean)[0, 1]) >= 0.9
+
+    # with the two strengths swapped the other source is kept, whichever
+    # row FastICA put it in
+    swapped = iter([(rate1, strength1), (rate0, strength0)])
+    monkeypatch.setattr(separation, "_beat_rate", lambda x, fs: next(swapped))
+    out = extract_fecg(rows, m.aecg_fs, seed=0)
+    assert np.array_equal(np.abs(out.samples), np.abs(weaker))
+
+
 def test_extract_fecg_requires_three_channels():
-    ts = TimeSeries(np.random.default_rng(0).normal(size=600), FS)
-    rec = MultichannelRecording(channels=(ts, ts))
-    with pytest.raises(ValueError):
-        extract_fecg(rec, seed=0)
+    x = np.random.default_rng(0).normal(size=600)
+    for rows in (np.stack([x, x]), np.stack([x, x, x, x]), x):
+        with pytest.raises(ValueError):
+            extract_fecg(rows, FS, seed=0)
 
 
 def group_peaks_by_sample(z, above, refractory):

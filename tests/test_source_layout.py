@@ -12,6 +12,7 @@ OWNERS = {
     ("json", "dump"): "core.py",
     ("np", "load"): "harness/io.py",
     ("np", "savez"): "harness/io.py",
+    ("np", "fromfile"): "harness/io.py",
 }
 
 

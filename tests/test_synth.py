@@ -57,9 +57,8 @@ def test_generate_writes_complete_dataset(tmp_path):
     assert len(manifests) == 2
     assert load_manifests(os.path.join(out, "records.json")) == manifests
     for m in manifests:
-        rec, img = load_record(m, out)
-        assert rec.n_channels == 3
-        assert len(rec.channels[0]) == int(4.0 * spec.aecg_fs)
+        rows, img = load_record(m, out)
+        assert rows.shape == (3, int(4.0 * spec.aecg_fs))
         assert img.pixels.shape == (spec.image_height,
                                     int(4.0 * spec.columns_per_second))
         for key in ("fetal_clean_path", "truth_upper_path",

@@ -1,13 +1,11 @@
 """pwdrecon: pulsed-wave Doppler envelope reconstruction from fetal ECG."""
 
 from .core import (
-    EnvelopePair,
     EnvelopeSelection,
     ModelKind,
     OutputMode,
     Polarity,
     RecordManifest,
-    TimeSeries,
     WaveConfig,
     WindowSet,
 )
@@ -15,7 +13,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnvelopePair", "EnvelopeSelection", "ModelKind", "OutputMode",
-    "Polarity", "RecordManifest", "TimeSeries", "WaveConfig", "WindowSet",
-    "__version__",
+    "EnvelopeSelection", "ModelKind", "OutputMode", "Polarity",
+    "RecordManifest", "WaveConfig", "WindowSet", "__version__",
 ]

@@ -51,6 +51,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed: must be >= 0, got {args.seed}")
     manifests = load_manifests(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     records = []

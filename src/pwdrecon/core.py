@@ -1,6 +1,8 @@
-"""Shared domain vocabulary: signals, records, envelopes, windows, config enums.
+"""Shared domain vocabulary: records, windows, config enums, JSON codec.
 
-All types are immutable value objects; invariants are checked at
+A stream is a plain float64 array on the TARGET_FS time base: the fECG
+is (n,) and the upper and lower PwD envelopes are the rows of one (2, n)
+array. All types are immutable value objects; invariants are checked at
 construction time, never deferred to first use.
 """
 
@@ -20,42 +22,6 @@ def _as_readonly(a) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Uniformly sampled real-valued signal."""
-
-    samples: np.ndarray
-    fs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_readonly(self.samples))
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if not self.fs > 0:
-            raise ValueError("fs must be > 0")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
-class EnvelopePair:
-    """Upper and lower PwD envelopes on one shared time base."""
-
-    upper: TimeSeries
-    lower: TimeSeries
-
-    def __post_init__(self):
-        if self.upper.fs != self.lower.fs:
-            raise ValueError("upper and lower must share fs")
-        if len(self.upper) != len(self.lower):
-            raise ValueError("upper and lower must share length")
-
-    @property
-    def fs(self) -> float:
-        return self.upper.fs
 
 
 class WaveConfig(Enum):
@@ -127,6 +93,15 @@ class WindowSet:
         return self.x.shape[0]
 
 
+def check_record_id(owner: str, record_id: str) -> None:
+    """Refuse a record id that cannot name the record's files: an empty
+    one, `.`, `..` or one holding a path separator or a NUL."""
+    if record_id in ("", ".", "..") \
+            or any(c in record_id for c in ("/", "\\", "\0")):
+        raise ValueError(f"{owner}.record_id: must be a file name, "
+                         f"got {record_id!r}")
+
+
 @dataclass(frozen=True)
 class RecordManifest:
     """Per-record metadata: file locations, channel selection, labels."""
@@ -142,6 +117,7 @@ class RecordManifest:
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_record_id("RecordManifest", self.record_id)
         object.__setattr__(self, "channel_paths", tuple(self.channel_paths))
         idx = tuple(int(i) for i in self.bipolar_channel_indices)
         object.__setattr__(self, "bipolar_channel_indices", idx)
@@ -157,13 +133,22 @@ class RecordManifest:
 
 @dataclass(frozen=True)
 class PreprocessedRecord:
-    """One record after the full preprocessing pipeline, at 284 Hz."""
+    """One record after the full preprocessing pipeline, at 284 Hz: the
+    fECG as (n,) samples and the upper and lower envelopes as (2, n)
+    rows."""
 
     record_id: str
-    fecg: TimeSeries
-    env: EnvelopePair
+    fecg: np.ndarray
+    env: np.ndarray
     wave_config: WaveConfig
     polarity: Polarity
+
+    def __post_init__(self):
+        for name in ("fecg", "env"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        if self.fecg.ndim != 1 or self.env.shape != (2, self.fecg.size):
+            raise ValueError(f"fecg must be (n,) and env (2, n), got "
+                             f"{self.fecg.shape} and {self.env.shape}")
 
 
 def to_json_dict(obj) -> dict:

@@ -1,8 +1,11 @@
 """Filtering, resampling, normalization and windowing primitives.
 
-Applied to both the extracted fECG stream and the PwD envelope stream.
-Filter design and zero-phase application are delegated to scipy.signal
-behind second-order-section arrays.
+Applied to both the extracted fECG stream, an (n,) array, and the PwD
+envelope stream, (2, n) rows. Filtering, z-scoring and mean centering
+work along the last axis, so a row-wise call equals one call per row;
+resampling takes one row at a time. Filter design and zero-phase
+application are delegated to scipy.signal behind second-order-section
+arrays designed at TARGET_FS.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as sps
 
-from .core import TARGET_FS, TimeSeries, WindowSet
+from .core import TARGET_FS, WindowSet
 from .errors import (
     NumericalInstability,
     SignalShorterThanWindow,
@@ -49,70 +52,69 @@ def design_bandpass(kind: str) -> np.ndarray:
     return sos
 
 
-def filtfilt(sos: np.ndarray, x: TimeSeries) -> TimeSeries:
-    """Zero-phase forward-backward application of the sections `sos`.
+def filtfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-phase forward-backward application of the sections `sos`,
+    designed at TARGET_FS, along the last axis of `x`.
 
-    Output length equals input length. The signal is reflect-padded
+    Output shape equals input shape. The signal is reflect-padded
     before the forward pass to suppress edge transients.
     """
+    n = x.shape[-1]
     digital_order = 2 * len(sos)  # two poles per section
-    if len(x) <= 3 * digital_order:
+    if n <= 3 * digital_order:
         raise SignalTooShort(
-            f"need more than {3 * digital_order} samples, got {len(x)}")
+            f"need more than {3 * digital_order} samples, got {n}")
     # long even-reflection padding tames the near-DC pole's transient
-    padlen = min(len(x) - 1, int(10 * x.fs))
-    y = sps.sosfiltfilt(sos, x.samples, padtype="even", padlen=padlen)
-    return TimeSeries(y, x.fs)
+    padlen = min(n - 1, int(10 * TARGET_FS))
+    return sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
 
 
-def resample_linear(x: TimeSeries, fs_out: float) -> TimeSeries:
-    """Resample by linear interpolation at exact output timestamps."""
-    if not fs_out > 0:
-        raise ValueError("fs_out must be > 0")
-    n_out = int(round(len(x) * fs_out / x.fs))
+def resample_linear(x: np.ndarray, fs_in: float) -> np.ndarray:
+    """Resample (n,) samples taken at fs_in to TARGET_FS by linear
+    interpolation at exact output timestamps."""
+    n_out = int(round(x.size * TARGET_FS / fs_in))
     if n_out < 1:
         raise ValueError("resampled signal would be empty")
-    t_out = np.arange(n_out) / fs_out
-    t_in = np.arange(len(x)) / x.fs
-    y = np.interp(t_out, t_in, x.samples)
-    return TimeSeries(y, fs_out)
+    t_out = np.arange(n_out) / TARGET_FS
+    t_in = np.arange(x.size) / fs_in
+    return np.interp(t_out, t_in, x)
 
 
-def zscore(x: TimeSeries) -> TimeSeries:
-    """Normalize to zero mean, unit standard deviation."""
-    if len(x) < 2:
+def zscore(x: np.ndarray) -> np.ndarray:
+    """Normalize along the last axis to zero mean, unit standard deviation."""
+    if x.shape[-1] < 2:
         raise ValueError("zscore needs at least 2 samples")
-    sd = float(np.std(x.samples))
-    if sd == 0.0:
+    sd = np.std(x, axis=-1, keepdims=True)
+    if np.any(sd == 0.0):
         raise ZeroVariance("constant signal has no z-score")
-    return TimeSeries((x.samples - np.mean(x.samples)) / sd, x.fs)
+    return (x - np.mean(x, axis=-1, keepdims=True)) / sd
 
 
-def mean_center(x: TimeSeries) -> TimeSeries:
-    """Subtract the mean; removes the DC component, preserves shape."""
-    return TimeSeries(x.samples - np.mean(x.samples), x.fs)
+def mean_center(x: np.ndarray) -> np.ndarray:
+    """Subtract the mean along the last axis; removes the DC component,
+    preserves shape."""
+    return x - np.mean(x, axis=-1, keepdims=True)
 
 
-def segment(x: TimeSeries, y_channels: list[TimeSeries], window_s: float,
+def segment(x: np.ndarray, y: np.ndarray, window_s: float,
             record_id: str) -> WindowSet:
-    """Cut aligned streams into consecutive non-overlapping windows.
+    """Cut the (n,) input and the (C, n) target rows into consecutive
+    non-overlapping windows.
 
     The trailing remainder shorter than one window is discarded.
     """
     if window_s not in WINDOW_SECONDS:
         raise ValueError(f"window_s must be one of {WINDOW_SECONDS}")
-    for y in y_channels:
-        if y.fs != x.fs or len(y) != len(x):
-            raise ValueError("x and y_channels must share fs and length")
-    L = int(round(window_s * x.fs))
-    n_win = len(x) // L
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
+        raise ValueError("x must be (n,) and y (channels, n)")
+    L = int(round(window_s * TARGET_FS))
+    n_win = x.size // L
     if n_win == 0:
         raise SignalShorterThanWindow(
-            f"record of {len(x)} samples shorter than window of {L}")
+            f"record of {x.size} samples shorter than window of {L}")
     n = n_win * L
     return WindowSet(
-        x=x.samples[:n].reshape(n_win, L),
-        y=np.stack([y.samples[:n].reshape(n_win, L) for y in y_channels],
-                   axis=1),
-        t_start=np.arange(n_win) * L / x.fs,
+        x=x[:n].reshape(n_win, L),
+        y=y[:, :n].reshape(len(y), n_win, L).transpose(1, 0, 2),
+        t_start=np.arange(n_win) * L / TARGET_FS,
         record_id=np.full(n_win, record_id))

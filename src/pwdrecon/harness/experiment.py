@@ -11,14 +11,12 @@ import numpy as np
 from ..baselines import lasso_fit, linmap_predict, ols_fit, ridge_fit
 from ..core import (
     TARGET_FS,
-    EnvelopePair,
     EnvelopeSelection,
     ModelKind,
     OutputMode,
     Polarity,
     PreprocessedRecord,
     RecordManifest,
-    TimeSeries,
     WaveConfig,
     WindowSet,
 )
@@ -76,21 +74,18 @@ def preprocess_record(rows: np.ndarray, img: GrayImage,
     fecg = extract_fecg(rows, manifest.aecg_fs, seed=seed)
     # polarity belongs to the extracted waveform; the 50 Hz cutoff below
     # shrinks the narrow R lobe and can flip marginal cases
-    polarity = detect_polarity(fecg)
-    fecg = filtfilt(FECG_SOS, resample_linear(zscore(fecg), TARGET_FS))
+    polarity = detect_polarity(fecg, manifest.aecg_fs)
+    fecg = filtfilt(FECG_SOS, resample_linear(zscore(fecg), manifest.aecg_fs))
 
     norm = normalize_intensity(img)
     thr = otsu_threshold(norm)
-    raw = extract_envelopes(norm, thr, manifest.image_baseline_row,
-                            manifest.image_columns_per_second)
-    env = preprocess_envelopes(raw)
+    raw = extract_envelopes(norm, thr, manifest.image_baseline_row)
+    env = preprocess_envelopes(raw, manifest.image_columns_per_second)
 
-    n = min(len(fecg), len(env.upper))
-    fecg = TimeSeries(fecg.samples[:n], TARGET_FS)
-    env = EnvelopePair(upper=TimeSeries(env.upper.samples[:n], TARGET_FS),
-                       lower=TimeSeries(env.lower.samples[:n], TARGET_FS))
-    return PreprocessedRecord(record_id=manifest.record_id, fecg=fecg,
-                              env=env, wave_config=manifest.wave_config,
+    n = min(fecg.size, env.shape[1])
+    return PreprocessedRecord(record_id=manifest.record_id, fecg=fecg[:n],
+                              env=env[:, :n],
+                              wave_config=manifest.wave_config,
                               polarity=polarity)
 
 
@@ -136,6 +131,7 @@ class ExperimentConfig:
                 ("window_s", self.window_s in WINDOW_SECONDS,
                  f"one of {WINDOW_SECONDS}"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("kernel_size", self.kernel_size >= 1
                  and self.kernel_size % 2 == 1, "odd and >= 1"),
@@ -163,16 +159,17 @@ class ExperimentConfig:
 
 
 def _target_channels(rec: PreprocessedRecord,
-                     config: ExperimentConfig) -> list[TimeSeries]:
+                     config: ExperimentConfig) -> np.ndarray:
+    """The config's normalized training targets, as (C, n) rows."""
     if config.output_mode is OutputMode.PCA_SINGLE:
-        chans = [pca_compress_envelopes(rec.env)]
+        rows = pca_compress_envelopes(rec.env)[None]
     elif config.envelope_selection is EnvelopeSelection.UPPER:
-        chans = [rec.env.upper]
+        rows = rec.env[:1]
     elif config.envelope_selection is EnvelopeSelection.LOWER:
-        chans = [rec.env.lower]
+        rows = rec.env[1:]
     else:
-        chans = [rec.env.upper, rec.env.lower]
-    return [zscore(c) for c in chans]  # normalized training targets
+        rows = rec.env
+    return zscore(rows)
 
 
 def build_windows(records: list[PreprocessedRecord],

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines import LinearMap
-from ..core import RecordManifest, TimeSeries, WaveConfig
-from ..core import EnvelopePair, ModelKind, Polarity, PreprocessedRecord
-from ..core import TARGET_FS, read_json, to_json_dict, write_json
+from ..core import ModelKind, Polarity, PreprocessedRecord, RecordManifest
+from ..core import TARGET_FS, WaveConfig, check_record_id, read_json
+from ..core import to_json_dict, write_json
 from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from ..net.model import init_params
 from ..pwd_envelope import GrayImage
@@ -83,10 +83,22 @@ def read_pgm(path: str) -> GrayImage:
         raise BadMagic(f"{path}: {exc}") from None
 
 
+def _unique_ids(path: str, entries: tuple) -> list:
+    """The entries read from `path`, refused when two share a record_id,
+    which names the record's files."""
+    seen = set()
+    for e in entries:
+        if e.record_id in seen:
+            raise ValueError(f"{path}: record_id {e.record_id!r} appears "
+                             "more than once")
+        seen.add(e.record_id)
+    return list(entries)
+
+
 def load_manifests(path: str) -> list[RecordManifest]:
     if not os.path.exists(path):
         raise FileMissing(path)
-    return list(read_json(path, tuple[RecordManifest, ...]))
+    return _unique_ids(path, read_json(path, tuple[RecordManifest, ...]))
 
 
 def load_record(manifest: RecordManifest,
@@ -119,9 +131,13 @@ class PreprocessedIndexEntry:
     polarity: Polarity
 
     def __post_init__(self):
+        check_record_id("PreprocessedIndexEntry", self.record_id)
         if self.fs != TARGET_FS:
             raise ValueError(f"PreprocessedIndexEntry.fs: must be "
                              f"{TARGET_FS}, got {self.fs!r}")
+
+
+_STREAMS = ("fecg", "upper", "lower")  # a record's .f32 files, in row order
 
 
 def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
@@ -129,12 +145,11 @@ def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     index = []
     for rec in records:
-        for name, ts in (("fecg", rec.fecg), ("upper", rec.env.upper),
-                         ("lower", rec.env.lower)):
+        for name, samples in zip(_STREAMS, (rec.fecg, *rec.env)):
             write_raw_f32(os.path.join(out_dir, f"{rec.record_id}.{name}.f32"),
-                          ts.samples)
+                          samples)
         index.append(PreprocessedIndexEntry(
-            record_id=rec.record_id, fs=rec.fecg.fs, n_samples=len(rec.fecg),
+            record_id=rec.record_id, fs=TARGET_FS, n_samples=rec.fecg.size,
             wave_config=rec.wave_config, polarity=rec.polarity))
     write_json(os.path.join(out_dir, "preprocessed.json"), index)
 
@@ -145,19 +160,19 @@ def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
     if not os.path.exists(path):
         raise FileMissing(path)
     records = []
-    for e in read_json(path, tuple[PreprocessedIndexEntry, ...]):
+    for e in _unique_ids(path, read_json(
+            path, tuple[PreprocessedIndexEntry, ...])):
         rid, n = e.record_id, e.n_samples
-        streams = {}
-        for name in ("fecg", "upper", "lower"):
+        streams = []
+        for name in _STREAMS:
             stream = os.path.join(data_dir, f"{rid}.{name}.f32")
             samples = read_raw_f32(stream)
             if samples.size != n:
                 raise SizeMismatch(f"{rid}: {name} stream {stream} has "
                                    f"{samples.size} samples, expected {n}")
-            streams[name] = TimeSeries(samples, e.fs)
+            streams.append(samples)
         records.append(PreprocessedRecord(
-            record_id=rid, fecg=streams["fecg"],
-            env=EnvelopePair(upper=streams["upper"], lower=streams["lower"]),
+            record_id=rid, fecg=streams[0], env=np.array(streams[1:]),
             wave_config=e.wave_config, polarity=e.polarity))
     return records
 

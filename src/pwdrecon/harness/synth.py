@@ -54,6 +54,9 @@ class SyntheticSpec:
     baseline_row: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"SyntheticSpec.seed: must be >= 0, "
+                             f"got {self.seed!r}")
         if self.n_records < 1 or self.duration_s <= 0:
             raise ValueError("need n_records >= 1 and duration_s > 0")
         if any(r[0] <= 0 or r[0] > r[1]

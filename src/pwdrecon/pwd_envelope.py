@@ -1,9 +1,10 @@
-"""PwD spectrogram image -> mean-centered envelope time series at 284 Hz.
+"""PwD spectrogram image -> mean-centered envelope rows at 284 Hz.
 
 Pipeline: intensity normalization, Otsu binarization, max-min envelope
 extraction around the zero-velocity baseline row, then mean centering,
-resampling and Bessel bandpass filtering. Optional PCA compression folds
-the upper/lower pair into one channel.
+resampling and Bessel bandpass filtering. The upper and lower envelopes
+travel together as the two rows of one (2, n) array. Optional PCA
+compression folds them into one (n,) channel.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import copy
 
 import numpy as np
 
-from .core import TARGET_FS, EnvelopePair, TimeSeries
 from .dsp import design_bandpass, filtfilt, mean_center, resample_linear
 from .errors import ConstantImage
 from .separation import pca_fit
@@ -126,14 +126,15 @@ def otsu_threshold(img: GrayImage) -> int:
     return int(np.argmax(var)) + 1  # the first maximum: smallest t
 
 
-def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,
-                      columns_per_second: float) -> EnvelopePair:
-    """Max-min envelope extraction in raw pixel units.
+def extract_envelopes(img: GrayImage, threshold: float,
+                      baseline_row: int) -> np.ndarray:
+    """Max-min envelope extraction in raw pixel units, one sample per
+    image column.
 
-    Per column, the upper envelope is the pixel distance from the
-    baseline row to the highest bright pixel above it (0 if none); the
-    lower envelope is minus the distance to the lowest bright pixel
-    below it. Sample rate is the image column rate.
+    Returns (2, width) float64 rows. Per column, the upper envelope (row
+    0) is the pixel distance from the baseline row to the highest bright
+    pixel above it (0 if none); the lower envelope (row 1) is minus the
+    distance to the lowest bright pixel below it.
     """
     if not 0 < baseline_row < img.height - 1:
         raise ValueError("baseline_row must be strictly inside the image")
@@ -144,36 +145,32 @@ def extract_envelopes(img: GrayImage, threshold: float, baseline_row: int,
     below = bright[:baseline_row:-1]     # bottom-up: first True is lowest
     upper = np.where(above.any(0), len(above) - above.argmax(0), 0)
     lower = np.where(below.any(0), below.argmax(0) - len(below), 0)
-    return EnvelopePair(upper=TimeSeries(upper, columns_per_second),
-                        lower=TimeSeries(lower, columns_per_second))
+    return np.array([upper, lower], dtype=np.float64)
 
 
-def preprocess_envelopes(raw: EnvelopePair) -> EnvelopePair:
-    """Mean-center, resample to 284 Hz, Bessel 0.1-50 Hz zero-phase filter.
+def preprocess_envelopes(raw: np.ndarray, fs: float) -> np.ndarray:
+    """Mean-center, resample from fs to 284 Hz, Bessel 0.1-50 Hz
+    zero-phase filter.
 
-    Both channels get the identical chain; a final re-centering keeps the
-    mean at zero despite bandpass edge transients.
+    Both (2, width) rows get the identical chain, (2, n) rows come out; a
+    final re-centering keeps the mean at zero despite bandpass edge
+    transients. A constant raw envelope comes out as exact zeros.
     """
-    def chain(ts: TimeSeries) -> TimeSeries:
-        # a constant raw envelope comes out as exact zeros
-        out = filtfilt(ENVELOPE_SOS, resample_linear(mean_center(ts),
-                                                     TARGET_FS))
-        return mean_center(out)
-
-    return EnvelopePair(upper=chain(raw.upper), lower=chain(raw.lower))
+    resampled = np.array([resample_linear(row, fs)
+                          for row in mean_center(raw)])
+    return mean_center(filtfilt(ENVELOPE_SOS, resampled))
 
 
-def pca_compress_envelopes(pair: EnvelopePair) -> TimeSeries:
-    """Project (upper, lower) sample pairs onto their first principal axis.
+def pca_compress_envelopes(env: np.ndarray) -> np.ndarray:
+    """Project the (2, n) (upper, lower) rows onto their first principal
+    axis, giving (n,) samples.
 
     Output sign is fixed so correlation with the upper envelope is >= 0.
     Raises DegenerateInput when both channels are constant.
     """
-    u = pair.upper.samples
-    data = np.stack([u, pair.lower.samples])
-    pca = pca_fit(data)
-    out = pca.components[0] @ (data - pca.mean[:, None])
-    uc = u - u.mean()
+    pca = pca_fit(env)
+    out = pca.components[0] @ (env - pca.mean[:, None])
+    uc = env[0] - env[0].mean()
     if float(out @ uc) < 0:
         out = -out
-    return TimeSeries(out, pair.fs)
+    return out

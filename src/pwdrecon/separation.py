@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polarity, TimeSeries
+from .core import Polarity
 from .errors import (
     DegenerateInput,
     NoFetalComponent,
@@ -171,15 +171,16 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     return fs / int(near[best]), float(exact[best] / ac0)
 
 
-def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> TimeSeries:
+def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> np.ndarray:
     """PCA-ICA-PCA chain: 3 bipolar abdominal channels -> 1 fECG channel.
 
-    rows: (3, n_samples) bipolar channels sampled at fs. The first PCA
-    removes the maternal-dominant top component; FastICA unmixes the
-    rank-2 residual; of the components with a beat rate in the fetal band,
-    the one with the strongest beat is kept. The sources are whitened, so
-    a second component is not merged in: a PCA of the two would find an
-    identity covariance and keep an axis set by round-off.
+    rows: (3, n_samples) bipolar channels sampled at fs; returns the
+    (n_samples,) fECG at fs. The first PCA removes the maternal-dominant
+    top component; FastICA unmixes the rank-2 residual; of the components
+    with a beat rate in the fetal band, the one with the strongest beat is
+    kept. The sources are whitened, so a second component is not merged
+    in: a PCA of the two would find an identity covariance and keep an
+    axis set by round-off.
     """
     if rows.ndim != 2 or rows.shape[0] != 3:
         raise ValueError("fECG extraction requires exactly 3 bipolar channels")
@@ -197,8 +198,7 @@ def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> TimeSeries:
         raise NoFetalComponent(
             "no independent component with a beat rate in "
             f"{FETAL_RATE_HZ} Hz")
-    out = _orient_to_sensors(sources[best], rows, fs)
-    return TimeSeries(out, fs)
+    return _orient_to_sensors(sources[best], rows, fs)
 
 
 def _group_peaks(z: np.ndarray, above: np.ndarray,
@@ -244,15 +244,15 @@ def _orient_to_sensors(out: np.ndarray, data: np.ndarray,
     return out
 
 
-def detect_polarity(fecg: TimeSeries) -> Polarity:
-    """Classify R-deflection direction from high-amplitude peaks.
+def detect_polarity(x: np.ndarray, fs: float) -> Polarity:
+    """Classify R-deflection direction of (n,) fECG samples at fs from
+    high-amplitude peaks.
 
     Peaks are |z-scored| excursions above 2.5 with a 0.25 s refractory
     period; the median signed amplitude at peak locations decides.
     """
-    if len(fecg) / fecg.fs < 1.0:
+    if x.size / fs < 1.0:
         raise ValueError("polarity detection needs at least 1 s of signal")
-    x = fecg.samples
     sd = np.std(x)
     if sd == 0:
         raise NoPeaksDetected("flat signal")
@@ -261,6 +261,6 @@ def detect_polarity(fecg: TimeSeries) -> Polarity:
     if above.size == 0:
         raise NoPeaksDetected("no |z| > 2.5 excursions")
 
-    peaks = _group_peaks(z, above, int(round(0.25 * fecg.fs)))
+    peaks = _group_peaks(z, above, int(round(0.25 * fs)))
     med = float(np.median(z[peaks]))
     return Polarity.POSITIVE if med > 0 else Polarity.NEGATIVE

@@ -19,7 +19,6 @@ from pwdrecon.baselines import lasso_fit, ols_fit, ridge_fit
 from pwdrecon.core import (
     ModelKind,
     Polarity,
-    TimeSeries,
     WaveConfig,
 )
 from pwdrecon.dsp import design_bandpass, filtfilt
@@ -37,7 +36,6 @@ from pwdrecon.net.model import NetConfig, backward, forward_batch, init_params
 from pwdrecon.net.ops import mse_loss
 from pwdrecon.net.optim import rmsprop_step
 from pwdrecon.pwd_envelope import (
-    EnvelopePair,
     GrayImage,
     extract_envelopes,
     otsu_threshold,
@@ -132,16 +130,15 @@ def test_a3_filter_contract():
         g60 = H[np.argmin(np.abs(freqs - 60.0))]
         assert g10 >= 0.9 and g60 <= 0.6  # single-pass bound
 
-        x10 = TimeSeries(np.sin(2 * np.pi * 10.0 * t), FS)
+        x10 = np.sin(2 * np.pi * 10.0 * t)
         y10 = filtfilt(f, x10)
-        amp = (np.abs(np.fft.rfft(y10.samples))[20]
-               / np.abs(np.fft.rfft(x10.samples))[20])  # exact 10 Hz bin
+        amp = (np.abs(np.fft.rfft(y10))[20]
+               / np.abs(np.fft.rfft(x10))[20])  # exact 10 Hz bin
         assert amp >= 0.9
 
-        x60 = TimeSeries(np.sin(2 * np.pi * 60.0 * t), FS)
+        x60 = np.sin(2 * np.pi * 60.0 * t)
         y60 = filtfilt(f, x60)
-        rms = np.sqrt(np.mean(y60.samples ** 2)
-                      / np.mean(x60.samples ** 2))
+        rms = np.sqrt(np.mean(y60 ** 2) / np.mean(x60 ** 2))
         assert rms <= 0.35
         results.append(f"{kind}: amp10 {amp:.3f} rms60 {rms:.3f}")
     elapsed = time.monotonic() - t0
@@ -221,7 +218,7 @@ def test_a5_source_separation(tmp_path):
         rows, _ = load_record(m, out)
         fecg = extract_fecg(rows, m.aecg_fs, seed=0)
         clean = read_raw_f32(os.path.join(out, m.aux["fetal_clean_path"]))
-        worst_r = min(worst_r, abs(np.corrcoef(fecg.samples, clean)[0, 1]))
+        worst_r = min(worst_r, abs(np.corrcoef(fecg, clean)[0, 1]))
     elapsed = time.monotonic() - t0
     assert worst_r >= 0.8
     assert elapsed < 60.0
@@ -236,23 +233,20 @@ def test_a6_envelope_round_trip(tmp_path):
         SyntheticSpec(n_records=1, duration_s=8.0, noise_sigma=0.0,
                       jitter_ms=0.0, seed=2), out)
     _, img = load_record(m, out)
-    pair = extract_envelopes(img, 128.0, m.image_baseline_row,
-                             m.image_columns_per_second)
+    upper, lower = extract_envelopes(img, 128.0, m.image_baseline_row)
     up = read_raw_f32(os.path.join(out, m.aux["truth_upper_path"]))
     lo = read_raw_f32(os.path.join(out, m.aux["truth_lower_path"]))
-    err_u = np.max(np.abs(pair.upper.samples - np.round(up)))
-    err_l = np.max(np.abs(pair.lower.samples - np.round(lo)))
+    err_u = np.max(np.abs(upper - np.round(up)))
+    err_l = np.max(np.abs(lower - np.round(lo)))
     assert err_u <= 1.0 and err_l <= 1.0
 
     fs_img = 100.0
     t = np.arange(600) / fs_img
     wave = 30.0 + 20.0 * np.sin(2 * np.pi * 5.0 * t)
-    raw = EnvelopePair(upper=TimeSeries(wave, fs_img),
-                       lower=TimeSeries(-wave, fs_img))
-    pre = preprocess_envelopes(raw)
-    truth = np.interp(np.arange(len(pre.upper)) / FS, t, wave)
+    pre = preprocess_envelopes(np.array([wave, -wave]), fs_img)
+    truth = np.interp(np.arange(pre.shape[1]) / FS, t, wave)
     truth -= truth.mean()
-    r = np.corrcoef(pre.upper.samples, truth)[0, 1]
+    r = np.corrcoef(pre[0], truth)[0, 1]
     assert r >= 0.99
     print(f"\nA6 PASS px err ({err_u:.0f},{err_l:.0f}), 5 Hz r {r:.5f}")
 

@@ -8,7 +8,7 @@ import pytest
 from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
 from pwdrecon.core import ModelKind, read_json, to_json_dict, write_json
-from pwdrecon.harness import experiment
+from pwdrecon.harness import experiment, io
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import load_model, save_model, save_preprocessed
 
@@ -208,10 +208,14 @@ def test_cli_error_paths(tmp_path, capsys):
     ("train", {"window_s": 1.5}, "window_s"),
     ("ablate", {"base": {"batch_size": 0}, "grids": ["table2"]}, "batch_size"),
     ("ablate", {"base": {"model": "Ridge"}}, "grids"),
+    ("train", {"model": "Ridge", "seed": -1}, "seed"),
+    ("synth", {"seed": -2}, "seed"),
+    ("ablate", {"base": {"seed": -1}, "grids": ["table2"]}, "seed"),
 ], ids=["train-key", "synth-key", "grid-base-key", "grid-key",
         "manifest-key", "enum-value", "spec-enum-value", "int-value",
         "negative-batch", "zero-batch", "zero-epochs", "even-kernel",
-        "window-length", "grid-base-range", "grid-without-grids"])
+        "window-length", "grid-base-range", "grid-without-grids",
+        "negative-seed", "spec-negative-seed", "grid-base-negative-seed"])
 def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
                                         capsys):
     path = _write_json(tmp_path / "in.json", body)
@@ -337,6 +341,85 @@ def test_cli_refuses_preprocessed_streams_not_at_284_hz(small_dataset,
     assert err["error"] == "ValueError"
     assert err["message"] == (f"{index}: PreprocessedIndexEntry.fs: "
                               "must be 284.0, got 100.0")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("synth", "SyntheticSpec.seed: must be >= 0, got -1"),
+    ("preprocess", "--seed: must be >= 0, got -1"),
+    ("train", "ExperimentConfig.seed: must be >= 0, got -1"),
+    ("ablate", "ExperimentConfig.seed: must be >= 0, got -1"),
+], ids=["synth", "preprocess", "train", "ablate"])
+def test_cli_refuses_a_negative_seed_flag(command, message, tmp_path, capsys):
+    """Refused before any input is read: the manifest here is absent."""
+    spec = _write_json(tmp_path / "spec.json", {"n_records": 1})
+    argv = _cli_argv(command, tmp_path, spec=spec, grid="table2",
+                     manifest=str(tmp_path / "absent.json"))
+    assert main(argv + ["--seed", "-1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+def _manifest_entries(small_dataset):
+    """The shared dataset's manifest entries, their files by absolute path."""
+    out, manifests, _ = small_dataset
+    entries = [to_json_dict(m) for m in manifests]
+    for e in entries:
+        e["channel_paths"] = [os.path.join(out, p) for p in e["channel_paths"]]
+        e["image_path"] = os.path.join(out, e["image_path"])
+    return entries
+
+
+@pytest.mark.parametrize("rid", ["", ".", "..", "../escaped", "sub/rec",
+                                 "sub\\rec", "rec\0"])
+def test_preprocess_refuses_a_record_id_that_is_not_a_file_name(
+        rid, small_dataset, tmp_path, capsys):
+    entries = _manifest_entries(small_dataset)
+    entries[1]["record_id"] = rid
+    manifest = _write_json(tmp_path / "records.json", entries)
+    prep = tmp_path / "prep"
+    assert main(["preprocess", "--manifest", manifest,
+                 "--out", str(prep)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{manifest}: "
+                   f"RecordManifest.record_id: must be a file name, "
+                   f"got {rid!r}"}
+    assert sorted(os.listdir(tmp_path)) == ["records.json"]
+
+
+def test_preprocess_refuses_a_repeated_record_id(small_dataset, tmp_path,
+                                                  capsys):
+    entries = _manifest_entries(small_dataset)
+    entries[2]["record_id"] = entries[0]["record_id"]
+    manifest = _write_json(tmp_path / "records.json", entries)
+    assert main(["preprocess", "--manifest", manifest,
+                 "--out", str(tmp_path / "prep")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{manifest}: "
+                   "record_id 'rec000' appears more than once"}
+    assert sorted(os.listdir(tmp_path)) == ["records.json"]
+
+
+@pytest.mark.parametrize("rid, fault", [
+    ("rec000", "record_id 'rec000' appears more than once"),
+    ("../escaped", "PreprocessedIndexEntry.record_id: must be a file name, "
+     "got '../escaped'"),
+], ids=["repeated", "path"])
+def test_train_refuses_an_index_whose_ids_cannot_name_streams(
+        rid, fault, small_dataset, tmp_path, capsys, monkeypatch):
+    _, _, records = small_dataset
+    save_preprocessed(str(tmp_path), records)
+    index = tmp_path / "preprocessed.json"
+    entries = json.loads(index.read_text())
+    entries[1]["record_id"] = rid
+    index.write_text(json.dumps(entries))
+    read = []
+    monkeypatch.setattr(io, "read_raw_f32", lambda path: read.append(path))
+    assert main(_cli_argv("train", tmp_path)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{index}: {fault}"}
+    assert read == []  # refused before any stream is read
     assert not (tmp_path / "out").exists()
 
 

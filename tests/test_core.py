@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from pwdrecon.core import (
-    EnvelopePair,
     ModelKind,
     OutputMode,
+    PreprocessedRecord,
     RecordManifest,
-    TimeSeries,
     WaveConfig,
     WindowSet,
     Polarity,
@@ -23,27 +22,20 @@ from pwdrecon.harness.synth import SyntheticSpec
 from pwdrecon.net.model import NetConfig
 
 
-def test_timeseries_rejects_bad_construction():
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([]), 284.0)
-    with pytest.raises(ValueError):
-        TimeSeries(np.zeros(10), 0.0)
-    with pytest.raises(ValueError):
-        TimeSeries(np.zeros((2, 5)), 284.0)
+def test_preprocessed_record_streams_share_one_length():
+    def rec(fecg, env):
+        return PreprocessedRecord("r", fecg, env, WaveConfig.EA_PLUS,
+                                  Polarity.POSITIVE)
 
-
-def test_timeseries_is_immutable():
-    ts = TimeSeries(np.arange(5.0), 10.0)
+    r = rec(np.arange(10), np.zeros((2, 10)))
+    assert r.fecg.dtype == r.env.dtype == np.float64
     with pytest.raises(ValueError):
-        ts.samples[0] = 99.0
-
-
-def test_envelope_pair_invariants():
-    u = TimeSeries(np.zeros(10), 284.0)
-    with pytest.raises(ValueError):
-        EnvelopePair(upper=u, lower=TimeSeries(np.zeros(9), 284.0))
-    with pytest.raises(ValueError):
-        EnvelopePair(upper=u, lower=TimeSeries(np.zeros(10), 100.0))
+        r.env[0, 0] = 1.0
+    for fecg, env in ((np.zeros(10), np.zeros((2, 9))),   # lengths differ
+                      (np.zeros(10), np.zeros((1, 10))),  # one envelope
+                      (np.zeros((1, 10)), np.zeros((2, 10)))):
+        with pytest.raises(ValueError):
+            rec(fecg, env)
 
 
 def test_window_set_shape_checks():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from pwdrecon.core import TimeSeries
+from pwdrecon.core import TARGET_FS
 from pwdrecon.dsp import (
     design_bandpass,
     filtfilt,
@@ -19,7 +19,7 @@ from pwdrecon.errors import (
     ZeroVariance,
 )
 from pwdrecon.harness.experiment import FECG_SOS
-from pwdrecon.pwd_envelope import ENVELOPE_SOS
+from pwdrecon.pwd_envelope import ENVELOPE_SOS, preprocess_envelopes
 
 FS = 284.0
 
@@ -72,16 +72,15 @@ def test_stream_filters_are_designed_once_at_import():
 def test_filtfilt_passes_inband_sinusoid():
     f = design_bandpass("butterworth")
     t = np.arange(568) / FS
-    x = TimeSeries(np.sin(2 * np.pi * 10.0 * t), FS)
+    x = np.sin(2 * np.pi * 10.0 * t)
     y = filtfilt(f, x)
     assert len(y) == len(x)
     # oracle: amplitude from the exact 10 Hz DFT bin (bin 20 of 568)
-    ratio = (np.abs(np.fft.rfft(y.samples))[20]
-             / np.abs(np.fft.rfft(x.samples))[20])
+    ratio = np.abs(np.fft.rfft(y))[20] / np.abs(np.fft.rfft(x))[20]
     assert 0.9 <= ratio <= 1.0
-    xc = np.correlate(y.samples, x.samples, mode="full")
+    xc = np.correlate(y, x, mode="full")
     assert np.argmax(xc) == len(x) - 1  # zero-phase: peak at lag 0
-    assert np.corrcoef(x.samples, y.samples)[0, 1] >= 0.99
+    assert np.corrcoef(x, y)[0, 1] >= 0.99
 
 
 @pytest.mark.parametrize("kind", ["butterworth", "bessel"])
@@ -91,18 +90,18 @@ def test_filtfilt_attenuates_60hz(kind):
     g = dft_gain(f, 60.0)
     assert g <= 0.6
     t = np.arange(568) / FS
-    x = TimeSeries(np.sin(2 * np.pi * 60.0 * t), FS)
+    x = np.sin(2 * np.pi * 60.0 * t)
     y = filtfilt(f, x)
-    rms_ratio = np.sqrt(np.mean(y.samples ** 2) / np.mean(x.samples ** 2))
+    rms_ratio = np.sqrt(np.mean(y ** 2) / np.mean(x ** 2))
     assert rms_ratio <= 0.35
 
 
 def test_filtfilt_zero_signal_and_too_short():
     f = design_bandpass("butterworth")
-    y = filtfilt(f, TimeSeries(np.zeros(100), FS))
-    assert np.allclose(y.samples, 0.0)
+    y = filtfilt(f, np.zeros(100))
+    assert np.allclose(y, 0.0)
     with pytest.raises(SignalTooShort):
-        filtfilt(f, TimeSeries(np.zeros(20), FS))
+        filtfilt(f, np.zeros(20))
 
 
 def test_filtfilt_linearity():
@@ -111,35 +110,32 @@ def test_filtfilt_linearity():
     x = rng.normal(size=500)
     y = rng.normal(size=500)
     a, b = 2.5, -1.25
-    lhs = filtfilt(f, TimeSeries(a * x + b * y, FS)).samples
-    rhs = (a * filtfilt(f, TimeSeries(x, FS)).samples
-           + b * filtfilt(f, TimeSeries(y, FS)).samples)
+    lhs = filtfilt(f, a * x + b * y)
+    rhs = a * filtfilt(f, x) + b * filtfilt(f, y)
     scale = np.max(np.abs(rhs)) + 1e-300
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-6
 
 
 def test_resample_identity_and_affine():
-    x = TimeSeries(np.arange(100.0), 2048.0)
-    same = resample_linear(x, 2048.0)
-    assert np.array_equal(same.samples, x.samples)
-    ramp = TimeSeries(np.arange(2048.0), 2048.0)
-    out = resample_linear(ramp, 284.0)
+    x = np.arange(100.0)
+    same = resample_linear(x, TARGET_FS)
+    assert np.array_equal(same, x)
+    out = resample_linear(np.arange(2048.0), 2048.0)
     assert len(out) == 284
     expected = np.arange(284) / 284.0 * 2048.0
-    assert np.max(np.abs(out.samples - expected)) < 1e-9
+    assert np.max(np.abs(out - expected)) < 1e-9
 
 
 def test_resample_sample_count():
-    x = TimeSeries(np.zeros(2048), 2048.0)
-    assert len(resample_linear(x, 284.0)) == 284
+    assert len(resample_linear(np.zeros(2048), 2048.0)) == 284
 
 
 def test_zscore_contract():
-    out = zscore(TimeSeries(np.array([1.0, 2.0, 3.0]), 10.0))
-    assert abs(np.mean(out.samples)) < 1e-9
-    assert abs(np.std(out.samples) - 1.0) < 1e-9
+    out = zscore(np.array([1.0, 2.0, 3.0]))
+    assert abs(np.mean(out)) < 1e-9
+    assert abs(np.std(out) - 1.0) < 1e-9
     with pytest.raises(ZeroVariance):
-        zscore(TimeSeries(np.full(10, 7.0), 10.0))
+        zscore(np.full(10, 7.0))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=200))
@@ -148,42 +144,58 @@ def test_zscore_idempotent(values):
     x = np.asarray(values)
     if np.std(x) < 1e-9:
         return
-    once = zscore(TimeSeries(x, 10.0))
+    once = zscore(x)
     twice = zscore(once)
-    assert np.max(np.abs(twice.samples - once.samples)) < 1e-9
+    assert np.max(np.abs(twice - once)) < 1e-9
 
 
 def test_mean_center():
-    assert np.array_equal(
-        mean_center(TimeSeries(np.array([5.0, 5.0, 5.0]), 1.0)).samples,
-        np.zeros(3))
-    out = mean_center(TimeSeries(np.array([1.0, 2.0, 3.0]), 1.0))
-    assert np.allclose(out.samples, [-1.0, 0.0, 1.0])
+    assert np.array_equal(mean_center(np.array([5.0, 5.0, 5.0])),
+                          np.zeros(3))
+    out = mean_center(np.array([1.0, 2.0, 3.0]))
+    assert np.allclose(out, [-1.0, 0.0, 1.0])
     again = mean_center(out)
-    assert np.max(np.abs(again.samples - out.samples)) < 1e-12
+    assert np.max(np.abs(again - out)) < 1e-12
 
 
 def test_segment_examples():
-    x = TimeSeries(np.arange(568.0), FS)
-    ws = segment(x, [x], 2.0, "r")
+    x = np.arange(568.0)
+    ws = segment(x, x[None], 2.0, "r")
     assert len(ws) == 1 and ws.x.shape == (1, 568)
 
-    x = TimeSeries(np.arange(1420.0), FS)
-    ws = segment(x, [x, x], 2.0, "r")
+    x = np.arange(1420.0)
+    ws = segment(x, np.array([x, x]), 2.0, "r")
     assert len(ws) == 2  # floor(1420/568); 284 samples discarded
     assert ws.y.shape == (2, 2, 568)
     assert ws.t_start[1] == pytest.approx(568 / FS)
     assert list(ws.record_id) == ["r", "r"]
 
     with pytest.raises(SignalShorterThanWindow):
-        segment(TimeSeries(np.zeros(100), FS), [TimeSeries(np.zeros(100), FS)],
-                2.0, "r")
+        segment(np.zeros(100), np.zeros((1, 100)), 2.0, "r")
 
 
 def test_segment_concatenation_reproduces_prefix():
     rng = np.random.default_rng(1)
-    x = TimeSeries(rng.normal(size=700), FS)
-    ws = segment(x, [x], 0.5, "r")
+    x = rng.normal(size=700)
+    ws = segment(x, x[None], 0.5, "r")
     cat = np.concatenate(list(ws.x))
-    assert np.array_equal(cat, x.samples[:cat.size])
+    assert np.array_equal(cat, x[:cat.size])
     assert np.array_equal(np.concatenate(list(ws.y[:, 0])), cat)
+
+
+# just above SignalTooShort's limit (3 * 8 samples), and on both sides of
+# the switch from padlen n - 1 to padlen 10 * TARGET_FS at n = 2841
+@pytest.mark.parametrize("n", [25, 300, 2840, 2841, 2842, 34080])
+def test_row_calls_equal_one_call_per_row(n):
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(2, n)) * [[3.0], [0.5]] + [[7.0], [-2.0]]
+    for fn in (lambda x: filtfilt(ENVELOPE_SOS, x),
+               lambda x: filtfilt(FECG_SOS, x), zscore, mean_center):
+        want = np.array([fn(row) for row in rows])
+        assert fn(rows).tobytes() == want.tobytes()
+    # the envelope chain, resampling from the image column rate or not
+    raw = np.round(rows)
+    for fs in (100.0, TARGET_FS):
+        want = np.array([mean_center(filtfilt(ENVELOPE_SOS, resample_linear(
+            mean_center(row), fs))) for row in raw])
+        assert preprocess_envelopes(raw, fs).tobytes() == want.tobytes()

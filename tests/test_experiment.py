@@ -8,12 +8,10 @@ import pytest
 from pwdrecon import separation
 from pwdrecon.core import (
     TARGET_FS,
-    EnvelopePair,
     EnvelopeSelection,
     ModelKind,
     OutputMode,
     Polarity,
-    TimeSeries,
     WaveConfig,
     WindowSet,
 )
@@ -87,6 +85,7 @@ def test_config_validation_and_out_channels():
 @pytest.mark.parametrize("field, value", [
     ("window_s", 1.5), ("batch_size", -1), ("batch_size", 0), ("epochs", 0),
     ("kernel_size", 4), ("kernel_size", -1), ("net_channels", (16, 0, 64)),
+    ("seed", -1),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=f"^ExperimentConfig.{field}: "):
@@ -119,9 +118,8 @@ def test_build_windows_skips_record_with_constant_envelopes(mode):
     n = int(4 * TARGET_FS)
 
     def record(rid, upper, lower):
-        fecg, up, lo = (TimeSeries(a, TARGET_FS)
-                        for a in (rng.normal(size=n), upper, lower))
-        return PreprocessedRecord(rid, fecg, EnvelopePair(up, lo),
+        return PreprocessedRecord(rid, rng.normal(size=n),
+                                  np.array([upper, lower]),
                                   WaveConfig.EA_PLUS, Polarity.POSITIVE)
 
     flat = record("flat", np.zeros(n), np.zeros(n))
@@ -138,9 +136,8 @@ def test_build_windows_leaves_out_a_one_window_record():
 
     def record(rid, seconds):
         n = int(seconds * TARGET_FS)
-        fecg, up, lo = (TimeSeries(rng.normal(size=n), TARGET_FS)
-                        for _ in range(3))
-        return PreprocessedRecord(rid, fecg, EnvelopePair(up, lo),
+        fecg, up, lo = (rng.normal(size=n) for _ in range(3))
+        return PreprocessedRecord(rid, fecg, np.array([up, lo]),
                                   WaveConfig.EA_PLUS, Polarity.POSITIVE)
 
     cfg = ExperimentConfig(window_s=1.0)
@@ -185,11 +182,11 @@ def test_run_experiment_net_smoke(small_dataset, tmp_path):
 def test_preprocessed_record_properties(small_dataset):
     _, manifests, records = small_dataset
     for m, rec in zip(manifests, records):
-        assert rec.fecg.fs == TARGET_FS
-        assert len(rec.fecg) == len(rec.env.upper) == len(rec.env.lower)
+        assert rec.fecg.shape == (rec.env.shape[1],)
+        assert rec.env.shape[0] == 2
         assert rec.wave_config is m.wave_config
         assert rec.polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
-        assert abs(rec.fecg.samples.mean()) < 0.1
+        assert abs(rec.fecg.mean()) < 0.1
 
 
 def test_save_load_preprocessed_roundtrip(small_dataset, tmp_path):
@@ -201,9 +198,8 @@ def test_save_load_preprocessed_roundtrip(small_dataset, tmp_path):
     for a, b in zip(records, loaded):
         assert a.wave_config is b.wave_config and a.polarity is b.polarity
         # only float32 quantization differs
-        assert np.allclose(a.fecg.samples, b.fecg.samples, atol=1e-5)
-        assert np.allclose(a.env.upper.samples, b.env.upper.samples,
-                           atol=1e-4)
+        assert np.allclose(a.fecg, b.fecg, atol=1e-5)
+        assert np.allclose(a.env[0], b.env[0], atol=1e-4)
 
 
 GRID_SIZES = {"table1": 25, "table2": 9, "table3": 9, "table4": 18,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pwdrecon.core import TARGET_FS, EnvelopePair, TimeSeries
+from pwdrecon.core import TARGET_FS
 from pwdrecon.errors import ConstantImage, DegenerateInput
 from pwdrecon.harness.io import load_record, read_pgm, write_pgm
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
@@ -64,7 +64,7 @@ def image_path_reference(px, baseline_row):
 def image_path(img, baseline_row):
     norm = normalize_intensity(img)
     thr = otsu_threshold(norm)
-    return thr, extract_envelopes(norm, thr, baseline_row, 100.0)
+    return thr, extract_envelopes(norm, thr, baseline_row)
 
 
 def test_normalize_intensity():
@@ -161,23 +161,23 @@ def test_image_path_equals_float_reference(kind):
     for _ in range(100):
         px = _seeded_bytes(kind, rng)
         baseline_row = int(rng.integers(1, px.shape[0] - 1))
-        thr, pair = image_path(GrayImage(px), baseline_row)
+        thr, env = image_path(GrayImage(px), baseline_row)
         ref_thr, (upper, lower) = image_path_reference(px, baseline_row)
         assert thr == ref_thr
-        assert pair.upper.samples.tobytes() == upper.tobytes()
-        assert pair.lower.samples.tobytes() == lower.tobytes()
+        assert env[0].tobytes() == upper.tobytes()
+        assert env[1].tobytes() == lower.tobytes()
 
 
 def test_image_path_equals_float_reference_on_a_pwd_raster(tmp_path):
     (m,) = generate_synthetic(SyntheticSpec(n_records=1, duration_s=4.0,
                                             seed=4), str(tmp_path))
     _, img = load_record(m, str(tmp_path))
-    thr, pair = image_path(img, m.image_baseline_row)
+    thr, env = image_path(img, m.image_baseline_row)
     ref_thr, (upper, lower) = image_path_reference(img.pixels,
                                                    m.image_baseline_row)
     assert thr == ref_thr
-    assert pair.upper.samples.tobytes() == upper.tobytes()
-    assert pair.lower.samples.tobytes() == lower.tobytes()
+    assert env[0].tobytes() == upper.tobytes()
+    assert env[1].tobytes() == lower.tobytes()
     assert np.any(upper > 0) and np.any(lower < 0)
 
 
@@ -251,14 +251,11 @@ def test_extract_envelopes_synthetic_columns():
     px[8, 0] = 255.0
     px[5, 1] = 255.0   # only the baseline row itself: ignored
     px[0, 2] = 255.0   # farthest row above
-    pair = extract_envelopes(GrayImage(px), threshold=128.0, baseline_row=5,
-                             columns_per_second=100.0)
-    assert pair.upper.samples.tolist() == [3.0, 0.0, 5.0, 0.0]
-    assert pair.lower.samples.tolist() == [-3.0, 0.0, 0.0, 0.0]
-    assert pair.fs == 100.0
+    env = extract_envelopes(GrayImage(px), threshold=128.0, baseline_row=5)
+    assert env.dtype == np.float64
+    assert env.tolist() == [[3.0, 0.0, 5.0, 0.0], [-3.0, 0.0, 0.0, 0.0]]
     with pytest.raises(ValueError):
-        extract_envelopes(GrayImage(px), 128.0, baseline_row=0,
-                          columns_per_second=100.0)
+        extract_envelopes(GrayImage(px), 128.0, baseline_row=0)
 
 
 @pytest.mark.parametrize("density", [0.02, 0.2, 0.6])
@@ -271,18 +268,18 @@ def test_extract_envelopes_equals_column_loop(density):
     px[:, ::11] = 0.0                  # empty columns
     bright = px >= 128.0
     for baseline_row in (1, height // 2, height - 2):
-        pair = extract_envelopes(GrayImage(px), 128.0, baseline_row, 100.0)
+        env = extract_envelopes(GrayImage(px), 128.0, baseline_row)
         upper, lower = envelopes_by_column(bright, baseline_row)
-        assert pair.upper.samples.tobytes() == upper.tobytes()
-        assert pair.lower.samples.tobytes() == lower.tobytes()
+        assert env[0].tobytes() == upper.tobytes()
+        assert env[1].tobytes() == lower.tobytes()
 
 
 def test_extract_envelopes_nonnegative_upper_nonpositive_lower():
     rng = np.random.default_rng(1)
     px = (rng.random((30, 50)) > 0.8) * 255.0
-    pair = extract_envelopes(GrayImage(px), 128.0, 15, 100.0)
-    assert np.all(pair.upper.samples >= 0)
-    assert np.all(pair.lower.samples <= 0)
+    upper, lower = extract_envelopes(GrayImage(px), 128.0, 15)
+    assert np.all(upper >= 0)
+    assert np.all(lower <= 0)
 
 
 def test_preprocess_envelopes_preserves_shape():
@@ -290,39 +287,31 @@ def test_preprocess_envelopes_preserves_shape():
     t = np.arange(800) / fs_img
     u = 30.0 + 20.0 * np.sin(2 * np.pi * 2.3 * t)
     l = -25.0 - 10.0 * np.sin(2 * np.pi * 2.3 * t + 0.4)
-    pair = EnvelopePair(upper=TimeSeries(u, fs_img),
-                        lower=TimeSeries(l, fs_img))
-    out = preprocess_envelopes(pair)
-    assert out.fs == TARGET_FS
-    assert len(out.upper) == int(round(800 / fs_img * TARGET_FS))
-    assert abs(np.mean(out.upper.samples)) < 1e-9
-    assert abs(np.mean(out.lower.samples)) < 1e-9
+    out = preprocess_envelopes(np.array([u, l]), fs_img)
+    assert out.shape == (2, int(round(800 / fs_img * TARGET_FS)))
+    assert abs(np.mean(out[0])) < 1e-9
+    assert abs(np.mean(out[1])) < 1e-9
     # in-band sinusoid survives: compare against the centered resampled truth
-    truth = np.interp(np.arange(len(out.upper)) / TARGET_FS, t, u)
+    truth = np.interp(np.arange(out.shape[1]) / TARGET_FS, t, u)
     truth -= truth.mean()
-    r = np.corrcoef(out.upper.samples, truth)[0, 1]
+    r = np.corrcoef(out[0], truth)[0, 1]
     assert r >= 0.99
 
 
 def test_preprocess_envelopes_constant_input():
-    pair = EnvelopePair(upper=TimeSeries(np.full(500, 12.0), 100.0),
-                        lower=TimeSeries(np.zeros(500), 100.0))
-    out = preprocess_envelopes(pair)
-    assert len(out.upper) == int(round(500 / 100.0 * TARGET_FS))
-    assert np.all(out.upper.samples == 0.0)  # exact zeros, not merely small
-    assert np.all(out.lower.samples == 0.0)
+    raw = np.array([np.full(500, 12.0), np.zeros(500)])
+    out = preprocess_envelopes(raw, 100.0)
+    assert out.shape == (2, int(round(500 / 100.0 * TARGET_FS)))
+    assert np.all(out[0] == 0.0)  # exact zeros, not merely small
+    assert np.all(out[1] == 0.0)
 
 
 def test_pca_compress_envelopes_collinear_case():
     # oracle: with lower = -upper the principal axis is (1,-1)/sqrt(2), so
     # the projection equals sqrt(2) * centered upper
     u = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
-    pair = EnvelopePair(upper=TimeSeries(u, 284.0),
-                        lower=TimeSeries(-u, 284.0))
-    out = pca_compress_envelopes(pair)
+    out = pca_compress_envelopes(np.array([u, -u]))
     expected = np.sqrt(2.0) * (u - u.mean())
-    assert np.allclose(out.samples, expected)
+    assert np.allclose(out, expected)
     with pytest.raises(DegenerateInput):
-        pca_compress_envelopes(EnvelopePair(
-            upper=TimeSeries(np.full(5, 2.0), 284.0),
-            lower=TimeSeries(np.full(5, -3.0), 284.0)))
+        pca_compress_envelopes(np.array([np.full(5, 2.0), np.full(5, -3.0)]))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pwdrecon import separation
-from pwdrecon.core import TimeSeries, WaveConfig
+from pwdrecon.core import WaveConfig
 from pwdrecon.errors import DegenerateInput, NoFetalComponent
 from pwdrecon.harness.io import load_record
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
@@ -131,7 +131,7 @@ def extract_fecg_by_sample(rows: np.ndarray, fs: float, seed: int):
         raise NoFetalComponent("no fetal component")
     out = sources[:, fetal_cols[int(np.argmax(strengths))]]
     out = _orient_to_sensors(out, data, fs)
-    return TimeSeries(out, fs), fetal_cols, ica
+    return out, fetal_cols, ica
 
 
 def _orient_to_sensors(out: np.ndarray, data: np.ndarray,
@@ -202,20 +202,21 @@ def _assert_same_ica(ica, want_ica):
         assert np.max(np.abs(got - want)) <= DRIFT_BOUND * np.max(np.abs(want))
 
 
-def _assert_within_bound(got, want):
+def _assert_within_bound(got, want, fs):
     (fecg, kept, ica), (want_fecg, want_kept, want_ica) = got, want
     assert kept == want_kept
     _assert_same_ica(ica, want_ica)
-    assert detect_polarity(fecg) is detect_polarity(want_fecg)
-    drift = np.max(np.abs(fecg.samples - want_fecg.samples))
-    assert drift <= DRIFT_BOUND * np.max(np.abs(want_fecg.samples))
+    assert detect_polarity(fecg, fs) is detect_polarity(want_fecg, fs)
+    drift = np.max(np.abs(fecg - want_fecg))
+    assert drift <= DRIFT_BOUND * np.max(np.abs(want_fecg))
 
 
 @pytest.mark.parametrize("case", range(len(CASES)),
                          ids=[f"{w.value}{p:+d}" for w, p in CASES])
 def test_channel_major_chain_stays_within_bound_of_sample_major(
         case, bipolar_records, monkeypatch):
-    _assert_within_bound(*_both_chains(bipolar_records[case], monkeypatch))
+    rec = bipolar_records[case]
+    _assert_within_bound(*_both_chains(rec, monkeypatch), fs=rec[1])
 
 
 def test_two_component_record_stays_within_bound_of_sample_major(
@@ -223,4 +224,4 @@ def test_two_component_record_stays_within_bound_of_sample_major(
     rec = _bipolar(TWO_COMPONENT_SPEC, str(tmp_path))
     got, want = _both_chains(rec, monkeypatch)
     assert got[1] == want[1] == [0, 1]
-    _assert_within_bound(got, want)
+    _assert_within_bound(got, want, fs=rec[1])

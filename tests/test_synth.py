@@ -84,15 +84,14 @@ def test_render_extract_roundtrip(tmp_path):
     out = str(tmp_path / "ds")
     (m,) = generate_synthetic(spec, out)
     _, img = load_record(m, out)
-    pair = extract_envelopes(img, threshold=128.0,
-                             baseline_row=m.image_baseline_row,
-                             columns_per_second=m.image_columns_per_second)
+    upper, lower = extract_envelopes(img, threshold=128.0,
+                                     baseline_row=m.image_baseline_row)
     upper_truth = read_raw_f32(os.path.join(out, m.aux["truth_upper_path"]))
     lower_truth = read_raw_f32(os.path.join(out, m.aux["truth_lower_path"]))
     # sub-pixel truth values round to the rasterized column heights
-    assert np.max(np.abs(pair.upper.samples - np.round(upper_truth))) <= 1.0
-    assert np.max(np.abs(pair.lower.samples - np.round(lower_truth))) <= 1.0
-    r_u = np.corrcoef(pair.upper.samples, upper_truth)[0, 1]
+    assert np.max(np.abs(upper - np.round(upper_truth))) <= 1.0
+    assert np.max(np.abs(lower - np.round(lower_truth))) <= 1.0
+    r_u = np.corrcoef(upper, upper_truth)[0, 1]
     assert r_u >= 0.99
 
 

@@ -129,6 +129,9 @@ class RecordManifest:
             raise ValueError("aecg_fs must be > 0")
         if not self.image_columns_per_second > 0:
             raise ValueError("image_columns_per_second must be > 0")
+        if self.image_baseline_row < 1:  # row 0 has no row above it
+            raise ValueError(f"RecordManifest.image_baseline_row: must be "
+                             f">= 1, got {self.image_baseline_row}")
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,11 @@ from ..metrics import MetricReport, window_metrics
 from ..net.model import NetConfig, predict
 from ..net.train import train
 from ..pwd_envelope import (
-    GrayImage,
     extract_envelopes,
     normalize_intensity,
     otsu_threshold,
     pca_compress_envelopes,
+    pixel_counts,
     preprocess_envelopes,
 )
 from ..separation import detect_polarity, extract_fecg
@@ -59,28 +59,31 @@ RIDGE_LAM = 1.0
 LASSO_LAM = 0.01
 
 
-def preprocess_record(rows: np.ndarray, img: GrayImage,
+def preprocess_record(rows: np.ndarray, img: np.ndarray,
                       manifest: RecordManifest,
                       seed: int) -> PreprocessedRecord:
     """Run both preprocessing paths and align the streams.
 
-    fECG path, on the (3, n_samples) bipolar rows load_record returns:
-    PCA-ICA-PCA extraction, z-score, resampling to 284 Hz, Butterworth
-    0.1-50 Hz zero-phase filter.
-    PwD path: intensity normalization, Otsu binarization, max-min
-    envelope extraction, then the envelope chain (Bessel filtered).
+    PwD path, on the (height, width) uint8 image load_record returns:
+    intensity normalization, Otsu binarization, max-min envelope
+    extraction, then the envelope chain (Bessel filtered). It runs first,
+    so a baseline row outside the image is refused before the fECG work.
+    fECG path, on the (3, n_samples) bipolar rows: PCA-ICA-PCA
+    extraction, z-score, resampling to 284 Hz, Butterworth 0.1-50 Hz
+    zero-phase filter.
     Both outputs are truncated to the shorter common duration.
     """
+    counts = pixel_counts(img)
+    levels = normalize_intensity(counts)
+    thr = otsu_threshold(levels, counts)
+    raw = extract_envelopes(img, levels, thr, manifest.image_baseline_row)
+    env = preprocess_envelopes(raw, manifest.image_columns_per_second)
+
     fecg = extract_fecg(rows, manifest.aecg_fs, seed=seed)
     # polarity belongs to the extracted waveform; the 50 Hz cutoff below
     # shrinks the narrow R lobe and can flip marginal cases
     polarity = detect_polarity(fecg, manifest.aecg_fs)
     fecg = filtfilt(FECG_SOS, resample_linear(zscore(fecg), manifest.aecg_fs))
-
-    norm = normalize_intensity(img)
-    thr = otsu_threshold(norm)
-    raw = extract_envelopes(norm, thr, manifest.image_baseline_row)
-    env = preprocess_envelopes(raw, manifest.image_columns_per_second)
 
     n = min(fecg.size, env.shape[1])
     return PreprocessedRecord(record_id=manifest.record_id, fecg=fecg[:n],

@@ -22,7 +22,6 @@ from ..core import TARGET_FS, WaveConfig, check_record_id, read_json
 from ..core import to_json_dict, write_json
 from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from ..net.model import init_params
-from ..pwd_envelope import GrayImage
 from .experiment import ExperimentConfig
 
 
@@ -41,12 +40,14 @@ def read_raw_f32(path: str) -> np.ndarray:
     return np.fromfile(path, dtype="<f4").astype(np.float64)
 
 
-def write_pgm(path: str, img: GrayImage) -> None:
-    """Write a binary (P5) 8-bit PGM, each level rounded to a byte."""
-    byte_of = np.clip(np.round(img.levels), 0, 255).astype(np.uint8)
+def write_pgm(path: str, px: np.ndarray) -> None:
+    """Write a (height, width) uint8 image as a binary (P5) 8-bit PGM."""
+    if px.dtype != np.uint8:
+        raise ValueError(f"{path}: a PGM image must be uint8, got {px.dtype}")
+    height, width = px.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode())
-        fh.write(byte_of[img.codes].tobytes())
+        fh.write(f"P5\n{width} {height}\n255\n".encode())
+        fh.write(px.tobytes())
 
 
 # magic, width, height and maxval, separated by whitespace or comment
@@ -56,8 +57,9 @@ _PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP
                          + rb"(\d+)\s")
 
 
-def read_pgm(path: str) -> GrayImage:
-    """Read a binary (P5) 8-bit PGM, bit-exact: its bytes are the pixels."""
+def read_pgm(path: str) -> np.ndarray:
+    """Read a binary (P5) 8-bit PGM, bit-exact: its bytes are the pixels,
+    a read-only (height, width) uint8 view of the file's contents."""
     if not os.path.exists(path):
         raise FileMissing(path)
     with open(path, "rb") as fh:
@@ -76,11 +78,9 @@ def read_pgm(path: str) -> GrayImage:
     if len(pixels) != width * height:
         raise SizeMismatch(f"{path}: expected {width * height} pixel bytes, "
                            f"got {len(pixels)}")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    try:
-        return GrayImage(arr)
-    except ValueError as exc:  # too small
-        raise BadMagic(f"{path}: {exc}") from None
+    if height < 2 or width < 2:
+        raise BadMagic(f"{path}: image must be at least 2x2")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
 def _unique_ids(path: str, entries: tuple) -> list:
@@ -102,9 +102,10 @@ def load_manifests(path: str) -> list[RecordManifest]:
 
 
 def load_record(manifest: RecordManifest,
-                base_dir: str) -> tuple[np.ndarray, GrayImage]:
+                base_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """The manifest's three bipolar channels, in bipolar_channel_indices
-    order, as (3, n_samples) float64 rows, and its PwD image."""
+    order, as (3, n_samples) float64 rows, and its PwD image as read_pgm
+    returns it."""
     channels = []
     for i in manifest.bipolar_channel_indices:
         rel = manifest.channel_paths[i]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import RecordManifest, WaveConfig, write_json
-from ..pwd_envelope import GrayImage
 from .io import write_pgm, write_raw_f32
 
 # (offset ms from R, amplitude, width ms) per deflection
@@ -197,11 +196,11 @@ def generate_synthetic(spec: SyntheticSpec,
 
 
 def _rasterize(upper: np.ndarray, lower: np.ndarray, height: int,
-               baseline_row: int) -> GrayImage:
+               baseline_row: int) -> np.ndarray:
     """Fill bright pixels from the baseline out to each envelope curve."""
     up = np.clip(np.round(upper), 0, baseline_row - 1).astype(int)
     lo = np.clip(np.round(-lower), 0, height - baseline_row - 2).astype(int)
     # a pixel is bright when its signed offset from the baseline row lies
     # in [-up, lo] of its column; the baseline row itself stays dark
     off = np.arange(height)[:, None] - baseline_row
-    return GrayImage(np.uint8(255) * ((-up <= off) & (off <= lo) & (off != 0)))
+    return np.uint8(255) * ((-up <= off) & (off <= lo) & (off != 0))

@@ -1,15 +1,16 @@
 """PwD spectrogram image -> mean-centered envelope rows at 284 Hz.
 
-Pipeline: intensity normalization, Otsu binarization, max-min envelope
-extraction around the zero-velocity baseline row, then mean centering,
-resampling and Bessel bandpass filtering. The upper and lower envelopes
-travel together as the two rows of one (2, n) array. Optional PCA
-compression folds them into one (n,) channel.
+The image is a (height, width) uint8 array, a PGM's own bytes. Pipeline:
+count the pixels of each of the 256 byte values, normalize intensity by
+giving each value a level, pick Otsu's threshold on those levels and
+counts, then extract max-min envelopes around the zero-velocity baseline
+row from one uint8 comparison, with no per-pixel float copy; then mean
+centering, resampling and Bessel bandpass filtering. The upper and lower
+envelopes travel together as the two rows of one (2, n) array. Optional
+PCA compression folds them into one (n,) channel.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -21,99 +22,43 @@ ENVELOPE_SOS = design_bandpass("bessel")  # the envelope stream's filter
 COUNT_SLICE = 1 << 16  # pixels per bincount, which copies them to intp
 
 
-class GrayImage:
-    """8-bit grayscale image, intensities in [0, 255], row-major.
-
-    Held by level, not by pixel: pixel (r, c) has intensity
-    `levels[codes[r, c]]`, `levels` never decreases and `counts[k]` is
-    the number of pixels of code k. Built from uint8 pixels, an image is
-    its own codes over the levels 0..255, so a PGM's bytes are used as
-    read; float pixels are coded by their distinct values. Normalizing,
-    Otsu and thresholding then work on the levels and counts, and no
-    per-pixel float copy of the image is made.
-    """
-
-    def __init__(self, pixels: np.ndarray):
-        px = np.asarray(pixels)
-        if px.ndim != 2 or px.shape[0] < 2 or px.shape[1] < 2:
-            raise ValueError("image must be at least 2x2")
-        if px.dtype == np.uint8:
-            codes, levels = px, BYTE_LEVELS
-        else:
-            levels, codes = np.unique(np.asarray(px, np.float64),
-                                      return_inverse=True)
-        self.codes = np.ascontiguousarray(codes).reshape(px.shape)
-        self.codes.flags.writeable = False
-        flat, self.counts = self.codes.ravel(), np.zeros(levels.size, np.intp)
-        for i in range(0, flat.size, COUNT_SLICE):
-            self.counts += np.bincount(flat[i:i + COUNT_SLICE],
-                                       minlength=levels.size)
-        self.counts.flags.writeable = False
-        self.levels = _checked_levels(levels)
-
-    @property
-    def pixels(self) -> np.ndarray:
-        """(height, width) intensities: for an image built from uint8
-        pixels its codes, else a float64 array built from the levels."""
-        if self.levels is BYTE_LEVELS:
-            return self.codes
-        return self.levels[self.codes]
-
-    @property
-    def height(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.codes.shape[1]
-
-    def with_levels(self, levels: np.ndarray) -> GrayImage:
-        """The same pixels, each code k now at intensity levels[k]."""
-        out = copy.copy(self)
-        out.levels = _checked_levels(levels)
-        return out
+def pixel_counts(px: np.ndarray) -> np.ndarray:
+    """(256,) intp: the number of pixels of each byte value of a uint8
+    image."""
+    flat, counts = px.ravel(), np.zeros(256, np.intp)
+    for i in range(0, flat.size, COUNT_SLICE):
+        counts += np.bincount(flat[i:i + COUNT_SLICE], minlength=256)
+    return counts
 
 
-def _checked_levels(levels) -> np.ndarray:
-    lv = np.asarray(levels, dtype=np.float64)
-    lv.flags.writeable = False
-    if not (lv[0] >= 0 and lv[-1] <= 255):  # NaN fails too
-        raise ValueError("intensities must lie in [0, 255]")
-    if not np.all(np.diff(lv) >= 0):
-        raise ValueError("levels must not decrease")
-    return lv
-
-
-BYTE_LEVELS = _checked_levels(np.arange(256))  # the levels of a uint8 image
-
-
-def normalize_intensity(img: GrayImage) -> GrayImage:
+def normalize_intensity(counts: np.ndarray) -> np.ndarray:
     """Min-max rescale to the full [0, 255] range.
 
-    Only the levels are rescaled. Those of absent codes, which may fall
-    outside the image's range, are clipped into [0, 255]; they keep their
-    order and count no pixel.
+    Returns (256,) float64 levels, one per byte value, never decreasing:
+    pixel value v is now at intensity levels[v]. The levels of absent
+    values, which may fall outside the image's range, are clipped into
+    [0, 255]; they keep their order and count no pixel.
     """
-    present = np.flatnonzero(img.counts)
-    lo, hi = img.levels[present[0]], img.levels[present[-1]]
+    present = np.flatnonzero(counts)
+    lo, hi = present[0], present[-1]
     if hi == lo:
         raise ConstantImage("cannot normalize a constant image")
     # clipping also takes the top level back to 255 where the rescale
     # rounds it one ulp above
-    return img.with_levels(np.clip((img.levels - lo) * (255.0 / (hi - lo)),
-                                   0.0, 255.0))
+    return np.clip((np.arange(256.0) - lo) * (255.0 / (hi - lo)), 0.0, 255.0)
 
 
-def otsu_threshold(img: GrayImage) -> int:
-    """Threshold maximizing between-class variance on a 256-bin histogram.
+def otsu_threshold(levels: np.ndarray, counts: np.ndarray) -> int:
+    """Threshold maximizing between-class variance on a 256-bin histogram
+    of intensities in [0, 255], `counts[k]` pixels at `levels[k]`.
 
     Ties are broken toward the smallest threshold. A pixel is foreground
     when intensity >= threshold.
     """
-    # levels lie in [0, 255], so truncation is the integer-edged binning;
-    # each level weighs its pixel count, so an absent one weighs nothing
+    # truncation is the integer-edged binning; each level weighs its
+    # pixel count, so an absent one weighs nothing
     hist = np.zeros(256, dtype=np.intp)
-    np.add.at(hist, img.levels.astype(np.intp), img.counts)
+    np.add.at(hist, levels.astype(np.intp), counts)
     if np.count_nonzero(hist) < 2:
         raise ConstantImage("need at least 2 distinct intensity values")
 
@@ -126,21 +71,24 @@ def otsu_threshold(img: GrayImage) -> int:
     return int(np.argmax(var)) + 1  # the first maximum: smallest t
 
 
-def extract_envelopes(img: GrayImage, threshold: float,
+def extract_envelopes(px: np.ndarray, levels: np.ndarray, threshold: float,
                       baseline_row: int) -> np.ndarray:
     """Max-min envelope extraction in raw pixel units, one sample per
-    image column.
+    image column, on a uint8 image whose value v is at intensity
+    levels[v].
 
     Returns (2, width) float64 rows. Per column, the upper envelope (row
     0) is the pixel distance from the baseline row to the highest bright
     pixel above it (0 if none); the lower envelope (row 1) is minus the
     distance to the lowest bright pixel below it.
     """
-    if not 0 < baseline_row < img.height - 1:
-        raise ValueError("baseline_row must be strictly inside the image")
+    height = px.shape[0]
+    if not 0 < baseline_row < height - 1:
+        raise ValueError(f"image_baseline_row: must lie strictly inside the "
+                         f"{height}-row image, got {baseline_row}")
     # levels never decrease, so intensity >= threshold exactly when the
-    # code is at least the first code whose level reaches the threshold
-    bright = img.codes >= int(np.searchsorted(img.levels, threshold))
+    # value is at least the first one whose level reaches the threshold
+    bright = px >= int(np.searchsorted(levels, threshold))
     above = bright[:baseline_row]        # first True is the highest row
     below = bright[:baseline_row:-1]     # bottom-up: first True is lowest
     upper = np.where(above.any(0), len(above) - above.argmax(0), 0)

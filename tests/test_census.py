@@ -43,9 +43,11 @@ def test_census_counts_defaults_and_dataclass_fields(tmp_path, capsys):
     (tmp_path / "top.py").write_text("def g(x, y=None):\n    return x\n")
     census = _census()
     # b, d (keyword-only), the lambda's x, Plain.grow's by, g's y;
-    # Config's three annotated fields, not its plain LIMIT nor Plain's
-    assert census.census(ast.parse(SOURCE)) == (4, 3)
+    # Config's three annotated fields, not its plain LIMIT nor Plain's;
+    # two classes, the dataclass and the plain one
+    assert census.census(ast.parse(SOURCE)) == (4, 3, 2)
     assert census.main(["census.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (
         "lines 22\n"  # 20 in mod.py, 2 in top.py
-        "settable 8 (defaulted parameters 5, dataclass fields 3)\n")
+        "settable 8 (defaulted parameters 5, dataclass fields 3)\n"
+        "classes 2\n")

@@ -170,8 +170,34 @@ def test_preprocess_value_error_names_the_record(tmp_path, capsys):
                "--out", str(tmp_path / "prep"), "--seed", "0"])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": "rec000: baseline_row "
-                   "must be strictly inside the image"}
+    assert err == {"error": "ValueError", "message": "rec000: "
+                   "image_baseline_row: must lie strictly inside the "
+                   "200-row image, got 500"}
+    assert not os.path.exists(tmp_path / "prep")
+
+
+@pytest.mark.parametrize("row", [-3, 0])
+def test_preprocess_refuses_a_baseline_row_above_the_image_on_loading(
+        row, tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 2, "duration_s": 4.0, "seed": 1})
+    ds = tmp_path / "ds"
+    assert main(["synth", "--spec", spec, "--out", str(ds)]) == 0
+    capsys.readouterr()
+    manifest = ds / "records.json"
+    entries = json.loads(manifest.read_text())
+    entries[1]["image_baseline_row"] = row
+    manifest.write_text(json.dumps(entries))
+    for name in os.listdir(ds):    # reading any record would now fail
+        if name.endswith(".f32"):
+            os.remove(ds / name)
+    rc = main(["preprocess", "--manifest", str(manifest),
+               "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{manifest}: "
+                   f"RecordManifest.image_baseline_row: must be >= 1, "
+                   f"got {row}"}
     assert not os.path.exists(tmp_path / "prep")
 
 

@@ -189,6 +189,22 @@ def test_preprocessed_record_properties(small_dataset):
         assert abs(rec.fecg.mean()) < 0.1
 
 
+def test_preprocess_record_refuses_a_bad_baseline_row_before_fecg_work(
+        small_dataset, monkeypatch):
+    out, manifests, _ = small_dataset
+    rows, img = load_record(manifests[0], out)
+    height = img.shape[0]
+
+    def extraction(*args, **kwargs):
+        raise AssertionError("the fECG path ran")
+
+    monkeypatch.setattr(experiment, "extract_fecg", extraction)
+    m = dataclasses.replace(manifests[0], image_baseline_row=height - 1)
+    with pytest.raises(ValueError, match=f"{height}-row image, "
+                                         f"got {height - 1}$"):
+        preprocess_record(rows, img, m, seed=0)
+
+
 def test_save_load_preprocessed_roundtrip(small_dataset, tmp_path):
     _, _, records = small_dataset
     out = str(tmp_path / "prep")

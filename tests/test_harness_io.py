@@ -32,7 +32,6 @@ from pwdrecon.harness.io import (
     write_raw_f32,
 )
 from pwdrecon.net.model import init_params, predict
-from pwdrecon.pwd_envelope import GrayImage
 
 
 def test_raw_f32_roundtrip(tmp_path):
@@ -63,11 +62,13 @@ def test_raw_f32_errors(tmp_path):
 
 def test_pgm_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    px = rng.integers(0, 256, size=(13, 17)).astype(np.float64)
+    px = rng.integers(0, 256, size=(13, 17), dtype=np.uint8)
     path = str(tmp_path / "img.pgm")
-    write_pgm(path, GrayImage(px))
+    write_pgm(path, px)
     back = read_pgm(path)
-    assert np.array_equal(back.pixels, px)
+    assert np.array_equal(back, px)
+    with pytest.raises(ValueError, match="must be uint8, got float64"):
+        write_pgm(path, px.astype(np.float64))
 
 
 def test_read_pgm_keeps_the_file_bytes(tmp_path):
@@ -76,16 +77,17 @@ def test_read_pgm_keeps_the_file_bytes(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n17 13\n255\n" + px.tobytes())
     img = read_pgm(str(path))
-    assert img.pixels.dtype == np.uint8
-    assert img.pixels.tobytes() == px.tobytes()
+    assert img.dtype == np.uint8 and img.shape == (13, 17)
+    assert not img.flags.writeable
+    assert img.tobytes() == px.tobytes()
 
 
 def test_pgm_reads_comments_and_rejects_bad(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment line\n3 2\n255\n" + bytes(6))
     img = read_pgm(str(path))
-    assert img.pixels.shape == (2, 3)
-    assert np.all(img.pixels == 0.0)
+    assert img.shape == (2, 3)
+    assert np.all(img == 0)
 
     (tmp_path / "p2.pgm").write_bytes(b"P2\n3 2\n255\n0 0 0 0 0 0\n")
     with pytest.raises(BadMagic):
@@ -148,11 +150,11 @@ def test_load_record_checks_sizes(tmp_path):
         if p != "ch1.f32":  # not bipolar, so never opened
             write_raw_f32(str(tmp_path / p), ch)
     write_pgm(str(tmp_path / m.image_path),
-              GrayImage(rng.integers(0, 256, size=(20, 30)).astype(float)))
+              rng.integers(0, 256, size=(20, 30), dtype=np.uint8))
     rows, img = load_record(m, str(tmp_path))
     assert rows.dtype == np.float64
     assert np.array_equal(rows, chans[[2, 0, 3]])
-    assert img.pixels.shape == (20, 30)
+    assert img.shape == (20, 30)
 
     # wrong-length channel file is rejected, against the manifest and,
     # without its n_samples, against the other channels

@@ -9,13 +9,21 @@ from pwdrecon.harness.io import load_record, read_pgm, write_pgm
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.pwd_envelope import (
     COUNT_SLICE,
-    GrayImage,
     extract_envelopes,
     normalize_intensity,
     otsu_threshold,
     pca_compress_envelopes,
+    pixel_counts,
     preprocess_envelopes,
 )
+
+BYTE_LEVELS = np.arange(256.0)  # each byte value at its own intensity
+
+
+def otsu_of(px):
+    """otsu_threshold on any image's pixel values, float ones included:
+    each distinct value is a level, counted by its pixels."""
+    return otsu_threshold(*np.unique(px, return_counts=True))
 
 
 def otsu_oracle(pixels):
@@ -61,19 +69,20 @@ def image_path_reference(px, baseline_row):
     return thr, envelopes_by_column(norm >= thr, baseline_row)
 
 
-def image_path(img, baseline_row):
-    norm = normalize_intensity(img)
-    thr = otsu_threshold(norm)
-    return thr, extract_envelopes(norm, thr, baseline_row)
+def image_path(px, baseline_row):
+    counts = pixel_counts(px)
+    levels = normalize_intensity(counts)
+    thr = otsu_threshold(levels, counts)
+    return thr, extract_envelopes(px, levels, thr, baseline_row)
 
 
 def test_normalize_intensity():
-    img = GrayImage(np.array([[10.0, 20.0], [30.0, 50.0]]))
-    out = normalize_intensity(img)
-    assert out.pixels.min() == 0.0 and out.pixels.max() == 255.0
-    assert out.pixels[0, 1] == pytest.approx((20 - 10) / 40 * 255)
+    px = np.array([[10, 20], [30, 50]], dtype=np.uint8)
+    out = normalize_intensity(pixel_counts(px))[px]
+    assert out.min() == 0.0 and out.max() == 255.0
+    assert out[0, 1] == pytest.approx((20 - 10) / 40 * 255)
     with pytest.raises(ConstantImage):
-        normalize_intensity(GrayImage(np.full((3, 3), 9.0)))
+        normalize_intensity(pixel_counts(np.full((3, 3), 9, np.uint8)))
 
 
 def test_otsu_bimodal_and_oracle_agreement():
@@ -84,8 +93,7 @@ def test_otsu_bimodal_and_oracle_agreement():
             rng.normal(40, 12, size=900),
             rng.normal(200, 15, size=300),
         ]), 0, 255).reshape(40, 30)
-        img = GrayImage(px)
-        t = otsu_threshold(img)
+        t = otsu_of(px)
         assert t == otsu_oracle(px)
         assert 60 <= t <= 180  # lands between the two modes
 
@@ -93,12 +101,12 @@ def test_otsu_bimodal_and_oracle_agreement():
 def test_otsu_two_level_image():
     px = np.zeros((10, 10))
     px[:3] = 200.0
-    t = otsu_threshold(GrayImage(px))
+    t = otsu_of(px)
     assert 1 <= t <= 200
     fg = px >= t
     assert fg.sum() == 30  # exactly the bright block
     with pytest.raises(ConstantImage):
-        otsu_threshold(GrayImage(np.full((4, 4), 128.0)))
+        otsu_of(np.full((4, 4), 128.0))
 
 
 def test_otsu_bins_integer_edges_like_histogram():
@@ -109,14 +117,14 @@ def test_otsu_bins_integer_edges_like_histogram():
         low = np.nextafter(float(k), 0.0)
         px = np.full((4, 4), 255.0)
         px[:2] = low
-        assert otsu_threshold(GrayImage(px)) == otsu_oracle(px) == k
+        assert otsu_of(px) == otsu_oracle(px) == k
     rng = np.random.default_rng(7)
     edges = np.arange(256.0)
     values = np.concatenate([edges, np.nextafter(edges[1:], 0.0)])
     for _ in range(20):
         px = rng.choice(values, size=(16, 16))
         px[0, :2] = 0.0, 255.0
-        assert otsu_threshold(GrayImage(px)) == otsu_oracle(px)
+        assert otsu_of(px) == otsu_oracle(px)
 
 
 @pytest.mark.parametrize("seed,kind", [
@@ -133,7 +141,7 @@ def test_otsu_equals_oracle_on_seeded_images(seed, kind):
             levels = rng.choice(256, size=n_levels, replace=False)
             px = rng.choice(levels, size=shape).astype(float)
             px.flat[:n_levels] = levels    # every level present
-        assert otsu_threshold(GrayImage(px)) == otsu_oracle(px)
+        assert otsu_of(px) == otsu_oracle(px)
 
 
 def _seeded_bytes(kind, rng):
@@ -161,7 +169,7 @@ def test_image_path_equals_float_reference(kind):
     for _ in range(100):
         px = _seeded_bytes(kind, rng)
         baseline_row = int(rng.integers(1, px.shape[0] - 1))
-        thr, env = image_path(GrayImage(px), baseline_row)
+        thr, env = image_path(px, baseline_row)
         ref_thr, (upper, lower) = image_path_reference(px, baseline_row)
         assert thr == ref_thr
         assert env[0].tobytes() == upper.tobytes()
@@ -173,8 +181,7 @@ def test_image_path_equals_float_reference_on_a_pwd_raster(tmp_path):
                                             seed=4), str(tmp_path))
     _, img = load_record(m, str(tmp_path))
     thr, env = image_path(img, m.image_baseline_row)
-    ref_thr, (upper, lower) = image_path_reference(img.pixels,
-                                                   m.image_baseline_row)
+    ref_thr, (upper, lower) = image_path_reference(img, m.image_baseline_row)
     assert thr == ref_thr
     assert env[0].tobytes() == upper.tobytes()
     assert env[1].tobytes() == lower.tobytes()
@@ -187,32 +194,27 @@ def test_normalize_intensity_accepts_any_8bit_range():
     for lo, hi in [(0, d) for d in range(1, 256)] + [(7, 18), (100, 161)]:
         px = np.full((3, 4), lo, dtype=np.uint8)
         px[0] = hi
-        norm = normalize_intensity(GrayImage(px))
-        assert np.nextafter(255.0, 0.0) <= norm.pixels.max() <= 255.0
-        assert norm.pixels.min() == 0.0
-        assert otsu_threshold(norm) == 1    # every threshold ties
+        counts = pixel_counts(px)
+        levels = normalize_intensity(counts)
+        assert np.nextafter(255.0, 0.0) <= levels[px].max() <= 255.0
+        assert levels[px].min() == 0.0
+        assert otsu_threshold(levels, counts) == 1    # every threshold ties
 
 
 def test_gray_image_is_held_by_level():
     px = np.array([[3, 9, 3], [200, 9, 3]], dtype=np.uint8)
-    img = GrayImage(px)
-    assert img.pixels.dtype == np.uint8 and np.array_equal(img.pixels, px)
-    assert img.counts[[3, 9, 200]].tolist() == [3, 2, 1]
-    assert img.counts.sum() == px.size
-    floats = GrayImage(px / 2.0)
-    assert floats.levels.tolist() == [1.5, 4.5, 100.0]
-    assert floats.counts.tolist() == [3, 2, 1]
-    assert np.array_equal(floats.pixels, px / 2.0)
-    with pytest.raises(ValueError):
-        img.with_levels(np.arange(256.0)[::-1])    # decreasing levels
+    counts = pixel_counts(px)
+    assert counts.shape == (256,)
+    assert counts[[3, 9, 200]].tolist() == [3, 2, 1]
+    assert counts.sum() == px.size
 
 
 def test_image_path_allocates_at_most_4_bytes_per_pixel(tmp_path):
     rng = np.random.default_rng(5)
     height, width = 200, 12000
     path = str(tmp_path / "pwd.pgm")
-    write_pgm(path, GrayImage(rng.integers(0, 256, size=(height, width),
-                                           dtype=np.uint8)))
+    write_pgm(path, rng.integers(0, 256, size=(height, width),
+                                 dtype=np.uint8))
     tracemalloc.start()
     try:
         image_path(read_pgm(path), height // 2)
@@ -223,52 +225,44 @@ def test_image_path_allocates_at_most_4_bytes_per_pixel(tmp_path):
 
 
 @pytest.mark.parametrize("n_pixels", [
-    16, COUNT_SLICE, 2 * COUNT_SLICE, 2 * COUNT_SLICE + 78])
-@pytest.mark.parametrize("coding", ["uint8", "float"])
-def test_gray_image_counts_equal_bincount(n_pixels, coding):
+    16, COUNT_SLICE, 2 * COUNT_SLICE, 2 * COUNT_SLICE + 78],
+    ids=lambda n: f"uint8-{n}")
+def test_gray_image_counts_equal_bincount(n_pixels):
     # less than one slice, whole slices, and a partial last slice
     rng = np.random.default_rng(n_pixels)
     px = rng.integers(0, 256, size=(2, n_pixels // 2)).astype(np.uint8)
     px[0, 0], px[-1, -1] = 0, 255     # some counts land in the end slices
-    if coding == "float":
-        px = px / 3.0
-    img = GrayImage(px)
-    assert img.counts.dtype == np.intp
-    assert np.array_equal(img.counts,
-                          np.bincount(img.codes.ravel(),
-                                      minlength=img.levels.size))
-
-
-def test_gray_image_rejects_nan():
-    with pytest.raises(ValueError):
-        GrayImage(np.array([[np.nan, 1.0], [2.0, 3.0]]))
+    counts = pixel_counts(px)
+    assert counts.dtype == np.intp
+    assert np.array_equal(counts, np.bincount(px.ravel(), minlength=256))
 
 
 def test_extract_envelopes_synthetic_columns():
     # column 0: bright rows 2..4 above baseline 5 and row 8 below
-    px = np.zeros((10, 4))
-    px[2:5, 0] = 255.0
-    px[8, 0] = 255.0
-    px[5, 1] = 255.0   # only the baseline row itself: ignored
-    px[0, 2] = 255.0   # farthest row above
-    env = extract_envelopes(GrayImage(px), threshold=128.0, baseline_row=5)
+    px = np.zeros((10, 4), dtype=np.uint8)
+    px[2:5, 0] = 255
+    px[8, 0] = 255
+    px[5, 1] = 255     # only the baseline row itself: ignored
+    px[0, 2] = 255     # farthest row above
+    env = extract_envelopes(px, BYTE_LEVELS, threshold=128.0, baseline_row=5)
     assert env.dtype == np.float64
     assert env.tolist() == [[3.0, 0.0, 5.0, 0.0], [-3.0, 0.0, 0.0, 0.0]]
-    with pytest.raises(ValueError):
-        extract_envelopes(GrayImage(px), 128.0, baseline_row=0)
+    for row in (0, 9, 12):    # on the edge rows or outside the 10 rows
+        with pytest.raises(ValueError, match=f"10-row image, got {row}$"):
+            extract_envelopes(px, BYTE_LEVELS, 128.0, baseline_row=row)
 
 
 @pytest.mark.parametrize("density", [0.02, 0.2, 0.6])
 def test_extract_envelopes_equals_column_loop(density):
     rng = np.random.default_rng(int(density * 100))
     height, width = 24, 300
-    px = (rng.random((height, width)) < density) * 255.0
-    px[0, ::7] = 255.0                 # bright pixels on the image edges
-    px[-1, ::5] = 255.0
-    px[:, ::11] = 0.0                  # empty columns
+    px = np.uint8(255) * (rng.random((height, width)) < density)
+    px[0, ::7] = 255                   # bright pixels on the image edges
+    px[-1, ::5] = 255
+    px[:, ::11] = 0                    # empty columns
     bright = px >= 128.0
     for baseline_row in (1, height // 2, height - 2):
-        env = extract_envelopes(GrayImage(px), 128.0, baseline_row)
+        env = extract_envelopes(px, BYTE_LEVELS, 128.0, baseline_row)
         upper, lower = envelopes_by_column(bright, baseline_row)
         assert env[0].tobytes() == upper.tobytes()
         assert env[1].tobytes() == lower.tobytes()
@@ -276,8 +270,8 @@ def test_extract_envelopes_equals_column_loop(density):
 
 def test_extract_envelopes_nonnegative_upper_nonpositive_lower():
     rng = np.random.default_rng(1)
-    px = (rng.random((30, 50)) > 0.8) * 255.0
-    upper, lower = extract_envelopes(GrayImage(px), 128.0, 15)
+    px = np.uint8(255) * (rng.random((30, 50)) > 0.8)
+    upper, lower = extract_envelopes(px, BYTE_LEVELS, 128.0, 15)
     assert np.all(upper >= 0)
     assert np.all(lower <= 0)
 

@@ -39,8 +39,8 @@ def test_rasterize_equals_column_loop(seed):
          np.arange(-2, height + 2) - 0.5]))
     img = _rasterize(upper, lower, height, baseline_row)
     ref = raster_by_column(upper, lower, height, baseline_row)
-    assert img.pixels.dtype == np.uint8
-    assert img.pixels.tobytes() == ref.astype(np.uint8).tobytes()
+    assert img.dtype == np.uint8
+    assert img.tobytes() == ref.astype(np.uint8).tobytes()
 
 
 def test_spec_validation():
@@ -59,7 +59,7 @@ def test_generate_writes_complete_dataset(tmp_path):
     for m in manifests:
         rows, img = load_record(m, out)
         assert rows.shape == (3, int(4.0 * spec.aecg_fs))
-        assert img.pixels.shape == (spec.image_height,
+        assert img.shape == (spec.image_height,
                                     int(4.0 * spec.columns_per_second))
         for key in ("fetal_clean_path", "truth_upper_path",
                     "truth_lower_path"):
@@ -84,7 +84,7 @@ def test_render_extract_roundtrip(tmp_path):
     out = str(tmp_path / "ds")
     (m,) = generate_synthetic(spec, out)
     _, img = load_record(m, out)
-    upper, lower = extract_envelopes(img, threshold=128.0,
+    upper, lower = extract_envelopes(img, np.arange(256.0), threshold=128.0,
                                      baseline_row=m.image_baseline_row)
     upper_truth = read_raw_f32(os.path.join(out, m.aux["truth_upper_path"]))
     lower_truth = read_raw_f32(os.path.join(out, m.aux["truth_lower_path"]))

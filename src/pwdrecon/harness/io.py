@@ -30,13 +30,20 @@ def write_raw_f32(path: str, samples: np.ndarray) -> None:
     np.asarray(samples, dtype="<f4").tofile(path)
 
 
-def read_raw_f32(path: str) -> np.ndarray:
-    """Read a raw little-endian float32 file; returns float64 values."""
+def _f32_count(path: str) -> int:
+    """The number of float32 values in a raw file, refused when missing,
+    empty or not a whole number of them."""
     if not os.path.exists(path):
         raise FileMissing(path)
     size = os.path.getsize(path)
     if size == 0 or size % 4 != 0:
         raise SizeMismatch(f"{path}: {size} bytes is not a float32 multiple")
+    return size // 4
+
+
+def read_raw_f32(path: str) -> np.ndarray:
+    """Read a raw little-endian float32 file; returns float64 values."""
+    _f32_count(path)
     return np.fromfile(path, dtype="<f4").astype(np.float64)
 
 
@@ -105,20 +112,24 @@ def load_record(manifest: RecordManifest,
                 base_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """The manifest's three bipolar channels, in bipolar_channel_indices
     order, as (3, n_samples) float64 rows, and its PwD image as read_pgm
-    returns it."""
-    channels = []
+    returns it. Each channel is read into its row, with no other float64
+    copy."""
+    paths, sizes = [], []
+    expected = manifest.aux.get("n_samples")
     for i in manifest.bipolar_channel_indices:
         rel = manifest.channel_paths[i]
-        samples = read_raw_f32(os.path.join(base_dir, rel))
-        expected = manifest.aux.get("n_samples")
-        if expected is not None and samples.size != expected:
+        paths.append(os.path.join(base_dir, rel))
+        sizes.append(_f32_count(paths[-1]))
+        if expected is not None and sizes[-1] != expected:
             raise SizeMismatch(
-                f"{rel}: {samples.size} samples, manifest says {expected}")
-        channels.append(samples)
-    if len({ch.size for ch in channels}) != 1:
+                f"{rel}: {sizes[-1]} samples, manifest says {expected}")
+    if len(set(sizes)) != 1:
         raise SizeMismatch("channel files disagree on length")
     img = read_pgm(os.path.join(base_dir, manifest.image_path))
-    return np.stack(channels), img
+    rows = np.empty((len(paths), sizes[0]))
+    for row, path in zip(rows, paths):
+        row[:] = np.fromfile(path, dtype="<f4")
+    return rows, img
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,32 @@ from .errors import ConstantImage
 from .separation import pca_fit
 
 ENVELOPE_SOS = design_bandpass("bessel")  # the envelope stream's filter
-COUNT_SLICE = 1 << 16  # pixels per bincount, which copies them to intp
+COUNT_SLICE = 1 << 16  # pixel pairs per bincount, which copies them to intp
 
 
 def pixel_counts(px: np.ndarray) -> np.ndarray:
     """(256,) intp: the number of pixels of each byte value of a uint8
-    image."""
-    flat, counts = px.ravel(), np.zeros(256, np.intp)
-    for i in range(0, flat.size, COUNT_SLICE):
-        counts += np.bincount(flat[i:i + COUNT_SLICE], minlength=256)
+    image.
+
+    Pixels are counted in pairs, as uint16 values in 65536 bins: in an
+    image of few values, counting single bytes sends nearly every
+    increment to one bin, each waiting for the one before it. A pair's
+    bin holds one of its bytes in the high half and the other in the low
+    half, so the (256, 256) counts summed along each axis count each
+    pixel once, whatever the byte order. An odd last pixel is counted on
+    its own.
+    """
+    flat = px.ravel()
+    pairs = flat[:flat.size & ~1].view(np.uint16)
+    # the first slice's counts start the sum: a zeroed 512 KB accumulator
+    # would cost more in fresh pages than a one-slice image does to count
+    both = np.bincount(pairs[:COUNT_SLICE], minlength=1 << 16)
+    for i in range(COUNT_SLICE, pairs.size, COUNT_SLICE):
+        both += np.bincount(pairs[i:i + COUNT_SLICE], minlength=1 << 16)
+    both = both.reshape(256, 256)
+    counts = both.sum(0) + both.sum(1)
+    if flat.size & 1:
+        counts[flat[-1]] += 1
     return counts
 
 
@@ -80,7 +97,9 @@ def extract_envelopes(px: np.ndarray, levels: np.ndarray, threshold: float,
     Returns (2, width) float64 rows. Per column, the upper envelope (row
     0) is the pixel distance from the baseline row to the highest bright
     pixel above it (0 if none); the lower envelope (row 1) is minus the
-    distance to the lowest bright pixel below it.
+    distance to the lowest bright pixel below it. Each is a maximum along
+    the rows of bright-times-distance, in the narrowest unsigned integer
+    that holds the image height, so it reduces whole rows at a time.
     """
     height = px.shape[0]
     if not 0 < baseline_row < height - 1:
@@ -88,12 +107,12 @@ def extract_envelopes(px: np.ndarray, levels: np.ndarray, threshold: float,
                          f"{height}-row image, got {baseline_row}")
     # levels never decrease, so intensity >= threshold exactly when the
     # value is at least the first one whose level reaches the threshold
-    bright = px >= int(np.searchsorted(levels, threshold))
-    above = bright[:baseline_row]        # first True is the highest row
-    below = bright[:baseline_row:-1]     # bottom-up: first True is lowest
-    upper = np.where(above.any(0), len(above) - above.argmax(0), 0)
-    lower = np.where(below.any(0), below.argmax(0) - len(below), 0)
-    return np.array([upper, lower], dtype=np.float64)
+    code = int(np.searchsorted(levels, threshold))
+    dist = np.abs(np.arange(height) - baseline_row).astype(
+        np.min_scalar_type(height))[:, None]
+    upper = ((px[:baseline_row] >= code) * dist[:baseline_row]).max(0)
+    lower = ((px[baseline_row + 1:] >= code) * dist[baseline_row + 1:]).max(0)
+    return np.array([upper, 0.0 - lower])  # 0.0 - 0 is +0.0, not -0.0
 
 
 def preprocess_envelopes(raw: np.ndarray, fs: float) -> np.ndarray:

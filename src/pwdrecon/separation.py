@@ -134,13 +134,32 @@ def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
                     converged=converged, iterations=total_iter)
 
 
+def _running_mean(a: np.ndarray, width: int) -> np.ndarray:
+    """Mean of each `width` samples around each sample of `a`, zeros
+    beyond its ends: np.convolve(a, np.ones(width) / width, mode="same")
+    from one cumulative sum, O(n) for any width.
+
+    The window of sample i spans i - width // 2 .. i + (width - 1) // 2,
+    as "same" mode centres it. Not bit-identical to the convolution: a
+    window's sum is a difference of two running sums, so it differs by up
+    to about n eps max|a| for n samples.
+    """
+    # sums[k]: the sum of the first k samples of `a` behind width // 2 zeros
+    end = width // 2 + a.size
+    sums = np.zeros(a.size + width)
+    np.cumsum(a, out=sums[width // 2 + 1:end + 1])
+    sums[end + 1:] = sums[end]
+    return (sums[width:] - sums[:-width]) / width
+
+
 def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     """Dominant repetition rate and its autocorrelation strength.
 
-    Searched over periods 0.25-1.2 s on the rectified signal; returns
-    (rate_hz, normalized autocorrelation at the peak lag), or None when
-    the signal is too short, flat or not finite. The strength separates
-    genuinely periodic components from noise, whose peak lag is arbitrary.
+    Searched over periods 0.25-1.2 s on the rectified signal, smoothed by
+    an 80 ms running mean; returns (rate_hz, normalized autocorrelation at
+    the peak lag), or None when the signal is too short, flat or not
+    finite. The strength separates genuinely periodic components from
+    noise, whose peak lag is arbitrary.
     The FFT locates the peak; the lags within round-off of its maximum are
     then certified by direct dot products, whose first maximum is returned.
     """
@@ -154,7 +173,7 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     # autocorrelation of the smoothed rectified signal emphasizes beat
     # periodicity; smoothing keeps the peak under beat-to-beat jitter
     width = max(int(round(0.08 * fs)), 1)
-    e = np.convolve(np.abs(x), np.ones(width) / width, mode="same")
+    e = _running_mean(np.abs(x), width)
     e = e - e.mean()
     ac0 = np.correlate(e, e)[0]  # e @ e rounds otherwise below 12 samples
     if not ac0 > 0:

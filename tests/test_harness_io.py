@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_load_record_checks_sizes(tmp_path):
     write_pgm(str(tmp_path / m.image_path),
               rng.integers(0, 256, size=(20, 30), dtype=np.uint8))
     rows, img = load_record(m, str(tmp_path))
-    assert rows.dtype == np.float64
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
     assert np.array_equal(rows, chans[[2, 0, 3]])
     assert img.shape == (20, 30)
 
@@ -163,6 +164,24 @@ def test_load_record_checks_sizes(tmp_path):
         load_record(m, str(tmp_path))
     with pytest.raises(SizeMismatch, match="disagree on length"):
         load_record(dataclasses.replace(m, aux={}), str(tmp_path))
+
+
+def test_load_record_reads_each_channel_into_its_row(tmp_path):
+    # the (3, n) float64 rows and one float32 channel at a time: no float64
+    # copy of a channel beside its row
+    n = 100_000
+    m = dataclasses.replace(_manifest(), aux={"n_samples": n})
+    for p in m.channel_paths:
+        write_raw_f32(str(tmp_path / p), np.ones(n))
+    write_pgm(str(tmp_path / m.image_path), np.zeros((20, 30), np.uint8))
+    tracemalloc.start()
+    try:
+        rows, _ = load_record(m, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (3, n)
+    assert peak <= (3 * 8 + 4) * n + 65536
 
 
 def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):

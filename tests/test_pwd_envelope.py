@@ -237,6 +237,52 @@ def test_gray_image_counts_equal_bincount(n_pixels):
     assert np.array_equal(counts, np.bincount(px.ravel(), minlength=256))
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.integers(0, 256, size=(7, 2 * COUNT_SLICE // 7 + 3),
+                             dtype=np.uint8),                # odd count
+    lambda rng: rng.integers(0, 256, size=(9, 4000),
+                             dtype=np.uint8)[1::2, 3:-2],     # strided
+    lambda rng: rng.integers(0, 256, size=(300, 41),
+                             dtype=np.uint8).T,               # transposed
+    lambda rng: np.tile(np.uint8(200) * (np.arange(1201) % 3 == 1),
+                        (200, 1)),                            # two values
+], ids=["odd-count", "strided", "transposed", "two-valued"])
+def test_pixel_counts_equal_bincount_on_any_layout(make):
+    px = make(np.random.default_rng(3))
+    assert np.array_equal(pixel_counts(px),
+                          np.bincount(px.ravel(), minlength=256))
+
+
+@pytest.mark.parametrize("header", ["P5\n7 5\n255\n", "P5\n7  5\n255\n"],
+                         ids=["odd-header", "even-header"])
+def test_pixel_counts_equal_bincount_on_a_pgm_view(header, tmp_path):
+    # an odd-length header leaves the pixel view at an odd address
+    px = np.random.default_rng(4).integers(0, 256, size=(5, 7),
+                                           dtype=np.uint8)
+    path = tmp_path / "odd.pgm"
+    path.write_bytes(header.encode() + px.tobytes())
+    view = read_pgm(str(path))
+    assert view.ctypes.data % 2 == len(header) % 2
+    assert np.array_equal(view, px)
+    assert np.array_equal(pixel_counts(view),
+                          np.bincount(px.ravel(), minlength=256))
+
+
+@pytest.mark.parametrize("height", [300, 40000])
+def test_extract_envelopes_distances_beyond_narrow_integers(height):
+    # distances above 255 and 32767: a too-narrow dtype would wrap them
+    px = np.zeros((height, 5), dtype=np.uint8)
+    px[0, 0] = px[-1, 1] = 255         # the farthest rows on either side
+    px[[0, -1], 2] = 255
+    px[height // 3, 3] = 255
+    bright = px >= 128
+    for baseline_row in (1, height // 2, height - 2):
+        env = extract_envelopes(px, BYTE_LEVELS, 128.0, baseline_row)
+        upper, lower = envelopes_by_column(bright, baseline_row)
+        assert env[0].tobytes() == upper.tobytes()
+        assert env[1].tobytes() == lower.tobytes()
+
+
 def test_extract_envelopes_synthetic_columns():
     # column 0: bright rows 2..4 above baseline 5 and row 8 below
     px = np.zeros((10, 4), dtype=np.uint8)

@@ -15,6 +15,7 @@ from pwdrecon.separation import (
     MIN_BEAT_STRENGTH,
     _beat_rate,
     _group_peaks,
+    _running_mean,
     detect_polarity,
     extract_fecg,
     fastica,
@@ -121,8 +122,14 @@ def _beat_train(t, r_times, polarity=1):
     return x
 
 
+def _convolved_mean(a, width):
+    """Reference: the box smoother as a direct convolution."""
+    return np.convolve(a, np.ones(width) / width, mode="same")
+
+
 def _beat_rate_full_correlation(x, fs):
-    """Reference: _beat_rate with the full-length np.correlate."""
+    """Reference: _beat_rate with the full-length np.correlate, on the
+    same running mean, so the lag search alone is compared."""
     x = x - x.mean()
     if np.std(x) == 0:
         return None
@@ -132,7 +139,7 @@ def _beat_rate_full_correlation(x, fs):
         return None
     e = np.abs(x)
     width = max(int(round(0.08 * fs)), 1)
-    e = np.convolve(e, np.ones(width) / width, mode="same")
+    e = _running_mean(e, width)
     e = e - e.mean()
     ac = np.correlate(e, e, mode="full")[len(e) - 1:]
     if ac[0] <= 0:
@@ -209,6 +216,41 @@ def test_beat_rate_takes_the_first_of_tied_lags():
     got = _beat_rate(EXACT_TIE, 8.0)
     assert got == _beat_rate_full_correlation(EXACT_TIE, 8.0)
     assert got[0] == 8.0 / 2
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 20, 41])
+def test_running_mean_is_within_bound_of_convolution(width):
+    rng = np.random.default_rng(width)
+    for n in (width + 1, width + 2, 1000, 61440, 307200):
+        a = np.abs(rng.normal(size=n)) * rng.uniform(0.1, 10.0)
+        got, want = _running_mean(a, width), _convolved_mean(a, width)
+        assert got.shape == want.shape
+        bound = n * np.finfo(float).eps * a.max()
+        assert np.max(np.abs(got - want)) <= bound
+
+
+def _all_beat_rate_inputs():
+    """The 207 inputs of the tests above: 6 kinds, 200 seeded cases and
+    EXACT_TIE."""
+    yield from (_beat_rate_input(kind) for kind in (
+        "periodic", "noise", "shorter-than-lag-range", "flat", "too-short",
+        "rectified-flat"))
+    yield from (_beat_rate_case(seed) for seed in range(200))
+    yield EXACT_TIE, 8.0
+
+
+def test_beat_rate_keeps_every_rate_of_the_convolution_smoother(
+        monkeypatch):
+    inputs = list(_all_beat_rate_inputs())
+    got = [_beat_rate(x, fs) for x, fs in inputs]
+    monkeypatch.setattr(separation, "_running_mean", _convolved_mean)
+    want = [_beat_rate(x, fs) for x, fs in inputs]
+    assert len(inputs) == 207
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g[0] == w[0]
+            assert abs(g[1] - w[1]) <= 1e-9
 
 
 def test_beat_rate_is_linear_in_length():

@@ -2,12 +2,12 @@
 
 Each maps a flattened fECG window (d = L) to a flattened envelope window
 (m = L * out_channels). OLS and ridge solve the smaller of the d x d
-normal equations and the n x n dual system. Lasso is an exact homotopy:
-the output columns run in contiguous chains, in lockstep, where a chain's
-first column follows its solution path (LARS-lasso) down to the requested
-penalty and each later column moves its left neighbour's solution to its
-own target at that penalty. Each column's result is certified by its
-relative duality gap.
+normal equations and the n x n dual system. Lasso is an exact homotopy
+at the requested penalty: the output columns run in contiguous chains, in
+lockstep, and each column moves a source's solution to its own target,
+the source being its left neighbour or a zero target (which traces the
+LARS-lasso path). At zero penalty it is least squares. Each column's
+result is certified by its relative duality gap.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ _DEPENDENT = 1e-10
 # lasso_fit runs at most as many chains as have active-set inverses, of at
 # most rank(Xc)^2 floats each, that fit in this many bytes
 _BLOCK_BYTES = 64 << 20
+LASSO_MAX_ITER = 1000       # homotopy steps allowed per output column
+LASSO_TOL = 1e-6            # relative duality gap at which a fit converged
 
 
 @dataclass
@@ -72,112 +74,107 @@ def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
     return LinearMap(weight=W.T, bias=b)
 
 
-def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float,
-              max_iter: int = 1000, tol: float = 1e-6) -> LinearMap:
+def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
     """Exact lasso homotopy on (1/2n)||Y - XW - b||^2 + lam*|W|_1.
 
-    An output column's solution is affine along any segment of (target,
-    penalty) on which its active set and signs hold, and _homotopy follows
-    it from event to event (Garrigues & El Ghaoui 2008). The columns are
-    split into contiguous chains, followed in lockstep. A chain's first
-    column runs the penalty path from zero at its lambda_max down to lam.
-    Each later column starts from its left neighbour's solution and moves
-    the target from the neighbour's to its own at lam: neighbouring
-    envelope samples share most of their active sets, so a column costs
-    the difference between the two, not a whole path. A column whose
-    target is nearer zero than its neighbour's runs its own path instead
-    (see _homotopy for this and the other cases). There are
-    min(group, ceil(sqrt(m)) + r) chains, r the columns after the first
-    that run their own path, where a group's active-set inverses, at most
-    8 * group * rank(Xc)^2 bytes, fit in _BLOCK_BYTES: memory grows with
-    the chains, not with m. max_iter bounds each column's steps and n_iter
-    reports the most steps a column took. Each column's weights are solved
-    afresh on its final active set, in feature order, so they depend on
-    that set and its signs only.
+    At lam > 0 each output column moves its target from a source's to its
+    own, and _homotopy follows the solution from event to event (Garrigues
+    & El Ghaoui 2008). The source is the left neighbour, as neighbouring
+    envelope samples share most of their active sets, or zero: since
+    W(t y, lam) = t W(y, lam / t), a segment from zero is the LARS-lasso
+    path from lambda_max down to lam (Efron et al. 2004). The columns run
+    in min(group, ceil(sqrt(m)) + r) contiguous chains, r the columns
+    after the first that start from zero, where a group's active-set
+    inverses, at most 8 * group * rank(Xc)^2 bytes, fit in _BLOCK_BYTES:
+    memory grows with the chains, not with m. LASSO_MAX_ITER bounds each
+    column's steps and n_iter reports the most steps a column took. Each
+    column's weights are solved afresh on its final active set, in feature
+    order, so they depend on that set and its signs only.
+
+    At lam = 0 no sign condition binds and every correlation sits at the
+    penalty from the start, so there is no path: the fit is least squares
+    (np.linalg.lstsq, the minimum-norm solution), with n_iter 0.
 
     The result is certified per column by its relative duality gap
     (P - D) / P, with the residual rescaled to a feasible dual point;
     at lam = 0, where that point is undefined, by the KKT residual
     max|Xc^T r| / max|Xc^T y|. `gap` is the largest over the columns and
-    converged is gap <= tol.
+    converged is gap <= LASSO_TOL.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     X, Y = np.atleast_2d(np.asarray(X, float)), np.atleast_2d(np.asarray(Y, float))
-    n, d = X.shape
-    m = Y.shape[1]
+    n = X.shape[0]
     Xc, Yc, xm, ym = _center(X, Y)
-    Gram = Xc.T @ Xc / n
-    # (m, d) correlations at W = 0
-    Xty = np.ascontiguousarray((Xc.T @ Yc / n).T)
-    rank = int(np.linalg.matrix_rank(Xc))
-    group = max(1, _BLOCK_BYTES // (8 * max(rank, 1) ** 2))
-    W, it = _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group)
-    gaps = _relative_gaps(Xc, Yc, W, lam)
-    gap = float(gaps.max())
-    converged = gap <= tol
+    if lam == 0:
+        W, it = np.linalg.lstsq(Xc, Yc, rcond=None)[0], 0
+    else:
+        Gram = Xc.T @ Xc / n
+        # (m, d) correlations at W = 0
+        Xty = np.ascontiguousarray((Xc.T @ Yc / n).T)
+        rank = int(np.linalg.matrix_rank(Xc))
+        group = max(1, _BLOCK_BYTES // (8 * max(rank, 1) ** 2))
+        W, it = _homotopy(Xc, Yc, Gram, Xty, rank, lam, group)
+    gap = float(_relative_gaps(Xc, Yc, W, lam).max())
+    converged = gap <= LASSO_TOL
     if not converged:
         warnings.warn(f"lasso did not converge in {it} steps: relative "
-                      f"duality gap {gap:.3g} > tol {tol:g}", RuntimeWarning)
+                      f"duality gap {gap:.3g} > tol {LASSO_TOL:g}",
+                      RuntimeWarning)
     b = ym - xm @ W
     return LinearMap(weight=W.T, bias=b, converged=converged, n_iter=it,
                      gap=gap)
 
 
-def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
-    """The lasso weights (d, m) of Yc's columns at lam and the most steps
-    one column took, following the columns in contiguous chains, at most
-    `group` of them.
+def _homotopy(Xc, Yc, Gram, Xty, rank, lam, group):
+    """The lasso weights (d, m) of Yc's columns at lam > 0 and the most
+    steps one column took, following the columns in contiguous chains, at
+    most `group` of them.
 
-    A live chain is on one column and moves it along a segment in (target,
-    penalty): the penalty path (target fixed, penalty falling, a step
-    measured in lam, dl = 1) or a target segment (penalty fixed at lam,
-    target moving from the left neighbour's to the column's own over t in
-    [0, 1], dl = 0). Every step moves all live chains to their next event:
-    a feature entering the active set, an active weight reaching zero and
-    leaving it, or the segment's end. Each chain carries the inverse of its
-    active Gram block (zero outside its active entries), so a step takes
-    batched products with the inverses and one product with Xc^T for the
-    correlations. The active set never grows past rank(Xc), and a feature
-    whose column lies in the span of the active ones never enters. On the
-    step after an event, the feature that entered may not leave and the one
-    that left may not re-enter on the side it left from: either would be a
-    zero-length step made of round-off, and allowing it can cycle.
+    A live chain is on one column and moves its target from its source's
+    (the left neighbour, or column m: a zero target appended to Yc and
+    Xty) to its own over t in [0, 1]. Every step moves all live chains to
+    their next event: a feature entering the active set, an active weight
+    reaching zero and leaving it, or the segment's end. Each chain carries
+    the inverse of its active Gram block (zero outside its active entries),
+    so a step takes batched products with the inverses and one product
+    with Xc^T for the correlations. The active set never grows past
+    rank(Xc), and a feature whose column lies in the span of the active
+    ones never enters. On the step after an event, the feature that
+    entered may not leave and the one that left may not re-enter on the
+    side it left from: either would be a zero-length step made of
+    round-off, and allowing it can cycle.
 
     A column that ends its segment is solved on its final active set, and
     its chain moves on to the next column from there. A column cut off by
-    max_iter is solved where it stopped, and its chain starts the next
-    column's penalty path afresh, as it does for a column in `restart` and
-    for one whose target segment refuses a feature (`redo`).
+    LASSO_MAX_ITER is solved on the active set it reached, and its chain
+    starts the next column from zero, as for a column in `restart` or one
+    whose segment from its neighbour refuses a feature (`redo`).
     """
     n, d = Xc.shape
     m = Yc.shape[1]
     K = max(rank, 1)
-    lam_max = np.abs(Xty).max(axis=1)
     gmax = Gram.diagonal().max()
-    # the penalty path from zero is the target segment from zero, so a
-    # column whose target is nearer zero than its left neighbour's runs
-    # its own path; so does every column at lam = 0, where with rank(Xc) < d
-    # the least-squares solutions form an affine set and a segment would
-    # end on another point of it than the path's limit
-    # (|y1 - y0|^2 >= |y1|^2 is |y0|^2 >= 2 y0.y1)
+    # a column whose target is nearer zero than its left neighbour's starts
+    # from zero (|y1 - y0|^2 >= |y1|^2 is |y0|^2 >= 2 y0.y1)
     near = np.einsum("ij,ij->j", Yc[:, :-1], Yc[:, :-1]) \
         < 2 * np.einsum("ij,ij->j", Yc[:, :-1], Yc[:, 1:])
-    restart = np.append(True, ~near | (lam == 0))
-    # ceil(sqrt(m)) chains balance the chains' first paths against their
-    # segments; a column that runs its own path gains nothing from a chain,
-    # so each one after the first adds a chain (all m on unrelated columns)
+    restart = np.append(True, ~near)
+    Yc = np.column_stack([Yc, np.zeros(n)])
+    Xty = np.vstack([Xty, np.zeros(d)])
+    # ceil(sqrt(m)) chains balance the chains' starts from zero against
+    # their segments from a neighbour; a column that starts from zero gains
+    # nothing from a chain, so each one after the first adds a chain (all m
+    # on unrelated columns)
     chains = min(group, m, math.isqrt(m - 1) + int(restart.sum()))
     # the live chains' state, one row each: current and last + 1 column,
-    # the target the segment starts from, -dlam per unit step, lam and t
-    # now, the active set, its signs and size, the steps on this column, the
-    # features that entered and left on the last event (and the sign the
-    # leaving one had), the features refused as dependent on this column,
-    # and the inverse of the active Gram block
+    # the source column, t now, the active set, its signs and size, the
+    # steps on this column, the features that entered and left on the last
+    # event (and the sign the leaving one had), the features refused as
+    # dependent on this column, and the inverse of the active Gram block
     bounds = np.arange(chains + 1) * m // chains
     col, stop = bounds[:-1].copy(), bounds[1:]
-    src, dl = col.copy(), np.ones(chains)
-    lam_at, t = np.maximum(lam_max[col], lam), np.zeros(chains)
+    src, t = np.full(chains, m), np.zeros(chains)
     act = np.zeros((chains, K), dtype=np.intp)
     sgn = np.zeros((chains, K))
     k = np.zeros(chains, dtype=np.intp)
@@ -190,7 +187,6 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
     f_act = np.zeros((2 * chains, K), dtype=np.intp)
     f_sgn = np.zeros((2 * chains, K))
     f_k, f_col = np.zeros((2, 2 * chains), dtype=np.intp)
-    f_lam = np.zeros(2 * chains)
     W = np.zeros((d, m))
     nb = it = 0
     while col.size:
@@ -201,18 +197,16 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
         A, s_act = act[:, :kk], sgn[:, :kk]
         # on a fixed active set with fixed signs the solution is affine
         # along the segment: G w = X_A^T y / n - lam * s, where y moves by
-        # y1 - y0 per unit t and lam by -dl, so dw = G^{-1} (dl s + X_A^T
-        # (y1 - y0) / n) per unit step
+        # y1 - y0 per unit t, so dw = G^{-1} X_A^T (y1 - y0) / n
         b0 = Xty[src[:, None], A]
         db = Xty[col[:, None], A] - b0
         rhs = np.stack([s_act, db, b0 + t[:, None] * db], -1)
-        gs, gd, gb = np.moveaxis(Ginv @ rhs, -1, 0)
-        dA = dl[:, None] * gs + gd
-        wA = gb - lam_at[:, None] * gs
+        gs, dA, gb = np.moveaxis(Ginv @ rhs, -1, 0)
+        wA = gb - lam * gs
         ra, pa = np.nonzero(valid)
         ids = A[ra, pa]                # the feature of active entry (ra, pa)
         # correlations and their rates along the step, both (c, d):
-        # X^T r / n moves as corr - gamma * slope while lam_at - gamma * dl
+        # X^T r / n moves as corr - gamma * slope
         WD = np.zeros((2 * c, d))
         WD[ra, ids] = wA[ra, pa]
         WD[c + ra, ids] = dA[ra, pa]
@@ -226,14 +220,13 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
         del XWD, Y0, dY
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            # entering: |corr - gamma * slope| meets lam_at - gamma * dl
-            dlc = dl[:, None]
-            up = lam_at[:, None] - corr
-            up /= dlc - slope
-            up[slope >= dlc] = np.inf
-            down = lam_at[:, None] + corr
-            down /= dlc + slope
-            down[slope <= -dlc] = np.inf
+            # entering: |corr - gamma * slope| meets lam
+            up = lam - corr
+            up /= -slope
+            up[slope >= 0] = np.inf
+            down = lam + corr
+            down /= slope
+            down[slope <= 0] = np.inf
             # leaving: an active weight moving toward zero reaches it, but
             # not the one that entered on the last event
             moving = valid & (s_act * dA < 0) & (A != last_in[:, None])
@@ -261,7 +254,7 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
         g_drop = leave[rows, p_drop]
         j_drop, s_drop = A[rows, p_drop], s_act[rows, p_drop]
 
-        g_end = np.where(dl > 0, lam_at - lam, 1.0 - t)
+        g_end = 1.0 - t
         gamma = np.minimum(g_end, np.minimum(g_add, g_drop))
         is_end = g_end <= gamma
         is_drop = ~is_end & (g_drop <= g_add)
@@ -305,46 +298,43 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
         last_in[ev] = np.where(is_add, j_add, -1)[ev]
         last_out[ev] = np.where(is_drop, j_drop, -1)[ev]
         out_sgn[ev] = s_drop[ev]
-        lam_at = np.where(is_end, lam, lam_at - dl * gamma)
-        t = t + (1 - dl) * gamma
+        t += gamma
         steps += 1
 
-        cut = steps >= max_iter
+        cut = steps >= LASSO_MAX_ITER
         done = np.flatnonzero(is_end | cut)
-        # a target segment that has to refuse a feature as dependent can
-        # end off the column's solution (on near-collinear designs), so the
-        # column runs its own penalty path instead
-        redo = np.flatnonzero(dep & (dl == 0) & ~cut)
+        # a segment from a neighbour that has to refuse a feature as
+        # dependent can end off the column's solution (on near-collinear
+        # designs), so the column starts again from zero
+        redo = np.flatnonzero(dep & (src < m) & ~cut)
         if done.size == 0 and redo.size == 0:
             continue
         if done.size:
             it = max(it, int(steps[done].max()))
             e = slice(nb, nb + done.size)
             f_act[e, :kk], f_sgn[e, :kk] = act[done, :kk], sgn[done, :kk]
-            f_k[e], f_col[e], f_lam[e] = k[done], col[done], lam_at[done]
+            f_k[e], f_col[e] = k[done], col[done]
             nb += done.size
             if nb >= chains:
                 _solve_active(Gram, Xty, f_act[:nb], f_sgn[:nb], f_k[:nb],
-                              f_col[:nb], f_lam[:nb], W)
+                              f_col[:nb], lam, W)
                 nb = 0
                 # rank-one updates let the carried inverses drift along a
                 # chain (on the ablation fits up to 5e-7 relative at a
-                # column's end, against 2e-9 at the end of a penalty path;
-                # 5e-9 when they are re-formed this often)
+                # column's end, against 2e-9 at the end of a start from
+                # zero; 5e-9 when they are re-formed this often)
                 G, both = _gram_blocks(Gram, act[:, :kk], k)
                 Ginv = np.linalg.inv(G)
                 Ginv *= both
         # a finished chain moves on to its next column: from its final
-        # state if the column ended its segment, afresh if it was cut or
-        # the next column starts its own path
+        # state if the column ended its segment, from zero if it was cut or
+        # the next column starts from zero
         more = col[done] + 1 < stop[done]
         go, fin = done[more], done[~more]
         fresh = np.concatenate([go[~is_end[go] | restart[col[go] + 1]], redo])
         src[go] = col[go]
         col[go] += 1
-        dl[go], lam_at[go] = 0.0, lam
-        src[fresh], dl[fresh] = col[fresh], 1.0
-        lam_at[fresh] = np.maximum(lam_max[col[fresh]], lam)
+        src[fresh] = m
         k[fresh] = 0
         Ginv[fresh] = 0.0
         moved = np.concatenate([go, redo])
@@ -355,17 +345,16 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, max_iter, group):
         if fin.size:
             keep = np.ones(c, dtype=bool)
             keep[fin] = False
-            (col, stop, src, dl, lam_at, t, act, sgn, k, steps, last_in,
-             last_out, out_sgn, blocked, Ginv) = (
-                x[keep] for x in (col, stop, src, dl, lam_at, t, act, sgn,
-                                  k, steps, last_in, last_out, out_sgn,
-                                  blocked, Ginv))
+            (col, stop, src, t, act, sgn, k, steps, last_in, last_out,
+             out_sgn, blocked, Ginv) = (
+                x[keep] for x in (col, stop, src, t, act, sgn, k, steps,
+                                  last_in, last_out, out_sgn, blocked, Ginv))
     _solve_active(Gram, Xty, f_act[:nb], f_sgn[:nb], f_k[:nb], f_col[:nb],
-                  f_lam[:nb], W)
+                  lam, W)
     return W, it
 
 
-def _solve_active(Gram, Xty, act, sgn, k, cols, lams, W):
+def _solve_active(Gram, Xty, act, sgn, k, cols, lam, W):
     """Write columns `cols` of W: each solved afresh on its active set in
     feature order, G w = X_A^T y / n - lam s, so that the weights depend on
     the final active set and signs only, not on the path that found them.
@@ -378,7 +367,7 @@ def _solve_active(Gram, Xty, act, sgn, k, cols, lams, W):
     s = np.take_along_axis(sgn, order, 1) * valid
     rhs = np.stack([s, Xty[cols[:, None], idx] * valid], -1)
     sol = np.linalg.solve(_gram_blocks(Gram, idx, k)[0], rhs)
-    wA = sol[..., 1] - lams[:, None] * sol[..., 0]
+    wA = sol[..., 1] - lam * sol[..., 0]
     ra, pa = np.nonzero(valid)
     W[idx[ra, pa], cols[ra]] = wA[ra, pa]
 

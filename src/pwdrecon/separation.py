@@ -9,6 +9,7 @@ row or in one BLAS call.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -160,8 +161,11 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     the peak lag), or None when the signal is too short, flat or not
     finite. The strength separates genuinely periodic components from
     noise, whose peak lag is arbitrary.
-    The FFT locates the peak; the lags within round-off of its maximum are
-    then certified by direct dot products, whose first maximum is returned.
+    The peak lag is the top of the first peak within 10% of the global
+    maximum (YIN's guard against octave errors, de Cheveigne & Kawahara
+    2002): a beat train whose peak at twice the period is the higher one
+    keeps its rate. The FFT locates the peaks; each comparison its
+    round-off could flip, and the returned strength, use dot products.
     """
     x = x - x.mean()
     if np.std(x) == 0:
@@ -182,12 +186,18 @@ def _beat_rate(x: np.ndarray, fs: float) -> tuple[float, float] | None:
     ac = np.fft.irfft(np.abs(np.fft.rfft(e, nfft)) ** 2, nfft)
     ac = ac[lag_min:lag_max + 1]
     # FFT values lie within ~1e-14 ac0 of the exact ones, dot products within
-    # n eps ac0 (sum |e_i e_i+lag| <= ac0): the first maximum of the dot
-    # products is within 1e-9 ac0 of the FFT maximum while n < ~4e6
-    near = lag_min + np.flatnonzero(ac >= ac.max() - 1e-9 * ac0)
-    exact = [e[:e.size - lag] @ e[lag:] for lag in near.tolist()]
-    best = int(np.argmax(exact))
-    return fs / int(near[best]), float(exact[best] / ac0)
+    # n eps ac0 (sum |e_i e_i+lag| <= ac0): within tol of each other while
+    # n < ~4e6
+    tol = 1e-9 * ac0
+    at = functools.cache(lambda i: e[:e.size - lag_min - i] @ e[lag_min + i:])
+    top = max(map(at, np.flatnonzero(ac >= ac.max() - 2 * tol).tolist()))
+    floor = 0.9 * top if top > 0 else top
+    i = next(i for i in np.flatnonzero(ac >= floor - tol).tolist()
+             if at(i) >= floor)
+    while i + 1 < ac.size and ((rise := ac[i + 1] - ac[i]) > 2 * tol or (
+            rise >= -2 * tol and at(i + 1) > at(i))):
+        i += 1    # up to the top of that peak
+    return fs / (lag_min + i), float(at(i) / ac0)
 
 
 def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> np.ndarray:

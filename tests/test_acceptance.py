@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
+from pwdrecon import baselines
 from pwdrecon.baselines import lasso_fit, ols_fit, ridge_fit
 from pwdrecon.core import (
     ModelKind,
@@ -281,7 +282,7 @@ def test_a7_end_to_end_learnability(tmp_path):
           f"in {elapsed:.0f}s")
 
 
-def test_a8_baseline_oracles():
+def test_a8_baseline_oracles(monkeypatch):
     """A8: OLS/ridge closed form to 1e-8; lasso(0)==OLS; lasso(lam_max)==0."""
     rng = np.random.default_rng(3)
     X = rng.normal(size=(50, 4))
@@ -296,7 +297,9 @@ def test_a8_baseline_oracles():
     m_r = ridge_fit(X, Y, lam)
     assert np.max(np.abs(m_r.weight - W_r.T)) <= 1e-8
 
-    m_l0 = lasso_fit(X, Y, 0.0, max_iter=20000, tol=1e-12)
+    monkeypatch.setattr(baselines, "LASSO_MAX_ITER", 20000)
+    monkeypatch.setattr(baselines, "LASSO_TOL", 1e-12)
+    m_l0 = lasso_fit(X, Y, 0.0)
     gap0 = np.max(np.abs(m_l0.weight - m_ols.weight))
     assert gap0 <= 1e-4
     lam_max = float(np.abs(Xc.T @ Yc).max() / X.shape[0])

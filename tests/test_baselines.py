@@ -138,7 +138,7 @@ def test_lasso_lambda_max_zeroes_solution():
     assert np.any(m2.weight != 0.0)
 
 
-def test_lasso_orthogonal_soft_threshold():
+def test_lasso_orthogonal_soft_threshold(monkeypatch):
     """Oracle: with zero-mean orthogonal columns the lasso solution is the
     coordinate-wise soft-thresholded least-squares solution."""
     n = 64
@@ -152,7 +152,8 @@ def test_lasso_orthogonal_soft_threshold():
     s = (X ** 2).sum(axis=0)  # per-column squared norm (= n/2)
     rho = X.T @ (Y - Y.mean(axis=0)) / n
     w_exp = np.sign(rho) * np.maximum(np.abs(rho) - lam, 0.0) / (s[:, None] / n)
-    m = lasso_fit(X, Y, lam, tol=1e-12)
+    monkeypatch.setattr(baselines, "LASSO_TOL", 1e-12)
+    m = lasso_fit(X, Y, lam)
     assert m.converged
     assert np.allclose(m.weight.T, w_exp, atol=1e-8)
     # the small true coefficient is driven exactly to zero
@@ -166,12 +167,13 @@ def lasso_objective(X, Y, m, lam):
                  + lam * np.abs(m.weight).sum())
 
 
-def test_lasso_objective_never_above_ols_start():
+def test_lasso_objective_never_above_ols_start(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(80, 6))
     Y = rng.normal(size=(80, 2))
     lam = 0.05
-    m = lasso_fit(X, Y, lam, tol=1e-9)
+    monkeypatch.setattr(baselines, "LASSO_TOL", 1e-9)
+    m = lasso_fit(X, Y, lam)
     # the zero solution starts the homotopy; the result must not be worse
     from pwdrecon.baselines import LinearMap
     zero = LinearMap(weight=np.zeros((2, 6)), bias=Y.mean(axis=0))
@@ -179,28 +181,56 @@ def test_lasso_objective_never_above_ols_start():
         lasso_objective(X, Y, zero, lam) + 1e-12
 
 
-def test_lasso_nonconvergence_flag():
+def _one_step(monkeypatch):
+    """Every lasso column stops after one step, certified to 1e-14."""
+    monkeypatch.setattr(baselines, "LASSO_MAX_ITER", 1)
+    monkeypatch.setattr(baselines, "LASSO_TOL", 1e-14)
+
+
+def test_lasso_nonconvergence_flag(monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 10))
     Y = rng.normal(size=(40, 4))
+    _one_step(monkeypatch)
     with pytest.warns(RuntimeWarning, match="relative duality gap"):
-        m = lasso_fit(X, Y, 1e-6, max_iter=1, tol=1e-14)
+        m = lasso_fit(X, Y, 1e-6)
     assert not m.converged
     assert m.gap > 1e-14 and m.n_iter == 1
 
 
-def test_lasso_max_iter_cuts_every_chained_column():
-    """max_iter bounds each column's own steps, and a cut column's right
-    neighbour runs its own path rather than continuing from the cut state:
-    with one step each, every column stops at its first event, lambda_max,
-    where the entering weight is still zero."""
+def test_lasso_max_iter_cuts_every_chained_column(monkeypatch):
+    """LASSO_MAX_ITER bounds each column's own steps, and a cut column's
+    right neighbour starts from zero rather than continuing from the cut
+    state: with one step each, every column of the joint fit stops where
+    its own fit does, one feature in, and is solved on that feature."""
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 10))
     Y = np.cumsum(rng.normal(size=(40, 9)), axis=1)   # near neighbours
+    _one_step(monkeypatch)
     with pytest.warns(RuntimeWarning, match="relative duality gap"):
-        m = lasso_fit(X, Y, 1e-6, max_iter=1, tol=1e-14)
+        m = lasso_fit(X, Y, 1e-6)
+        single = [lasso_fit(X, Y[:, [j]], 1e-6) for j in range(9)]
     assert not m.converged and m.n_iter == 1
-    assert np.abs(m.weight).max() <= 1e-12
+    assert all(s.n_iter == 1 for s in single)
+    ref = np.vstack([s.weight for s in single])
+    assert np.array_equal(m.weight != 0, ref != 0)
+    assert (np.count_nonzero(ref, axis=1) == 1).all()
+    assert np.abs(m.weight - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lasso_lam0_rank_deficient_is_certified(monkeypatch):
+    """At lam = 0 the lasso is least squares. On a rank-deficient design
+    (n < d) it is the minimum-norm solution, pinv(Xc) @ Yc, and its KKT
+    residual max|Xc^T r| / max|Xc^T y| is certified at 1e-12."""
+    X, Y = _walk_design(27, n=20, d=213, m=40)
+    monkeypatch.setattr(baselines, "LASSO_TOL", 1e-12)
+    m = lasso_fit(X, Y, 0.0)
+    assert m.converged and m.gap <= 1e-12 and m.n_iter == 0
+    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+    r = Y - linmap_predict(m, X)
+    assert np.abs(Xc.T @ r).max() <= 1e-12 * np.abs(Xc.T @ Yc).max()
+    W = np.linalg.pinv(Xc) @ Yc
+    assert np.abs(m.weight - W.T).max() <= 1e-9 * np.abs(W).max()
 
 
 def _walk_design(seed, n=20, d=213, m=426):
@@ -350,7 +380,7 @@ def test_lasso_path_that_drops_features():
 
 
 def _per_column(X, Y, lam):
-    """Each output fitted on its own: a chain of one runs its penalty path."""
+    """Each output fitted on its own: a chain of one starts from zero."""
     return np.vstack([lasso_fit(X, Y[:, [j]], lam).weight
                       for j in range(Y.shape[1])])
 
@@ -382,8 +412,8 @@ def _between_columns(Y, steps=4):
 def test_lasso_chained_fit_equals_per_column_fits(design):
     """Each chained column starts from its left neighbour's solution and
     moves the target to its own: it must land on the solution its own
-    penalty path finds. At lam = 0 with n < d, where least squares has many
-    solutions, every column runs its own path to the path's limit."""
+    start from zero finds. At lam = 0 with n < d, where least squares has
+    many solutions, every column is the minimum-norm one."""
     X, Y, lam = design()
     m = lasso_fit(X, Y, lam)
     assert m.converged and m.gap <= 1e-10
@@ -402,7 +432,7 @@ def test_lasso_identical_neighbours():
 
 def test_lasso_sign_flipped_neighbour():
     """Neighbours whose weights change sign. A target next to its own
-    negative is nearer zero than its neighbour and runs its own path;
+    negative is nearer zero than its neighbour and starts from zero;
     a target that flips a few small weights moves them through zero."""
     rng = np.random.default_rng(25)
     X = np.cumsum(rng.normal(size=(40, 12)), axis=1)
@@ -458,9 +488,9 @@ def _tied_design():
 @pytest.mark.parametrize("frac", [0.05, 0.01, 0.001])
 def test_lasso_tied_features_do_not_cycle(frac):
     """Regression example: on this design the lockstep path used to enter
-    and drop a tied feature at zero-length steps until max_iter, with a
-    gap near 1. A feature that has just entered may not leave on the next
-    step, nor one that has just left re-enter on its side."""
+    and drop a tied feature at zero-length steps until LASSO_MAX_ITER,
+    with a gap near 1. A feature that has just entered may not leave on
+    the next step, nor one that has just left re-enter on its side."""
     X, Y = _tied_design()
     lam = frac * lasso_lambda_max(X, Y)
     m = lasso_fit(X, Y, lam)
@@ -471,8 +501,8 @@ def test_lasso_tied_features_do_not_cycle(frac):
 def test_lasso_segment_refusing_a_feature_runs_the_path(frac):
     """Regression example: with near-twin features (pairs 1e-3 apart) a
     target segment may have to refuse a feature as dependent on the active
-    ones, and then ends off the column's solution; the column runs its own
-    penalty path instead."""
+    ones, and then ends off the column's solution; the column starts again
+    from zero instead."""
     rng = np.random.default_rng(25)
     X = rng.normal(size=(13, 21))
     X[:, 1::2] = X[:, 0:20:2] + 1e-3 * rng.normal(size=(13, 10))

@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from pwdrecon import baselines
 from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
 from pwdrecon.core import ModelKind, read_json, to_json_dict, write_json
 from pwdrecon.harness import experiment, io
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import load_model, save_model, save_preprocessed
+from pwdrecon.separation import extract_fecg
 
 
 def _write_json(path, obj):
@@ -126,9 +129,7 @@ def test_unconverged_lasso_exits_2(small_dataset, tmp_path, capsys,
     assert err["error"] == "NumericalInstability"
     assert "relative duality gap 0.5" in err["message"]
 
-    fit = experiment.lasso_fit
-    monkeypatch.setattr(experiment, "lasso_fit",
-                        lambda x, Y, lam: fit(x, Y, lam, max_iter=1))
+    monkeypatch.setattr(baselines, "LASSO_MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match="lasso did not converge"):
         rc = main(["train", "--config", cfg, "--data", prep,
                    "--out", str(tmp_path / "run1")])
@@ -476,3 +477,60 @@ def test_evaluate_has_no_seed_flag(capsys):
         main(["evaluate", "--model", "m.npz", "--data", "d", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_heredoc(name):
+    """The JSON the README's quick start writes to `name`, as it is there."""
+    with open(README) as fh:
+        text = fh.read()
+    found = re.search(rf"cat > {re.escape(name)} <<'EOF'\n(.*?)\nEOF\n",
+                      text, re.S)
+    assert found, f"README.md writes no {name}"
+    return json.loads(found.group(1))
+
+
+@pytest.fixture(scope="module")
+def readme_raw(tmp_path_factory):
+    """Step 1 of the README's quick start: synth with the README's spec."""
+    root = tmp_path_factory.mktemp("readme")
+    spec = _write_json(root / "spec.json", _readme_heredoc("spec.json"))
+    raw = str(root / "data" / "raw")
+    assert main(["synth", "--spec", spec, "--out", raw]) == 0
+    return raw
+
+
+def test_readme_rec012_extracts_its_fetal_source(readme_raw):
+    """Regression example: the README's rec012 used to report half its
+    fetal rate (its autocorrelation peaks higher at twice the period), and
+    extract_fecg refused it with NoFetalComponent."""
+    (m,) = [m for m in io.load_manifests(
+        os.path.join(readme_raw, "records.json")) if m.record_id == "rec012"]
+    rows, _ = io.load_record(m, readme_raw)
+    fecg = extract_fecg(rows, m.aecg_fs, seed=0)
+    clean = io.read_raw_f32(os.path.join(readme_raw,
+                                         m.aux["fetal_clean_path"]))
+    assert abs(np.corrcoef(fecg, clean)[0, 1]) >= 0.85
+
+
+def test_readme_quick_start_runs(readme_raw, tmp_path, capsys):
+    """The README's quick start from its own spec: preprocess every record,
+    then train the README's config as Ridge (the 50-epoch network is too
+    slow here) and evaluate the saved model."""
+    prep = str(tmp_path / "data" / "prep")
+    assert main(["preprocess", "--manifest",
+                 os.path.join(readme_raw, "records.json"), "--out", prep,
+                 "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert len(io.load_preprocessed(prep)) == 20
+    config = dict(_readme_heredoc("config.json"), model="Ridge")
+    cfg = _write_json(tmp_path / "config.json", config)
+    run = str(tmp_path / "runs" / "base")
+    assert main(["train", "--config", cfg, "--data", prep,
+                 "--out", run]) == 0
+    trained = json.loads(capsys.readouterr().out)
+    assert main(["evaluate", "--model", os.path.join(run, "model.npz"),
+                 "--data", prep]) == 0
+    assert json.loads(capsys.readouterr().out)["mean_r"] == trained["mean_r"]

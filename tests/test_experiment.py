@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pwdrecon import separation
+from pwdrecon import baselines, separation
 from pwdrecon.core import (
     TARGET_FS,
     EnvelopeSelection,
@@ -255,9 +255,7 @@ def test_run_ablation_writes_csv_with_markers(small_dataset, tmp_path):
 
 def _unconverged_lasso(monkeypatch):
     """Every lasso fit stops after one step, far from its solution."""
-    fit = experiment.lasso_fit
-    monkeypatch.setattr(experiment, "lasso_fit",
-                        lambda x, Y, lam: fit(x, Y, lam, max_iter=1))
+    monkeypatch.setattr(baselines, "LASSO_MAX_ITER", 1)
 
 
 def _nan_predictions(monkeypatch):

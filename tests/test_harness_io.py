@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pwdrecon import baselines
 from pwdrecon.baselines import LinearMap, lasso_fit, ridge_fit
 from pwdrecon.core import (
     EnvelopeSelection,
@@ -244,8 +245,11 @@ def _fitted(config):
     Y = rng.normal(size=(30, 71 * config.out_channels))
     if config.model is ModelKind.RIDGE:
         return ridge_fit(X, Y, 1.0)
-    with pytest.warns(RuntimeWarning, match="lasso did not converge"):
-        return lasso_fit(X, Y, 1e-3, max_iter=2, tol=1e-14)
+    with pytest.MonkeyPatch.context() as mp, \
+            pytest.warns(RuntimeWarning, match="lasso did not converge"):
+        mp.setattr(baselines, "LASSO_MAX_ITER", 2)
+        mp.setattr(baselines, "LASSO_TOL", 1e-14)
+        return lasso_fit(X, Y, 1e-3)
 
 
 @pytest.mark.parametrize("kind", list(CONFIGS))

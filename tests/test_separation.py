@@ -144,7 +144,13 @@ def _beat_rate_full_correlation(x, fs):
     ac = np.correlate(e, e, mode="full")[len(e) - 1:]
     if ac[0] <= 0:
         return None
-    lag = lag_min + int(np.argmax(ac[lag_min:lag_max + 1]))
+    search = ac[lag_min:lag_max + 1]
+    # the top of the first peak within 10% of the global maximum
+    top = search.max()
+    i = int(np.argmax(search >= (0.9 * top if top > 0 else top)))
+    while i + 1 < search.size and search[i + 1] > search[i]:
+        i += 1
+    lag = lag_min + i
     return fs / lag, float(ac[lag] / ac[0])
 
 
@@ -216,6 +222,20 @@ def test_beat_rate_takes_the_first_of_tied_lags():
     got = _beat_rate(EXACT_TIE, 8.0)
     assert got == _beat_rate_full_correlation(EXACT_TIE, 8.0)
     assert got[0] == 8.0 / 2
+
+
+def test_beat_rate_keeps_the_period_when_twice_it_peaks_higher():
+    """Regression example: beats of alternating height 1 and 0.8, T = 0.4 s
+    apart. The autocorrelation peaks higher at 2T than at T, and the rate
+    is 1/T, not 1/(2T)."""
+    fs = 500.0
+    t = np.arange(int(20 * fs)) / fs
+    beats = np.arange(0.1, 20.0, 0.4)
+    x = _beat_train(t, beats[::2]) + 0.8 * _beat_train(t, beats[1::2])
+    e = _running_mean(np.abs(x - x.mean()), 40)
+    e -= e.mean()
+    assert e[:-400] @ e[400:] > e[:-200] @ e[200:]
+    assert _beat_rate(x, fs)[0] == 2.5
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 20, 41])

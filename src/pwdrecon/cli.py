@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .core import ModelKind, read_json, write_json
-from .errors import FileMissing, PwdReconError
+from .core import ModelKind, read_json
+from .errors import PwdReconError
 from .harness.experiment import (
     GRID_NAMES,
     ExperimentConfig,
@@ -73,7 +73,6 @@ def _cmd_train(args) -> int:
     records = load_preprocessed(args.data)
     os.makedirs(args.out, exist_ok=True)
     report, model = run_experiment(config, records, out_dir=args.out)
-    write_json(os.path.join(args.out, "experiment.json"), config)
     save_model(config, model, os.path.join(args.out, "model.npz"))
     result = {"mean_r": report.mean_r, "rendered_r": report.rendered_r,
               "mean_mse": report.mean_mse}
@@ -84,12 +83,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if not os.path.exists(args.model):  # before the config beside it
-        raise FileMissing(args.model)
-    config_path = args.config or os.path.join(
-        os.path.dirname(os.path.abspath(args.model)), "experiment.json")
-    config = read_json(config_path, ExperimentConfig)
-    model = load_model(config, args.model)
+    config, model = load_model(args.model)
     records = load_preprocessed(args.data)
     windows, _, test_idx = experiment_windows(config, records)
     _, report = evaluate(config, model, windows, test_idx)
@@ -144,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("evaluate", help="evaluate a saved model")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--config")
     s.set_defaults(func=_cmd_evaluate)
 
     s = sub.add_parser("ablate", help="run an ablation grid")

@@ -9,7 +9,8 @@ class PwdReconError(Exception):
 
 class NumericalInstability(PwdReconError):
     """A result that cannot be trusted: a designed filter with a pole on or
-    outside the unit circle, or a baseline fit that did not converge."""
+    outside the unit circle, or a FastICA unmixing or baseline fit that
+    did not converge."""
 
 
 class SignalTooShort(PwdReconError):

@@ -37,7 +37,7 @@ from ..errors import (
     ZeroVariance,
 )
 from ..metrics import MetricReport, window_metrics
-from ..net.model import NetConfig, predict
+from ..net.model import predict
 from ..net.train import train
 from ..pwd_envelope import (
     extract_envelopes,
@@ -153,13 +153,6 @@ class ExperimentConfig:
             return 1
         return 2 if self.envelope_selection is EnvelopeSelection.BOTH else 1
 
-    @property
-    def net_config(self) -> NetConfig:
-        """The network this config trains, saves and loads."""
-        return NetConfig(out_channels=self.out_channels,
-                         channels=self.net_channels,
-                         kernel_size=self.kernel_size)
-
 
 def _target_channels(rec: PreprocessedRecord,
                      config: ExperimentConfig) -> np.ndarray:
@@ -210,8 +203,8 @@ def experiment_windows(config: ExperimentConfig,
 def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
     """Train the configured model; returns (model, training log)."""
     if config.model is ModelKind.PWDRECNET:
-        return train(x, y, config.net_config, config.epochs,
-                     config.batch_size, config.seed, LR)
+        return train(x, y, config.net_channels, config.kernel_size,
+                     config.epochs, config.batch_size, config.seed, LR)
     Y = y.reshape(len(y), -1)
     if config.model is ModelKind.LINEAR:
         return ols_fit(x, Y), []

@@ -7,7 +7,6 @@ converting a real dataset into it is a one-shot external step.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -18,8 +17,8 @@ import numpy as np
 
 from ..baselines import LinearMap
 from ..core import ModelKind, Polarity, PreprocessedRecord, RecordManifest
-from ..core import TARGET_FS, WaveConfig, check_record_id, read_json
-from ..core import to_json_dict, write_json
+from ..core import TARGET_FS, WaveConfig, check_record_id, from_json_dict
+from ..core import read_json, to_json_dict, write_json
 from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from ..net.model import init_params
 from .experiment import ExperimentConfig
@@ -189,15 +188,16 @@ def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
     return records
 
 
-MODEL_VERSION = 2  # model.npz's layout, for every model kind
+MODEL_VERSION = 3  # model.npz's layout, for every model kind
 
 
 def _model_shapes(config: ExperimentConfig) -> dict[str, tuple]:
     """Every array a model.npz of this config holds, by name, in file order,
     with its shape."""
     if config.model is ModelKind.PWDRECNET:
-        return {name: a.shape
-                for name, a in init_params(config.net_config, 0).items()}
+        return {name: a.shape for name, a in init_params(
+            config.net_channels, config.kernel_size, config.out_channels,
+            0).items()}
     L = int(round(config.window_s * TARGET_FS))
     m = config.out_channels * L
     return {"weight": (m, L), "bias": (m,), "converged": (), "n_iter": (),
@@ -206,61 +206,58 @@ def _model_shapes(config: ExperimentConfig) -> dict[str, tuple]:
 
 def save_model(config: ExperimentConfig, model, path: str) -> None:
     """Write the model `config` fitted (the network's parameters or a
-    baseline's LinearMap) as model.npz: `__version__`, then a network's
-    header (its NetConfig as sorted-key JSON, and that JSON's sha256) and
-    parameters, or a baseline's arrays. The round trip through load_model
-    is bit-exact."""
+    baseline's LinearMap) as model.npz: `__version__`, `__config__` (the
+    config as sorted-key JSON bytes), then the network's parameters or a
+    baseline's arrays. The round trip through load_model is bit-exact."""
+    cfg = json.dumps(to_json_dict(config), sort_keys=True).encode()
     if config.model is ModelKind.PWDRECNET:
-        cfg = json.dumps(to_json_dict(config.net_config),
-                         sort_keys=True).encode()
-        arrays = {"__config__": np.frombuffer(cfg, dtype=np.uint8),
-                  "__config_sha256__": np.frombuffer(
-                      hashlib.sha256(cfg).digest(), dtype=np.uint8),
-                  **model}
+        arrays = model
     else:
         arrays = {"weight": model.weight, "bias": model.bias,
                   "converged": np.array(model.converged),
                   "n_iter": np.array(model.n_iter),
                   "gap": np.array(model.gap)}
-    np.savez(path, __version__=np.array(MODEL_VERSION), **arrays)
+    np.savez(path, __version__=np.array(MODEL_VERSION),
+             __config__=np.frombuffer(cfg, dtype=np.uint8), **arrays)
 
 
-def load_model(config: ExperimentConfig, path: str):
-    """Read what save_model wrote for `config`: the network's parameters
-    or a baseline's LinearMap.
+def load_model(path: str) -> tuple[ExperimentConfig, object]:
+    """Read what save_model wrote: (the config, the network's parameters
+    or a baseline's LinearMap).
 
     Checks, in this order, each fault naming `path`: the file exists
-    (FileMissing); it is an .npz archive, its version is MODEL_VERSION
-    and a network's header matches its sha256 (ValueError); every array
-    `config` implies is present with its shape (ShapeMismatch), so a
-    model of the other family, or of another window or channel count,
-    is refused.
+    (FileMissing); it is an .npz archive whose members' bytes match
+    their CRC-32, its version is MODEL_VERSION and its `__config__`
+    decodes to an ExperimentConfig (ValueError); every array that config
+    implies is present with its shape (ShapeMismatch).
     """
     if not os.path.exists(path):
         raise FileMissing(path)
     if not zipfile.is_zipfile(path):
         raise ValueError(f"{path}: not an .npz archive")
-    with np.load(path) as z:
-        version = (z["__version__"].tolist() if "__version__" in z
-                   else "missing")
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: model file version {version}, "
-                             f"expected {MODEL_VERSION}")
-        if config.model is ModelKind.PWDRECNET and not (
-                "__config__" in z and "__config_sha256__" in z
-                and hashlib.sha256(z["__config__"].tobytes()).digest()
-                == z["__config_sha256__"].tobytes()):
-            raise ValueError(f"{path}: network header missing or not "
-                             f"matching its sha256")
-        shapes = _model_shapes(config)
-        arrays = {name: z[name] for name in shapes if name in z}
+    try:
+        with np.load(path) as z:
+            version = (z["__version__"].tolist() if "__version__" in z
+                       else "missing")
+            if version != MODEL_VERSION:
+                raise ValueError(f"model file version {version}, "
+                                 f"expected {MODEL_VERSION}")
+            if "__config__" not in z:
+                raise ValueError("no __config__ array")
+            config = from_json_dict(ExperimentConfig,
+                                    json.loads(z["__config__"].tobytes()))
+            shapes = _model_shapes(config)
+            arrays = {name: z[name] for name in shapes if name in z}
+    except (zipfile.BadZipFile, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for name, shape in shapes.items():
         found = arrays[name].shape if name in arrays else "missing"
         if found != shape:
             raise ShapeMismatch(f"{path}: array {name} is {found}, "
                                 f"expected {shape}")
     if config.model is ModelKind.PWDRECNET:
-        return arrays
-    return LinearMap(weight=arrays["weight"], bias=arrays["bias"],
-                     converged=bool(arrays["converged"]),
-                     n_iter=int(arrays["n_iter"]), gap=float(arrays["gap"]))
+        return config, arrays
+    return config, LinearMap(
+        weight=arrays["weight"], bias=arrays["bias"],
+        converged=bool(arrays["converged"]), n_iter=int(arrays["n_iter"]),
+        gap=float(arrays["gap"]))

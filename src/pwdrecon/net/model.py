@@ -9,8 +9,6 @@ against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeMismatch
@@ -29,17 +27,11 @@ N_LEVELS = 3
 LENGTH_MULTIPLE = 2 ** N_LEVELS  # input length must divide by 8
 
 
-@dataclass(frozen=True)
-class NetConfig:
-    """Architecture hyperparameters; defaults sized for CPU training."""
-
-    out_channels: int = 2
-    channels: tuple[int, int, int] = (16, 32, 64)
-    kernel_size: int = 7
-
-
-def init_params(config: NetConfig, seed: int) -> dict[str, np.ndarray]:
-    """Seeded uniform fan-in initialization, zero biases.
+def init_params(channels: tuple[int, int, int], kernel_size: int,
+                out_channels: int, seed: int) -> dict[str, np.ndarray]:
+    """Seeded uniform fan-in initialization, zero biases, of the network
+    whose encoder blocks have `channels`, whose convolutions are
+    `kernel_size` taps wide and whose head has `out_channels` outputs.
 
     Returns every trainable array by name: "enc<i>.conv<j>.w"/".b" for
     the three convolutions of encoder block i, "enc<i>.proj.w"/".b" for
@@ -49,7 +41,7 @@ def init_params(config: NetConfig, seed: int) -> dict[str, np.ndarray]:
     the model file's layout.
     """
     rng = np.random.default_rng(seed)
-    k, ch = config.kernel_size, config.channels
+    k, ch = kernel_size, channels
     params: dict[str, np.ndarray] = {}
 
     def conv(name: str, c_in: int, c_out: int, k: int) -> None:
@@ -68,7 +60,7 @@ def init_params(config: NetConfig, seed: int) -> dict[str, np.ndarray]:
         conv(f"{name}.conv2", c_out, c_out, k)
         if c_in != c_out:
             conv(f"{name}.proj", c_in, c_out, 1)
-    conv("head", ch[0], config.out_channels, 1)
+    conv("head", ch[0], out_channels, 1)
     return params
 
 

@@ -5,23 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyDataset
-from .model import (
-    NetConfig,
-    backward,
-    forward_batch,
-    init_params,
-    padded_length,
-    predict,
-)
+from .model import backward, forward_batch, init_params, padded_length, predict
 from .ops import mse_loss
 from .optim import rmsprop_step
 
 VAL_FRACTION = 0.1  # share of the windows held out for validation
 
 
-def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig, epochs: int,
-          batch_size: int, seed: int, lr: float):
-    """Train the reconstruction net on x (N, L) -> y (N, C, L); returns
+def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
+          kernel_size: int, epochs: int, batch_size: int, seed: int,
+          lr: float):
+    """Train the reconstruction net of `net_channels` and `kernel_size`
+    (init_params) on x (N, L) -> y (N, C, L), with C outputs; returns
     (best_params, log).
 
     Each epoch takes RMSprop steps of rate `lr` on shuffled batches of
@@ -43,7 +38,7 @@ def train(x: np.ndarray, y: np.ndarray, net_config: NetConfig, epochs: int,
     n_val = min(n_val, n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    params = init_params(net_config, seed=seed)
+    params = init_params(net_channels, kernel_size, Y.shape[1], seed=seed)
     v: dict[str, np.ndarray] = {}
 
     best = {name: p.copy() for name, p in params.items()}

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateInput,
     NoFetalComponent,
     NoPeaksDetected,
+    NumericalInstability,
 )
 
 FETAL_RATE_HZ = (1.8, 3.0)  # plausible fetal beat rates, 108-180 bpm
@@ -209,7 +210,8 @@ def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> np.ndarray:
     with a beat rate in the fetal band, the one with the strongest beat is
     kept. The sources are whitened, so a second component is not merged
     in: a PCA of the two would find an identity covariance and keep an
-    axis set by round-off.
+    axis set by round-off. An unmixing that did not converge raises
+    NumericalInstability, so no source comes from it.
     """
     if rows.ndim != 2 or rows.shape[0] != 3:
         raise ValueError("fECG extraction requires exactly 3 bipolar channels")
@@ -217,6 +219,10 @@ def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> np.ndarray:
     residual = pca_remove_top(rows)
     # top-1 removal leaves a rank-2 subspace; unmix 2 components
     ica = fastica(residual, n_components=2, seed=seed)
+    if not ica.converged:
+        raise NumericalInstability(
+            f"FastICA did not converge: {ica.iterations} iterations, at "
+            f"most {FASTICA_MAX_ITER} per component")
     sources = ica.transform(residual)
 
     rates = [_beat_rate(source, fs) or (0.0, 0.0) for source in sources]

@@ -33,7 +33,7 @@ from pwdrecon.harness.experiment import (
 from pwdrecon.harness.io import load_record, read_raw_f32
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.metrics import render_r
-from pwdrecon.net.model import NetConfig, backward, forward_batch, init_params
+from pwdrecon.net.model import backward, forward_batch, init_params
 from pwdrecon.net.ops import mse_loss
 from pwdrecon.net.optim import rmsprop_step
 from pwdrecon.pwd_envelope import (
@@ -51,9 +51,7 @@ def test_a1_gradient_correctness():
     t0 = time.monotonic()
     # seed chosen so no ReLU/maxpool kink falls inside the h=1e-5 probe;
     # at a kink the two-sided difference is not the derivative
-    params = init_params(NetConfig(out_channels=2, channels=(2, 4, 8),
-                                   kernel_size=3),
-                         seed=3)
+    params = init_params((2, 4, 8), 3, 2, seed=3)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 1, 8))
     target = rng.normal(size=(2, 2, 8))
@@ -89,8 +87,7 @@ def test_a1_gradient_correctness():
 
 def test_a2_optimizer_correctness():
     """A2: rmsprop matches the hand-evaluated rule; fixed-point behavior."""
-    cfg = NetConfig(channels=(2, 4, 8), kernel_size=3)
-    params = init_params(cfg, seed=0)
+    params = init_params((2, 4, 8), 3, 2, seed=0)
     _, p0 = next(iter(params.items()))
     before = p0.copy()
     grads = {n: np.full_like(a, 3.0) for n, a in params.items()}

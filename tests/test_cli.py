@@ -6,10 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from pwdrecon import baselines
+from pwdrecon import baselines, separation
 from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
-from pwdrecon.core import ModelKind, read_json, to_json_dict, write_json
+from pwdrecon.core import ModelKind, to_json_dict, write_json
 from pwdrecon.harness import experiment, io
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import load_model, save_model, save_preprocessed
@@ -22,8 +22,8 @@ def _write_json(path, obj):
     return str(path)
 
 
-def test_train_seed_flag_lands_in_experiment_json(small_dataset, tmp_path,
-                                                   capsys):
+def test_train_seed_flag_lands_in_the_model_file(small_dataset, tmp_path,
+                                                 capsys):
     _, _, records = small_dataset
     prep = str(tmp_path / "prep")
     save_preprocessed(prep, records)
@@ -34,9 +34,7 @@ def test_train_seed_flag_lands_in_experiment_json(small_dataset, tmp_path,
     assert main(["train", "--config", cfg, "--data", prep, "--out", str(run),
                  "--seed", "9"]) == 0
     capsys.readouterr()
-    saved = json.loads((run / "experiment.json").read_text())
-    assert saved["model"] == "Ridge" and saved["kernel_size"] == 3
-    assert read_json(str(run / "experiment.json"), ExperimentConfig) \
+    assert load_model(str(run / "model.npz"))[0] \
         == ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE,
                             kernel_size=3, seed=9, net_channels=(2, 4, 8))
 
@@ -64,7 +62,7 @@ def test_cli_full_pipeline(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert {"mean_r", "rendered_r", "mean_mse"} <= set(summary)
     assert os.path.exists(os.path.join(run, "model.npz"))
-    assert os.path.exists(os.path.join(run, "experiment.json"))
+    assert not os.path.exists(os.path.join(run, "experiment.json"))
 
     assert main(["evaluate", "--model", os.path.join(run, "model.npz"),
                  "--data", prep]) == 0
@@ -120,8 +118,7 @@ def test_unconverged_lasso_exits_2(small_dataset, tmp_path, capsys,
                  "--out", run]) == 0
     capsys.readouterr()
     model = os.path.join(run, "model.npz")
-    config = read_json(os.path.join(run, "experiment.json"), ExperimentConfig)
-    fitted = load_model(config, model)
+    config, fitted = load_model(model)
     save_model(config, dataclasses.replace(fitted, converged=False, gap=0.5),
                model)
     assert main(["evaluate", "--model", model, "--data", prep]) == 2
@@ -154,6 +151,28 @@ def test_preprocess_error_names_the_record(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoFetalComponent"
     assert err["message"].startswith("rec000: ")
+    assert not os.path.exists(tmp_path / "prep")
+
+
+def test_preprocess_refuses_an_unconverged_fastica(tmp_path, capsys,
+                                                  monkeypatch):
+    """No stream comes from an unmixing that did not converge: the warning
+    stays, and the record and the stage are named."""
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 2, "duration_s": 8.0, "seed": 1})
+    ds = str(tmp_path / "ds")
+    assert main(["synth", "--spec", spec, "--out", ds]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(separation, "FASTICA_MAX_ITER", 1)
+    with pytest.warns(RuntimeWarning, match="FastICA component"):
+        rc = main(["preprocess", "--manifest",
+                   os.path.join(ds, "records.json"),
+                   "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericalInstability"
+    assert err["message"].startswith("rec000: FastICA did not converge: ")
+    assert err["message"].endswith("at most 1 per component")
     assert not os.path.exists(tmp_path / "prep")
 
 
@@ -296,7 +315,7 @@ def _cli_argv(command, tmp_path, **paths):
     flags.update(paths)
     need = {"synth": ("spec", "out"), "preprocess": ("manifest", "out"),
             "train": ("config", "data", "out"),
-            "evaluate": ("model", "config", "data"),
+            "evaluate": ("model", "data"),
             "ablate": ("grid", "data", "out")}[command]
     return [command] + [a for f in need if flags[f] is not None
                         for a in (f"--{f}", flags[f])]
@@ -320,39 +339,47 @@ def test_cli_bad_json_file_is_a_value_error_naming_it(command, flag, name,
     assert err["message"].startswith(f"{bad}: ")
 
 
-@pytest.mark.parametrize("command, flag, code, error, others", [
-    ("preprocess", "manifest", 2, "FileMissing", {}),
-    ("evaluate", "data", 2, "FileMissing", {}),
-    ("evaluate", "model", 2, "FileMissing", {}),
-    ("evaluate", "model", 2, "FileMissing", {"config": None}),
-    ("synth", "spec", 1, "FileNotFoundError", {}),
-    ("train", "config", 1, "FileNotFoundError", {}),
-    ("ablate", "grid", 1, "FileNotFoundError", {}),
-], ids=["manifest", "preprocessed", "model", "model-without-config", "spec",
-        "config", "grid"])
+@pytest.mark.parametrize("command, flag, code, error", [
+    ("preprocess", "manifest", 2, "FileMissing"),
+    ("evaluate", "data", 2, "FileMissing"),
+    ("evaluate", "model", 2, "FileMissing"),
+    ("synth", "spec", 1, "FileNotFoundError"),
+    ("train", "config", 1, "FileNotFoundError"),
+    ("ablate", "grid", 1, "FileNotFoundError"),
+], ids=["manifest", "preprocessed", "model", "spec", "config", "grid"])
 def test_cli_missing_file_keeps_its_exit_code(command, flag, code, error,
-                                              others, tmp_path, capsys):
+                                              tmp_path, capsys):
     missing = str(tmp_path / "absent")
-    argv = _cli_argv(command, tmp_path, **{flag: missing}, **others)
+    argv = _cli_argv(command, tmp_path, **{flag: missing})
     assert main(argv) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and missing in err["message"]
 
 
-@pytest.mark.parametrize("config, code, error, fault", [
-    ({"model": "PwDRecNet"}, 1, "ValueError", "network header missing"),
-    ({"model": "Ridge", "window_s": 0.5}, 2, "ShapeMismatch",
+def _store_config(model, config):
+    """Replace the JSON config a model file holds with `config`, a dict."""
+    with np.load(model) as z:
+        arrays = dict(z)
+    arrays["__config__"] = np.frombuffer(json.dumps(config).encode(),
+                                         dtype=np.uint8)
+    np.savez(model, **arrays)
+
+
+@pytest.mark.parametrize("config, fault", [
+    ({"model": "PwDRecNet"},
+     "array enc0.conv0.w is missing, expected (16, 1, 7)"),
+    ({"model": "Ridge", "window_s": 0.5},
      "array weight is (142, 71), expected (284, 142)"),
 ], ids=["other-family", "other-window"])
 def test_cli_evaluate_refuses_a_model_its_config_does_not_describe(
-        config, code, error, fault, tmp_path, capsys):
-    argv = _cli_argv("evaluate", tmp_path,
-                     config=_write_json(tmp_path / "other.json", config))
-    assert main(argv) == code
-    err = json.loads(capsys.readouterr().err)
+        config, fault, tmp_path, capsys):
+    """The config stored in the file must describe the arrays beside it."""
+    argv = _cli_argv("evaluate", tmp_path)
     model = str(tmp_path / "model.npz")
-    assert err["error"] == error
-    assert err["message"].startswith(f"{model}: {fault}")
+    _store_config(model, config)
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ShapeMismatch", "message": f"{model}: {fault}"}
 
 
 def test_cli_refuses_preprocessed_streams_not_at_284_hz(small_dataset,
@@ -455,13 +482,15 @@ def test_train_refuses_an_index_whose_ids_cannot_name_streams(
     ("lasso_lam", 0.01),
 ], ids=["split", "ratio", "lr", "ridge_lam", "lasso_lam"])
 def test_removed_config_keys_are_refused(key, value, tmp_path, capsys):
-    """An experiment.json written before the split, its ratio, the rate
-    and the penalties became fixed is refused, naming the key."""
-    saved = tmp_path / "experiment.json"  # beside the model
-    _write_json(saved, {**to_json_dict(RIDGE), key: value})
-    assert main(_cli_argv("evaluate", tmp_path, config=None)) == 1
+    """A model whose config holds a key from before the split, its ratio,
+    the rate and the penalties became fixed is refused, naming the file
+    and the key."""
+    argv = _cli_argv("evaluate", tmp_path)
+    model = str(tmp_path / "model.npz")
+    _store_config(model, {**to_json_dict(RIDGE), key: value})
+    assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": f"{saved}: "
+    assert err == {"error": "ValueError", "message": f"{model}: "
                    f"ExperimentConfig: unknown field {key!r}"}
 
 
@@ -470,13 +499,15 @@ def test_cli_requires_subcommand():
         main([])
 
 
-def test_evaluate_has_no_seed_flag(capsys):
-    # evaluate draws nothing at random: the split is by time and the
-    # model's parameters come from its file
+@pytest.mark.parametrize("flag", ["--seed", "--config"],
+                         ids=["seed", "config"])
+def test_evaluate_has_no_seed_or_config_flag(flag, capsys):
+    # evaluate draws nothing at random: the split is by time, and the
+    # model's config and parameters come from its file
     with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--model", "m.npz", "--data", "d", "--seed", "3"])
+        main(["evaluate", "--model", "m.npz", "--data", "d", flag, "3"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

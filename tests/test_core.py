@@ -19,7 +19,6 @@ from pwdrecon.core import (
 from pwdrecon.harness.experiment import ExperimentConfig, GridFile
 from pwdrecon.harness.io import PreprocessedIndexEntry
 from pwdrecon.harness.synth import SyntheticSpec
-from pwdrecon.net.model import NetConfig
 
 
 def test_preprocessed_record_streams_share_one_length():
@@ -84,7 +83,6 @@ CODEC_CASES = [
                    bipolar_channel_indices=(2, 0, 1),
                    wave_config=WaveConfig.GROUP, image_baseline_row=7,
                    image_columns_per_second=90.0, aux={"n_samples": 64}),
-    NetConfig(out_channels=1, channels=(4, 8, 16), kernel_size=5),
 ]
 
 

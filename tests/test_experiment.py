@@ -39,7 +39,7 @@ from pwdrecon.harness.io import (
     save_preprocessed,
 )
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
-from pwdrecon.net.model import NetConfig, init_params
+from pwdrecon.net.model import init_params
 from pwdrecon.separation import FETAL_RATE_HZ, MIN_BEAT_STRENGTH
 
 FAST = dict(epochs=2, net_channels=(2, 4, 8), kernel_size=3)
@@ -173,8 +173,7 @@ def test_run_experiment_net_smoke(small_dataset, tmp_path):
     with open(tmp_path / "training_log.csv") as fh:
         assert len(fh.read().splitlines()) == 1 + 2  # header, 2 epochs
     # the network the config describes, in init_params' order
-    net = init_params(NetConfig(out_channels=2, channels=(2, 4, 8),
-                                kernel_size=3), seed=0)
+    net = init_params((2, 4, 8), 3, 2, seed=0)
     assert [(n, a.shape) for n, a in model.items()] == \
         [(n, a.shape) for n, a in net.items()]
 

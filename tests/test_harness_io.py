@@ -2,7 +2,9 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from pwdrecon.core import (
     to_json_dict,
     write_json,
 )
+from pwdrecon.dsp import WINDOW_SECONDS
 from pwdrecon.errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import (
@@ -237,7 +240,8 @@ def _fitted(config):
     lasso stops after 2 steps, unconverged."""
     rng = np.random.default_rng(9)
     if config.model is ModelKind.PWDRECNET:
-        params = init_params(config.net_config, seed=9)
+        params = init_params(config.net_channels, config.kernel_size,
+                             config.out_channels, seed=9)
         for a in params.values():
             a += rng.normal(size=a.shape) * 0.01
         return params
@@ -252,26 +256,31 @@ def _fitted(config):
         return lasso_fit(X, Y, 1e-3)
 
 
+def _config_bytes(config):
+    return json.dumps(to_json_dict(config), sort_keys=True).encode()
+
+
 @pytest.mark.parametrize("kind", list(CONFIGS))
 def test_model_file_roundtrip_bit_exact(kind, tmp_path):
     config = CONFIGS[kind]
     model = _fitted(config)
     path = str(tmp_path / "model.npz")
     save_model(config, model, path)
-    loaded = load_model(config, path)
+    loaded_config, loaded = load_model(path)
+    assert loaded_config == config
     with np.load(path) as z:
         names = z.files
+        assert z["__config__"].tobytes() == _config_bytes(config)
     if config.model is ModelKind.PWDRECNET:
-        assert names == ["__version__", "__config__", "__config_sha256__",
-                         *model]
+        assert names == ["__version__", "__config__", *model]
         assert list(loaded) == list(model)
         for name, a in model.items():
             assert np.array_equal(a, loaded[name]), name
         x = np.random.default_rng(1).normal(size=(2, 71))
         assert np.array_equal(predict(model, x, 2), predict(loaded, x, 2))
         return
-    assert names == ["__version__", "weight", "bias", "converged", "n_iter",
-                     "gap"]
+    assert names == ["__version__", "__config__", "weight", "bias",
+                     "converged", "n_iter", "gap"]
     for f in dataclasses.fields(LinearMap):
         assert np.array_equal(getattr(loaded, f.name),
                               getattr(model, f.name)), f.name
@@ -280,71 +289,111 @@ def test_model_file_roundtrip_bit_exact(kind, tmp_path):
         assert loaded.gap == model.gap > 1e-14
 
 
+def _resave(change):
+    """An edit of a model file: `change` applied to its arrays, re-saved."""
+    def edit(path):
+        with np.load(path) as z:
+            arrays = dict(z)
+        change(arrays)
+        np.savez(path, **arrays)
+    return edit
+
+
 def _set(name, value):
-    return lambda arrays: arrays.update({name: value})
+    return _resave(lambda arrays: arrays.update({name: value}))
 
 
 def _drop(name):
-    return lambda arrays: arrays.pop(name)
+    return _resave(lambda arrays: arrays.pop(name))
 
 
-def _flip_header_byte(arrays):
+def _config(config):
+    """An edit that stores another config's JSON as the file's config."""
+    return _set("__config__", np.frombuffer(_config_bytes(config),
+                                            dtype=np.uint8))
+
+
+def _flip_config_byte(arrays):
+    """0.25 s windows become 0.24 s: the JSON ends `"window_s": 0.25}`."""
     arrays["__config__"] = arrays["__config__"].copy()
     arrays["__config__"][-2] ^= 1
 
 
+def _write_npy(path):
+    with open(path, "wb") as fh:  # one .npy array under the .npz name
+        np.save(fh, np.zeros(3))
+
+
+def _flip_member_byte(member):
+    """An edit of the file's bytes in place: the last data byte of the
+    archive member `member` flips, and its stored CRC-32 stays."""
+    def edit(path):
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo(member)
+        with open(path, "r+b") as fh:
+            fh.seek(info.header_offset + 26)  # the local header's lengths
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            fh.seek(info.header_offset + 30 + name_len + extra_len
+                    + info.compress_size - 1)
+            last = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([last ^ 1]))
+    return edit
+
+
 NET, RIDGE, LASSO = CONFIGS.values()
 VERSION = f"model file version {{}}, expected {MODEL_VERSION}"
-HEADER = "network header missing or not matching its sha256"
+WINDOW = (f"ExperimentConfig.window_s: must be one of {WINDOW_SECONDS}, "
+          f"got 0.24")
+FIRST_ARRAY = {"PwDRecNet": "enc0.conv0.w", "Ridge": "weight",
+               "Lasso": "weight"}
 FAULTS = [
-    # (kind, fault, edit of the saved arrays, load under, error, message)
-    *((kind, "missing-file", None, CONFIGS[kind], FileMissing, "")
+    # (kind, fault, edit of the saved file, error, message)
+    *((kind, "missing-file", os.remove, FileMissing, "") for kind in CONFIGS),
+    *((kind, "not-an-archive", _write_npy, ValueError, "not an .npz archive")
       for kind in CONFIGS),
-    *((kind, "not-an-archive", None, CONFIGS[kind], ValueError,
-       "not an .npz archive") for kind in CONFIGS),
-    *((kind, "no-version", _drop("__version__"), CONFIGS[kind], ValueError,
+    *((kind, "corrupt-member", _flip_member_byte(f"{FIRST_ARRAY[kind]}.npy"),
+       ValueError, f"Bad CRC-32 for file '{FIRST_ARRAY[kind]}.npy'")
+      for kind in CONFIGS),
+    *((kind, "no-version", _drop("__version__"), ValueError,
        VERSION.format("missing")) for kind in CONFIGS),
-    *((kind, "other-version", _set("__version__", np.array(1)),
-       CONFIGS[kind], ValueError, VERSION.format(1)) for kind in CONFIGS),
-    ("PwDRecNet", "header-hash", _flip_header_byte, NET, ValueError, HEADER),
-    ("PwDRecNet", "missing-array", _drop("head.b"), NET, ShapeMismatch,
+    *((kind, "other-version", _set("__version__", np.array(2)), ValueError,
+       VERSION.format(2)) for kind in CONFIGS),
+    *((kind, "no-config", _drop("__config__"), ValueError,
+       "no __config__ array") for kind in CONFIGS),
+    *((kind, "bad-config", _resave(_flip_config_byte), ValueError, WINDOW)
+      for kind in CONFIGS),
+    ("PwDRecNet", "missing-array", _drop("head.b"), ShapeMismatch,
      "array head.b is missing, expected (2,)"),
-    ("Ridge", "missing-array", _drop("weight"), RIDGE, ShapeMismatch,
+    ("Ridge", "missing-array", _drop("weight"), ShapeMismatch,
      "array weight is missing, expected (142, 71)"),
-    ("Lasso", "missing-array", _drop("n_iter"), LASSO, ShapeMismatch,
+    ("Lasso", "missing-array", _drop("n_iter"), ShapeMismatch,
      "array n_iter is missing, expected ()"),
     ("PwDRecNet", "misshaped-array", _set("enc0.conv0.w", np.ones((1, 1, 5))),
-     NET, ShapeMismatch,
-     "array enc0.conv0.w is (1, 1, 5), expected (4, 1, 5)"),
-    ("Ridge", "misshaped-array", _set("bias", np.zeros(1)), RIDGE,
-     ShapeMismatch, "array bias is (1,), expected (142,)"),
-    ("Lasso", "misshaped-array", _set("weight", np.zeros(71)), LASSO,
-     ShapeMismatch, "array weight is (71,), expected (71, 71)"),
-    ("PwDRecNet", "other-family", None, RIDGE, ShapeMismatch,
+     ShapeMismatch, "array enc0.conv0.w is (1, 1, 5), expected (4, 1, 5)"),
+    ("Ridge", "misshaped-array", _set("bias", np.zeros(1)), ShapeMismatch,
+     "array bias is (1,), expected (142,)"),
+    ("Lasso", "misshaped-array", _set("weight", np.zeros(71)), ShapeMismatch,
+     "array weight is (71,), expected (71, 71)"),
+    # a config that does not describe the arrays stored beside it
+    ("PwDRecNet", "other-family", _config(RIDGE), ShapeMismatch,
      "array weight is missing, expected (142, 71)"),
-    ("Ridge", "other-family", None, NET, ValueError, HEADER),
-    ("Lasso", "other-family", None, NET, ValueError, HEADER),
-    ("Lasso", "other-channels", None, RIDGE, ShapeMismatch,
+    ("Ridge", "other-family", _config(NET), ShapeMismatch,
+     "array enc0.conv0.w is missing, expected (4, 1, 5)"),
+    ("Lasso", "other-family", _config(NET), ShapeMismatch,
+     "array enc0.conv0.w is missing, expected (4, 1, 5)"),
+    ("Lasso", "other-channels", _config(RIDGE), ShapeMismatch,
      "array weight is (71, 71), expected (142, 71)"),
 ]
 
 
-@pytest.mark.parametrize("kind, fault, edit, load_as, error, message",
-                         FAULTS, ids=[f"{k}-{f}" for k, f, *_ in FAULTS])
-def test_model_file_faults_name_the_file(kind, fault, edit, load_as, error,
-                                         message, tmp_path):
+@pytest.mark.parametrize("kind, fault, edit, error, message", FAULTS,
+                         ids=[f"{k}-{f}" for k, f, *_ in FAULTS])
+def test_model_file_faults_name_the_file(kind, fault, edit, error, message,
+                                         tmp_path):
     path = str(tmp_path / "model.npz")
     save_model(CONFIGS[kind], _fitted(CONFIGS[kind]), path)
-    if fault == "missing-file":
-        os.remove(path)
-    elif fault == "not-an-archive":
-        with open(path, "wb") as fh:  # one .npy array under the .npz name
-            np.save(fh, np.zeros(3))
-    elif edit is not None:
-        with np.load(path) as z:
-            arrays = dict(z)
-        edit(arrays)
-        np.savez(path, **arrays)
+    edit(path)
     with pytest.raises(error) as exc:
-        load_model(load_as, path)
+        load_model(path)
     assert str(exc.value) == (f"{path}: {message}" if message else path)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pwdrecon.errors import ShapeMismatch
+from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.net.model import (
-    NetConfig,
     backward,
     forward_batch,
     init_params,
@@ -15,11 +15,14 @@ from pwdrecon.net.model import (
 )
 from pwdrecon.net.ops import mse_loss
 
-TINY = NetConfig(out_channels=2, channels=(2, 4, 8), kernel_size=3)
+# init_params' network arguments: (channels, kernel_size, out_channels)
+TINY = ((2, 4, 8), 3, 2)
+DEFAULT = (ExperimentConfig().net_channels, ExperimentConfig().kernel_size,
+           ExperimentConfig().out_channels)
 
 
 def test_forward_shapes():
-    params = init_params(NetConfig(), seed=0)
+    params = init_params(*DEFAULT, seed=0)
     x = np.random.default_rng(0).normal(size=(3, 1, 64))
     y, _ = forward_batch(params, x)
     assert y.shape == (3, 2, 64)
@@ -37,11 +40,11 @@ def _predict_one(params, x):
     return y[0, :, :x.size]
 
 
-@pytest.mark.parametrize("config,L", [
-    (NetConfig(), 568), (NetConfig(), 142), (TINY, 213), (TINY, 71)],
+@pytest.mark.parametrize("net,L", [
+    (DEFAULT, 568), (DEFAULT, 142), (TINY, 213), (TINY, 71)],
     ids=["default-L568", "default-L142", "tiny-L213", "tiny-L71"])
-def test_predict_batch_matches_per_window_loop(config, L):
-    params = init_params(config, seed=1)
+def test_predict_batch_matches_per_window_loop(net, L):
+    params = init_params(*net, seed=1)
     x = np.random.default_rng(1).normal(size=(5, L))
     loop = np.stack([_predict_one(params, row) for row in x])
     for batch_size in (1, 2, 128):  # uneven last chunk at 2
@@ -49,9 +52,9 @@ def test_predict_batch_matches_per_window_loop(config, L):
 
 
 def test_init_deterministic_and_nonzero():
-    a = init_params(NetConfig(), seed=7)
-    b = init_params(NetConfig(), seed=7)
-    c = init_params(NetConfig(), seed=8)
+    a = init_params(*DEFAULT, seed=7)
+    b = init_params(*DEFAULT, seed=7)
+    c = init_params(*DEFAULT, seed=8)
     for (na, wa), (_, wb) in zip(a.items(), b.items()):
         assert np.array_equal(wa, wb), na
     assert any(not np.array_equal(wa, wc)
@@ -61,7 +64,7 @@ def test_init_deterministic_and_nonzero():
     assert np.any(a["head.w"] != 0.0)
 
 
-# init_params(NetConfig(), 0) as recorded when the parameters were a
+# init_params(*DEFAULT, 0) as recorded when the parameters were a
 # tree of per-convolution objects: the checkpoint's names, their order
 # and the sha256 of every array's bytes in that order
 DEFAULT_NAMES = [f"{block}.{conv}.{p}"
@@ -71,28 +74,28 @@ DEFAULT_NAMES = [f"{block}.{conv}.{p}"
 DEFAULT_SHA256 = \
     "01bd93dead29477d929f9535c6007b0f7ee43edc8320aec90a8ac4e75568686b"
 # enc1 keeps its 4 channels, so it has no projection
-SAME_WIDTH = NetConfig(out_channels=1, channels=(4, 4, 8), kernel_size=5)
+SAME_WIDTH = ((4, 4, 8), 5, 1)
 
 
 def test_init_params_layout_is_pinned():
-    params = init_params(NetConfig(), seed=0)
+    params = init_params(*DEFAULT, seed=0)
     assert list(params) == DEFAULT_NAMES
     digest = hashlib.sha256()
     for a in params.values():
         assert a.dtype == np.float64 and a.flags.c_contiguous
         digest.update(a.tobytes())
     assert digest.hexdigest() == DEFAULT_SHA256
-    assert list(init_params(SAME_WIDTH, seed=0)) == [
+    assert list(init_params(*SAME_WIDTH, seed=0)) == [
         n for n in DEFAULT_NAMES if not n.startswith("enc1.proj.")]
 
 
-def _worst_gradient_error(config, seed):
+def _worst_gradient_error(net, seed):
     """Largest relative gap between `backward` and central finite
     differences over every parameter of a seeded net on a seeded batch."""
-    params = init_params(config, seed=seed)
+    params = init_params(*net, seed=seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 1, 8))
-    target = rng.normal(size=(2, config.out_channels, 8))
+    target = rng.normal(size=(2, net[2], 8))
 
     def loss_value():
         y, _ = forward_batch(params, x)
@@ -131,13 +134,13 @@ def test_full_gradient_check_against_finite_differences():
 def test_gradient_check_with_identity_residual():
     """A block that keeps its channel count adds its input unprojected;
     seed 0 puts no ReLU or max-pool kink inside the probe."""
-    config = NetConfig(out_channels=1, channels=(2, 2, 4), kernel_size=3)
-    assert "enc1.proj.w" not in init_params(config, seed=0)
-    assert _worst_gradient_error(config, seed=0) <= 1e-4
+    net = ((2, 2, 4), 3, 1)
+    assert "enc1.proj.w" not in init_params(*net, seed=0)
+    assert _worst_gradient_error(net, seed=0) <= 1e-4
 
 
 def test_training_step_reduces_loss():
-    params = init_params(TINY, seed=5)
+    params = init_params(*TINY, seed=5)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 1, 16))
     target = rng.normal(size=(4, 2, 16)) * 0.1
@@ -156,6 +159,6 @@ def test_padded_length_and_predict():
     assert padded_length(64) == 64
     assert padded_length(71) == 72
     assert padded_length(213) == 216
-    params = init_params(TINY, seed=2)
+    params = init_params(*TINY, seed=2)
     out = predict(params, np.random.default_rng(2).normal(size=(3, 213)), 2)
     assert out.shape == (3, 2, 213)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pwdrecon.errors import OddLength, ShapeMismatch
-from pwdrecon.net.model import NetConfig, init_params
+from pwdrecon.harness.experiment import ExperimentConfig
+from pwdrecon.net.model import init_params
 from pwdrecon.net.ops import (
     conv1d_backward,
     conv1d_forward,
@@ -112,8 +113,10 @@ def test_conv1d_backward_matches_per_tap_oracle(n, L):
     kernel shape of the default network (k = 7 convs, k = 1 projections
     and head). Only the summation order differs, so each gradient stays
     within 1e-12 of its own scale."""
-    shapes = sorted({a.shape for name, a in init_params(NetConfig(), 0).items()
-                     if name.endswith(".w")})
+    net = ExperimentConfig()  # the default network
+    shapes = sorted({a.shape for name, a in init_params(
+        net.net_channels, net.kernel_size, net.out_channels, 0).items()
+        if name.endswith(".w")})
     assert {k for *_, k in shapes} == {1, 7}
     rng = np.random.default_rng(n * 1000 + L)
     for cout, cin, k in shapes:

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from pwdrecon.errors import EmptyDataset, ShapeMismatch
-from pwdrecon.net.model import NetConfig, forward_batch, init_params
+from pwdrecon.harness.experiment import ExperimentConfig
+from pwdrecon.net.model import forward_batch, init_params
 from pwdrecon.net.optim import rmsprop_step
 from pwdrecon.net.train import VAL_FRACTION, train
 from pwdrecon.net.ops import mse_loss
 
-TINY = NetConfig(out_channels=2, channels=(2, 4, 8), kernel_size=3)
+TINY = ((2, 4, 8), 3)  # train's network arguments: channels, kernel_size
 
 
 def test_rmsprop_single_step_closed_form():
     # oracle: hand-evaluated update from zero state
-    params = init_params(TINY, seed=0)
+    params = init_params(*TINY, 2, seed=0)
     name0, p0 = next(iter(params.items()))
     before = p0.copy()
     grads = {name: np.ones_like(a) for name, a in params.items()}
@@ -25,7 +26,7 @@ def test_rmsprop_single_step_closed_form():
 
 
 def test_rmsprop_two_steps_accumulator():
-    params = init_params(TINY, seed=1)
+    params = init_params(*TINY, 2, seed=1)
     _, p0 = next(iter(params.items()))
     before = p0.copy()
     g = {name: 2.0 * np.ones_like(a) for name, a in params.items()}
@@ -39,7 +40,7 @@ def test_rmsprop_two_steps_accumulator():
 
 
 def test_rmsprop_validates_gradients():
-    params = init_params(TINY, seed=2)
+    params = init_params(*TINY, 2, seed=2)
     with pytest.raises(ShapeMismatch):
         rmsprop_step(params, {}, {}, 1e-3)
 
@@ -52,7 +53,7 @@ def _toy_dataset(n=24, L=16, seed=0):
 
 def test_train_reduces_loss_and_logs():
     x, y = _toy_dataset()
-    params, log = train(x, y, TINY, epochs=8, batch_size=8, seed=0, lr=1e-3)
+    params, log = train(x, y, *TINY, epochs=8, batch_size=8, seed=0, lr=1e-3)
     assert len(log) == 8
     assert all(set(e) == {"epoch", "train_loss", "val_loss"} for e in log)
     assert [e["epoch"] for e in log] == list(range(8))
@@ -61,7 +62,7 @@ def test_train_reduces_loss_and_logs():
 
 def test_train_returns_best_validation_params():
     x, y = _toy_dataset()
-    params, log = train(x, y, TINY, epochs=6, batch_size=8, seed=1, lr=1e-3)
+    params, log = train(x, y, *TINY, epochs=6, batch_size=8, seed=1, lr=1e-3)
     best_val = min(e["val_loss"] for e in log)
     # evaluate returned params on the same validation split
     rng = np.random.default_rng(1)
@@ -76,11 +77,11 @@ def test_train_returns_best_validation_params():
 def test_train_keeps_best_epoch_after_worse_ones():
     x, y = _toy_dataset()
     cfg = {"batch_size": 8, "seed": 3, "lr": 0.3}
-    best, log = train(x, y, TINY, epochs=6, **cfg)
+    best, log = train(x, y, *TINY, epochs=6, **cfg)
     best_epoch = int(np.argmin([e["val_loss"] for e in log]))
     assert best_epoch < 6 - 1  # a later epoch was worse
     # the snapshot is the parameters as they stood after the best epoch
-    ref, _ = train(x, y, TINY, epochs=best_epoch + 1, **cfg)
+    ref, _ = train(x, y, *TINY, epochs=best_epoch + 1, **cfg)
     assert list(best) == list(ref)
     for name, a in best.items():
         assert np.array_equal(a, ref[name]), name
@@ -89,8 +90,8 @@ def test_train_keeps_best_epoch_after_worse_ones():
 def test_train_deterministic_given_seed():
     x, y = _toy_dataset()
     cfg = {"epochs": 3, "batch_size": 8, "seed": 7, "lr": 1e-3}
-    a, log_a = train(x, y, TINY, **cfg)
-    b, log_b = train(x, y, TINY, **cfg)
+    a, log_a = train(x, y, *TINY, **cfg)
+    b, log_b = train(x, y, *TINY, **cfg)
     for (na, wa), (_, wb) in zip(a.items(), b.items()):
         assert np.array_equal(wa, wb), na
     assert log_a == log_b
@@ -127,19 +128,21 @@ LOSS_LOG_PER_TAP = {
 }
 
 
-@pytest.mark.parametrize("name,config,L", [
-    ("tiny", TINY, 16), ("default", NetConfig(), 142)],
+@pytest.mark.parametrize("name,net,L", [
+    ("tiny", TINY, 16),
+    ("default", (ExperimentConfig().net_channels,
+                 ExperimentConfig().kernel_size), 142)],
     ids=["tiny", "default"])
-def test_train_loss_log_drift_is_bounded(name, config, L):
+def test_train_loss_log_drift_is_bounded(name, net, L):
     """A reordered gradient reduction may move the loss log only by
     rounding: relative drift at most 1e-9 over 10 epochs."""
     x, y = _toy_dataset(L=L)
-    _, log = train(x, y, config, epochs=10, batch_size=8, seed=3, lr=1e-3)
+    _, log = train(x, y, *net, epochs=10, batch_size=8, seed=3, lr=1e-3)
     got = [(e["train_loss"], e["val_loss"]) for e in log]
     assert np.allclose(got, LOSS_LOG_PER_TAP[name], rtol=1e-9, atol=0.0)
 
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train(np.zeros((0, 16)), np.zeros((0, 2, 16)), TINY, epochs=1,
+        train(np.zeros((0, 16)), np.zeros((0, 2, 16)), *TINY, epochs=1,
               batch_size=128, seed=0, lr=1e-3)

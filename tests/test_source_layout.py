@@ -13,7 +13,7 @@ OWNERS = {
     ("np", "load"): "harness/io.py",
     ("np", "savez"): "harness/io.py",
     ("np", "fromfile"): "harness/io.py",
-    ("np", "frombuffer"): "harness/io.py",  # the PGM pixels, the model header
+    ("np", "frombuffer"): "harness/io.py",  # the PGM pixels, the model's config
     ("np", "bincount"): "pwd_envelope.py",  # the one pixel counter
     ("sps", "sosfiltfilt"): "dsp.py",  # the one zero-phase filter
     ("np", "interp"): "dsp.py",        # the one resampler

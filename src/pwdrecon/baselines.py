@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 
 # a feature whose column keeps less than this share of the design's largest
 # squared column norm outside the span of the active columns is, to
@@ -404,7 +403,4 @@ def _relative_gaps(Xc, Yc, W, lam):
 
 def linmap_predict(m: LinearMap, x: np.ndarray) -> np.ndarray:
     """Apply y = Wx + b to each row of an (n, d) batch."""
-    if x.shape[-1] != m.weight.shape[1]:
-        raise ShapeMismatch(f"x has {x.shape[-1]} features, "
-                            f"map expects {m.weight.shape[1]}")
     return x @ m.weight.T + m.bias

@@ -61,7 +61,7 @@ def _cmd_preprocess(args) -> int:
             rows, img = load_record(m, base_dir)
             records.append(preprocess_record(rows, img, m,
                                              seed=args.seed or 0))
-        except (PwdReconError, ValueError) as exc:
+        except (PwdReconError, ValueError, OSError) as exc:
             raise type(exc)(f"{m.record_id}: {exc}") from exc
     save_preprocessed(args.out, records)
     print(json.dumps({"records": len(records), "out": args.out}))

@@ -8,9 +8,8 @@ class PwdReconError(Exception):
 # --- dsp ---
 
 class NumericalInstability(PwdReconError):
-    """A result that cannot be trusted: a designed filter with a pole on or
-    outside the unit circle, or a FastICA unmixing or baseline fit that
-    did not converge."""
+    """A result that cannot be trusted: a FastICA unmixing or a baseline
+    fit that did not converge."""
 
 
 class SignalTooShort(PwdReconError):
@@ -49,14 +48,6 @@ class ConstantImage(PwdReconError):
 
 class ShapeMismatch(PwdReconError):
     """Tensor shapes inconsistent with the operation's contract."""
-
-
-class OddLength(PwdReconError):
-    """maxpool2 requires an even temporal length."""
-
-
-class EmptyDataset(PwdReconError):
-    """Training requires at least one sample."""
 
 
 # --- harness / eval ---

@@ -30,9 +30,9 @@ def write_raw_f32(path: str, samples: np.ndarray) -> None:
 
 
 def _f32_count(path: str) -> int:
-    """The number of float32 values in a raw file, refused when missing,
-    empty or not a whole number of them."""
-    if not os.path.exists(path):
+    """The number of float32 values in a raw file, refused when missing
+    (or not a file), empty or not a whole number of them."""
+    if not os.path.isfile(path):
         raise FileMissing(path)
     size = os.path.getsize(path)
     if size == 0 or size % 4 != 0:
@@ -40,10 +40,20 @@ def _f32_count(path: str) -> int:
     return size // 4
 
 
+def _finite(path: str, samples: np.ndarray) -> np.ndarray:
+    """The samples read from `path`, refused when any is NaN or infinite."""
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise ValueError(f"{path}: {bad} of {samples.size} samples are NaN "
+                         "or infinite")
+    return samples
+
+
 def read_raw_f32(path: str) -> np.ndarray:
-    """Read a raw little-endian float32 file; returns float64 values."""
+    """Read a raw little-endian float32 file; returns float64 values,
+    refused when any is NaN or infinite."""
     _f32_count(path)
-    return np.fromfile(path, dtype="<f4").astype(np.float64)
+    return _finite(path, np.fromfile(path, dtype="<f4").astype(np.float64))
 
 
 def write_pgm(path: str, px: np.ndarray) -> None:
@@ -66,7 +76,7 @@ _PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM, bit-exact: its bytes are the pixels,
     a read-only (height, width) uint8 view of the file's contents."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileMissing(path)
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -112,7 +122,7 @@ def load_record(manifest: RecordManifest,
     """The manifest's three bipolar channels, in bipolar_channel_indices
     order, as (3, n_samples) float64 rows, and its PwD image as read_pgm
     returns it. Each channel is read into its row, with no other float64
-    copy."""
+    copy, and refused when a sample is NaN or infinite."""
     paths, sizes = [], []
     expected = manifest.aux.get("n_samples")
     for i in manifest.bipolar_channel_indices:
@@ -128,6 +138,7 @@ def load_record(manifest: RecordManifest,
     rows = np.empty((len(paths), sizes[0]))
     for row, path in zip(rows, paths):
         row[:] = np.fromfile(path, dtype="<f4")
+        _finite(path, row)
     return rows, img
 
 

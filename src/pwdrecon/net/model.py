@@ -78,17 +78,16 @@ def _conv_backward(params: dict, name: str, x: np.ndarray, dout: np.ndarray,
 
 
 def _block_forward(params: dict, name: str, h: np.ndarray):
-    a1 = _conv(params, f"{name}.conv0", h)
-    r1 = relu_forward(a1)
-    a2 = _conv(params, f"{name}.conv1", r1)
-    r2 = relu_forward(a2)
+    r1 = relu_forward(_conv(params, f"{name}.conv0", h))
+    r2 = relu_forward(_conv(params, f"{name}.conv1", r1))
     a3 = _conv(params, f"{name}.conv2", r2)
     if f"{name}.proj.w" in params:
         s = a3 + _conv(params, f"{name}.proj", h)
     else:
         s = a3 + h
     out = relu_forward(s)
-    cache = {"h": h, "a1": a1, "r1": r1, "a2": a2, "r2": r2, "s": s}
+    # a ReLU's mask reads its output: r > 0 exactly where its input is
+    cache = {"h": h, "r1": r1, "r2": r2, "s": s}
     return out, cache
 
 
@@ -96,9 +95,9 @@ def _block_backward(params: dict, name: str, cache: dict, dout: np.ndarray,
                     grads: dict):
     ds = relu_backward(cache["s"], dout)
     dr2 = _conv_backward(params, f"{name}.conv2", cache["r2"], ds, grads)
-    da2 = relu_backward(cache["a2"], dr2)
+    da2 = relu_backward(cache["r2"], dr2)
     dr1 = _conv_backward(params, f"{name}.conv1", cache["r1"], da2, grads)
-    da1 = relu_backward(cache["a1"], dr1)
+    da1 = relu_backward(cache["r1"], dr1)
     dh = _conv_backward(params, f"{name}.conv0", cache["h"], da1, grads)
     if f"{name}.proj.w" in params:
         dh = dh + _conv_backward(params, f"{name}.proj", cache["h"], ds,

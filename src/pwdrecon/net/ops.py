@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import OddLength, ShapeMismatch
+from ..errors import ShapeMismatch
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -19,11 +19,8 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     Per-window matmuls keep each window's output bits independent of its
     batch; one GEMM over the batch (as in the backward) would not be.
     """
-    if x.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(
-            f"input channels {x.shape} incompatible with kernel {w.shape}")
-    n, _, L = x.shape
-    cout, cin, k = w.shape
+    n, cin, L = x.shape
+    cout, _, k = w.shape
     pad = k // 2
     xp = np.zeros((n, cin, L + k - 1))
     xp[:, :, pad:pad + L] = x
@@ -73,8 +70,6 @@ def relu_backward(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
 
 def maxpool2_forward(x: np.ndarray):
     """Halve length by pairwise max; returns (out, argmax in {0,1})."""
-    if x.shape[-1] % 2 != 0:
-        raise OddLength(f"maxpool2 needs even length, got {x.shape[-1]}")
     pairs = x.reshape(*x.shape[:-1], -1, 2)
     arg = pairs.argmax(axis=-1)
     out = np.take_along_axis(pairs, arg[..., None], axis=-1)[..., 0]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyDataset
 from .model import backward, forward_batch, init_params, padded_length, predict
 from .ops import mse_loss
 from .optim import rmsprop_step
@@ -26,8 +25,6 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     one {"epoch", "train_loss", "val_loss"} entry per epoch.
     """
     n, L = x.shape
-    if n == 0:
-        raise EmptyDataset("training requires at least one window")
     X = np.zeros((n, 1, padded_length(L)))  # zero right-pad to a multiple of 8
     X[:, 0, :L] = x
     Y = np.asarray(y, dtype=np.float64)

@@ -89,9 +89,6 @@ def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
     as a warning; the model is returned with converged=False.
     """
     data = np.asarray(data, dtype=np.float64)
-    if n_components > data.shape[0]:
-        raise ValueError("n_components must be <= n_channels")
-
     # whitening is PCA scaled to unit variance per component
     pca = pca_fit(data)
     evals = pca.eigenvalues[:n_components]
@@ -213,9 +210,6 @@ def extract_fecg(rows: np.ndarray, fs: float, seed: int) -> np.ndarray:
     axis set by round-off. An unmixing that did not converge raises
     NumericalInstability, so no source comes from it.
     """
-    if rows.ndim != 2 or rows.shape[0] != 3:
-        raise ValueError("fECG extraction requires exactly 3 bipolar channels")
-
     residual = pca_remove_top(rows)
     # top-1 removal leaves a rank-2 subspace; unmix 2 components
     ica = fastica(residual, n_components=2, seed=seed)

@@ -196,6 +196,51 @@ def test_preprocess_value_error_names_the_record(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "prep")
 
 
+# edits of one file of a synthesised record; each returns the message
+# that follows the record id
+def _nan_sample(path, monkeypatch):
+    samples = io.read_raw_f32(path)
+    samples[5] = np.nan
+    io.write_raw_f32(path, samples)
+    return f"{path}: 1 of {samples.size} samples are NaN or infinite"
+
+
+def _directory(path, monkeypatch):
+    os.remove(path)
+    os.mkdir(path)
+    return path
+
+
+def _unreadable(path, monkeypatch):
+    def refuse(p):
+        raise PermissionError(13, "Permission denied", p)
+    monkeypatch.setattr(io, "read_pgm", refuse)
+    return f"[Errno 13] Permission denied: {path!r}"
+
+
+@pytest.mark.parametrize("name, edit, code, error", [
+    ("rec000.ch0.f32", _nan_sample, 1, "ValueError"),
+    ("rec000.ch1.f32", _directory, 2, "FileMissing"),
+    ("rec000.pwd.pgm", _directory, 2, "FileMissing"),
+    ("rec000.pwd.pgm", _unreadable, 1, "PermissionError"),
+], ids=["non-finite-channel", "channel-directory", "image-directory",
+        "unreadable-image"])
+def test_preprocess_names_the_record_and_file_it_refuses(
+        name, edit, code, error, tmp_path, capsys, monkeypatch):
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 2, "duration_s": 4.0, "seed": 1})
+    ds = tmp_path / "ds"
+    assert main(["synth", "--spec", spec, "--out", str(ds)]) == 0
+    capsys.readouterr()
+    fault = edit(str(ds / name), monkeypatch)
+    rc = main(["preprocess", "--manifest", str(ds / "records.json"),
+               "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == code
+    assert json.loads(capsys.readouterr().err) == {
+        "error": error, "message": f"rec000: {fault}"}
+    assert not os.path.exists(tmp_path / "prep")
+
+
 @pytest.mark.parametrize("row", [-3, 0])
 def test_preprocess_refuses_a_baseline_row_above_the_image_on_loading(
         row, tmp_path, capsys):

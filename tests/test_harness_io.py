@@ -170,6 +170,30 @@ def test_load_record_checks_sizes(tmp_path):
         load_record(dataclasses.replace(m, aux={}), str(tmp_path))
 
 
+@pytest.mark.parametrize("name, bad, read", [
+    ("rec000.ch1.f32", np.nan, lambda m, base: load_record(m, base)),
+    ("r.fecg.f32", np.inf, lambda m, base: load_preprocessed(base)),
+    ("r.upper.f32", -np.inf, lambda m, base: load_preprocessed(base)),
+], ids=["raw-channel", "fecg-stream", "envelope-stream"])
+def test_readers_refuse_a_non_finite_sample(name, bad, read, tmp_path):
+    # one 64-sample raw record and one preprocessed record, both finite
+    m = _manifest()
+    rng = np.random.default_rng(2)
+    for p in (*m.channel_paths, "r.fecg.f32", "r.upper.f32", "r.lower.f32"):
+        write_raw_f32(str(tmp_path / p), rng.normal(size=64))
+    write_pgm(str(tmp_path / m.image_path), np.zeros((20, 30), np.uint8))
+    (tmp_path / "preprocessed.json").write_text(json.dumps([
+        {"record_id": "r", "fs": 284.0, "n_samples": 64, "wave_config": "EA+",
+         "polarity": "+ve"}]))
+    path = str(tmp_path / name)
+    samples = read_raw_f32(path)
+    samples[17] = bad
+    write_raw_f32(path, samples)
+    with pytest.raises(ValueError) as exc:
+        read(m, str(tmp_path))
+    assert str(exc.value) == f"{path}: 1 of 64 samples are NaN or infinite"
+
+
 def test_load_record_reads_each_channel_into_its_row(tmp_path):
     # the (3, n) float64 rows and one float32 channel at a time: no float64
     # copy of a channel beside its row

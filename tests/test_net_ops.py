@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwdrecon.errors import OddLength, ShapeMismatch
+from pwdrecon.errors import ShapeMismatch
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.net.model import init_params
 from pwdrecon.net.ops import (
@@ -86,8 +86,6 @@ def test_conv1d_forward_identity_kernel():
     w[0, 0, 1] = 1.0  # center tap: identity
     out = conv1d_forward(x, w, np.zeros(1))
     assert np.allclose(out, x)
-    with pytest.raises(ShapeMismatch):
-        conv1d_forward(np.zeros((1, 2, 8)), np.zeros((1, 3, 3)), np.zeros(1))
 
 
 def test_conv1d_backward_finite_differences():
@@ -146,8 +144,6 @@ def test_maxpool2_forward_and_backward():
     dx = maxpool2_backward(arg, dout)
     # gradient routes only to the argmax slot (first slot on the tie at 2,2)
     assert np.array_equal(dx, [[[0.0, 10.0, 20.0, 0.0, 0.0, 30.0]]])
-    with pytest.raises(OddLength):
-        maxpool2_forward(np.zeros((1, 1, 5)))
 
 
 def test_upsample2_roundtrip_adjoint():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwdrecon.errors import EmptyDataset, ShapeMismatch
+from pwdrecon.errors import ShapeMismatch
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.net.model import forward_batch, init_params
 from pwdrecon.net.optim import rmsprop_step
@@ -140,9 +140,3 @@ def test_train_loss_log_drift_is_bounded(name, net, L):
     _, log = train(x, y, *net, epochs=10, batch_size=8, seed=3, lr=1e-3)
     got = [(e["train_loss"], e["val_loss"]) for e in log]
     assert np.allclose(got, LOSS_LOG_PER_TAP[name], rtol=1e-9, atol=0.0)
-
-
-def test_train_rejects_empty_dataset():
-    with pytest.raises(EmptyDataset):
-        train(np.zeros((0, 16)), np.zeros((0, 2, 16)), *TINY, epochs=1,
-              batch_size=128, seed=0, lr=1e-3)

@@ -333,13 +333,6 @@ def test_extract_fecg_keeps_the_strongest_fetal_component(tmp_path,
     assert np.array_equal(np.abs(out), np.abs(weaker))
 
 
-def test_extract_fecg_requires_three_channels():
-    x = np.random.default_rng(0).normal(size=600)
-    for rows in (np.stack([x, x]), np.stack([x, x, x, x]), x):
-        with pytest.raises(ValueError):
-            extract_fecg(rows, FS, seed=0)
-
-
 def group_peaks_by_sample(z, above, refractory):
     """Reference: extend each run one sample at a time."""
     peaks = []

@@ -1,5 +1,6 @@
 """Structural checks on the package source: each file format and each
-signal primitive has one owner, the one module that calls it."""
+signal primitive has one owner, the one module that calls it, and each
+error type has a raise."""
 
 import ast
 import pathlib
@@ -42,3 +43,29 @@ def test_each_file_format_has_one_reader_and_writer():
                 stray.append(f"{module}:{line}: {alias}.{fn}")
     assert stray == []
     assert seen == set(OWNERS)  # the walk found each owner's calls
+
+
+def _raised(tree):
+    """Names of the exception classes that `raise` statements construct or
+    re-raise by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_type_is_raised():
+    # each PwdReconError subclass names a fault that some run can meet
+    types = set()
+    for node in ast.parse((SRC / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name)
+                and base.id in types | {"PwdReconError"}
+                for base in node.bases):
+            types.add(node.name)
+    raised = set()
+    for path in SRC.rglob("*.py"):
+        if path.name != "errors.py":
+            raised.update(_raised(ast.parse(path.read_text())))
+    assert types and sorted(types - raised) == []

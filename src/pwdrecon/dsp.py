@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .core import TARGET_FS, WindowSet
-from .errors import SignalShorterThanWindow, SignalTooShort, ZeroVariance
+from .errors import SignalTooShort, ZeroVariance
 
 WINDOW_SECONDS = (0.25, 0.5, 0.75, 1.0, 2.0)
 BAND_HZ = (0.1, 50.0)  # passband of both streams' filters
@@ -72,8 +72,6 @@ def resample_linear(x: np.ndarray, fs_in: float) -> np.ndarray:
 
 def zscore(x: np.ndarray) -> np.ndarray:
     """Normalize along the last axis to zero mean, unit standard deviation."""
-    if x.shape[-1] < 2:
-        raise ValueError("zscore needs at least 2 samples")
     sd = np.std(x, axis=-1, keepdims=True)
     if np.any(sd == 0.0):
         raise ZeroVariance("constant signal has no z-score")
@@ -95,9 +93,6 @@ def segment(x: np.ndarray, y: np.ndarray, window_s: float,
     """
     L = int(round(window_s * TARGET_FS))
     n_win = x.size // L
-    if n_win == 0:
-        raise SignalShorterThanWindow(
-            f"record of {x.size} samples shorter than window of {L}")
     n = n_win * L
     return WindowSet(
         x=x[:n].reshape(n_win, L),

@@ -20,10 +20,6 @@ class ZeroVariance(PwdReconError):
     """Operation requires a non-constant signal."""
 
 
-class SignalShorterThanWindow(PwdReconError):
-    """Record shorter than one window length."""
-
-
 # --- separation ---
 
 class DegenerateInput(PwdReconError):
@@ -53,7 +49,7 @@ class ShapeMismatch(PwdReconError):
 # --- harness / eval ---
 
 class FileMissing(PwdReconError):
-    """An input file does not exist."""
+    """An input path does not exist or is not a file."""
 
 
 class SizeMismatch(PwdReconError):

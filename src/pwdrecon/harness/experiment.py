@@ -33,7 +33,6 @@ from ..errors import (
     NoWindowsAfterFilter,
     NumericalInstability,
     PwdReconError,
-    SignalShorterThanWindow,
     ZeroVariance,
 )
 from ..metrics import MetricReport, window_metrics
@@ -171,6 +170,7 @@ def _target_channels(rec: PreprocessedRecord,
 def build_windows(records: list[PreprocessedRecord],
                   config: ExperimentConfig) -> WindowSet:
     """Filter records per config and segment them into one window set."""
+    L = int(round(config.window_s * TARGET_FS))
     sets: list[WindowSet] = []
     for rec in records:
         if config.wave_config is not WaveConfig.GROUP \
@@ -179,13 +179,14 @@ def build_windows(records: list[PreprocessedRecord],
         if config.polarity_filter is not Polarity.GROUP \
                 and rec.polarity is not config.polarity_filter:
             continue
+        if rec.fecg.size < 2 * L:  # split needs two windows a record
+            continue
         try:
             targets = _target_channels(rec, config)
-            ws = segment(rec.fecg, targets, config.window_s, rec.record_id)
-        except (ZeroVariance, DegenerateInput, SignalShorterThanWindow):
+        except (ZeroVariance, DegenerateInput):
             continue
-        if len(ws) >= 2:
-            sets.append(ws)
+        sets.append(segment(rec.fecg, targets, config.window_s,
+                            rec.record_id))
     if not sets:
         raise NoWindowsAfterFilter("no windows left after filtering")
     return WindowSet(*(np.concatenate([getattr(ws, f) for ws in sets])
@@ -298,61 +299,54 @@ def _write_training_log(path: str, log: list[dict]) -> None:
 
 # --- ablation grids --------------------------------------------------------
 
-_WAVES = (WaveConfig.EA_PLUS, WaveConfig.EA_MINUS, WaveConfig.GROUP)
-_POLS = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.GROUP)
-_ENVS = (EnvelopeSelection.UPPER, EnvelopeSelection.LOWER,
-         EnvelopeSelection.BOTH)
-_MODELS = (ModelKind.LINEAR, ModelKind.RIDGE, ModelKind.LASSO,
-           ModelKind.PWDRECNET)
+def _axis(field: str, values) -> list[tuple[str, dict]]:
+    """One config field's values as (label, change) pairs, labelled
+    `t=<s>`, `batch=<n>` or the enum's value."""
+    prefix = {"window_s": "t=", "batch_size": "batch="}.get(field)
+    return [(f"{prefix}{v}" if prefix else v.value, {field: v})
+            for v in values]
+
+
+def _cross(outer: list, inner: list) -> list[tuple[str, dict]]:
+    """Every pair of an outer and an inner entry, labelled `outer/inner`."""
+    return [(f"{lo}/{li}", {**co, **ci}) for lo, co in outer
+            for li, ci in inner]
+
+
+_WAVES = _axis("wave_config", WaveConfig)
+
+# name -> (rows, columns) of the six reported study tables; a cell changes
+# its row's and its column's fields of the base config
+GRIDS = {
+    "table1": (_axis("window_s", WINDOW_SECONDS),
+               _axis("batch_size", (32, 64, 128, 256, 512))),
+    "table2": (_WAVES, _axis("window_s", (0.75, 1.0, 2.0))),
+    "table3": (_cross(_WAVES, _axis("envelope_selection", EnvelopeSelection)),
+               [("r", {"window_s": 2.0})]),
+    "table4": (_cross(_axis("polarity_filter", Polarity), _WAVES),
+               _axis("window_s", (0.75, 2.0))),
+    "table5": (_cross(_axis("output_mode", OutputMode), _WAVES),
+               _axis("window_s", (0.75, 2.0))),
+    "table6": (_cross(_axis("model", (ModelKind.LINEAR, ModelKind.RIDGE,
+                                      ModelKind.LASSO, ModelKind.PWDRECNET)),
+                      _WAVES),
+               [("r (t=0.75)", {"window_s": 0.75})]),
+}
+GRID_NAMES = tuple(GRIDS)
 
 
 def grid_cells(name: str, base: ExperimentConfig):
-    """Yield (row_label, col_label, config) for a named grid.
-
-    Grid layouts mirror the six reported study tables: cells counted
-    row-major are 25, 9, 9, 18, 12 and 12 respectively.
-    """
-    if name == "table1":
-        rows = [(f"t={t}", replace(base, window_s=t))
-                for t in (0.25, 0.5, 0.75, 1.0, 2.0)]
-        for rl, rc in rows:
-            for bs in (32, 64, 128, 256, 512):
-                yield rl, f"batch={bs}", replace(rc, batch_size=bs)
-    elif name == "table2":
-        for wave in _WAVES:
-            for t in (0.75, 1.0, 2.0):
-                yield wave.value, f"t={t}", replace(
-                    base, wave_config=wave, window_s=t)
-    elif name == "table3":
-        for wave in _WAVES:
-            for env in _ENVS:
-                yield f"{wave.value}/{env.value}", "r", replace(
-                    base, wave_config=wave, envelope_selection=env,
-                    window_s=2.0)
-    elif name == "table4":
-        for pol in _POLS:
-            for wave in _WAVES:
-                for t in (0.75, 2.0):
-                    yield (f"{pol.value}/{wave.value}", f"t={t}", replace(
-                        base, polarity_filter=pol, wave_config=wave,
-                        window_s=t))
-    elif name == "table5":
-        for mode in (OutputMode.ORIGINAL, OutputMode.PCA_SINGLE):
-            for wave in _WAVES:
-                for t in (0.75, 2.0):
-                    yield (f"{mode.value}/{wave.value}", f"t={t}", replace(
-                        base, output_mode=mode, wave_config=wave,
-                        window_s=t))
-    elif name == "table6":
-        for model in _MODELS:
-            for wave in _WAVES:
-                yield (f"{model.value}/{wave.value}", "r (t=0.75)", replace(
-                    base, model=model, wave_config=wave, window_s=0.75))
-    else:
-        raise ValueError(f"unknown grid {name!r}; expected table1..table6")
-
-
-GRID_NAMES = ("table1", "table2", "table3", "table4", "table5", "table6")
+    """Yield (row_label, col_label, config) for a named grid, row-major:
+    25, 9, 9, 18, 12 and 12 cells for table1..table6. A cell the base
+    cannot take is a ValueError naming the grid and the row."""
+    rows, cols = GRIDS[name]
+    for row, row_change in rows:
+        for col, col_change in cols:
+            try:
+                config = replace(base, **row_change, **col_change)
+            except ValueError as exc:
+                raise ValueError(f"{name} row {row}: {exc}") from None
+            yield row, col, config
 
 
 @dataclass(frozen=True)
@@ -364,8 +358,9 @@ class GridFile:
 
     def __post_init__(self):
         for name in self.grids:
-            if name not in GRID_NAMES:
+            if name not in GRIDS:
                 raise ValueError(f"GridFile.grids: unknown grid {name!r}")
+            list(grid_cells(name, self.base))  # refuse a bad cell up front
 
 
 def run_ablation(name: str, records: list[PreprocessedRecord],
@@ -375,14 +370,9 @@ def run_ablation(name: str, records: list[PreprocessedRecord],
     Returns (rows, cols, cell strings dict); writes `<name>.csv` in the
     paper's row-by-column layout when out_dir is given.
     """
-    rows: list[str] = []
-    cols: list[str] = []
+    rows, cols = ([label for label, _ in axis] for axis in GRIDS[name])
     cells: dict[tuple[str, str], str] = {}
     for row, col, config in grid_cells(name, base):
-        if row not in rows:
-            rows.append(row)
-        if col not in cols:
-            cols.append(col)
         try:
             report, _ = run_experiment(config, records)
             cells[(row, col)] = report.rendered_r

@@ -112,7 +112,7 @@ def _unique_ids(path: str, entries: tuple) -> list:
 
 
 def load_manifests(path: str) -> list[RecordManifest]:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileMissing(path)
     return _unique_ids(path, read_json(path, tuple[RecordManifest, ...]))
 
@@ -179,7 +179,7 @@ def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
 def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
     """Inverse of save_preprocessed."""
     path = os.path.join(data_dir, "preprocessed.json")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileMissing(path)
     records = []
     for e in _unique_ids(path, read_json(
@@ -236,13 +236,13 @@ def load_model(path: str) -> tuple[ExperimentConfig, object]:
     """Read what save_model wrote: (the config, the network's parameters
     or a baseline's LinearMap).
 
-    Checks, in this order, each fault naming `path`: the file exists
+    Checks, in this order, each fault naming `path`: it is a file
     (FileMissing); it is an .npz archive whose members' bytes match
     their CRC-32, its version is MODEL_VERSION and its `__config__`
     decodes to an ExperimentConfig (ValueError); every array that config
     implies is present with its shape (ShapeMismatch).
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileMissing(path)
     if not zipfile.is_zipfile(path):
         raise ValueError(f"{path}: not an .npz archive")

@@ -9,7 +9,14 @@ import pytest
 from pwdrecon import baselines, separation
 from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
-from pwdrecon.core import ModelKind, to_json_dict, write_json
+from pwdrecon.core import (
+    ModelKind,
+    Polarity,
+    PreprocessedRecord,
+    WaveConfig,
+    to_json_dict,
+    write_json,
+)
 from pwdrecon.harness import experiment, io
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import load_model, save_model, save_preprocessed
@@ -321,22 +328,26 @@ def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
     assert repr(field) in err["message"] or f".{field}:" in err["message"]
 
 
-@pytest.mark.parametrize("grids, bad", [
-    (["table2", "tablex"], "tablex"),
-    ("table1", "table1"),
-], ids=["unknown-name", "bare-string"])
-def test_cli_ablate_checks_grid_names_before_running(grids, bad, small_dataset,
-                                                     tmp_path, capsys):
+@pytest.mark.parametrize("grids, base, named", [
+    (["table2", "tablex"], {}, "'tablex'"),
+    ("table1", {}, "'table1'"),
+    (["table2", "table3"], {"output_mode": "PcaSingle"},
+     "table3 row EA+/Upper: PCA-compressed output consumes both envelopes"),
+], ids=["unknown-name", "bare-string", "contradicting-cell"])
+def test_cli_ablate_checks_grid_names_before_running(grids, base, named,
+                                                     small_dataset, tmp_path,
+                                                     capsys):
     _, _, records = small_dataset
     prep = str(tmp_path / "prep")
     save_preprocessed(prep, records)
     grid = _write_json(tmp_path / "grid.json",
-                       {"base": {"model": "Ridge"}, "grids": grids})
+                       {"base": {"model": "Ridge", **base}, "grids": grids})
     out = tmp_path / "abl"
     assert main(["ablate", "--grid", grid, "--data", prep,
                  "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and repr(bad) in err["message"]
+    assert err["error"] == "ValueError" and named in err["message"]
+    assert err["message"].startswith(f"{grid}: ")
     assert not out.exists()  # no grid ran, so no CSV was written
 
 
@@ -384,21 +395,58 @@ def test_cli_bad_json_file_is_a_value_error_naming_it(command, flag, name,
     assert err["message"].startswith(f"{bad}: ")
 
 
-@pytest.mark.parametrize("command, flag, code, error", [
-    ("preprocess", "manifest", 2, "FileMissing"),
-    ("evaluate", "data", 2, "FileMissing"),
-    ("evaluate", "model", 2, "FileMissing"),
-    ("synth", "spec", 1, "FileNotFoundError"),
-    ("train", "config", 1, "FileNotFoundError"),
-    ("ablate", "grid", 1, "FileNotFoundError"),
-], ids=["manifest", "preprocessed", "model", "spec", "config", "grid"])
-def test_cli_missing_file_keeps_its_exit_code(command, flag, code, error,
-                                              tmp_path, capsys):
+@pytest.mark.parametrize("command, flag, directory, code, error", [
+    ("preprocess", "manifest", None, 2, "FileMissing"),
+    ("evaluate", "data", None, 2, "FileMissing"),
+    ("evaluate", "model", None, 2, "FileMissing"),
+    ("synth", "spec", None, 1, "FileNotFoundError"),
+    ("train", "config", None, 1, "FileNotFoundError"),
+    ("ablate", "grid", None, 1, "FileNotFoundError"),
+    ("preprocess", "manifest", ".", 2, "FileMissing"),
+    ("evaluate", "data", "preprocessed.json", 2, "FileMissing"),
+    ("evaluate", "model", ".", 2, "FileMissing"),
+], ids=["manifest", "preprocessed", "model", "spec", "config", "grid",
+        "manifest-directory", "preprocessed-directory", "model-directory"])
+def test_cli_missing_file_keeps_its_exit_code(command, flag, directory, code,
+                                              error, tmp_path, capsys):
+    """A missing path, or a directory where a file is read (`directory`,
+    relative to the given path), is refused naming the path."""
     missing = str(tmp_path / "absent")
+    if directory is not None:
+        os.makedirs(os.path.join(missing, directory))
     argv = _cli_argv(command, tmp_path, **{flag: missing})
     assert main(argv) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and missing in err["message"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("train", {"model": "Ridge"}),
+    ("train", {"model": "Ridge", "output_mode": "PcaSingle"}),
+    ("ablate", {"base": {"model": "Ridge"}, "grids": ["table5"]}),
+], ids=["ridge-train", "pca-train", "table5"])
+def test_records_too_short_for_two_windows_change_no_output(
+        command, config, small_dataset, tmp_path, capsys):
+    """A 1- and a 2-sample record are left out like any record with fewer
+    than two windows: every output file and printed number is unchanged."""
+    _, _, records = small_dataset
+    rng = np.random.default_rng(0)
+    short = [PreprocessedRecord(f"short{n}", rng.normal(size=n),
+                                rng.normal(size=(2, n)), WaveConfig.EA_PLUS,
+                                Polarity.POSITIVE) for n in (1, 2)]
+    flag = "--config" if command == "train" else "--grid"
+    given = _write_json(tmp_path / "given.json", config)
+    outputs = []
+    for name, recs in (("plain", records), ("short", records + short)):
+        prep = str(tmp_path / name / "prep")
+        save_preprocessed(prep, recs)
+        out = tmp_path / name / "out"
+        assert main([command, flag, given, "--data", prep,
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "<out>")
+        outputs.append((printed, {p.name: p.read_bytes()
+                                  for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
 
 
 def _store_config(model, config):

@@ -14,6 +14,7 @@ from pwdrecon.core import (
     Polarity,
     WaveConfig,
     WindowSet,
+    to_json_dict,
 )
 from pwdrecon.errors import (
     NonFinitePrediction,
@@ -23,7 +24,9 @@ from pwdrecon.errors import (
 from pwdrecon.harness import experiment
 from pwdrecon.harness.experiment import (
     GRID_NAMES,
+    GRIDS,
     ExperimentConfig,
+    GridFile,
     PreprocessedRecord,
     build_windows,
     experiment_windows,
@@ -228,8 +231,70 @@ def test_grid_cell_counts():
         assert len(cells) == GRID_SIZES[name], name
         # labels are unique per cell
         assert len({(r, c) for r, c, _ in cells}) == GRID_SIZES[name]
-    with pytest.raises(ValueError):
-        list(grid_cells("table7", base))
+    with pytest.raises(ValueError, match="unknown grid 'table7'"):
+        GridFile(grids=("table7",))
+
+
+_WAVES = ("EA+", "EA-", "Group")
+_T2 = (0.75, 2.0)
+# The six study layouts, written out apart from GRIDS: each grid's row
+# labels, column labels, the fields every cell sets, and their values
+# cell by cell, row-major, in to_json_dict's form.
+STUDY_GRIDS = {
+    "table1": (
+        ["t=0.25", "t=0.5", "t=0.75", "t=1.0", "t=2.0"],
+        ["batch=32", "batch=64", "batch=128", "batch=256", "batch=512"],
+        ("window_s", "batch_size"),
+        [(t, b) for t in (0.25, 0.5, 0.75, 1.0, 2.0)
+         for b in (32, 64, 128, 256, 512)]),
+    "table2": (
+        ["EA+", "EA-", "Group"], ["t=0.75", "t=1.0", "t=2.0"],
+        ("wave_config", "window_s"),
+        [(w, t) for w in _WAVES for t in (0.75, 1.0, 2.0)]),
+    "table3": (
+        ["EA+/Upper", "EA+/Lower", "EA+/Both", "EA-/Upper", "EA-/Lower",
+         "EA-/Both", "Group/Upper", "Group/Lower", "Group/Both"], ["r"],
+        ("wave_config", "envelope_selection", "window_s"),
+        [(w, e, 2.0) for w in _WAVES for e in ("Upper", "Lower", "Both")]),
+    "table4": (
+        ["+ve/EA+", "+ve/EA-", "+ve/Group", "-ve/EA+", "-ve/EA-",
+         "-ve/Group", "Group/EA+", "Group/EA-", "Group/Group"],
+        ["t=0.75", "t=2.0"],
+        ("polarity_filter", "wave_config", "window_s"),
+        [(p, w, t) for p in ("+ve", "-ve", "Group") for w in _WAVES
+         for t in _T2]),
+    "table5": (
+        ["Original/EA+", "Original/EA-", "Original/Group", "PcaSingle/EA+",
+         "PcaSingle/EA-", "PcaSingle/Group"], ["t=0.75", "t=2.0"],
+        ("output_mode", "wave_config", "window_s"),
+        [(o, w, t) for o in ("Original", "PcaSingle") for w in _WAVES
+         for t in _T2]),
+    "table6": (
+        ["Linear/EA+", "Linear/EA-", "Linear/Group", "Ridge/EA+",
+         "Ridge/EA-", "Ridge/Group", "Lasso/EA+", "Lasso/EA-", "Lasso/Group",
+         "PwDRecNet/EA+", "PwDRecNet/EA-", "PwDRecNet/Group"],
+        ["r (t=0.75)"],
+        ("model", "wave_config", "window_s"),
+        [(m, w, 0.75) for m in ("Linear", "Ridge", "Lasso", "PwDRecNet")
+         for w in _WAVES]),
+}
+
+
+@pytest.mark.parametrize("base", [
+    ExperimentConfig(),
+    ExperimentConfig(model=ModelKind.RIDGE, epochs=2, net_channels=(2, 4, 8),
+                     kernel_size=3)], ids=["default", "benchmark"])
+def test_grids_keep_the_study_layouts(base):
+    assert GRID_NAMES == tuple(STUDY_GRIDS)
+    for name, (rows, cols, fields, values) in STUDY_GRIDS.items():
+        assert [[label for label, _ in axis] for axis in GRIDS[name]] \
+            == [rows, cols], name
+        cells = list(grid_cells(name, base))
+        assert [(r, c) for r, c, _ in cells] \
+            == [(r, c) for r in rows for c in cols], name
+        assert [to_json_dict(config) for _, _, config in cells] \
+            == [{**to_json_dict(base), **dict(zip(fields, v))}
+                for v in values], name
 
 
 def test_run_ablation_writes_csv_with_markers(small_dataset, tmp_path):

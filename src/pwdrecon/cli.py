@@ -154,14 +154,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PwdReconError as exc:
+    except (PwdReconError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+        return 2 if isinstance(exc, PwdReconError) else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .core import TARGET_FS, WindowSet
-from .errors import SignalTooShort, ZeroVariance
+from .errors import SignalShorterThanWindow, SignalTooShort, ZeroVariance
 
 WINDOW_SECONDS = (0.25, 0.5, 0.75, 1.0, 2.0)
 BAND_HZ = (0.1, 50.0)  # passband of both streams' filters
@@ -84,6 +84,11 @@ def mean_center(x: np.ndarray) -> np.ndarray:
     return x - np.mean(x, axis=-1, keepdims=True)
 
 
+def window_length(window_s: float) -> int:
+    """Samples in one window of `window_s` seconds at TARGET_FS."""
+    return int(round(window_s * TARGET_FS))
+
+
 def segment(x: np.ndarray, y: np.ndarray, window_s: float,
             record_id: str) -> WindowSet:
     """Cut the (n,) input and the (C, n) target rows into consecutive
@@ -91,8 +96,11 @@ def segment(x: np.ndarray, y: np.ndarray, window_s: float,
 
     The trailing remainder shorter than one window is discarded.
     """
-    L = int(round(window_s * TARGET_FS))
+    L = window_length(window_s)
     n_win = x.size // L
+    if n_win == 0:
+        raise SignalShorterThanWindow(
+            f"record of {x.size} samples shorter than window of {L}")
     n = n_win * L
     return WindowSet(
         x=x[:n].reshape(n_win, L),

@@ -20,6 +20,10 @@ class ZeroVariance(PwdReconError):
     """Operation requires a non-constant signal."""
 
 
+class SignalShorterThanWindow(PwdReconError):
+    """Record shorter than one window length."""
+
+
 # --- separation ---
 
 class DegenerateInput(PwdReconError):

@@ -26,6 +26,7 @@ from ..dsp import (
     filtfilt,
     resample_linear,
     segment,
+    window_length,
     zscore,
 )
 from ..errors import (
@@ -170,7 +171,7 @@ def _target_channels(rec: PreprocessedRecord,
 def build_windows(records: list[PreprocessedRecord],
                   config: ExperimentConfig) -> WindowSet:
     """Filter records per config and segment them into one window set."""
-    L = int(round(config.window_s * TARGET_FS))
+    L = window_length(config.window_s)
     sets: list[WindowSet] = []
     for rec in records:
         if config.wave_config is not WaveConfig.GROUP \
@@ -249,14 +250,11 @@ def run_experiment(config: ExperimentConfig,
         _write_report_csv(os.path.join(out_dir, "metrics.csv"), config,
                           report)
         _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
-        for i, (row, pred) in enumerate(zip(test_idx[:3],
-                                            preds)):
+        for i, (row, pred) in enumerate(zip(test_idx[:3], preds)):
             x, y = windows.x[row], windows.y[row]
             t = windows.t_start[row] + np.arange(x.size) / TARGET_FS
             traces = {"fecg": x}
-            names = (["true_upper", "true_lower"] if y.shape[0] == 2
-                     else ["true_upper"])
-            for c, nm in enumerate(names):
+            for c, nm in enumerate(["true_upper", "true_lower"][:len(y)]):
                 traces[nm] = y[c]
                 traces[nm.replace("true", "pred")] = pred[c]
             stem = os.path.join(out_dir, f"window{i}")
@@ -272,21 +270,18 @@ METRICS_HEADER = ("window_s,batch_size,wave_config,envelope,polarity,"
                   "n_windows,n_excluded\n")
 
 
-def _metrics_row(config: ExperimentConfig, report: MetricReport) -> str:
-    return (f"{config.window_s},{config.batch_size},"
-            f"{config.wave_config.value},{config.envelope_selection.value},"
-            f"{config.polarity_filter.value},{config.output_mode.value},"
-            f"{config.model.value},TimeBased,{config.seed},"
-            f"{report.mean_r:.6f},{report.rendered_r},"
-            f"{report.mean_mse:.6f},{report.n_windows},"
-            f"{report.n_excluded}\n")
-
-
 def _write_report_csv(path: str, config: ExperimentConfig,
                       report: MetricReport) -> None:
     with open(path, "w") as fh:
         fh.write(METRICS_HEADER)
-        fh.write(_metrics_row(config, report))
+        fh.write(f"{config.window_s},{config.batch_size},"
+                 f"{config.wave_config.value},"
+                 f"{config.envelope_selection.value},"
+                 f"{config.polarity_filter.value},{config.output_mode.value},"
+                 f"{config.model.value},TimeBased,{config.seed},"
+                 f"{report.mean_r:.6f},{report.rendered_r},"
+                 f"{report.mean_mse:.6f},{report.n_windows},"
+                 f"{report.n_excluded}\n")
 
 
 def _write_training_log(path: str, log: list[dict]) -> None:
@@ -299,11 +294,10 @@ def _write_training_log(path: str, log: list[dict]) -> None:
 
 # --- ablation grids --------------------------------------------------------
 
-def _axis(field: str, values) -> list[tuple[str, dict]]:
+def _axis(field: str, values, prefix: str) -> list[tuple[str, dict]]:
     """One config field's values as (label, change) pairs, labelled
-    `t=<s>`, `batch=<n>` or the enum's value."""
-    prefix = {"window_s": "t=", "batch_size": "batch="}.get(field)
-    return [(f"{prefix}{v}" if prefix else v.value, {field: v})
+    `<prefix><value>`, an enum member by its value."""
+    return [(prefix + str(getattr(v, "value", v)), {field: v})
             for v in values]
 
 
@@ -313,23 +307,23 @@ def _cross(outer: list, inner: list) -> list[tuple[str, dict]]:
             for li, ci in inner]
 
 
-_WAVES = _axis("wave_config", WaveConfig)
+_WAVES = _axis("wave_config", WaveConfig, "")
+_T2 = _axis("window_s", (0.75, 2.0), "t=")
 
 # name -> (rows, columns) of the six reported study tables; a cell changes
 # its row's and its column's fields of the base config
 GRIDS = {
-    "table1": (_axis("window_s", WINDOW_SECONDS),
-               _axis("batch_size", (32, 64, 128, 256, 512))),
-    "table2": (_WAVES, _axis("window_s", (0.75, 1.0, 2.0))),
-    "table3": (_cross(_WAVES, _axis("envelope_selection", EnvelopeSelection)),
+    "table1": (_axis("window_s", (0.25, 0.5, 0.75, 1.0, 2.0), "t="),
+               _axis("batch_size", (32, 64, 128, 256, 512), "batch=")),
+    "table2": (_WAVES, _axis("window_s", (0.75, 1.0, 2.0), "t=")),
+    "table3": (_cross(_WAVES, _axis("envelope_selection", EnvelopeSelection,
+                                    "")),
                [("r", {"window_s": 2.0})]),
-    "table4": (_cross(_axis("polarity_filter", Polarity), _WAVES),
-               _axis("window_s", (0.75, 2.0))),
-    "table5": (_cross(_axis("output_mode", OutputMode), _WAVES),
-               _axis("window_s", (0.75, 2.0))),
+    "table4": (_cross(_axis("polarity_filter", Polarity, ""), _WAVES), _T2),
+    "table5": (_cross(_axis("output_mode", OutputMode, ""), _WAVES), _T2),
     "table6": (_cross(_axis("model", (ModelKind.LINEAR, ModelKind.RIDGE,
-                                      ModelKind.LASSO, ModelKind.PWDRECNET)),
-                      _WAVES),
+                                      ModelKind.LASSO, ModelKind.PWDRECNET),
+                            ""), _WAVES),
                [("r (t=0.75)", {"window_s": 0.75})]),
 }
 GRID_NAMES = tuple(GRIDS)

@@ -14,6 +14,7 @@ from pwdrecon.dsp import (
     zscore,
 )
 from pwdrecon.errors import (
+    SignalShorterThanWindow,
     SignalTooShort,
     ZeroVariance,
 )
@@ -168,6 +169,9 @@ def test_segment_examples():
     assert ws.y.shape == (2, 2, 568)
     assert ws.t_start[1] == pytest.approx(568 / FS)
     assert list(ws.record_id) == ["r", "r"]
+
+    with pytest.raises(SignalShorterThanWindow):
+        segment(np.zeros(100), np.zeros((1, 100)), 2.0, "r")
 
 
 def test_segment_concatenation_reproduces_prefix():

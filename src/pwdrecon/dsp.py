@@ -5,13 +5,15 @@ envelope stream, (2, n) rows. Filtering, z-scoring and mean centering
 work along the last axis, so a row-wise call equals one call per row;
 resampling takes one row at a time. Filter design and zero-phase
 application are delegated to scipy.signal behind second-order-section
-arrays designed at TARGET_FS.
+arrays designed at TARGET_FS, each designed on first use; scipy is
+imported only then, so a process that never filters never loads it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import signal as sps
 
 from .core import TARGET_FS, WindowSet
 from .errors import SignalShorterThanWindow, SignalTooShort, ZeroVariance
@@ -21,6 +23,7 @@ BAND_HZ = (0.1, 50.0)  # passband of both streams' filters
 FILTER_ORDER = 4       # lowpass prototype order; the bandpass doubles it
 
 
+@functools.cache
 def design_bandpass(kind: str) -> np.ndarray:
     """Design a stable 0.1-50 Hz bandpass biquad cascade at 284 Hz from a
     Butterworth or Bessel analog prototype of order 4.
@@ -28,8 +31,10 @@ def design_bandpass(kind: str) -> np.ndarray:
     Discretization is bilinear with band-edge prewarping. Bessel
     prototypes are magnitude-normalized (-3 dB at the band edges).
     Returns the (4, 6) second-order sections, one [b0, b1, b2, 1, a1, a2]
-    row each.
+    row each; cached, so every caller shares one array: never write to it.
     """
+    from scipy import signal as sps
+
     kind = kind.lower()
     if kind == "butterworth":
         sos = sps.butter(FILTER_ORDER, BAND_HZ, btype="bandpass",
@@ -54,6 +59,7 @@ def filtfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     if n <= 3 * digital_order:
         raise SignalTooShort(
             f"need more than {3 * digital_order} samples, got {n}")
+    from scipy import signal as sps
     # long even-reflection padding tames the near-DC pole's transient
     padlen = min(n - 1, int(10 * TARGET_FS))
     return sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)

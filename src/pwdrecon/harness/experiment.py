@@ -50,8 +50,6 @@ from ..pwd_envelope import (
 from ..separation import detect_polarity, extract_fecg
 from .plots import write_window_csv, write_window_svg
 
-FECG_SOS = design_bandpass("butterworth")  # the fECG stream's filter
-
 # the fixed protocol: per-record time split, RMSprop rate, penalties
 TRAIN_RATIO = 0.8
 LR = 1e-3
@@ -83,7 +81,8 @@ def preprocess_record(rows: np.ndarray, img: np.ndarray,
     # polarity belongs to the extracted waveform; the 50 Hz cutoff below
     # shrinks the narrow R lobe and can flip marginal cases
     polarity = detect_polarity(fecg, manifest.aecg_fs)
-    fecg = filtfilt(FECG_SOS, resample_linear(zscore(fecg), manifest.aecg_fs))
+    fecg = filtfilt(design_bandpass("butterworth"),
+                    resample_linear(zscore(fecg), manifest.aecg_fs))
 
     n = min(fecg.size, env.shape[1])
     return PreprocessedRecord(record_id=manifest.record_id, fecg=fecg[:n],
@@ -286,10 +285,10 @@ def _write_report_csv(path: str, config: ExperimentConfig,
 
 def _write_training_log(path: str, log: list[dict]) -> None:
     with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
+        fh.write("epoch,train_loss,val_loss,steps\n")
         for e in log:
             fh.write(f"{e['epoch']},{e['train_loss']:.9g},"
-                     f"{e['val_loss']:.9g}\n")
+                     f"{e['val_loss']:.9g},{e['steps']}\n")
 
 
 # --- ablation grids --------------------------------------------------------

@@ -22,7 +22,8 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     `batch_size` windows; `seed` fixes the initial parameters, the
     validation split and the shuffles. A seeded fraction of the windows
     is held out for validation and the parameters with the lowest validation MSE are returned. The log has
-    one {"epoch", "train_loss", "val_loss"} entry per epoch.
+    one {"epoch", "train_loss", "val_loss", "steps"} entry per epoch,
+    "steps" being the RMSprop steps that epoch took.
     """
     n, L = x.shape
     X = np.zeros((n, 1, padded_length(L)))  # zero right-pad to a multiple of 8
@@ -59,7 +60,7 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
         val_loss, _ = mse_loss(predict(params, x[held], batch_size),
                                Y[held])
         log.append({"epoch": epoch, "train_loss": train_loss,
-                    "val_loss": val_loss})
+                    "val_loss": val_loss, "steps": n_batches})
         if val_loss < best_val:
             best_val = val_loss
             best = {name: p.copy() for name, p in params.items()}

@@ -18,7 +18,6 @@ from .dsp import design_bandpass, filtfilt, mean_center, resample_linear
 from .errors import ConstantImage
 from .separation import pca_fit
 
-ENVELOPE_SOS = design_bandpass("bessel")  # the envelope stream's filter
 COUNT_SLICE = 1 << 16  # pixel pairs per bincount, which copies them to intp
 
 
@@ -125,7 +124,7 @@ def preprocess_envelopes(raw: np.ndarray, fs: float) -> np.ndarray:
     """
     resampled = np.array([resample_linear(row, fs)
                           for row in mean_center(raw)])
-    return mean_center(filtfilt(ENVELOPE_SOS, resampled))
+    return mean_center(filtfilt(design_bandpass("bessel"), resampled))
 
 
 def pca_compress_envelopes(env: np.ndarray) -> np.ndarray:

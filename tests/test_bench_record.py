@@ -26,13 +26,15 @@ def _tool():
     return module
 
 
-def _write(out_dir, workload, seed, work, rss, quality, mtime, trace=0):
+def _write(out_dir, workload, seed, work, rss, quality, mtime, trace=0,
+           import_s=1.0, setup_samples=(0.3, 0.1, 0.2)):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{workload}-seed{seed}-trace{trace}.json")
     metrics = {"work_per_s": {"value": work, "unit": "1/s"},
                "peak_rss_mb": {"value": rss, "unit": "MB"}}
     with open(path, "w") as fh:
-        json.dump({"machine": MACHINE,
+        json.dump({"machine": MACHINE, "import_s": import_s,
+                   "setup_s_samples": list(setup_samples),
                    "named": {"items_per_s": [work, "1/s"],
                              "quality_r": [quality, "r"]},
                    "result": {"correct": True, "metrics": metrics}}, fh)
@@ -48,7 +50,8 @@ def _runs(tmp_path):
         if seed % 2 == 0:
             p_time, c_time = c_time, p_time
         _write(parent, "fast", seed, pw, 100.0, 0.9, p_time)
-        _write(change, "fast", seed, cw, 90.0, 0.9, c_time)
+        _write(change, "fast", seed, cw, 90.0, 0.9, c_time,
+               import_s=0.1 * seed, setup_samples=(0.5, 0.1, 0.6))
     return parent, change
 
 
@@ -74,7 +77,9 @@ def test_bench_record_pairs_runs_and_summarizes(tmp_path):
         "parent", "change", "parent", "change"]
     assert fast["pairs"][1]["change"] == {
         "work_per_s": 11, "peak_rss_mb": 90.0, "quality_r": 0.9,
-        "correct": True}
+        "import_s": 0.2, "setup_s_samples_median": 0.5, "correct": True}
+    assert fast["pairs"][1]["parent"]["import_s"] == 1.0
+    assert fast["pairs"][1]["parent"]["setup_s_samples_median"] == 0.2
     work = fast["summary"]["work_per_s"]
     # parent 9, 10, 11, 12 and change 11, 14, 15, 16, inclusive quartiles
     assert work["parent"] == {"median": 10.5, "q1": 9.75, "q3": 11.25}
@@ -84,6 +89,13 @@ def test_bench_record_pairs_runs_and_summarizes(tmp_path):
     assert fast["summary"]["peak_rss_mb"]["better"] == "lower"
     assert fast["summary"]["peak_rss_mb"]["change_better_pairs"] == "4/4"
     assert fast["summary"]["quality_r"]["change_better_pairs"] == "0/4"
+    # setup_s's parts: the change imports faster and sets up slower
+    assert fast["summary"]["import_s"]["better"] == "lower"
+    assert fast["summary"]["import_s"]["change_better_pairs"] == "4/4"
+    assert fast["summary"]["import_s"]["change"]["median"] \
+        == pytest.approx(0.25)
+    assert fast["summary"]["setup_s_samples_median"]["change_better_pairs"] \
+        == "0/4"
     assert rec["traced"] == {"fast-seed1": {
         "parent": {"work_per_s": 1.0, "peak_rss_mb": 1.0},
         "change": {"work_per_s": 2.0, "peak_rss_mb": 1.0}}}

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pwdrecon
 from pwdrecon import baselines, separation
 from pwdrecon.baselines import LinearMap
 from pwdrecon.cli import main
@@ -85,6 +88,46 @@ def test_cli_full_pipeline(tmp_path, capsys):
                  "--out", abl]) == 0
     capsys.readouterr()
     assert os.path.exists(os.path.join(abl, "table2.csv"))
+
+
+def _fresh_python(code, *args):
+    """Run `code` with `args` in a new interpreter, which imports this
+    pwdrecon; returns the last line it prints. The pytest process itself
+    has scipy loaded already."""
+    src = os.path.dirname(os.path.dirname(pwdrecon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy_signal():
+    assert _fresh_python("import sys, pwdrecon.cli\n"
+                         "print('scipy.signal' in sys.modules)") == "False"
+
+
+def test_train_evaluate_and_ablate_never_load_scipy(small_dataset, tmp_path):
+    _, _, records = small_dataset
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    cfg = _write_json(tmp_path / "cfg.json", {"window_s": 1.0,
+                                              "model": "Ridge"})
+    grid = _write_json(tmp_path / "grid.json",
+                       {"base": {"model": "Ridge"}, "grids": ["table2"]})
+    run = str(tmp_path / "run")
+    argvs = [["train", "--config", cfg, "--data", prep, "--out", run],
+             ["evaluate", "--model", os.path.join(run, "model.npz"),
+              "--data", prep],
+             ["ablate", "--grid", grid, "--data", prep,
+              "--out", str(tmp_path / "abl")]]
+    code = ("import json, sys\n"
+            "from pwdrecon.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('scipy' in sys.modules)")
+    assert _fresh_python(code, json.dumps(argvs)) == "False"
+    assert os.path.isfile(tmp_path / "abl" / "table2.csv")
 
 
 @pytest.mark.parametrize("model", list(ModelKind),

@@ -18,8 +18,7 @@ from pwdrecon.errors import (
     SignalTooShort,
     ZeroVariance,
 )
-from pwdrecon.harness.experiment import FECG_SOS
-from pwdrecon.pwd_envelope import ENVELOPE_SOS, preprocess_envelopes
+from pwdrecon.pwd_envelope import preprocess_envelopes
 
 FS = 284.0
 
@@ -64,9 +63,21 @@ def test_invalid_band_rejected():
         design_bandpass("butter")
 
 
-def test_stream_filters_are_designed_once_at_import():
-    assert np.array_equal(FECG_SOS, design_bandpass("butterworth"))
-    assert np.array_equal(ENVELOPE_SOS, design_bandpass("bessel"))
+def test_stream_filters_are_cached_designs():
+    # oracle: scipy's designs with the documented arguments, called here
+    want = {
+        "butterworth": sps.butter(4, (0.1, 50.0), btype="bandpass",
+                                  output="sos", fs=FS),
+        "bessel": sps.bessel(4, (0.1, 50.0), btype="bandpass", norm="mag",
+                             output="sos", fs=FS),
+    }
+    x = np.random.default_rng(0).normal(size=(2, 300))
+    for kind, sos in want.items():
+        got = design_bandpass(kind)
+        assert got.shape == sos.shape and got.tobytes() == sos.tobytes()
+        assert design_bandpass(kind) is got  # designed once
+        filtfilt(got, x)  # every caller shares the cached array
+        assert got.tobytes() == sos.tobytes()
 
 
 def test_filtfilt_passes_inband_sinusoid():
@@ -189,13 +200,15 @@ def test_segment_concatenation_reproduces_prefix():
 def test_row_calls_equal_one_call_per_row(n):
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(2, n)) * [[3.0], [0.5]] + [[7.0], [-2.0]]
-    for fn in (lambda x: filtfilt(ENVELOPE_SOS, x),
-               lambda x: filtfilt(FECG_SOS, x), zscore, mean_center):
+    bessel = design_bandpass("bessel")  # the envelope stream's filter
+    for fn in (lambda x: filtfilt(bessel, x),
+               lambda x: filtfilt(design_bandpass("butterworth"), x),
+               zscore, mean_center):
         want = np.array([fn(row) for row in rows])
         assert fn(rows).tobytes() == want.tobytes()
     # the envelope chain, resampling from the image column rate or not
     raw = np.round(rows)
     for fs in (100.0, TARGET_FS):
-        want = np.array([mean_center(filtfilt(ENVELOPE_SOS, resample_linear(
+        want = np.array([mean_center(filtfilt(bessel, resample_linear(
             mean_center(row), fs))) for row in raw])
         assert preprocess_envelopes(raw, fs).tobytes() == want.tobytes()

@@ -174,7 +174,11 @@ def test_run_experiment_net_smoke(small_dataset, tmp_path):
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.PWDRECNET, **FAST)
     report, model = run_experiment(cfg, records, out_dir=str(tmp_path))
     with open(tmp_path / "training_log.csv") as fh:
-        assert len(fh.read().splitlines()) == 1 + 2  # header, 2 epochs
+        lines = fh.read().splitlines()
+    assert len(lines) == 1 + 2  # header, 2 epochs
+    assert lines[0] == "epoch,train_loss,val_loss,steps"
+    # every fitted window fits in one batch of 128: one step an epoch
+    assert [line.split(",")[-1] for line in lines[1:]] == ["1", "1"]
     # the network the config describes, in init_params' order
     net = init_params((2, 4, 8), 3, 2, seed=0)
     assert [(n, a.shape) for n, a in model.items()] == \

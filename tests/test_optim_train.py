@@ -55,7 +55,10 @@ def test_train_reduces_loss_and_logs():
     x, y = _toy_dataset()
     params, log = train(x, y, *TINY, epochs=8, batch_size=8, seed=0, lr=1e-3)
     assert len(log) == 8
-    assert all(set(e) == {"epoch", "train_loss", "val_loss"} for e in log)
+    assert all(set(e) == {"epoch", "train_loss", "val_loss", "steps"}
+               for e in log)
+    # 24 windows, 2 held out: 22 in batches of 8 take 3 steps an epoch
+    assert [e["steps"] for e in log] == [3] * 8
     assert [e["epoch"] for e in log] == list(range(8))
     assert log[-1]["train_loss"] < log[0]["train_loss"]
 

@@ -9,8 +9,10 @@ pair is one workload and seed with an untraced record
 (<workload>-seed<S>-trace0.json) on both sides; the side whose record
 file is older ran first. The metrics are BENCHMARK.json's end-to-end
 metrics, each with its `better` direction, plus each workload's output
-quality (its named metric in unit "r"), where higher is better. Traced
-records (-trace1.json) found on both sides are copied as they are.
+quality (its named metric in unit "r"), where higher is better, and the
+two parts of setup_s that run.py records: `import_s` and the median of
+`setup_s_samples`, where lower is better. Traced records (-trace1.json)
+found on both sides are copied as they are.
 Quartiles are statistics.quantiles(n=4, method="inclusive"); a tied
 pair counts for neither side.
 """
@@ -47,13 +49,17 @@ def _load(path: str) -> dict:
 
 
 def _values(record: dict, better: dict[str, str]) -> dict:
-    """The end-to-end metrics and output quality of one untraced run."""
+    """The end-to-end metrics, output quality and setup_s parts of one
+    untraced run."""
     result = record["result"]
     values = {name: result["metrics"][name]["value"]
               for name in better if name in result["metrics"]}
     for name, (value, unit) in record["named"].items():
         if unit == "r":
             values[name] = value
+    values["import_s"] = record["import_s"]
+    values["setup_s_samples_median"] = statistics.median(
+        record["setup_s_samples"])
     values["correct"] = result["correct"]
     return values
 
@@ -86,6 +92,7 @@ def bench_record(parent_dir: str, change_dir: str, benchmark: dict,
                  change: str = "", claim: str | None = None) -> dict:
     """The BENCH_*.json record of the runs in the two directories."""
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    better.update(import_s="lower", setup_s_samples_median="lower")
     parent, chg = _records(parent_dir), _records(change_dir)
     untraced = {k for k in parent.keys() | chg.keys() if k[2] == 0}
     unpaired = sorted(k for k in untraced if not (k in parent and k in chg))

@@ -9,6 +9,7 @@ Clean sources are written alongside for oracle checks.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -53,27 +54,52 @@ class SyntheticSpec:
     baseline_row: int = 100
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"SyntheticSpec.seed: must be >= 0, "
-                             f"got {self.seed!r}")
-        if self.n_records < 1 or self.duration_s <= 0:
-            raise ValueError("need n_records >= 1 and duration_s > 0")
-        if any(r[0] <= 0 or r[0] > r[1]
-               for r in (self.fetal_bpm, self.maternal_bpm)):
-            raise ValueError("bpm ranges must be positive and ordered")
-        if self.fecg_polarity not in (1, -1):
-            raise ValueError("fecg_polarity must be +1 or -1")
-        if not 0.0 <= self.fetal_rr_jitter < 0.5:
-            raise ValueError("fetal_rr_jitter must be in [0, 0.5)")
+        fin = math.isfinite
+        fb, mb = self.fetal_bpm, self.maternal_bpm
+        for name, ok, rule in (
+                ("n_records", self.n_records >= 1, ">= 1"),
+                ("duration_s", fin(self.duration_s) and self.duration_s > 0,
+                 "finite and > 0"),
+                ("fetal_bpm", 0 < fb[0] <= fb[1] and fin(fb[1]),
+                 "a finite, positive, ordered range"),
+                ("maternal_bpm", 0 < mb[0] <= mb[1] and fin(mb[1]),
+                 "a finite, positive, ordered range"),
+                ("fetal_maternal_ratio", fin(self.fetal_maternal_ratio),
+                 "finite"),
+                ("noise_sigma", fin(self.noise_sigma)
+                 and self.noise_sigma >= 0, "finite and >= 0"),
+                ("jitter_ms", fin(self.jitter_ms) and self.jitter_ms >= 0,
+                 "finite and >= 0"),
+                ("fetal_rr_jitter", 0 <= self.fetal_rr_jitter < 0.5,
+                 "in [0, 0.5)"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("fecg_polarity", self.fecg_polarity in (1, -1), "+1 or -1"),
+                ("aecg_fs", fin(self.aecg_fs) and self.aecg_fs > 0,
+                 "finite and > 0"),
+                ("columns_per_second", fin(self.columns_per_second)
+                 and self.columns_per_second > 0, "finite and > 0"),
+                # _rasterize's offsets are int16
+                ("image_height", 3 <= self.image_height < 2 ** 15,
+                 "in [3, 32767]"),
+                # the reader's rule: a row above and one below the baseline
+                ("baseline_row", 1 <= self.baseline_row
+                 <= self.image_height - 2, "in [1, image_height - 2]")):
+            if not ok:
+                raise ValueError(f"SyntheticSpec.{name}: must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _gauss_train(t: np.ndarray, centers: np.ndarray, amp: float,
                  width_s: float) -> np.ndarray:
+    """One Gaussian per centre, cut off 5 widths out, over one flat index
+    of every centre's samples. np.add.at adds in index order, so
+    overlapping tails sum in centre order."""
+    lo = np.searchsorted(t, centers - 5 * width_s)
+    n = np.searchsorted(t, centers + 5 * width_s) - lo
+    idx = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
     out = np.zeros_like(t)
-    for c in centers:
-        lo = np.searchsorted(t, c - 5 * width_s)
-        hi = np.searchsorted(t, c + 5 * width_s)
-        out[lo:hi] += amp * np.exp(-0.5 * ((t[lo:hi] - c) / width_s) ** 2)
+    np.add.at(out, idx, amp * np.exp(
+        -0.5 * ((t[idx] - np.repeat(centers, n)) / width_s) ** 2))
     return out
 
 
@@ -198,9 +224,15 @@ def generate_synthetic(spec: SyntheticSpec,
 def _rasterize(upper: np.ndarray, lower: np.ndarray, height: int,
                baseline_row: int) -> np.ndarray:
     """Fill bright pixels from the baseline out to each envelope curve."""
-    up = np.clip(np.round(upper), 0, baseline_row - 1).astype(int)
-    lo = np.clip(np.round(-lower), 0, height - baseline_row - 2).astype(int)
+    up = np.clip(np.round(upper), 0, baseline_row - 1).astype(np.int16)
+    lo = np.clip(np.round(-lower), 0, height - baseline_row - 2) \
+        .astype(np.int16)
     # a pixel is bright when its signed offset from the baseline row lies
-    # in [-up, lo] of its column; the baseline row itself stays dark
-    off = np.arange(height)[:, None] - baseline_row
-    return np.uint8(255) * ((-up <= off) & (off <= lo) & (off != 0))
+    # in [-up, lo] of its column: offset + up, read unsigned so that a
+    # negative sum wraps past every bound, is at most up + lo
+    off = (np.arange(height, dtype=np.int16) - baseline_row)[:, None]
+    img = ((off + up).view(np.uint16)
+           <= (up + lo).view(np.uint16)).view(np.uint8)
+    img[baseline_row] = 0  # the baseline row itself stays dark
+    img *= 255
+    return img

@@ -371,6 +371,33 @@ def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
     assert repr(field) in err["message"] or f".{field}:" in err["message"]
 
 
+@pytest.mark.parametrize("body, field", [
+    ({"jitter_ms": -5}, "jitter_ms"),
+    ({"noise_sigma": -0.1}, "noise_sigma"),
+    ({"fetal_maternal_ratio": float("nan")}, "fetal_maternal_ratio"),
+    ({"duration_s": float("nan")}, "duration_s"),
+    ({"duration_s": float("inf")}, "duration_s"),
+    ({"aecg_fs": 0}, "aecg_fs"),
+    ({"columns_per_second": 0}, "columns_per_second"),
+    ({"baseline_row": 0}, "baseline_row"),
+    ({"baseline_row": 199}, "baseline_row"),
+    ({"n_records": 1, "duration_s": 0.05, "image_height": 32768},
+     "image_height"),
+], ids=["negative-jitter", "negative-noise", "nan-ratio", "nan-duration",
+        "inf-duration", "zero-fs", "zero-column-rate", "baseline-top-row",
+        "baseline-bottom-row", "tall-image"])
+def test_cli_synth_refuses_a_spec_it_cannot_render(body, field, tmp_path,
+                                                   capsys):
+    """Refused before any file is written, naming the spec and the field."""
+    spec = _write_json(tmp_path / "spec.json", body)
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{spec}: SyntheticSpec.{field}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grids, base, named", [
     (["table2", "tablex"], {}, "'tablex'"),
     ("table1", {}, "'table1'"),

@@ -225,7 +225,7 @@ def evaluate(config: ExperimentConfig, model, windows: WindowSet,
     """
     x = windows.x[test_idx]
     if config.model is ModelKind.PWDRECNET:
-        preds = predict(model, x, config.batch_size)
+        preds = predict(model, x)
     else:
         if not model.converged:
             raise NumericalInstability(

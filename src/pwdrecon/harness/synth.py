@@ -58,8 +58,6 @@ class SyntheticSpec:
         fb, mb = self.fetal_bpm, self.maternal_bpm
         for name, ok, rule in (
                 ("n_records", self.n_records >= 1, ">= 1"),
-                ("duration_s", fin(self.duration_s) and self.duration_s > 0,
-                 "finite and > 0"),
                 ("fetal_bpm", 0 < fb[0] <= fb[1] and fin(fb[1]),
                  "a finite, positive, ordered range"),
                 ("maternal_bpm", 0 < mb[0] <= mb[1] and fin(mb[1]),
@@ -78,6 +76,10 @@ class SyntheticSpec:
                  "finite and > 0"),
                 ("columns_per_second", fin(self.columns_per_second)
                  and self.columns_per_second > 0, "finite and > 0"),
+                # round(x) >= 2 iff x >= 1.5; the reader needs 2 columns
+                ("duration_s", fin(self.duration_s) and self.duration_s * min(
+                    self.aecg_fs, self.columns_per_second) >= 1.5,
+                 "finite and long enough for 2 samples and 2 image columns"),
                 # _rasterize's offsets are int16
                 ("image_height", 3 <= self.image_height < 2 ** 15,
                  "in [3, 32767]"),

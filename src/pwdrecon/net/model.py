@@ -2,9 +2,9 @@
 
 Three encoder blocks (residual 1-D conv stacks followed by max pooling),
 a mirrored decoder with nearest-neighbor upsampling and skip
-concatenations, and a linear 1x1 head. Everything runs in float64 on
-batched (N, C, L) arrays; gradients are hand-derived and validated
-against finite differences.
+concatenations, and a linear 1x1 head. Everything runs in float64 on one
+padded channel-major batch layout; gradients are hand-derived and
+validated against finite differences.
 """
 
 from __future__ import annotations
@@ -64,103 +64,107 @@ def init_params(channels: tuple[int, int, int], kernel_size: int,
     return params
 
 
-def _conv(params: dict, name: str, x: np.ndarray) -> np.ndarray:
-    return conv1d_forward(x, params[f"{name}.w"], params[f"{name}.b"])
+def _valid(a: np.ndarray, pad: int) -> np.ndarray:
+    return a[..., pad:a.shape[-1] - pad]  # each window between its pads
+
+
+def _padded(a: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(a, ((0, 0), (0, 0), (pad, pad)))
+
+
+def _conv(params: dict, name: str, x: np.ndarray, pad: int) -> np.ndarray:
+    y = conv1d_forward(x.transpose(1, 0, 2), params[f"{name}.w"],
+                       params[f"{name}.b"]).transpose(1, 0, 2)
+    y[..., :pad] = y[..., y.shape[-1] - pad:] = 0.0
+    return y
 
 
 def _conv_backward(params: dict, name: str, x: np.ndarray, dout: np.ndarray,
                    grads: dict) -> np.ndarray:
-    """Store the named convolution's weight and bias gradients in `grads`;
-    returns the gradient with respect to its input x."""
+    """Store the named conv's w and b gradients in `grads`; returns d/dx."""
     dx, grads[f"{name}.w"], grads[f"{name}.b"] = conv1d_backward(
-        x, params[f"{name}.w"], dout)
-    return dx
+        x.transpose(1, 0, 2), params[f"{name}.w"], dout.transpose(1, 0, 2))
+    return dx.transpose(1, 0, 2)
 
 
-def _block_forward(params: dict, name: str, h: np.ndarray):
-    r1 = relu_forward(_conv(params, f"{name}.conv0", h))
-    r2 = relu_forward(_conv(params, f"{name}.conv1", r1))
-    a3 = _conv(params, f"{name}.conv2", r2)
-    if f"{name}.proj.w" in params:
-        s = a3 + _conv(params, f"{name}.proj", h)
-    else:
-        s = a3 + h
-    out = relu_forward(s)
+def _block_forward(params: dict, name: str, h: np.ndarray, pad: int):
+    r1 = relu_forward(_conv(params, f"{name}.conv0", h, pad))
+    r2 = relu_forward(_conv(params, f"{name}.conv1", r1, pad))
+    proj = (_conv(params, f"{name}.proj", h, pad)
+            if f"{name}.proj.w" in params else h)
+    s = _conv(params, f"{name}.conv2", r2, pad) + proj
     # a ReLU's mask reads its output: r > 0 exactly where its input is
-    cache = {"h": h, "r1": r1, "r2": r2, "s": s}
-    return out, cache
+    return relu_forward(s), {"h": h, "r1": r1, "r2": r2, "s": s}
 
 
 def _block_backward(params: dict, name: str, cache: dict, dout: np.ndarray,
                     grads: dict):
+    # the masks are zero on the pads, so every conv's dout is too
     ds = relu_backward(cache["s"], dout)
     dr2 = _conv_backward(params, f"{name}.conv2", cache["r2"], ds, grads)
     da2 = relu_backward(cache["r2"], dr2)
     dr1 = _conv_backward(params, f"{name}.conv1", cache["r1"], da2, grads)
     da1 = relu_backward(cache["r1"], dr1)
     dh = _conv_backward(params, f"{name}.conv0", cache["h"], da1, grads)
-    if f"{name}.proj.w" in params:
-        dh = dh + _conv_backward(params, f"{name}.proj", cache["h"], ds,
-                                 grads)
-    else:
-        dh = dh + ds
-    return dh
+    return dh + (_conv_backward(params, f"{name}.proj", cache["h"], ds, grads)
+                 if f"{name}.proj.w" in params else ds)
 
 
 def forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
     """Run the full network on x (N, 1, L); L divisible by 8.
 
     Returns (y, cache); y has shape (N, out_channels, L). The cache holds
-    every intermediate needed by `backward`.
+    what `backward` needs, activations channel-major as (C, N, L' + 2*pad):
+    `pad` = kernel_size // 2 zero columns on each side of every window.
     """
-    if x.ndim != 3 or x.shape[1] != 1:
-        raise ShapeMismatch(f"expected (N, 1, L), got {x.shape}")
-    if x.shape[2] % LENGTH_MULTIPLE != 0:
-        raise ShapeMismatch(
-            f"length {x.shape[2]} not divisible by {LENGTH_MULTIPLE}")
+    if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] % LENGTH_MULTIPLE:
+        raise ShapeMismatch(f"expected (N, 1, L) with L divisible by "
+                            f"{LENGTH_MULTIPLE}, got {x.shape}")
 
-    cache = {"enc": [], "pool_arg": [], "dec": [], "cat_split": []}
-    h = x
+    pad = params["enc0.conv0.w"].shape[2] // 2
+    cache = {"pad": pad, "enc": [], "pool_arg": [], "dec": []}
+    h = _padded(x.transpose(1, 0, 2), pad)
     pre_pools = []
     for i in range(N_LEVELS):
-        pre, bc = _block_forward(params, f"enc{i}", h)
+        pre, bc = _block_forward(params, f"enc{i}", h, pad)
         cache["enc"].append(bc)
         pre_pools.append(pre)
-        h, arg = maxpool2_forward(pre)
+        h, arg = maxpool2_forward(_valid(pre, pad))
+        h = _padded(h, pad)
         cache["pool_arg"].append(arg)
 
     for i in range(N_LEVELS):
-        up = upsample2_forward(h)
-        cat = np.concatenate([up, pre_pools[N_LEVELS - 1 - i]], axis=1)
-        cache["cat_split"].append(up.shape[1])
-        h, bc = _block_forward(params, f"dec{i}", cat)
+        up = _padded(upsample2_forward(_valid(h, pad)), pad)
+        cat = np.concatenate([up, pre_pools[N_LEVELS - 1 - i]])
+        h, bc = _block_forward(params, f"dec{i}", cat, pad)
         cache["dec"].append(bc)
 
     cache["head_in"] = h
-    y = _conv(params, "head", h)
-    return y, cache
+    y = _conv(params, "head", h, pad)
+    return _valid(y, pad).transpose(1, 0, 2), cache
 
 
 def backward(params: dict[str, np.ndarray], cache: dict,
              grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of every parameter given d(loss)/d(output).
-
-    Returns a dict with the same names as `params`.
-    """
+    """Exact gradients of every parameter, by its name in `params`, given
+    d(loss)/d(output)."""
+    pad = cache["pad"]
     grads: dict[str, np.ndarray] = {}
-    dh = _conv_backward(params, "head", cache["head_in"], grad_out, grads)
+    dh = _conv_backward(params, "head", cache["head_in"],
+                        _padded(grad_out.transpose(1, 0, 2), pad), grads)
 
     # decoder, top (shallowest) to bottom
     skip_grads = [None] * N_LEVELS  # indexed by encoder level
     for i in range(N_LEVELS - 1, -1, -1):
         dcat = _block_backward(params, f"dec{i}", cache["dec"][i], dh, grads)
-        n_up = cache["cat_split"][i]
-        skip_grads[N_LEVELS - 1 - i] = dcat[:, n_up:]
-        dh = upsample2_backward(dcat[:, :n_up])
+        n_up = len(dcat) - len(cache["enc"][N_LEVELS - 1 - i]["s"])
+        skip_grads[N_LEVELS - 1 - i] = dcat[n_up:]
+        dh = _padded(upsample2_backward(_valid(dcat[:n_up], pad)), pad)
 
     # encoder, deepest to shallowest; dh is grad wrt the last pooled output
     for i in range(N_LEVELS - 1, -1, -1):
-        dpre = maxpool2_backward(cache["pool_arg"][i], dh) + skip_grads[i]
+        dpre = _padded(maxpool2_backward(cache["pool_arg"][i],
+                                         _valid(dh, pad)), pad) + skip_grads[i]
         dh = _block_backward(params, f"enc{i}", cache["enc"][i], dpre, grads)
     return grads
 
@@ -169,18 +173,16 @@ def padded_length(L: int) -> int:
     return -(-L // LENGTH_MULTIPLE) * LENGTH_MULTIPLE
 
 
-def predict(params: dict[str, np.ndarray], x: np.ndarray,
-            batch_size: int) -> np.ndarray:
+def predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Predict envelope windows; pads to a multiple of 8, crops back.
 
-    x: (N, L) -> output (N, out_channels, L). The network runs on at most
-    batch_size windows at a time.
+    x: (N, L) -> output (N, out_channels, L). One window per forward pass:
+    batch-wide GEMMs sum in an order that depends on the batch.
     """
     n, L = x.shape
     xp = np.zeros((n, 1, padded_length(L)))
     xp[:, 0, :L] = x
     out = np.empty((n, params["head.w"].shape[0], L))
-    for lo in range(0, n, batch_size):
-        y, _ = forward_batch(params, xp[lo:lo + batch_size])
-        out[lo:lo + batch_size] = y[:, :, :L]
+    for i in range(n):
+        out[i] = forward_batch(params, xp[i:i + 1])[0][0, :, :L]
     return out

@@ -11,53 +11,53 @@ import numpy as np
 from ..errors import ShapeMismatch
 
 
+def _window_shift(s: int, L: int) -> tuple[slice, slice]:
+    """(dst, src): the columns t and t + s that both lie in a window of L."""
+    return (slice(max(-s, 0), max(min(L, L - s), 0)),
+            slice(max(s, 0), max(min(L, L + s), 0)))
+
+
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-correlation with zero 'same' padding.
+    """Cross-correlation with zero 'same' padding, each window on its own.
 
     x: (N, Cin, L); w: (Cout, Cin, k) with k odd; b: (Cout,).
     out[n, o, t] = b[o] + sum_{i,j} w[o,i,j] * x[n, i, t + j - k//2]
-    Per-window matmuls keep each window's output bits independent of its
-    batch; one GEMM over the batch (as in the backward) would not be.
+    One GEMM over the batch computes every tap; k shifted adds along the
+    flat batch sum them, each tap zeroed where it would cross a window.
     """
     n, cin, L = x.shape
     cout, _, k = w.shape
-    pad = k // 2
-    xp = np.zeros((n, cin, L + k - 1))
-    xp[:, :, pad:pad + L] = x
-    out = np.empty((n, cout, L))
-    out[:] = b[:, None]
+    taps = (w.transpose(2, 0, 1).reshape(k * cout, cin)
+            @ x.transpose(1, 0, 2).reshape(cin, n * L)).reshape(k, cout, n, L)
+    out = np.repeat(b, n * L).reshape(cout, n * L)
     for j in range(k):
-        out += np.matmul(w[:, :, j], xp[:, :, j:j + L])
-    return out
-
-
-def _flat(a: np.ndarray, pad: int) -> np.ndarray:
-    """(N, C, L) -> (C, N*(L + 2*pad)): windows end to end, zero-padded."""
-    n, c, L = a.shape
-    flat = np.zeros((c, n, L + 2 * pad))
-    flat[:, :, pad:pad + L] = a.transpose(1, 0, 2)
-    return flat.reshape(c, -1)
+        keep = _window_shift(j - k // 2, L)[1]
+        taps[j, :, :, :keep.start] = taps[j, :, :, keep.stop:] = 0.0
+        dst, src = _window_shift(j - k // 2, n * L)
+        out[:, dst] += taps[j].reshape(cout, n * L)[:, src]
+    return out.reshape(cout, n, L).transpose(1, 0, 2)
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
     """Gradients of conv1d_forward; returns (dx, dw, db).
 
-    On the `_flat` layout each tap is one GEMM over the whole batch: dw
-    correlates dout with x, dx correlates dout with the flipped, transposed
-    kernel; the k//2 zeros keep every tap inside its own window.
+    One im2col of dout, cols[j, o, n, t] = dout[n, o, t - j + k//2] inside
+    the window, gives dw = cols @ x.T and dx = w.T @ cols: a GEMM each.
     """
     n, cin, L = x.shape
-    k = w.shape[2]
-    pad = k // 2
-    xf, df = _flat(x, pad), _flat(dout, pad)
-    m = xf.shape[1] - 2 * pad  # positions whose k taps stay inside xf
-    db = dout.sum(axis=(0, 2))
-    dw = np.empty_like(w)
-    dxf = np.zeros_like(xf)
+    cout, _, k = w.shape
+    d = dout.transpose(1, 0, 2).reshape(cout, n * L)
+    cols = np.empty((k, cout, n, L))
     for j in range(k):
-        dw[:, :, j] = df[:, pad:pad + m] @ xf[:, j:j + m].T
-        dxf[:, :m] += w[:, :, k - 1 - j].T @ df[:, j:j + m]
-    return dxf.reshape(cin, n, -1)[:, :, :L].transpose(1, 0, 2), dw, db
+        dst, src = _window_shift(k // 2 - j, n * L)
+        cols[j].reshape(cout, n * L)[:, dst] = d[:, src]
+        keep = _window_shift(k // 2 - j, L)[0]
+        cols[j, :, :, :keep.start] = cols[j, :, :, keep.stop:] = 0.0
+    cols = cols.reshape(k * cout, n * L)
+    dw = cols @ x.transpose(1, 0, 2).reshape(cin, n * L).T
+    dx = w.transpose(1, 2, 0).reshape(cin, k * cout) @ cols
+    return (dx.reshape(cin, n, L).transpose(1, 0, 2),
+            dw.reshape(k, cout, cin).transpose(1, 2, 0).copy(), d.sum(axis=1))
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -69,17 +69,15 @@ def relu_backward(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
 
 
 def maxpool2_forward(x: np.ndarray):
-    """Halve length by pairwise max; returns (out, argmax in {0,1})."""
+    """Halve length by pairwise max; arg marks where the second is larger."""
     pairs = x.reshape(*x.shape[:-1], -1, 2)
-    arg = pairs.argmax(axis=-1)
-    out = np.take_along_axis(pairs, arg[..., None], axis=-1)[..., 0]
-    return out, arg
+    arg = pairs[..., 1] > pairs[..., 0]
+    return np.where(arg, pairs[..., 1], pairs[..., 0]), arg
 
 
 def maxpool2_backward(arg: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    dpairs = np.zeros((*dout.shape, 2))
-    np.put_along_axis(dpairs, arg[..., None], dout[..., None], axis=-1)
-    return dpairs.reshape(*dout.shape[:-1], dout.shape[-1] * 2)
+    return np.stack([np.where(arg, 0.0, dout), np.where(arg, dout, 0.0)],
+                    axis=-1).reshape(*dout.shape[:-1], dout.shape[-1] * 2)
 
 
 def upsample2_forward(x: np.ndarray) -> np.ndarray:
@@ -88,7 +86,7 @@ def upsample2_forward(x: np.ndarray) -> np.ndarray:
 
 
 def upsample2_backward(dout: np.ndarray) -> np.ndarray:
-    return dout.reshape(*dout.shape[:-1], -1, 2).sum(axis=-1)
+    return dout[..., ::2] + dout[..., 1::2]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

@@ -49,16 +49,14 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
             idx = order[lo:lo + batch_size]
             pred, cache = forward_batch(params, X[idx])
             loss, dpred = mse_loss(pred[:, :, :L], Y[idx])
-            grad_out = np.zeros_like(pred)
-            grad_out[:, :, :L] = dpred
-            grads = backward(params, cache, grad_out)
+            grads = backward(params, cache, np.pad(
+                dpred, ((0, 0), (0, 0), (0, pred.shape[2] - L))))
             rmsprop_step(params, grads, v, lr)
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
         held = val_idx if n_val > 0 else train_idx
-        val_loss, _ = mse_loss(predict(params, x[held], batch_size),
-                               Y[held])
+        val_loss, _ = mse_loss(predict(params, x[held]), Y[held])
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss, "steps": n_batches})
         if val_loss < best_val:

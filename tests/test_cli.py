@@ -383,9 +383,13 @@ def test_cli_json_errors_name_the_field(command, body, field, tmp_path,
     ({"baseline_row": 199}, "baseline_row"),
     ({"n_records": 1, "duration_s": 0.05, "image_height": 32768},
      "image_height"),
+    ({"n_records": 1, "duration_s": 0.001}, "duration_s"),
+    ({"duration_s": 0.5, "columns_per_second": 2.9}, "duration_s"),
+    ({"duration_s": 1.0, "aecg_fs": 1.4}, "duration_s"),
 ], ids=["negative-jitter", "negative-noise", "nan-ratio", "nan-duration",
         "inf-duration", "zero-fs", "zero-column-rate", "baseline-top-row",
-        "baseline-bottom-row", "tall-image"])
+        "baseline-bottom-row", "tall-image", "no-image-columns",
+        "one-image-column", "one-sample"])
 def test_cli_synth_refuses_a_spec_it_cannot_render(body, field, tmp_path,
                                                    capsys):
     """Refused before any file is written, naming the spec and the field."""

@@ -301,7 +301,7 @@ def test_model_file_roundtrip_bit_exact(kind, tmp_path):
         for name, a in model.items():
             assert np.array_equal(a, loaded[name]), name
         x = np.random.default_rng(1).normal(size=(2, 71))
-        assert np.array_equal(predict(model, x, 2), predict(loaded, x, 2))
+        assert np.array_equal(predict(model, x), predict(loaded, x))
         return
     assert names == ["__version__", "__config__", "weight", "bias",
                      "converged", "n_iter", "gap"]

@@ -47,8 +47,10 @@ def test_predict_batch_matches_per_window_loop(net, L):
     params = init_params(*net, seed=1)
     x = np.random.default_rng(1).normal(size=(5, L))
     loop = np.stack([_predict_one(params, row) for row in x])
-    for batch_size in (1, 2, 128):  # uneven last chunk at 2
-        assert np.array_equal(predict(params, x, batch_size), loop)
+    out = predict(params, x)
+    assert np.array_equal(out, loop)
+    for i in range(len(x)):
+        assert np.array_equal(out[i], predict(params, x[i:i + 1])[0])
 
 
 def test_init_deterministic_and_nonzero():
@@ -160,5 +162,5 @@ def test_padded_length_and_predict():
     assert padded_length(71) == 72
     assert padded_length(213) == 216
     params = init_params(*TINY, seed=2)
-    out = predict(params, np.random.default_rng(2).normal(size=(3, 213)), 2)
+    out = predict(params, np.random.default_rng(2).normal(size=(3, 213)))
     assert out.shape == (3, 2, 213)

@@ -1,0 +1,169 @@
+"""The network on its padded channel-major layout against a reference
+that runs every layer window by window on plain (N, C, L) arrays, as the
+network did before the layout: the same outputs and gradients up to
+summation order, pads that stay zero, and the convolution calls a traced
+run counts."""
+
+import numpy as np
+import pytest
+
+import pwdrecon.net.model as model
+from pwdrecon.harness.experiment import ExperimentConfig
+from pwdrecon.net.model import N_LEVELS, backward, forward_batch, init_params
+from pwdrecon.net.ops import mse_loss
+from pwdrecon.net.optim import rmsprop_step
+from test_net_ops import per_tap_conv1d_backward, per_window_conv1d_forward
+
+DEFAULT_CHANNELS = ExperimentConfig().net_channels
+TINY_CHANNELS = (2, 4, 8)
+
+
+def _ref_block(params, name, h):
+    def conv(c, a):
+        return per_window_conv1d_forward(a, params[f"{name}.{c}.w"],
+                                         params[f"{name}.{c}.b"])
+    r1 = np.maximum(conv("conv0", h), 0.0)
+    r2 = np.maximum(conv("conv1", r1), 0.0)
+    proj = conv("proj", h) if f"{name}.proj.w" in params else h
+    s = conv("conv2", r2) + proj
+    return np.maximum(s, 0.0), {"h": h, "r1": r1, "r2": r2, "s": s}
+
+
+def _ref_block_backward(params, name, c, dout, grads):
+    def conv_back(conv, a, d):
+        dx, grads[f"{name}.{conv}.w"], grads[f"{name}.{conv}.b"] = \
+            per_tap_conv1d_backward(a, params[f"{name}.{conv}.w"], d)
+        return dx
+    ds = dout * (c["s"] > 0)
+    da2 = conv_back("conv2", c["r2"], ds) * (c["r2"] > 0)
+    da1 = conv_back("conv1", c["r1"], da2) * (c["r1"] > 0)
+    dh = conv_back("conv0", c["h"], da1)
+    if f"{name}.proj.w" in params:
+        return dh + conv_back("proj", c["h"], ds)
+    return dh + ds
+
+
+def ref_forward_backward(params, x, grad_out):
+    """The network's output on x (N, 1, L) and its parameter gradients
+    given d(loss)/d(output), every layer on (N, C, L) arrays."""
+    caches, pre_pools, args = [], [], []
+    h = x
+    for i in range(N_LEVELS):
+        pre, c = _ref_block(params, f"enc{i}", h)
+        caches.append(c)
+        pre_pools.append(pre)
+        pairs = pre.reshape(*pre.shape[:-1], -1, 2)
+        args.append(pairs.argmax(axis=-1))
+        h = np.take_along_axis(pairs, args[-1][..., None], axis=-1)[..., 0]
+    for i in range(N_LEVELS):
+        cat = np.concatenate([np.repeat(h, 2, axis=-1),
+                              pre_pools[N_LEVELS - 1 - i]], axis=1)
+        h, c = _ref_block(params, f"dec{i}", cat)
+        caches.append(c)
+    y = per_window_conv1d_forward(h, params["head.w"], params["head.b"])
+
+    grads = {}
+    dh, grads["head.w"], grads["head.b"] = per_tap_conv1d_backward(
+        h, params["head.w"], grad_out)
+    skips = [None] * N_LEVELS
+    for i in range(N_LEVELS - 1, -1, -1):
+        dcat = _ref_block_backward(params, f"dec{i}", caches[N_LEVELS + i],
+                                   dh, grads)
+        n_up = dcat.shape[1] - pre_pools[N_LEVELS - 1 - i].shape[1]
+        skips[N_LEVELS - 1 - i] = dcat[:, n_up:]
+        up = dcat[:, :n_up]
+        dh = up.reshape(*up.shape[:-1], -1, 2).sum(axis=-1)
+    for i in range(N_LEVELS - 1, -1, -1):
+        dpairs = np.zeros((*dh.shape, 2))
+        np.put_along_axis(dpairs, args[i][..., None], dh[..., None], axis=-1)
+        dpre = dpairs.reshape(*dh.shape[:-1], -1) + skips[i]
+        dh = _ref_block_backward(params, f"enc{i}", caches[i], dpre, grads)
+    return y, grads
+
+
+def _drift(got, ref):
+    """Largest gap relative to the reference's scale; a reference that is
+    all zeros (a dead ReLU's gradient) must be matched exactly."""
+    gap, scale = np.max(np.abs(got - ref)), np.max(np.abs(ref))
+    return gap / scale if scale else gap
+
+
+@pytest.mark.parametrize("L", [16, 72, 568])
+@pytest.mark.parametrize("n", [1, 2, 18])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("channels", [DEFAULT_CHANNELS, TINY_CHANNELS],
+                         ids=["default", "tiny"])
+def test_layout_matches_per_window_reference(channels, k, n, L):
+    """Output and every gradient within 1e-12 of their own scale of the
+    per-window reference; only the summation order differs."""
+    params = init_params(channels, k, 2, seed=k)
+    rng = np.random.default_rng(n * 1000 + L)
+    x = rng.normal(size=(n, 1, L))
+    grad_out = rng.normal(size=(n, 2, L))
+    y, cache = forward_batch(params, x)
+    grads = backward(params, cache, grad_out)
+    ref_y, ref_grads = ref_forward_backward(params, x, grad_out)
+    assert y.shape == ref_y.shape and _drift(y, ref_y) <= 1e-12
+    assert set(grads) == set(params)
+    for name, g in grads.items():
+        assert g.shape == params[name].shape, name
+        assert _drift(g, ref_grads[name]) <= 1e-12, name
+
+
+def _activations(cache):
+    for i, c in enumerate(cache["enc"] + cache["dec"]):
+        for key, a in c.items():
+            yield f"block{i}.{key}", a
+    yield "head_in", cache["head_in"]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_cached_activations_keep_zero_pads(k):
+    """Every cached activation is channel-major (C, N, L + 2*pad) with
+    exactly zero pad columns, so a convolution over the flat batch adds
+    nothing across windows."""
+    params = init_params(TINY_CHANNELS, k, 2, seed=0)
+    n, L = 3, 32
+    x = np.random.default_rng(0).normal(size=(n, 1, L)) + 1.0
+    _, cache = forward_batch(params, x)
+    pad = cache["pad"]
+    assert pad == k // 2
+    seen = 0
+    for name, a in _activations(cache):
+        assert a.ndim == 3 and a.shape[1] == n and a.flags.c_contiguous, name
+        assert a.shape[2] - 2 * pad in (L, L // 2, L // 4), name
+        assert np.all(a[..., :pad] == 0.0), name
+        assert np.all(a[..., a.shape[2] - pad:] == 0.0), name
+        seen += 1
+    assert seen == 4 * 2 * N_LEVELS + 1
+
+
+def test_one_training_step_makes_25_traceable_conv_calls(monkeypatch):
+    """The benchmark's tracer wraps the model module's conv1d_forward and
+    conv1d_backward and reads (N, Cin, L) from args[0] and (Cout, Cin, k)
+    from args[1]: one default-net step must make all 25 of each such
+    calls, or the traced conv spans and their GFLOP counts go silent."""
+    calls = {"forward": [], "backward": []}
+
+    def counted(kind, original):
+        def wrapper(*args):
+            calls[kind].append((args[0].shape, args[1].shape))
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(model, "conv1d_forward",
+                        counted("forward", model.conv1d_forward))
+    monkeypatch.setattr(model, "conv1d_backward",
+                        counted("backward", model.conv1d_backward))
+    net = ExperimentConfig()
+    params = init_params(net.net_channels, net.kernel_size,
+                         net.out_channels, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(4, 1, 64))
+    pred, cache = forward_batch(params, x)
+    _, dpred = mse_loss(pred, rng.normal(size=pred.shape))
+    rmsprop_step(params, backward(params, cache, dpred), {}, 1e-3)
+    assert len(calls["forward"]) == len(calls["backward"]) == 25
+    for x_shape, w_shape in calls["forward"] + calls["backward"]:
+        assert len(x_shape) == 3 and x_shape[0] == 4
+        assert x_shape[1] == w_shape[1]

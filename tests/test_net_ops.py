@@ -36,6 +36,21 @@ def naive_conv1d(x, w, b):
     return out
 
 
+def per_window_conv1d_forward(x, w, b):
+    """Reference: one matmul per tap on each zero-padded window, the
+    forward the network ran before its padded channel-major layout."""
+    n, cin, L = x.shape
+    cout, _, k = w.shape
+    pad = k // 2
+    xp = np.zeros((n, cin, L + k - 1))
+    xp[:, :, pad:pad + L] = x
+    out = np.empty((n, cout, L))
+    out[:] = b[:, None]
+    for j in range(k):
+        out += np.matmul(w[:, :, j], xp[:, :, j:j + L])
+    return out
+
+
 def per_tap_conv1d_backward(x, w, dout):
     """Oracle: one tensordot and one batched matmul per tap on the padded
     windows, each window accumulated on its own."""

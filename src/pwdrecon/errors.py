@@ -44,10 +44,11 @@ class ConstantImage(PwdReconError):
     """Image has a single intensity value; thresholding undefined."""
 
 
-# --- nn engine ---
+# --- model files ---
 
 class ShapeMismatch(PwdReconError):
-    """Tensor shapes inconsistent with the operation's contract."""
+    """A model file lacks an array its config implies, or holds one of
+    another shape."""
 
 
 # --- harness / eval ---

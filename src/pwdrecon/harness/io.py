@@ -19,6 +19,7 @@ from ..baselines import LinearMap
 from ..core import ModelKind, Polarity, PreprocessedRecord, RecordManifest
 from ..core import TARGET_FS, WaveConfig, check_record_id, from_json_dict
 from ..core import read_json, to_json_dict, write_json
+from ..dsp import window_length
 from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from ..net.model import init_params
 from .experiment import ExperimentConfig
@@ -209,7 +210,7 @@ def _model_shapes(config: ExperimentConfig) -> dict[str, tuple]:
         return {name: a.shape for name, a in init_params(
             config.net_channels, config.kernel_size, config.out_channels,
             0).items()}
-    L = int(round(config.window_s * TARGET_FS))
+    L = window_length(config.window_s)
     m = config.out_channels * L
     return {"weight": (m, L), "bias": (m,), "converged": (), "n_iter": (),
             "gap": ()}

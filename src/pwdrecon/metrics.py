@@ -22,10 +22,6 @@ class MetricReport:
     n_windows: int
     n_excluded: int
 
-    def __post_init__(self):
-        if self.n_excluded > self.n_windows:
-            raise ValueError("n_excluded cannot exceed n_windows")
-
     @property
     def rendered_r(self) -> str:
         return render_r(self.mean_r)
@@ -45,7 +41,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def window_metrics(pred: np.ndarray, true: np.ndarray) -> MetricReport:
     """Aggregate per-window metrics over aligned prediction/target windows.
 
-    Both arguments are (windows, channels, length) arrays, length >= 2.
+    Both arguments are aligned (windows, channels, length) arrays with at
+    least one window of at least 2 samples.
 
     Each (window, channel) pair is scored by the product-moment
     correlation coefficient, clipped to [-1, 1]. Correlation is averaged
@@ -54,10 +51,6 @@ def window_metrics(pred: np.ndarray, true: np.ndarray) -> MetricReport:
     MSE), and a window with no pair left is counted as excluded. A NaN
     or infinite prediction raises NonFinitePrediction.
     """
-    if pred.shape != true.shape or pred.ndim != 3 \
-            or len(pred) == 0 or pred.shape[-1] < 2:
-        raise ValueError("need equally many aligned windows of >= 2 samples, "
-                         f"got {pred.shape} and {true.shape}")
     bad = pred.size - np.count_nonzero(np.isfinite(pred))
     if bad:
         raise NonFinitePrediction(f"{bad} of {pred.size} predicted samples "

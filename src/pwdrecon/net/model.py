@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
 from .ops import (
     conv1d_backward,
     conv1d_forward,
@@ -24,7 +23,7 @@ from .ops import (
 )
 
 N_LEVELS = 3
-LENGTH_MULTIPLE = 2 ** N_LEVELS  # input length must divide by 8
+LENGTH_MULTIPLE = 2 ** N_LEVELS  # three halvings need a multiple of 8
 
 
 def init_params(channels: tuple[int, int, int], kernel_size: int,
@@ -111,19 +110,19 @@ def _block_backward(params: dict, name: str, cache: dict, dout: np.ndarray,
 
 
 def forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
-    """Run the full network on x (N, 1, L); L divisible by 8.
+    """Run the full network on windows x (N, L) of any length L.
 
-    Returns (y, cache); y has shape (N, out_channels, L). The cache holds
-    what `backward` needs, activations channel-major as (C, N, L' + 2*pad):
-    `pad` = kernel_size // 2 zero columns on each side of every window.
+    Returns (y, cache); y has shape (N, out_channels, L). Each window is
+    zero-padded on the right to L8, a multiple of 8, and the output is
+    cropped back to L. The cache holds what `backward` needs, activations
+    channel-major as (C, N, L' + 2*pad): `pad` = kernel_size // 2 zero
+    columns on each side of every window.
     """
-    if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] % LENGTH_MULTIPLE:
-        raise ShapeMismatch(f"expected (N, 1, L) with L divisible by "
-                            f"{LENGTH_MULTIPLE}, got {x.shape}")
-
+    n, L = x.shape
     pad = params["enc0.conv0.w"].shape[2] // 2
     cache = {"pad": pad, "enc": [], "pool_arg": [], "dec": []}
-    h = _padded(x.transpose(1, 0, 2), pad)
+    h = np.zeros((1, n, -(-L // LENGTH_MULTIPLE) * LENGTH_MULTIPLE + 2 * pad))
+    h[0, :, pad:pad + L] = x
     pre_pools = []
     for i in range(N_LEVELS):
         pre, bc = _block_forward(params, f"enc{i}", h, pad)
@@ -141,17 +140,18 @@ def forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
 
     cache["head_in"] = h
     y = _conv(params, "head", h, pad)
-    return _valid(y, pad).transpose(1, 0, 2), cache
+    return y[..., pad:pad + L].transpose(1, 0, 2), cache
 
 
 def backward(params: dict[str, np.ndarray], cache: dict,
              grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of every parameter, by its name in `params`, given
-    d(loss)/d(output)."""
+    grad_out (N, out_channels, L) = d(loss)/d(output of forward_batch)."""
     pad = cache["pad"]
     grads: dict[str, np.ndarray] = {}
-    dh = _conv_backward(params, "head", cache["head_in"],
-                        _padded(grad_out.transpose(1, 0, 2), pad), grads)
+    dy = np.zeros((grad_out.shape[1], *cache["head_in"].shape[1:]))
+    dy[..., pad:pad + grad_out.shape[2]] = grad_out.transpose(1, 0, 2)
+    dh = _conv_backward(params, "head", cache["head_in"], dy, grads)
 
     # decoder, top (shallowest) to bottom
     skip_grads = [None] * N_LEVELS  # indexed by encoder level
@@ -169,20 +169,13 @@ def backward(params: dict[str, np.ndarray], cache: dict,
     return grads
 
 
-def padded_length(L: int) -> int:
-    return -(-L // LENGTH_MULTIPLE) * LENGTH_MULTIPLE
-
-
 def predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Predict envelope windows; pads to a multiple of 8, crops back.
+    """Predict envelope windows: x (N, L) -> output (N, out_channels, L).
 
-    x: (N, L) -> output (N, out_channels, L). One window per forward pass:
-    batch-wide GEMMs sum in an order that depends on the batch.
+    One window per forward pass: batch-wide GEMMs sum in an order that
+    depends on the batch.
     """
-    n, L = x.shape
-    xp = np.zeros((n, 1, padded_length(L)))
-    xp[:, 0, :L] = x
-    out = np.empty((n, params["head.w"].shape[0], L))
-    for i in range(n):
-        out[i] = forward_batch(params, xp[i:i + 1])[0][0, :, :L]
+    out = np.empty((len(x), params["head.w"].shape[0], x.shape[1]))
+    for i in range(len(x)):
+        out[i] = forward_batch(params, x[i:i + 1])[0][0]
     return out

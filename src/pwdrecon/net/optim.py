@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
-
 RHO = 0.9  # decay of the squared-gradient average
 EPS = 1e-8
 
@@ -19,12 +17,7 @@ def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     and `v` in place.
     """
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ShapeMismatch(f"missing gradient for {name}")
-        if g.shape != p.shape:
-            raise ShapeMismatch(
-                f"gradient shape {g.shape} != parameter shape {p.shape}")
+        g = grads[name]
         acc = v.get(name)
         if acc is None:
             acc = v[name] = np.zeros_like(p)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import backward, forward_batch, init_params, padded_length, predict
+from .model import backward, forward_batch, init_params, predict
 from .ops import mse_loss
 from .optim import rmsprop_step
 
@@ -21,19 +21,17 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     Each epoch takes RMSprop steps of rate `lr` on shuffled batches of
     `batch_size` windows; `seed` fixes the initial parameters, the
     validation split and the shuffles. A seeded fraction of the windows
-    is held out for validation and the parameters with the lowest validation MSE are returned. The log has
-    one {"epoch", "train_loss", "val_loss", "steps"} entry per epoch,
-    "steps" being the RMSprop steps that epoch took.
+    is held out for validation and the parameters with the lowest
+    validation MSE are returned. The log has one {"epoch", "train_loss",
+    "val_loss", "steps"} entry per epoch, "steps" being the RMSprop steps
+    that epoch took.
     """
-    n, L = x.shape
-    X = np.zeros((n, 1, padded_length(L)))  # zero right-pad to a multiple of 8
-    X[:, 0, :L] = x
+    n = len(x)
     Y = np.asarray(y, dtype=np.float64)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_val = int(round(VAL_FRACTION * n)) if n >= 2 else 0
-    n_val = min(n_val, n - 1)
+    n_val = min(int(round(VAL_FRACTION * n)), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     params = init_params(net_channels, kernel_size, Y.shape[1], seed=seed)
@@ -47,11 +45,9 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, order.size, batch_size):
             idx = order[lo:lo + batch_size]
-            pred, cache = forward_batch(params, X[idx])
-            loss, dpred = mse_loss(pred[:, :, :L], Y[idx])
-            grads = backward(params, cache, np.pad(
-                dpred, ((0, 0), (0, 0), (0, pred.shape[2] - L))))
-            rmsprop_step(params, grads, v, lr)
+            pred, cache = forward_batch(params, x[idx])
+            loss, dpred = mse_loss(pred, Y[idx])
+            rmsprop_step(params, backward(params, cache, dpred), v, lr)
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches

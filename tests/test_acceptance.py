@@ -53,7 +53,7 @@ def test_a1_gradient_correctness():
     # at a kink the two-sided difference is not the derivative
     params = init_params((2, 4, 8), 3, 2, seed=3)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 1, 8))
+    x = rng.normal(size=(2, 8))
     target = rng.normal(size=(2, 2, 8))
 
     def loss_value():

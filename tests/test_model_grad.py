@@ -1,18 +1,12 @@
 import hashlib
+import itertools
 import time
 
 import numpy as np
 import pytest
 
-from pwdrecon.errors import ShapeMismatch
 from pwdrecon.harness.experiment import ExperimentConfig
-from pwdrecon.net.model import (
-    backward,
-    forward_batch,
-    init_params,
-    padded_length,
-    predict,
-)
+from pwdrecon.net.model import backward, forward_batch, init_params, predict
 from pwdrecon.net.ops import mse_loss
 
 # init_params' network arguments: (channels, kernel_size, out_channels)
@@ -23,20 +17,22 @@ DEFAULT = (ExperimentConfig().net_channels, ExperimentConfig().kernel_size,
 
 def test_forward_shapes():
     params = init_params(*DEFAULT, seed=0)
-    x = np.random.default_rng(0).normal(size=(3, 1, 64))
-    y, _ = forward_batch(params, x)
-    assert y.shape == (3, 2, 64)
-    with pytest.raises(ShapeMismatch):
-        forward_batch(params, np.zeros((1, 1, 60)))  # not divisible by 8
-    with pytest.raises(ShapeMismatch):
-        forward_batch(params, np.zeros((1, 2, 64)))  # wrong channel count
+    for L in (64, 60):
+        x = np.random.default_rng(0).normal(size=(3, L))
+        y, _ = forward_batch(params, x)
+        assert y.shape == (3, 2, L)
+    assert predict(params, x).shape == (3, 2, 60)
+
+
+def _zero_padded(a):
+    """a (..., L) with zeros appended up to a multiple of 8."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, -a.shape[-1] % 8)])
 
 
 def _predict_one(params, x):
-    """Reference: one window through the network on its own."""
-    xp = np.zeros((1, 1, padded_length(x.size)))
-    xp[0, 0, :x.size] = x
-    y, _ = forward_batch(params, xp)
+    """Reference: one window through the network on its own, zero-padded
+    to a multiple of 8 here and cropped back."""
+    y, _ = forward_batch(params, _zero_padded(x[None]))
     return y[0, :, :x.size]
 
 
@@ -96,7 +92,7 @@ def _worst_gradient_error(net, seed):
     differences over every parameter of a seeded net on a seeded batch."""
     params = init_params(*net, seed=seed)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 1, 8))
+    x = rng.normal(size=(2, 8))
     target = rng.normal(size=(2, net[2], 8))
 
     def loss_value():
@@ -144,7 +140,7 @@ def test_gradient_check_with_identity_residual():
 def test_training_step_reduces_loss():
     params = init_params(*TINY, seed=5)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(4, 1, 16))
+    x = rng.normal(size=(4, 16))
     target = rng.normal(size=(4, 2, 16)) * 0.1
     y, cache = forward_batch(params, x)
     loss0, dpred = mse_loss(y, target)
@@ -157,10 +153,21 @@ def test_training_step_reduces_loss():
     assert loss1 < loss0
 
 
-def test_padded_length_and_predict():
-    assert padded_length(64) == 64
-    assert padded_length(71) == 72
-    assert padded_length(213) == 216
-    params = init_params(*TINY, seed=2)
-    out = predict(params, np.random.default_rng(2).normal(size=(3, 213)))
-    assert out.shape == (3, 2, 213)
+def test_forward_and_backward_pad_and_crop():
+    """On windows of 71 and 213 samples (0.25 s and 0.75 s), the output
+    and every gradient equal, bit for bit, those of the same windows and
+    output gradient zero-padded to a multiple of 8 and cropped back."""
+    for net, L in itertools.product((TINY, DEFAULT), (71, 213)):
+        params = init_params(*net, seed=2)
+        rng = np.random.default_rng(L)
+        x = rng.normal(size=(3, L))
+        grad_out = rng.normal(size=(3, net[2], L))
+        y, cache = forward_batch(params, x)
+        grads = backward(params, cache, grad_out)
+        y8, cache8 = forward_batch(params, _zero_padded(x))
+        grads8 = backward(params, cache8, _zero_padded(grad_out))
+        assert y.shape == (3, net[2], L)
+        assert np.array_equal(y, y8[..., :L])
+        assert list(grads) == list(grads8)
+        for name, g in grads.items():
+            assert np.array_equal(g, grads8[name]), name

@@ -98,11 +98,11 @@ def test_layout_matches_per_window_reference(channels, k, n, L):
     per-window reference; only the summation order differs."""
     params = init_params(channels, k, 2, seed=k)
     rng = np.random.default_rng(n * 1000 + L)
-    x = rng.normal(size=(n, 1, L))
+    x = rng.normal(size=(n, L))
     grad_out = rng.normal(size=(n, 2, L))
     y, cache = forward_batch(params, x)
     grads = backward(params, cache, grad_out)
-    ref_y, ref_grads = ref_forward_backward(params, x, grad_out)
+    ref_y, ref_grads = ref_forward_backward(params, x[:, None], grad_out)
     assert y.shape == ref_y.shape and _drift(y, ref_y) <= 1e-12
     assert set(grads) == set(params)
     for name, g in grads.items():
@@ -124,7 +124,7 @@ def test_cached_activations_keep_zero_pads(k):
     nothing across windows."""
     params = init_params(TINY_CHANNELS, k, 2, seed=0)
     n, L = 3, 32
-    x = np.random.default_rng(0).normal(size=(n, 1, L)) + 1.0
+    x = np.random.default_rng(0).normal(size=(n, L)) + 1.0
     _, cache = forward_batch(params, x)
     pad = cache["pad"]
     assert pad == k // 2
@@ -159,7 +159,7 @@ def test_one_training_step_makes_25_traceable_conv_calls(monkeypatch):
     params = init_params(net.net_channels, net.kernel_size,
                          net.out_channels, seed=0)
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(4, 1, 64))
+    x = rng.normal(size=(4, 64))
     pred, cache = forward_batch(params, x)
     _, dpred = mse_loss(pred, rng.normal(size=pred.shape))
     rmsprop_step(params, backward(params, cache, dpred), {}, 1e-3)

@@ -60,9 +60,6 @@ def ridge_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
     jitter on the diagonal keeps rank-deficient designs solvable; with
     n < d and lam = 0 it picks the minimum-norm least-squares solution.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     Xc, Yc, xm, ym = _center(X, Y)
     n, d = X.shape
     if n < d:
@@ -100,9 +97,6 @@ def lasso_fit(X: np.ndarray, Y: np.ndarray, lam: float) -> LinearMap:
     max|Xc^T r| / max|Xc^T y|. `gap` is the largest over the columns and
     converged is gap <= LASSO_TOL.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    X, Y = np.atleast_2d(np.asarray(X, float)), np.atleast_2d(np.asarray(Y, float))
     n = X.shape[0]
     Xc, Yc, xm, ym = _center(X, Y)
     if lam == 0:

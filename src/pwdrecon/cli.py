@@ -71,7 +71,6 @@ def _cmd_preprocess(args) -> int:
 def _cmd_train(args) -> int:
     config = _seeded(read_json(args.config, ExperimentConfig), args.seed)
     records = load_preprocessed(args.data)
-    os.makedirs(args.out, exist_ok=True)
     report, model = run_experiment(config, records, out_dir=args.out)
     save_model(config, model, os.path.join(args.out, "model.npz"))
     result = {"mean_r": report.mean_r, "rendered_r": report.rendered_r,

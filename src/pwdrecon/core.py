@@ -2,8 +2,9 @@
 
 A stream is a plain float64 array on the TARGET_FS time base: the fECG
 is (n,) and the upper and lower PwD envelopes are the rows of one (2, n)
-array. All types are immutable value objects; invariants are checked at
-construction time, never deferred to first use.
+array. All types are immutable value objects. Each value's invariants
+are established by the function that builds it; a type checks only what
+the codec decodes from outside.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class WindowSet:
     """Aligned fECG and target windows, one row per window.
 
     x has shape (N, L); y has shape (N, C, L) with C in (1, 2); t_start
-    (seconds into the record) and record_id have shape (N,).
+    (seconds into the record) and record_id have shape (N,): segment and
+    build_windows, its only builders, guarantee these shapes.
     """
 
     x: np.ndarray
@@ -77,20 +79,6 @@ class WindowSet:
         rid = np.array(self.record_id, dtype=str)
         rid.flags.writeable = False
         object.__setattr__(self, "record_id", rid)
-        if self.x.ndim != 2:
-            raise ValueError("x must be (windows, length)")
-        if self.y.ndim != 3:
-            raise ValueError("y must be (windows, channels, length)")
-        n, L = self.x.shape
-        if self.y.shape[0] != n or self.y.shape[2] != L:
-            raise ValueError("x and y lengths must match")
-        if self.y.shape[1] not in (1, 2):
-            raise ValueError("y must have 1 or 2 channels")
-        if self.t_start.shape != (n,) or self.record_id.shape != (n,):
-            raise ValueError("t_start and record_id need one entry per window")
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
 
 
 def check_record_id(owner: str, record_id: str) -> None:
@@ -118,10 +106,8 @@ class RecordManifest:
 
     def __post_init__(self):
         check_record_id("RecordManifest", self.record_id)
-        object.__setattr__(self, "channel_paths", tuple(self.channel_paths))
-        idx = tuple(int(i) for i in self.bipolar_channel_indices)
-        object.__setattr__(self, "bipolar_channel_indices", idx)
-        if len(idx) != 3 or len(set(idx)) != 3:
+        idx = self.bipolar_channel_indices
+        if len(set(idx)) != 3:
             raise ValueError("bipolar_channel_indices must be 3 distinct integers")
         if any(i < 0 or i >= len(self.channel_paths) for i in idx):
             raise ValueError("bipolar_channel_indices out of range")
@@ -149,9 +135,6 @@ class PreprocessedRecord:
     def __post_init__(self):
         for name in ("fecg", "env"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        if self.fecg.ndim != 1 or self.env.shape != (2, self.fecg.size):
-            raise ValueError(f"fecg must be (n,) and env (2, n), got "
-                             f"{self.fecg.shape} and {self.env.shape}")
 
 
 def to_json_dict(obj) -> dict:

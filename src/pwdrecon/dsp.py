@@ -35,7 +35,6 @@ def design_bandpass(kind: str) -> np.ndarray:
     """
     from scipy import signal as sps
 
-    kind = kind.lower()
     if kind == "butterworth":
         sos = sps.butter(FILTER_ORDER, BAND_HZ, btype="bandpass",
                          output="sos", fs=TARGET_FS)

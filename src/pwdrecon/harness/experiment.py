@@ -96,15 +96,14 @@ def split(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
     record's windows train, the rest test.
 
     Returns (train_idx, test_idx) row indices into `windows`: records in
-    sorted id order, each record's rows in time order. Every record has
-    at least 2 windows (build_windows drops the others), and each side
-    gets at least one of them.
+    sorted id order, each record's rows in the time order build_windows
+    lays them out in. Every record has at least 2 windows (build_windows
+    drops the others), and each side gets at least one of them.
     """
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for rid in np.unique(windows.record_id):
         rows = np.flatnonzero(windows.record_id == rid)
-        rows = rows[np.argsort(windows.t_start[rows], kind="stable")]
         n_train = min(max(int(round(TRAIN_RATIO * rows.size)), 1),
                       rows.size - 1)
         train_idx.append(rows[:n_train])
@@ -357,11 +356,11 @@ class GridFile:
 
 
 def run_ablation(name: str, records: list[PreprocessedRecord],
-                 base: ExperimentConfig, out_dir: str | None = None):
+                 base: ExperimentConfig, out_dir: str):
     """Run every cell of a named grid; failures become marker cells.
 
-    Returns (rows, cols, cell strings dict); writes `<name>.csv` in the
-    paper's row-by-column layout when out_dir is given.
+    Returns (rows, cols, cell strings dict) and writes `<name>.csv` in
+    out_dir, in the paper's row-by-column layout.
     """
     rows, cols = ([label for label, _ in axis] for axis in GRIDS[name])
     cells: dict[tuple[str, str], str] = {}
@@ -373,11 +372,10 @@ def run_ablation(name: str, records: list[PreprocessedRecord],
             cells[(row, col)] = "-"
         except PwdReconError:
             cells[(row, col)] = "x"
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"{name}.csv"), "w") as fh:
-            fh.write("," + ",".join(cols) + "\n")
-            for row in rows:
-                fh.write(row + "," +
-                         ",".join(cells[(row, c)] for c in cols) + "\n")
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, f"{name}.csv"), "w") as fh:
+        fh.write("," + ",".join(cols) + "\n")
+        for row in rows:
+            fh.write(row + "," +
+                     ",".join(cells[(row, c)] for c in cols) + "\n")
     return rows, cols, cells

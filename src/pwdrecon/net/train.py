@@ -27,14 +27,12 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     that epoch took.
     """
     n = len(x)
-    Y = np.asarray(y, dtype=np.float64)
-
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_val = min(int(round(VAL_FRACTION * n)), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    params = init_params(net_channels, kernel_size, Y.shape[1], seed=seed)
+    params = init_params(net_channels, kernel_size, y.shape[1], seed=seed)
     v: dict[str, np.ndarray] = {}
 
     best = {name: p.copy() for name, p in params.items()}
@@ -46,13 +44,13 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
         for lo in range(0, order.size, batch_size):
             idx = order[lo:lo + batch_size]
             pred, cache = forward_batch(params, x[idx])
-            loss, dpred = mse_loss(pred, Y[idx])
+            loss, dpred = mse_loss(pred, y[idx])
             rmsprop_step(params, backward(params, cache, dpred), v, lr)
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
         held = val_idx if n_val > 0 else train_idx
-        val_loss, _ = mse_loss(predict(params, x[held]), Y[held])
+        val_loss, _ = mse_loss(predict(params, x[held]), y[held])
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss, "steps": n_batches})
         if val_loss < best_val:

@@ -58,7 +58,6 @@ def pca_fit(data: np.ndarray) -> PcaModel:
 
     data: (n_channels, n_samples) rows with n_samples > n_channels >= 1.
     """
-    data = np.asarray(data, dtype=np.float64)
     c, n = data.shape
     if n <= c:
         raise ValueError("need n_samples > n_channels")
@@ -88,7 +87,6 @@ def fastica(data: np.ndarray, n_components: int, seed: int) -> IcaModel:
     requested component count. Non-convergence of a component is reported
     as a warning; the model is returned with converged=False.
     """
-    data = np.asarray(data, dtype=np.float64)
     # whitening is PCA scaled to unit variance per component
     pca = pca_fit(data)
     evals = pca.eigenvalues[:n_components]

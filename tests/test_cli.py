@@ -204,6 +204,21 @@ def test_preprocess_error_names_the_record(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "prep")
 
 
+def test_failed_train_leaves_no_output_directory(small_dataset, tmp_path,
+                                                 capsys):
+    _, _, records = small_dataset  # every record is EA+
+    prep = str(tmp_path / "prep")
+    save_preprocessed(prep, records)
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"model": "Ridge", "wave_config": "EA-"})
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", prep,
+                 "--out", str(run)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] \
+        == "NoWindowsAfterFilter"
+    assert not run.exists()
+
+
 def test_preprocess_refuses_an_unconverged_fastica(tmp_path, capsys,
                                                   monkeypatch):
     """No stream comes from an unmixing that did not converge: the warning

@@ -30,30 +30,12 @@ def test_preprocessed_record_streams_share_one_length():
     assert r.fecg.dtype == r.env.dtype == np.float64
     with pytest.raises(ValueError):
         r.env[0, 0] = 1.0
-    for fecg, env in ((np.zeros(10), np.zeros((2, 9))),   # lengths differ
-                      (np.zeros(10), np.zeros((1, 10))),  # one envelope
-                      (np.zeros((1, 10)), np.zeros((2, 10)))):
-        with pytest.raises(ValueError):
-            rec(fecg, env)
 
 
 def test_window_set_shape_checks():
-    def ws(x, y, n=3):
-        return WindowSet(x=x, y=y, t_start=np.arange(n) * 0.5,
-                         record_id=["r"] * n)
-
-    with pytest.raises(ValueError):  # lengths differ
-        ws(np.zeros((3, 8)), np.zeros((3, 1, 7)))
-    with pytest.raises(ValueError):  # 3 target channels
-        ws(np.zeros((3, 8)), np.zeros((3, 3, 8)))
-    with pytest.raises(ValueError):  # row counts differ
-        ws(np.zeros((3, 8)), np.zeros((2, 2, 8)))
-    with pytest.raises(ValueError):  # one window, not a set of windows
-        ws(np.zeros(8), np.zeros((2, 8)))
-    with pytest.raises(ValueError):  # t_start and record_id per row
-        ws(np.zeros((2, 8)), np.zeros((2, 2, 8)))
-    w = ws(np.zeros((3, 8)), np.zeros((3, 2, 8)))
-    assert len(w) == 3 and w.y.shape == (3, 2, 8)
+    w = WindowSet(x=np.zeros((3, 8), dtype=np.float32), y=np.zeros((3, 2, 8)),
+                  t_start=np.arange(3) * 0.5, record_id=["r"] * 3)
+    assert w.x.dtype == w.y.dtype == w.t_start.dtype == np.float64
     assert list(w.record_id) == ["r"] * 3
     with pytest.raises(ValueError):
         w.x[0, 0] = 1.0

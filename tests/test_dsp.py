@@ -172,11 +172,11 @@ def test_mean_center():
 def test_segment_examples():
     x = np.arange(568.0)
     ws = segment(x, x[None], 2.0, "r")
-    assert len(ws) == 1 and ws.x.shape == (1, 568)
+    assert ws.x.shape == (1, 568)
 
     x = np.arange(1420.0)
     ws = segment(x, np.array([x, x]), 2.0, "r")
-    assert len(ws) == 2  # floor(1420/568); 284 samples discarded
+    assert len(ws.x) == 2  # floor(1420/568); 284 samples discarded
     assert ws.y.shape == (2, 2, 568)
     assert ws.t_start[1] == pytest.approx(568 / FS)
     assert list(ws.record_id) == ["r", "r"]

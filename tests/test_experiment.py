@@ -16,6 +16,7 @@ from pwdrecon.core import (
     WindowSet,
     to_json_dict,
 )
+from pwdrecon.dsp import window_length
 from pwdrecon.errors import (
     NonFinitePrediction,
     NoWindowsAfterFilter,
@@ -99,7 +100,7 @@ def test_build_windows_filters_and_targets(small_dataset):
     _, _, records = small_dataset
     cfg = ExperimentConfig(window_s=2.0)
     ws = build_windows(records, cfg)
-    assert len(ws) and ws.y.shape == (len(ws), 2, 568)
+    assert len(ws.x) and ws.y.shape == (len(ws.x), 2, 568)
     # targets are z-scored per record
     for rid in set(ws.record_id):
         chan = ws.y[ws.record_id == rid, 0].ravel()
@@ -129,8 +130,34 @@ def test_build_windows_skips_record_with_constant_envelopes(mode):
     good = record("good", rng.normal(size=n), rng.normal(size=n))
     ws = build_windows([flat, good],
                        ExperimentConfig(window_s=1.0, output_mode=mode))
-    assert set(ws.record_id) == {"good"} and len(ws) == 4
+    assert set(ws.record_id) == {"good"} and len(ws.x) == 4
     assert ws.y.shape[1] == (1 if mode is OutputMode.PCA_SINGLE else 2)
+
+
+def test_build_windows_lays_out_what_window_set_and_split_rely_on(
+        small_dataset):
+    """WindowSet checks no shape and split sorts no rows: in every grid
+    cell, build_windows gives the shapes WindowSet documents and lays out
+    each record's rows contiguously, in time order."""
+    _, _, records = small_dataset
+    built = 0
+    for name in GRIDS:
+        for _, _, config in grid_cells(name, ExperimentConfig()):
+            try:
+                ws = build_windows(records, config)
+            except NoWindowsAfterFilter:
+                continue
+            n, L = len(ws.x), window_length(config.window_s)
+            assert ws.x.shape == (n, L)
+            assert ws.y.shape == (n, config.out_channels, L)
+            assert ws.t_start.shape == ws.record_id.shape == (n,)
+            starts = np.flatnonzero(ws.record_id[1:] != ws.record_id[:-1])
+            runs = np.split(np.arange(n), starts + 1)
+            assert len(runs) == len(set(ws.record_id))
+            for rows in runs:
+                assert np.all(np.diff(ws.t_start[rows]) > 0)
+            built += 1
+    assert built
 
 
 def test_build_windows_leaves_out_a_one_window_record():
@@ -338,7 +365,8 @@ def _nan_predictions(monkeypatch):
      "predicted samples are NaN or infinite")],
     ids=["unconverged-lasso", "nan-prediction"])
 def test_untrustworthy_fit_gives_no_number(fault, model, error, match,
-                                           small_dataset, monkeypatch):
+                                           small_dataset, monkeypatch,
+                                           tmp_path):
     """No table number from an unconverged baseline or a NaN prediction:
     the experiment raises, and its grid cells become failure markers."""
     _, _, records = small_dataset
@@ -348,7 +376,8 @@ def test_untrustworthy_fit_gives_no_number(fault, model, error, match,
         warnings.simplefilter("ignore", RuntimeWarning)  # lasso's own warning
         with pytest.raises(error, match=match):
             run_experiment(base, records)
-        _, cols, cells = run_ablation("table2", records, base=base)
+        _, cols, cells = run_ablation("table2", records, base=base,
+                                      out_dir=str(tmp_path))
     # all records are EA+: EA- cells have no windows, the rest fail
     assert [cells[("EA+", c)] for c in cols] == ["x"] * 3
     assert [cells[("EA-", c)] for c in cols] == ["-"] * 3
@@ -393,8 +422,10 @@ def test_grid_cells_survive_round_off_perturbation_of_the_input(
                     rows * scale(rows.shape), img, dataclasses.replace(
                         m, record_id=f"{g}-{m.record_id}"), seed=0))
         base = ExperimentConfig(model=ModelKind.RIDGE, **FAST)
+        out = str(tmp_path / "tables")
         return {(name, *key): cell for name in ("table3", "table6")
-                for key, cell in run_ablation(name, records, base)[2].items()}
+                for key, cell in run_ablation(name, records, base,
+                                              out)[2].items()}
 
     plain = cells(lambda shape: 1.0)
     # two sources per record, so consecutive pairs of rates

@@ -220,15 +220,9 @@ def save_model(config: ExperimentConfig, model, path: str) -> None:
     """Write the model `config` fitted (the network's parameters or a
     baseline's LinearMap) as model.npz: `__version__`, `__config__` (the
     config as sorted-key JSON bytes), then the network's parameters or a
-    baseline's arrays. The round trip through load_model is bit-exact."""
+    LinearMap's fields. The round trip through load_model is bit-exact."""
     cfg = json.dumps(to_json_dict(config), sort_keys=True).encode()
-    if config.model is ModelKind.PWDRECNET:
-        arrays = model
-    else:
-        arrays = {"weight": model.weight, "bias": model.bias,
-                  "converged": np.array(model.converged),
-                  "n_iter": np.array(model.n_iter),
-                  "gap": np.array(model.gap)}
+    arrays = model if config.model is ModelKind.PWDRECNET else vars(model)
     np.savez(path, __version__=np.array(MODEL_VERSION),
              __config__=np.frombuffer(cfg, dtype=np.uint8), **arrays)
 
@@ -269,7 +263,5 @@ def load_model(path: str) -> tuple[ExperimentConfig, object]:
                                 f"expected {shape}")
     if config.model is ModelKind.PWDRECNET:
         return config, arrays
-    return config, LinearMap(
-        weight=arrays["weight"], bias=arrays["bias"],
-        converged=bool(arrays["converged"]), n_iter=int(arrays["n_iter"]),
-        gap=float(arrays["gap"]))
+    return config, LinearMap(**{name: a.item() if a.ndim == 0 else a
+                                for name, a in arrays.items()})

@@ -3,8 +3,10 @@
 Three encoder blocks (residual 1-D conv stacks followed by max pooling),
 a mirrored decoder with nearest-neighbor upsampling and skip
 concatenations, and a linear 1x1 head. Everything runs in float64 on one
-padded channel-major batch layout; gradients are hand-derived and
-validated against finite differences.
+padded channel-major batch layout, k//2 zero columns on each side of
+every window; this module alone writes them, so that the convolutions,
+which run over the flat batch, never mix two windows. Gradients are
+hand-derived and validated against finite differences.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def _padded(a: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _conv(params: dict, name: str, x: np.ndarray, pad: int) -> np.ndarray:
+    # the one writer of conv output pads, which the kernel fills across windows
     y = conv1d_forward(x.transpose(1, 0, 2), params[f"{name}.w"],
                        params[f"{name}.b"]).transpose(1, 0, 2)
     y[..., :pad] = y[..., y.shape[-1] - pad:] = 0.0

@@ -1,7 +1,8 @@
 """Differentiable 1-D primitives on batched (N, C, L) float64 arrays.
 
 Each forward has a matching backward computing exact analytic gradients;
-correctness is pinned by finite-difference checks in the test suite.
+correctness is pinned by finite-difference checks in the test suite. The
+convolution knows no windows: it runs over one flat batch of N*L columns.
 """
 
 from __future__ import annotations
@@ -9,48 +10,46 @@ from __future__ import annotations
 import numpy as np
 
 
-def _window_shift(s: int, L: int) -> tuple[slice, slice]:
-    """(dst, src): the columns t and t + s that both lie in a window of L."""
-    return (slice(max(-s, 0), max(min(L, L - s), 0)),
-            slice(max(s, 0), max(min(L, L + s), 0)))
+def _shift(s: int, m: int) -> tuple[slice, slice]:
+    """(dst, src): the columns t and t + s that both lie in m columns."""
+    return (slice(max(-s, 0), max(min(m, m - s), 0)),
+            slice(max(s, 0), max(min(m, m + s), 0)))
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-correlation with zero 'same' padding, each window on its own.
+    """Cross-correlation with zero 'same' padding over the N windows laid
+    end to end, as one flat batch that is zero past its two ends.
 
-    x: (N, Cin, L); w: (Cout, Cin, k) with k odd; b: (Cout,).
-    out[n, o, t] = b[o] + sum_{i,j} w[o,i,j] * x[n, i, t + j - k//2]
-    One GEMM over the batch computes every tap; k shifted adds along the
-    flat batch sum them, each tap zeroed where it would cross a window.
+    x: (N, Cin, L); w: (Cout, Cin, k) with k odd; b: (Cout,). On x and
+    out read as (Cin, N*L) and (Cout, N*L) flat batches:
+    out[o, t] = b[o] + sum_{i,j} w[o,i,j] * x[i, t + j - k//2]
+    One GEMM over the batch computes every tap; k shifted adds sum them.
     """
     n, cin, L = x.shape
     cout, _, k = w.shape
     taps = (w.transpose(2, 0, 1).reshape(k * cout, cin)
-            @ x.transpose(1, 0, 2).reshape(cin, n * L)).reshape(k, cout, n, L)
+            @ x.transpose(1, 0, 2).reshape(cin, n * L)).reshape(k, cout, n * L)
     out = np.repeat(b, n * L).reshape(cout, n * L)
     for j in range(k):
-        keep = _window_shift(j - k // 2, L)[1]
-        taps[j, :, :, :keep.start] = taps[j, :, :, keep.stop:] = 0.0
-        dst, src = _window_shift(j - k // 2, n * L)
-        out[:, dst] += taps[j].reshape(cout, n * L)[:, src]
+        dst, src = _shift(j - k // 2, n * L)
+        out[:, dst] += taps[j, :, src]
     return out.reshape(cout, n, L).transpose(1, 0, 2)
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    """Gradients of conv1d_forward; returns (dx, dw, db).
+    """Gradients of conv1d_forward on the same flat batch: (dx, dw, db).
 
-    One im2col of dout, cols[j, o, n, t] = dout[n, o, t - j + k//2] inside
-    the window, gives dw = cols @ x.T and dx = w.T @ cols: a GEMM each.
+    One im2col of dout, cols[j, o, t] = dout[o, t - j + k//2] (zero past
+    the two ends), gives dw = cols @ x.T and dx = w.T @ cols: a GEMM each.
     """
     n, cin, L = x.shape
     cout, _, k = w.shape
     d = dout.transpose(1, 0, 2).reshape(cout, n * L)
-    cols = np.empty((k, cout, n, L))
+    cols = np.empty((k, cout, n * L))
     for j in range(k):
-        dst, src = _window_shift(k // 2 - j, n * L)
-        cols[j].reshape(cout, n * L)[:, dst] = d[:, src]
-        keep = _window_shift(k // 2 - j, L)[0]
-        cols[j, :, :, :keep.start] = cols[j, :, :, keep.stop:] = 0.0
+        dst, src = _shift(k // 2 - j, n * L)
+        cols[j, :, dst] = d[:, src]
+        cols[j, :, :dst.start] = cols[j, :, dst.stop:] = 0.0
     cols = cols.reshape(k * cout, n * L)
     dw = cols @ x.transpose(1, 0, 2).reshape(cin, n * L).T
     dx = w.transpose(1, 2, 0).reshape(cin, k * cout) @ cols

@@ -308,6 +308,9 @@ def test_model_file_roundtrip_bit_exact(kind, tmp_path):
     for f in dataclasses.fields(LinearMap):
         assert np.array_equal(getattr(loaded, f.name),
                               getattr(model, f.name)), f.name
+    assert type(loaded.converged) is bool
+    assert type(loaded.n_iter) is int
+    assert type(loaded.gap) is float
     if config.model is ModelKind.LASSO:
         assert (loaded.converged, loaded.n_iter) == (False, 2)
         assert loaded.gap == model.gap > 1e-14

@@ -142,12 +142,24 @@ def test_one_training_step_makes_25_traceable_conv_calls(monkeypatch):
     """The benchmark's tracer wraps the model module's conv1d_forward and
     conv1d_backward and reads (N, Cin, L) from args[0] and (Cout, Cin, k)
     from args[1]: one default-net step must make all 25 of each such
-    calls, or the traced conv spans and their GFLOP counts go silent."""
+    calls, or the traced conv spans and their GFLOP counts go silent.
+    The kernels run over the flat batch and trust the model to keep the
+    windows apart: each call's x, and each backward call's dout, is
+    exactly zero on the first and last kernel_size // 2 columns of every
+    window."""
     calls = {"forward": [], "backward": []}
+    net = ExperimentConfig()
+    pad = net.kernel_size // 2
+
+    def zero_pads(a):
+        return (not np.any(a[..., :pad])
+                and not np.any(a[..., a.shape[-1] - pad:]))
 
     def counted(kind, original):
         def wrapper(*args):
-            calls[kind].append((args[0].shape, args[1].shape))
+            calls[kind].append((args[0].shape, args[1].shape,
+                                zero_pads(args[0]),
+                                kind == "forward" or zero_pads(args[2])))
             return original(*args)
         return wrapper
 
@@ -155,7 +167,6 @@ def test_one_training_step_makes_25_traceable_conv_calls(monkeypatch):
                         counted("forward", model.conv1d_forward))
     monkeypatch.setattr(model, "conv1d_backward",
                         counted("backward", model.conv1d_backward))
-    net = ExperimentConfig()
     params = init_params(net.net_channels, net.kernel_size,
                          net.out_channels, seed=0)
     rng = np.random.default_rng(0)
@@ -164,6 +175,8 @@ def test_one_training_step_makes_25_traceable_conv_calls(monkeypatch):
     _, dpred = mse_loss(pred, rng.normal(size=pred.shape))
     rmsprop_step(params, backward(params, cache, dpred), {}, 1e-3)
     assert len(calls["forward"]) == len(calls["backward"]) == 25
-    for x_shape, w_shape in calls["forward"] + calls["backward"]:
+    for x_shape, w_shape, x_pads, dout_pads in (calls["forward"]
+                                                + calls["backward"]):
         assert len(x_shape) == 3 and x_shape[0] == 4
         assert x_shape[1] == w_shape[1]
+        assert x_pads and dout_pads, (x_shape, w_shape)

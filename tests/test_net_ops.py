@@ -17,22 +17,28 @@ from pwdrecon.net.ops import (
 
 
 def naive_conv1d(x, w, b):
-    """Oracle: literal triple loop over the definition."""
+    """Oracle: literal triple loop over the definition, on the windows
+    laid end to end as one flat batch that is zero past its two ends."""
     n, cin, L = x.shape
     cout, _, k = w.shape
     pad = k // 2
-    out = np.zeros((n, cout, L))
-    for bi in range(n):
-        for o in range(cout):
-            for t in range(L):
-                acc = b[o]
-                for i in range(cin):
-                    for j in range(k):
-                        src = t + j - pad
-                        if 0 <= src < L:
-                            acc += w[o, i, j] * x[bi, i, src]
-                out[bi, o, t] = acc
-    return out
+    flat = x.transpose(1, 0, 2).reshape(cin, n * L)
+    out = np.zeros((cout, n * L))
+    for o in range(cout):
+        for t in range(n * L):
+            acc = b[o]
+            for i in range(cin):
+                for j in range(k):
+                    src = t + j - pad
+                    if 0 <= src < n * L:
+                        acc += w[o, i, j] * flat[i, src]
+            out[o, t] = acc
+    return out.reshape(cout, n, L).transpose(1, 0, 2)
+
+
+def window_pads(a, pad):
+    """(N, C, L) windows with `pad` zero columns on each side of each."""
+    return np.pad(a, ((0, 0), (0, 0), (pad, pad)))
 
 
 def per_window_conv1d_forward(x, w, b):
@@ -123,8 +129,10 @@ def test_conv1d_backward_finite_differences():
 def test_conv1d_backward_matches_per_tap_oracle(n, L):
     """The batch-flattened backward against the per-window oracle on every
     kernel shape of the default network (k = 7 convs, k = 1 projections
-    and head). Only the summation order differs, so each gradient stays
-    within 1e-12 of its own scale."""
+    and head), on windows laid out as the network lays them out: k//2
+    zero columns on each side of every window, in x and in dout. Only
+    the summation order differs, so dw, db and dx on each window's L
+    columns stay within 1e-12 of their own scale."""
     net = ExperimentConfig()  # the default network
     shapes = sorted({a.shape for name, a in init_params(
         net.net_channels, net.kernel_size, net.out_channels, 0).items()
@@ -132,10 +140,13 @@ def test_conv1d_backward_matches_per_tap_oracle(n, L):
     assert {k for *_, k in shapes} == {1, 7}
     rng = np.random.default_rng(n * 1000 + L)
     for cout, cin, k in shapes:
+        pad = k // 2
         x = rng.normal(size=(n, cin, L))
         w = rng.normal(size=(cout, cin, k))
         dout = rng.normal(size=(n, cout, L))
-        got = conv1d_backward(x, w, dout)
+        dx, dw, db = conv1d_backward(window_pads(x, pad), w,
+                                     window_pads(dout, pad))
+        got = dx[..., pad:pad + L], dw, db
         for name, g, ref in zip("dx dw db".split(), got,
                                 per_tap_conv1d_backward(x, w, dout)):
             assert g.shape == ref.shape, name

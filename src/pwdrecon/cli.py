@@ -19,7 +19,6 @@ from .harness.experiment import (
     ExperimentConfig,
     GridFile,
     evaluate,
-    experiment_windows,
     preprocess_record,
     run_ablation,
     run_experiment,
@@ -84,8 +83,10 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     config, model = load_model(args.model)
     records = load_preprocessed(args.data)
-    windows, _, test_idx = experiment_windows(config, records)
-    _, report = evaluate(config, model, windows, test_idx)
+    # looked up at call time, where perfbench/layers.py wraps it
+    from .harness.experiment import build_windows
+    _, test = build_windows(records, config)
+    _, report = evaluate(config, model, test)
     print(json.dumps({"mean_r": report.mean_r,
                       "rendered_r": report.rendered_r,
                       "mean_mse": report.mean_mse,

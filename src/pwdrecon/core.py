@@ -64,21 +64,18 @@ class WindowSet:
     """Aligned fECG and target windows, one row per window.
 
     x has shape (N, L); y has shape (N, C, L) with C in (1, 2); t_start
-    (seconds into the record) and record_id have shape (N,): segment and
-    build_windows, its only builders, guarantee these shapes.
+    (seconds into the record) has shape (N,): segment and build_windows,
+    its only builders, guarantee these shapes. build_windows keeps each
+    record's rows together and in time order, records in id order.
     """
 
     x: np.ndarray
     y: np.ndarray
     t_start: np.ndarray
-    record_id: np.ndarray
 
     def __post_init__(self):
         for name in ("x", "y", "t_start"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        rid = np.array(self.record_id, dtype=str)
-        rid.flags.writeable = False
-        object.__setattr__(self, "record_id", rid)
 
 
 def check_record_id(owner: str, record_id: str) -> None:
@@ -106,18 +103,20 @@ class RecordManifest:
 
     def __post_init__(self):
         check_record_id("RecordManifest", self.record_id)
-        idx = self.bipolar_channel_indices
-        if len(set(idx)) != 3:
-            raise ValueError("bipolar_channel_indices must be 3 distinct integers")
-        if any(i < 0 or i >= len(self.channel_paths) for i in idx):
-            raise ValueError("bipolar_channel_indices out of range")
-        if not self.aecg_fs > 0:
-            raise ValueError("aecg_fs must be > 0")
-        if not self.image_columns_per_second > 0:
-            raise ValueError("image_columns_per_second must be > 0")
-        if self.image_baseline_row < 1:  # row 0 has no row above it
-            raise ValueError(f"RecordManifest.image_baseline_row: must be "
-                             f">= 1, got {self.image_baseline_row}")
+        idx, n_ch = self.bipolar_channel_indices, len(self.channel_paths)
+        for name, ok, rule in (
+                ("bipolar_channel_indices", len(set(idx)) == 3,
+                 "3 distinct integers"),
+                ("bipolar_channel_indices", all(0 <= i < n_ch for i in idx),
+                 f"indices into the {n_ch} channel_paths"),
+                ("aecg_fs", 0 < self.aecg_fs < np.inf, "finite and > 0"),
+                ("image_columns_per_second",
+                 0 < self.image_columns_per_second < np.inf, "finite and > 0"),
+                # image row 0 has no row above it
+                ("image_baseline_row", self.image_baseline_row >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"RecordManifest.{name}: must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,7 @@ def window_length(window_s: float) -> int:
     return int(round(window_s * TARGET_FS))
 
 
-def segment(x: np.ndarray, y: np.ndarray, window_s: float,
-            record_id: str) -> WindowSet:
+def segment(x: np.ndarray, y: np.ndarray, window_s: float) -> WindowSet:
     """Cut the (n,) input and the (C, n) target rows into consecutive
     non-overlapping windows.
 
@@ -110,5 +109,4 @@ def segment(x: np.ndarray, y: np.ndarray, window_s: float,
     return WindowSet(
         x=x[:n].reshape(n_win, L),
         y=y[:, :n].reshape(len(y), n_win, L).transpose(1, 0, 2),
-        t_start=np.arange(n_win) * L / TARGET_FS,
-        record_id=np.full(n_win, record_id))
+        t_start=np.arange(n_win) * L / TARGET_FS)

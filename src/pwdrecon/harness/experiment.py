@@ -91,24 +91,10 @@ def preprocess_record(rows: np.ndarray, img: np.ndarray,
                               polarity=polarity)
 
 
-def split(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
-    """Time-ordered split per record: the first TRAIN_RATIO of each
-    record's windows train, the rest test.
-
-    Returns (train_idx, test_idx) row indices into `windows`: records in
-    sorted id order, each record's rows in the time order build_windows
-    lays them out in. Every record has at least 2 windows (build_windows
-    drops the others), and each side gets at least one of them.
-    """
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for rid in np.unique(windows.record_id):
-        rows = np.flatnonzero(windows.record_id == rid)
-        n_train = min(max(int(round(TRAIN_RATIO * rows.size)), 1),
-                      rows.size - 1)
-        train_idx.append(rows[:n_train])
-        test_idx.append(rows[n_train:])
-    return np.concatenate(train_idx), np.concatenate(test_idx)
+def split(n: int) -> int:
+    """How many of a record's n >= 2 windows train: the first TRAIN_RATIO
+    of them, at least one and at most n - 1. The rest test."""
+    return min(max(round(TRAIN_RATIO * n), 1), n - 1)
 
 
 @dataclass(frozen=True)
@@ -167,11 +153,14 @@ def _target_channels(rec: PreprocessedRecord,
 
 
 def build_windows(records: list[PreprocessedRecord],
-                  config: ExperimentConfig) -> WindowSet:
-    """Filter records per config and segment them into one window set."""
+                  config: ExperimentConfig) -> tuple[WindowSet, WindowSet]:
+    """Filter records per config, cut each into windows in time order
+    and split them: returns (train, test). Records go in sorted
+    record_id order, each giving its first split(n) of n >= 2 windows
+    to train and the rest to test; a shorter record is left out."""
     L = window_length(config.window_s)
-    sets: list[WindowSet] = []
-    for rec in records:
+    sides: tuple[list, list] = ([], [])
+    for rec in sorted(records, key=lambda r: r.record_id):
         if config.wave_config is not WaveConfig.GROUP \
                 and rec.wave_config is not config.wave_config:
             continue
@@ -184,20 +173,14 @@ def build_windows(records: list[PreprocessedRecord],
             targets = _target_channels(rec, config)
         except (ZeroVariance, DegenerateInput):
             continue
-        sets.append(segment(rec.fecg, targets, config.window_s,
-                            rec.record_id))
-    if not sets:
+        ws = segment(rec.fecg, targets, config.window_s)
+        k = split(len(ws.x))
+        for side, rows in zip(sides, (slice(k), slice(k, None))):
+            side.append((ws.x[rows], ws.y[rows], ws.t_start[rows]))
+    if not sides[0]:
         raise NoWindowsAfterFilter("no windows left after filtering")
-    return WindowSet(*(np.concatenate([getattr(ws, f) for ws in sets])
-                       for f in ("x", "y", "t_start", "record_id")))
-
-
-def experiment_windows(config: ExperimentConfig,
-                       records: list[PreprocessedRecord]):
-    """The config's window set and its split: (windows, train_idx, test_idx)."""
-    windows = build_windows(records, config)
-    train_idx, test_idx = split(windows)
-    return windows, train_idx, test_idx
+    return tuple(WindowSet(*map(np.concatenate, zip(*side)))
+                 for side in sides)
 
 
 def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
@@ -213,8 +196,7 @@ def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
     return lasso_fit(x, Y, LASSO_LAM), []
 
 
-def evaluate(config: ExperimentConfig, model, windows: WindowSet,
-             test_idx: np.ndarray):
+def evaluate(config: ExperimentConfig, model, test: WindowSet):
     """Predict the test windows with a fitted model and score them.
 
     `model` is the network's parameters or a baseline's LinearMap, as
@@ -222,35 +204,34 @@ def evaluate(config: ExperimentConfig, model, windows: WindowSet,
     NumericalInstability, so no number comes from it. Returns
     (predictions (N, C, L), MetricReport).
     """
-    x = windows.x[test_idx]
     if config.model is ModelKind.PWDRECNET:
-        preds = predict(model, x)
+        preds = predict(model, test.x)
     else:
         if not model.converged:
             raise NumericalInstability(
                 f"{config.model.value} fit did not converge in "
                 f"{model.n_iter} steps: relative duality gap {model.gap:.3g}")
-        preds = linmap_predict(model, x).reshape(len(x), config.out_channels,
-                                                 -1)
-    return preds, window_metrics(preds, windows.y[test_idx])
+        preds = linmap_predict(model, test.x).reshape(
+            len(test.x), config.out_channels, -1)
+    return preds, window_metrics(preds, test.y)
 
 
 def run_experiment(config: ExperimentConfig,
                    records: list[PreprocessedRecord],
                    out_dir: str | None = None):
     """Execute one ablation cell; returns (MetricReport, fitted model)."""
-    windows, train_idx, test_idx = experiment_windows(config, records)
-    model, log = _fit(config, windows.x[train_idx], windows.y[train_idx])
-    preds, report = evaluate(config, model, windows, test_idx)
+    train_set, test_set = build_windows(records, config)
+    model, log = _fit(config, train_set.x, train_set.y)
+    preds, report = evaluate(config, model, test_set)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_report_csv(os.path.join(out_dir, "metrics.csv"), config,
                           report)
         _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
-        for i, (row, pred) in enumerate(zip(test_idx[:3], preds)):
-            x, y = windows.x[row], windows.y[row]
-            t = windows.t_start[row] + np.arange(x.size) / TARGET_FS
+        for i, (x, y, t0, pred) in enumerate(zip(
+                test_set.x[:3], test_set.y, test_set.t_start, preds)):
+            t = t0 + np.arange(x.size) / TARGET_FS
             traces = {"fecg": x}
             for c, nm in enumerate(["true_upper", "true_lower"][:len(y)]):
                 traces[nm] = y[c]

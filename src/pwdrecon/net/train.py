@@ -30,7 +30,7 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_val = min(int(round(VAL_FRACTION * n)), n - 1)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    val_idx, fit_idx = perm[:n_val], perm[n_val:]
 
     params = init_params(net_channels, kernel_size, y.shape[1], seed=seed)
     v: dict[str, np.ndarray] = {}
@@ -39,7 +39,7 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     best_val = np.inf
     log = []
     for epoch in range(epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
+        order = fit_idx[rng.permutation(fit_idx.size)]
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, order.size, batch_size):
             idx = order[lo:lo + batch_size]
@@ -49,7 +49,7 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
-        held = val_idx if n_val > 0 else train_idx
+        held = val_idx if n_val > 0 else fit_idx
         val_loss, _ = mse_loss(predict(params, x[held]), y[held])
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss, "steps": n_batches})

@@ -69,15 +69,14 @@ def otsu_threshold(levels: np.ndarray, counts: np.ndarray) -> int:
     of intensities in [0, 255], `counts[k]` pixels at `levels[k]`.
 
     Ties are broken toward the smallest threshold. A pixel is foreground
-    when intensity >= threshold.
+    when intensity >= threshold. normalize_intensity's levels put the
+    image's lowest value at 0 and its highest at 255, so at least two
+    bins hold pixels.
     """
     # truncation is the integer-edged binning; each level weighs its
     # pixel count, so an absent one weighs nothing
     hist = np.zeros(256, dtype=np.intp)
     np.add.at(hist, levels.astype(np.intp), counts)
-    if np.count_nonzero(hist) < 2:
-        raise ConstantImage("need at least 2 distinct intensity values")
-
     nb = np.cumsum(hist)[:-1]  # background = levels < t, for t = 1..255
     nf = hist.sum() - nb
     sum_bg = np.cumsum(hist * np.arange(256))

@@ -331,6 +331,33 @@ def test_preprocess_refuses_a_baseline_row_above_the_image_on_loading(
     assert not os.path.exists(tmp_path / "prep")
 
 
+@pytest.mark.parametrize("field, value, rule, got", [
+    ("aecg_fs", float("inf"), "finite and > 0", "inf"),
+    ("aecg_fs", 0, "finite and > 0", "0.0"),
+    ("image_columns_per_second", float("inf"), "finite and > 0", "inf"),
+    ("image_columns_per_second", float("nan"), "finite and > 0", "nan"),
+    ("bipolar_channel_indices", [0, 0, 1], "3 distinct integers",
+     "(0, 0, 1)"),
+    ("bipolar_channel_indices", [0, 1, 3], "indices into the 3 "
+     "channel_paths", "(0, 1, 3)"),
+    ("image_baseline_row", 0, ">= 1", "0"),
+], ids=["fs-inf", "fs-zero", "columns-inf", "columns-nan", "indices-repeated",
+        "indices-range", "baseline-row"])
+def test_preprocess_refuses_a_manifest_value_out_of_range(
+        field, value, rule, got, small_dataset, tmp_path, capsys):
+    """JSON's Infinity and NaN load as floats; each field's rule refuses
+    its value before any record is read."""
+    entries = _manifest_entries(small_dataset)
+    entries[1][field] = value
+    manifest = _write_json(tmp_path / "records.json", entries)
+    assert main(["preprocess", "--manifest", manifest,
+                 "--out", str(tmp_path / "prep")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{manifest}: "
+                   f"RecordManifest.{field}: must be {rule}, got {got}"}
+    assert sorted(os.listdir(tmp_path)) == ["records.json"]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     # missing manifest -> PwdReconError -> exit 2 with JSON on stderr
     rc = main(["preprocess", "--manifest", str(tmp_path / "nope.json"),

@@ -34,9 +34,8 @@ def test_preprocessed_record_streams_share_one_length():
 
 def test_window_set_shape_checks():
     w = WindowSet(x=np.zeros((3, 8), dtype=np.float32), y=np.zeros((3, 2, 8)),
-                  t_start=np.arange(3) * 0.5, record_id=["r"] * 3)
+                  t_start=np.arange(3) * 0.5)
     assert w.x.dtype == w.y.dtype == w.t_start.dtype == np.float64
-    assert list(w.record_id) == ["r"] * 3
     with pytest.raises(ValueError):
         w.x[0, 0] = 1.0
 

@@ -171,24 +171,23 @@ def test_mean_center():
 
 def test_segment_examples():
     x = np.arange(568.0)
-    ws = segment(x, x[None], 2.0, "r")
+    ws = segment(x, x[None], 2.0)
     assert ws.x.shape == (1, 568)
 
     x = np.arange(1420.0)
-    ws = segment(x, np.array([x, x]), 2.0, "r")
+    ws = segment(x, np.array([x, x]), 2.0)
     assert len(ws.x) == 2  # floor(1420/568); 284 samples discarded
     assert ws.y.shape == (2, 2, 568)
     assert ws.t_start[1] == pytest.approx(568 / FS)
-    assert list(ws.record_id) == ["r", "r"]
 
     with pytest.raises(SignalShorterThanWindow):
-        segment(np.zeros(100), np.zeros((1, 100)), 2.0, "r")
+        segment(np.zeros(100), np.zeros((1, 100)), 2.0)
 
 
 def test_segment_concatenation_reproduces_prefix():
     rng = np.random.default_rng(1)
     x = rng.normal(size=700)
-    ws = segment(x, x[None], 0.5, "r")
+    ws = segment(x, x[None], 0.5)
     cat = np.concatenate(list(ws.x))
     assert np.array_equal(cat, x[:cat.size])
     assert np.array_equal(np.concatenate(list(ws.y[:, 0])), cat)

@@ -13,7 +13,6 @@ from pwdrecon.core import (
     OutputMode,
     Polarity,
     WaveConfig,
-    WindowSet,
     to_json_dict,
 )
 from pwdrecon.dsp import window_length
@@ -30,7 +29,6 @@ from pwdrecon.harness.experiment import (
     GridFile,
     PreprocessedRecord,
     build_windows,
-    experiment_windows,
     grid_cells,
     preprocess_record,
     run_ablation,
@@ -49,30 +47,48 @@ from pwdrecon.separation import FETAL_RATE_HZ, MIN_BEAT_STRENGTH
 FAST = dict(epochs=2, net_channels=(2, 4, 8), kernel_size=3)
 
 
-def _windows(n_per_record, records=("a", "b"), L=8):
-    rng = np.random.default_rng(0)
-    n = n_per_record * len(records)
-    return WindowSet(x=rng.normal(size=(n, L)), y=rng.normal(size=(n, 2, L)),
-                     t_start=np.tile(np.arange(n_per_record, dtype=float),
-                                     len(records)),
-                     record_id=np.repeat(records, n_per_record))
+def _record(rid, seconds, seed=0):
+    """An EA+, positive-polarity record of random streams."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * TARGET_FS)
+    fecg, up, lo = (rng.normal(size=n) for _ in range(3))
+    return PreprocessedRecord(rid, fecg, np.array([up, lo]),
+                              WaveConfig.EA_PLUS, Polarity.POSITIVE)
+
+
+def _arrays(sets):
+    """Every array of a (train, test) pair, for a bit-for-bit comparison."""
+    return [(getattr(ws, f).shape, getattr(ws, f).tobytes())
+            for ws in sets for f in ("x", "y", "t_start")]
 
 
 def test_split_time_based_is_per_record_prefix():
-    ws = _windows(5)
-    train, test = split(ws)
-    assert len(train) == 8 and len(test) == 2
-    for rid in ("a", "b"):
-        tr = ws.t_start[train][ws.record_id[train] == rid]
-        te = ws.t_start[test][ws.record_id[test] == rid]
-        assert max(tr) < min(te)  # later windows go to test
+    """Each record gives its first split(n) windows to train and the rest
+    to test, records in sorted id order."""
+    seconds = {"c": 5.5, "a": 2.0, "d": 10.0, "b": 3.2}
+    records = [_record(rid, s, seed=i)
+               for i, (rid, s) in enumerate(seconds.items())]
+    train, test = build_windows(records, ExperimentConfig(window_s=1.0))
+    L = window_length(1.0)
+    at = [0, 0]
+    for rec in sorted(records, key=lambda r: r.record_id):
+        n = rec.fecg.size // L
+        k = split(n)
+        for side, ws, rows in ((0, train, range(k)), (1, test, range(k, n))):
+            got = slice(at[side], at[side] + len(rows))
+            assert np.array_equal(ws.t_start[got],
+                                  np.array(rows) * L / TARGET_FS)
+            assert np.array_equal(ws.x[got], rec.fecg[
+                rows.start * L:rows.stop * L].reshape(-1, L))
+            at[side] += len(rows)
+    assert at == [len(train.x), len(test.x)] == [1 + 2 + 4 + 8, 1 + 1 + 1 + 2]
 
 
 def test_split_extremes_keep_both_sides_nonempty():
-    ws = _windows(2)  # round(0.8 * 2) = 2 train windows, clamped to 1
-    train, test = split(ws)
-    assert all(np.sum(ws.record_id[s] == r) == 1
-               for r in ("a", "b") for s in (train, test))
+    assert [split(n) for n in (2, 3, 4, 5, 10)] == [1, 2, 3, 4, 8]
+    for n in range(2, 500):
+        assert 1 <= split(n) <= n - 1
+        assert split(n) == min(round(0.8 * n), n - 1)
 
 
 def test_config_validation_and_out_channels():
@@ -99,16 +115,18 @@ def test_config_rejects_out_of_range_field(field, value):
 def test_build_windows_filters_and_targets(small_dataset):
     _, _, records = small_dataset
     cfg = ExperimentConfig(window_s=2.0)
-    ws = build_windows(records, cfg)
-    assert len(ws.x) and ws.y.shape == (len(ws.x), 2, 568)
+    train, test = build_windows(records, cfg)
+    assert len(train.x) and len(test.x)
+    assert train.y.shape[1:] == test.y.shape[1:] == (2, 568)
     # targets are z-scored per record
-    for rid in set(ws.record_id):
-        chan = ws.y[ws.record_id == rid, 0].ravel()
+    for rec in records:
+        chan = np.concatenate([ws.y[:, 0].ravel()
+                               for ws in build_windows([rec], cfg)])
         assert abs(chan.mean()) < 0.2 and 0.5 < chan.std() < 1.5
 
     upper_only = build_windows(records, ExperimentConfig(
         window_s=2.0, envelope_selection=EnvelopeSelection.UPPER))
-    assert upper_only.y.shape[1:] == (1, 568)
+    assert all(ws.y.shape[1:] == (1, 568) for ws in upper_only)
 
     # all records here are EA+; filtering on EA- leaves nothing
     with pytest.raises(NoWindowsAfterFilter):
@@ -128,53 +146,75 @@ def test_build_windows_skips_record_with_constant_envelopes(mode):
 
     flat = record("flat", np.zeros(n), np.zeros(n))
     good = record("good", rng.normal(size=n), rng.normal(size=n))
-    ws = build_windows([flat, good],
-                       ExperimentConfig(window_s=1.0, output_mode=mode))
-    assert set(ws.record_id) == {"good"} and len(ws.x) == 4
-    assert ws.y.shape[1] == (1 if mode is OutputMode.PCA_SINGLE else 2)
+    cfg = ExperimentConfig(window_s=1.0, output_mode=mode)
+    train, test = build_windows([flat, good], cfg)
+    assert _arrays((train, test)) == _arrays(build_windows([good], cfg))
+    assert (len(train.x), len(test.x)) == (3, 1)
+    assert train.y.shape[1] == (1 if mode is OutputMode.PCA_SINGLE else 2)
+
+
+def _grid_windows(records):
+    """Yield (config, (train, test)) for every grid cell with windows."""
+    for name in GRIDS:
+        for _, _, config in grid_cells(name, ExperimentConfig()):
+            try:
+                yield config, build_windows(records, config)
+            except NoWindowsAfterFilter:
+                continue
 
 
 def test_build_windows_lays_out_what_window_set_and_split_rely_on(
         small_dataset):
-    """WindowSet checks no shape and split sorts no rows: in every grid
-    cell, build_windows gives the shapes WindowSet documents and lays out
-    each record's rows contiguously, in time order."""
+    """WindowSet checks no shape: in every grid cell, build_windows gives
+    the shapes WindowSet documents, and lays out each side as the records'
+    own sides one after another, in sorted id order, each record's
+    windows in time order."""
     _, _, records = small_dataset
     built = 0
-    for name in GRIDS:
-        for _, _, config in grid_cells(name, ExperimentConfig()):
+    for config, sets in _grid_windows(records):
+        L = window_length(config.window_s)
+        for ws in sets:
+            n = len(ws.x)
+            assert n and ws.x.shape == (n, L)
+            assert ws.y.shape == (n, config.out_channels, L)
+            assert ws.t_start.shape == (n,)
+        want = ([], [])
+        for rec in sorted(records, key=lambda r: r.record_id):
             try:
-                ws = build_windows(records, config)
+                own = build_windows([rec], config)
             except NoWindowsAfterFilter:
                 continue
-            n, L = len(ws.x), window_length(config.window_s)
-            assert ws.x.shape == (n, L)
-            assert ws.y.shape == (n, config.out_channels, L)
-            assert ws.t_start.shape == ws.record_id.shape == (n,)
-            starts = np.flatnonzero(ws.record_id[1:] != ws.record_id[:-1])
-            runs = np.split(np.arange(n), starts + 1)
-            assert len(runs) == len(set(ws.record_id))
-            for rows in runs:
-                assert np.all(np.diff(ws.t_start[rows]) > 0)
-            built += 1
+            t = np.concatenate([ws.t_start for ws in own])
+            assert np.all(np.diff(t) > 0)
+            for side, ws in zip(want, own):
+                side.append(ws)
+        for ws, side in zip(sets, want):
+            for f in ("x", "y", "t_start"):
+                assert np.array_equal(getattr(ws, f), np.concatenate(
+                    [getattr(part, f) for part in side]))
+        built += 1
     assert built
+
+
+def test_build_windows_ignores_the_order_records_come_in(small_dataset):
+    _, _, records = small_dataset
+    forward = list(_grid_windows(records))
+    backward = list(_grid_windows(records[::-1]))
+    assert [c for c, _ in forward] == [c for c, _ in backward]
+    for (_, sets), (_, reversed_sets) in zip(forward, backward):
+        assert _arrays(sets) == _arrays(reversed_sets)
+    assert forward
 
 
 def test_build_windows_leaves_out_a_one_window_record():
     """split needs 2 windows a record; a record with 1 never reaches it."""
-    rng = np.random.default_rng(4)
-
-    def record(rid, seconds):
-        n = int(seconds * TARGET_FS)
-        fecg, up, lo = (rng.normal(size=n) for _ in range(3))
-        return PreprocessedRecord(rid, fecg, np.array([up, lo]),
-                                  WaveConfig.EA_PLUS, Polarity.POSITIVE)
-
     cfg = ExperimentConfig(window_s=1.0)
-    ws = build_windows([record("one", 1.5), record("two", 2.0)], cfg)
-    assert list(ws.record_id) == ["two", "two"]
+    one, two = _record("one", 1.5, seed=4), _record("two", 2.0, seed=5)
+    train, test = build_windows([one, two], cfg)
+    assert len(train.x) == len(test.x) == 1
+    assert _arrays((train, test)) == _arrays(build_windows([two], cfg))
     with pytest.raises(NoWindowsAfterFilter):
-        build_windows([record("one", 1.5)], cfg)
+        build_windows([one], cfg)
 
 
 def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):
@@ -182,8 +222,8 @@ def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):
     out = str(tmp_path / "run")
     cfg = ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE, **FAST)
     report, model = run_experiment(cfg, records, out_dir=out)
-    _, _, test_idx = experiment_windows(cfg, records)
-    assert report.n_windows == len(test_idx)
+    _, test = build_windows(records, cfg)
+    assert report.n_windows == len(test.x)
     assert model.weight.shape == (2 * 284, 284)
     assert -1.0 <= report.mean_r <= 1.0
     assert os.path.exists(os.path.join(out, "metrics.csv"))

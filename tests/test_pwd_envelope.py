@@ -105,8 +105,6 @@ def test_otsu_two_level_image():
     assert 1 <= t <= 200
     fg = px >= t
     assert fg.sum() == 30  # exactly the bright block
-    with pytest.raises(ConstantImage):
-        otsu_of(np.full((4, 4), 128.0))
 
 
 def test_otsu_bins_integer_edges_like_histogram():

@@ -1,7 +1,18 @@
 """Command-line entry point.
 
-Subcommands: synth, preprocess, train, evaluate, ablate. Errors exit
-nonzero with a machine-readable JSON object on stderr.
+Subcommands: synth, preprocess, train, evaluate, ablate. A refused run
+writes one JSON object, {"error": <type>, "message": <text>}, on stderr
+and exits nonzero:
+
+- 1: an input the run cannot read. A file that cannot be opened is the
+  OSError of opening it; a file, option or field that is malformed or
+  out of range is a ValueError. Each names the file or the field.
+- 2: data the pipeline cannot process, a PwdReconError such as
+  NumericalInstability or NoFetalComponent.
+
+`preprocess` puts the record id in front of any of these that one
+record raises. Any other exception is a fault of the program and ends
+with its traceback.
 """
 
 from __future__ import annotations
@@ -154,7 +165,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PwdReconError, OSError, ValueError, KeyError) as exc:
+    except (PwdReconError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2 if isinstance(exc, PwdReconError) else 1

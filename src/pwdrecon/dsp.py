@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .core import TARGET_FS, WindowSet
-from .errors import SignalShorterThanWindow, SignalTooShort, ZeroVariance
+from .errors import SignalTooShort, ZeroVariance
 
 WINDOW_SECONDS = (0.25, 0.5, 0.75, 1.0, 2.0)
 BAND_HZ = (0.1, 50.0)  # passband of both streams' filters
@@ -102,9 +102,6 @@ def segment(x: np.ndarray, y: np.ndarray, window_s: float) -> WindowSet:
     """
     L = window_length(window_s)
     n_win = x.size // L
-    if n_win == 0:
-        raise SignalShorterThanWindow(
-            f"record of {x.size} samples shorter than window of {L}")
     n = n_win * L
     return WindowSet(
         x=x[:n].reshape(n_win, L),

@@ -20,10 +20,6 @@ class ZeroVariance(PwdReconError):
     """Operation requires a non-constant signal."""
 
 
-class SignalShorterThanWindow(PwdReconError):
-    """Record shorter than one window length."""
-
-
 # --- separation ---
 
 class DegenerateInput(PwdReconError):
@@ -44,27 +40,7 @@ class ConstantImage(PwdReconError):
     """Image has a single intensity value; thresholding undefined."""
 
 
-# --- model files ---
-
-class ShapeMismatch(PwdReconError):
-    """A model file lacks an array its config implies, or holds one of
-    another shape."""
-
-
 # --- harness / eval ---
-
-class FileMissing(PwdReconError):
-    """An input path does not exist or is not a file."""
-
-
-class SizeMismatch(PwdReconError):
-    """File size inconsistent with the manifest."""
-
-
-class BadMagic(PwdReconError):
-    """Not a binary 8-bit P5 PGM, a malformed PGM header, or an image
-    smaller than 2x2."""
-
 
 class NoWindowsAfterFilter(PwdReconError):
     """Config filters excluded every window; cell reported as empty."""

@@ -20,7 +20,6 @@ from ..core import ModelKind, Polarity, PreprocessedRecord, RecordManifest
 from ..core import TARGET_FS, WaveConfig, check_record_id, from_json_dict
 from ..core import read_json, to_json_dict, write_json
 from ..dsp import window_length
-from ..errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from ..net.model import init_params
 from .experiment import ExperimentConfig
 
@@ -30,14 +29,12 @@ def write_raw_f32(path: str, samples: np.ndarray) -> None:
     np.asarray(samples, dtype="<f4").tofile(path)
 
 
-def _f32_count(path: str) -> int:
-    """The number of float32 values in a raw file, refused when missing
-    (or not a file), empty or not a whole number of them."""
-    if not os.path.isfile(path):
-        raise FileMissing(path)
-    size = os.path.getsize(path)
+def _f32_count(fh) -> int:
+    """The number of float32 values in the open raw file `fh`, refused when
+    it is empty or not a whole number of them."""
+    size = os.fstat(fh.fileno()).st_size
     if size == 0 or size % 4 != 0:
-        raise SizeMismatch(f"{path}: {size} bytes is not a float32 multiple")
+        raise ValueError(f"{fh.name}: {size} bytes is not a float32 multiple")
     return size // 4
 
 
@@ -53,14 +50,14 @@ def _finite(path: str, samples: np.ndarray) -> np.ndarray:
 def read_raw_f32(path: str) -> np.ndarray:
     """Read a raw little-endian float32 file; returns float64 values,
     refused when any is NaN or infinite."""
-    _f32_count(path)
-    return _finite(path, np.fromfile(path, dtype="<f4").astype(np.float64))
+    with open(path, "rb") as fh:
+        _f32_count(fh)
+        samples = np.fromfile(fh, dtype="<f4").astype(np.float64)
+    return _finite(path, samples)
 
 
 def write_pgm(path: str, px: np.ndarray) -> None:
     """Write a (height, width) uint8 image as a binary (P5) 8-bit PGM."""
-    if px.dtype != np.uint8:
-        raise ValueError(f"{path}: a PGM image must be uint8, got {px.dtype}")
     height, width = px.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode())
@@ -77,26 +74,24 @@ _PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM, bit-exact: its bytes are the pixels,
     a read-only (height, width) uint8 view of the file's contents."""
-    if not os.path.isfile(path):
-        raise FileMissing(path)
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] != b"P5":
-        raise BadMagic(f"{path}: only binary P5 PGM supported")
+        raise ValueError(f"{path}: only binary P5 PGM supported")
     header = _PGM_HEADER.match(blob)
     if header is None:
-        raise BadMagic(f"{path}: malformed PGM header: expected P5, then "
-                       "width, height and maxval as unsigned integers")
+        raise ValueError(f"{path}: malformed PGM header: expected P5, then "
+                         "width, height and maxval as unsigned integers")
     width, height, maxval = (int(t) for t in header.groups())
     if maxval != 255:
-        raise BadMagic(f"{path}: only maxval 255 supported")
+        raise ValueError(f"{path}: only maxval 255 supported")
     pos = header.end()
     pixels = memoryview(blob)[pos:pos + width * height]  # no copy
     if len(pixels) != width * height:
-        raise SizeMismatch(f"{path}: expected {width * height} pixel bytes, "
-                           f"got {len(pixels)}")
+        raise ValueError(f"{path}: expected {width * height} pixel bytes, "
+                         f"got {len(pixels)}")
     if height < 2 or width < 2:
-        raise BadMagic(f"{path}: image must be at least 2x2")
+        raise ValueError(f"{path}: image must be at least 2x2")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
 
@@ -113,8 +108,6 @@ def _unique_ids(path: str, entries: tuple) -> list:
 
 
 def load_manifests(path: str) -> list[RecordManifest]:
-    if not os.path.isfile(path):
-        raise FileMissing(path)
     return _unique_ids(path, read_json(path, tuple[RecordManifest, ...]))
 
 
@@ -123,24 +116,26 @@ def load_record(manifest: RecordManifest,
     """The manifest's three bipolar channels, in bipolar_channel_indices
     order, as (3, n_samples) float64 rows, and its PwD image as read_pgm
     returns it. Each channel is read into its row, with no other float64
-    copy, and refused when a sample is NaN or infinite."""
-    paths, sizes = [], []
+    copy, and refused when a sample is NaN or infinite or when its length
+    differs from the manifest's n_samples or from the first channel's."""
+    paths = [os.path.join(base_dir, manifest.channel_paths[i])
+             for i in manifest.bipolar_channel_indices]
     expected = manifest.aux.get("n_samples")
-    for i in manifest.bipolar_channel_indices:
-        rel = manifest.channel_paths[i]
-        paths.append(os.path.join(base_dir, rel))
-        sizes.append(_f32_count(paths[-1]))
-        if expected is not None and sizes[-1] != expected:
-            raise SizeMismatch(
-                f"{rel}: {sizes[-1]} samples, manifest says {expected}")
-    if len(set(sizes)) != 1:
-        raise SizeMismatch("channel files disagree on length")
-    img = read_pgm(os.path.join(base_dir, manifest.image_path))
-    rows = np.empty((len(paths), sizes[0]))
-    for row, path in zip(rows, paths):
-        row[:] = np.fromfile(path, dtype="<f4")
-        _finite(path, row)
-    return rows, img
+    rows = None
+    for k, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            n = _f32_count(fh)
+            if expected is not None and n != expected:
+                raise ValueError(
+                    f"{path}: {n} samples, manifest says {expected}")
+            if rows is None:
+                rows = np.empty((len(paths), n))
+            elif n != rows.shape[1]:
+                raise ValueError(f"{path}: {n} samples, {paths[0]} has "
+                                 f"{rows.shape[1]}")
+            rows[k] = np.fromfile(fh, dtype="<f4")
+        _finite(path, rows[k])
+    return rows, read_pgm(os.path.join(base_dir, manifest.image_path))
 
 
 @dataclass(frozen=True)
@@ -180,8 +175,6 @@ def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
 def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
     """Inverse of save_preprocessed."""
     path = os.path.join(data_dir, "preprocessed.json")
-    if not os.path.isfile(path):
-        raise FileMissing(path)
     records = []
     for e in _unique_ids(path, read_json(
             path, tuple[PreprocessedIndexEntry, ...])):
@@ -191,8 +184,8 @@ def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
             stream = os.path.join(data_dir, f"{rid}.{name}.f32")
             samples = read_raw_f32(stream)
             if samples.size != n:
-                raise SizeMismatch(f"{rid}: {name} stream {stream} has "
-                                   f"{samples.size} samples, expected {n}")
+                raise ValueError(f"{stream}: {samples.size} samples, {path} "
+                                 f"says {n}")
             streams.append(samples)
         records.append(PreprocessedRecord(
             record_id=rid, fecg=streams[0], env=np.array(streams[1:]),
@@ -231,36 +224,36 @@ def load_model(path: str) -> tuple[ExperimentConfig, object]:
     """Read what save_model wrote: (the config, the network's parameters
     or a baseline's LinearMap).
 
-    Checks, in this order, each fault naming `path`: it is a file
-    (FileMissing); it is an .npz archive whose members' bytes match
-    their CRC-32, its version is MODEL_VERSION and its `__config__`
-    decodes to an ExperimentConfig (ValueError); every array that config
-    implies is present with its shape (ShapeMismatch).
+    Checks, in this order: the file opens (the OSError of opening it); it
+    is an .npz archive whose members' bytes match their CRC-32, its
+    version is MODEL_VERSION, its `__config__` decodes to an
+    ExperimentConfig, and every array that config implies is present
+    with its shape (a ValueError naming `path`).
     """
-    if not os.path.isfile(path):
-        raise FileMissing(path)
-    if not zipfile.is_zipfile(path):
-        raise ValueError(f"{path}: not an .npz archive")
-    try:
-        with np.load(path) as z:
-            version = (z["__version__"].tolist() if "__version__" in z
-                       else "missing")
-            if version != MODEL_VERSION:
-                raise ValueError(f"model file version {version}, "
-                                 f"expected {MODEL_VERSION}")
-            if "__config__" not in z:
-                raise ValueError("no __config__ array")
-            config = from_json_dict(ExperimentConfig,
-                                    json.loads(z["__config__"].tobytes()))
-            shapes = _model_shapes(config)
-            arrays = {name: z[name] for name in shapes if name in z}
-    except (zipfile.BadZipFile, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for name, shape in shapes.items():
-        found = arrays[name].shape if name in arrays else "missing"
-        if found != shape:
-            raise ShapeMismatch(f"{path}: array {name} is {found}, "
-                                f"expected {shape}")
+    with open(path, "rb") as fh:
+        try:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not an .npz archive")
+            fh.seek(0)  # is_zipfile leaves the file near its end
+            with np.load(fh) as z:
+                version = (z["__version__"].tolist() if "__version__" in z
+                           else "missing")
+                if version != MODEL_VERSION:
+                    raise ValueError(f"model file version {version}, "
+                                     f"expected {MODEL_VERSION}")
+                if "__config__" not in z:
+                    raise ValueError("no __config__ array")
+                config = from_json_dict(ExperimentConfig,
+                                        json.loads(z["__config__"].tobytes()))
+                shapes = _model_shapes(config)
+                arrays = {name: z[name] for name in shapes if name in z}
+            for name, shape in shapes.items():
+                found = arrays[name].shape if name in arrays else "missing"
+                if found != shape:
+                    raise ValueError(f"array {name} is {found}, "
+                                     f"expected {shape}")
+        except (zipfile.BadZipFile, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if config.model is ModelKind.PWDRECNET:
         return config, arrays
     return config, LinearMap(**{name: a.item() if a.ndim == 0 else a

@@ -273,7 +273,22 @@ def _nan_sample(path, monkeypatch):
 def _directory(path, monkeypatch):
     os.remove(path)
     os.mkdir(path)
-    return path
+    return f"[Errno 21] Is a directory: {path!r}"
+
+
+def _truncated_without_n_samples(path, monkeypatch):
+    """The channel loses its last sample, and the manifest its aux, so
+    only the other channels' length is left to refuse it by."""
+    samples = io.read_raw_f32(path)
+    io.write_raw_f32(path, samples[:-1])
+    manifest = os.path.join(os.path.dirname(path), "records.json")
+    with open(manifest) as fh:
+        entries = json.load(fh)
+    for entry in entries:
+        entry["aux"] = {}
+    _write_json(manifest, entries)
+    first = os.path.join(os.path.dirname(path), "rec000.ch0.f32")
+    return f"{path}: {samples.size - 1} samples, {first} has {samples.size}"
 
 
 def _unreadable(path, monkeypatch):
@@ -283,15 +298,16 @@ def _unreadable(path, monkeypatch):
     return f"[Errno 13] Permission denied: {path!r}"
 
 
-@pytest.mark.parametrize("name, edit, code, error", [
-    ("rec000.ch0.f32", _nan_sample, 1, "ValueError"),
-    ("rec000.ch1.f32", _directory, 2, "FileMissing"),
-    ("rec000.pwd.pgm", _directory, 2, "FileMissing"),
-    ("rec000.pwd.pgm", _unreadable, 1, "PermissionError"),
+@pytest.mark.parametrize("name, edit, error", [
+    ("rec000.ch0.f32", _nan_sample, "ValueError"),
+    ("rec000.ch1.f32", _directory, "IsADirectoryError"),
+    ("rec000.pwd.pgm", _directory, "IsADirectoryError"),
+    ("rec000.pwd.pgm", _unreadable, "PermissionError"),
+    ("rec000.ch1.f32", _truncated_without_n_samples, "ValueError"),
 ], ids=["non-finite-channel", "channel-directory", "image-directory",
-        "unreadable-image"])
+        "unreadable-image", "channel-length"])
 def test_preprocess_names_the_record_and_file_it_refuses(
-        name, edit, code, error, tmp_path, capsys, monkeypatch):
+        name, edit, error, tmp_path, capsys, monkeypatch):
     spec = _write_json(tmp_path / "spec.json",
                        {"n_records": 2, "duration_s": 4.0, "seed": 1})
     ds = tmp_path / "ds"
@@ -300,7 +316,7 @@ def test_preprocess_names_the_record_and_file_it_refuses(
     fault = edit(str(ds / name), monkeypatch)
     rc = main(["preprocess", "--manifest", str(ds / "records.json"),
                "--out", str(tmp_path / "prep"), "--seed", "0"])
-    assert rc == code
+    assert rc == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": error, "message": f"rec000: {fault}"}
     assert not os.path.exists(tmp_path / "prep")
@@ -359,12 +375,13 @@ def test_preprocess_refuses_a_manifest_value_out_of_range(
 
 
 def test_cli_error_paths(tmp_path, capsys):
-    # missing manifest -> PwdReconError -> exit 2 with JSON on stderr
+    # missing manifest -> the OSError of opening it -> exit 1 with JSON on
+    # stderr
     rc = main(["preprocess", "--manifest", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "p")])
-    assert rc == 2
+    assert rc == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "FileMissing"
+    assert err["error"] == "FileNotFoundError"
 
     # malformed spec file -> exit 1
     bad = tmp_path / "bad.json"
@@ -373,6 +390,19 @@ def test_cli_error_paths(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+def test_cli_program_fault_ends_with_its_traceback(tmp_path, capsys,
+                                                    monkeypatch):
+    """No reader of outside input raises a KeyError, so one is a fault of
+    the program: main lets it propagate and writes no JSON error line."""
+    def fault(spec, out):
+        raise KeyError("enc0.conv0.w")
+    monkeypatch.setattr("pwdrecon.cli.generate_synthetic", fault)
+    spec = _write_json(tmp_path / "spec.json", {"n_records": 1})
+    with pytest.raises(KeyError, match="enc0.conv0.w"):
+        main(["synth", "--spec", spec, "--out", str(tmp_path / "ds")])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, body, field", [
@@ -511,28 +541,30 @@ def test_cli_bad_json_file_is_a_value_error_naming_it(command, flag, name,
     assert err["message"].startswith(f"{bad}: ")
 
 
-@pytest.mark.parametrize("command, flag, directory, code, error", [
-    ("preprocess", "manifest", None, 2, "FileMissing"),
-    ("evaluate", "data", None, 2, "FileMissing"),
-    ("evaluate", "model", None, 2, "FileMissing"),
-    ("synth", "spec", None, 1, "FileNotFoundError"),
-    ("train", "config", None, 1, "FileNotFoundError"),
-    ("ablate", "grid", None, 1, "FileNotFoundError"),
-    ("preprocess", "manifest", ".", 2, "FileMissing"),
-    ("evaluate", "data", "preprocessed.json", 2, "FileMissing"),
-    ("evaluate", "model", ".", 2, "FileMissing"),
+@pytest.mark.parametrize("command, flag, directory", [
+    ("preprocess", "manifest", None),
+    ("evaluate", "data", None),
+    ("evaluate", "model", None),
+    ("synth", "spec", None),
+    ("train", "config", None),
+    ("ablate", "grid", None),
+    ("preprocess", "manifest", "."),
+    ("evaluate", "data", "preprocessed.json"),
+    ("evaluate", "model", "."),
 ], ids=["manifest", "preprocessed", "model", "spec", "config", "grid",
         "manifest-directory", "preprocessed-directory", "model-directory"])
-def test_cli_missing_file_keeps_its_exit_code(command, flag, directory, code,
-                                              error, tmp_path, capsys):
+def test_cli_missing_file_keeps_its_exit_code(command, flag, directory,
+                                              tmp_path, capsys):
     """A missing path, or a directory where a file is read (`directory`,
-    relative to the given path), is refused naming the path."""
+    relative to the given path), is refused with the OSError of opening
+    it, naming the path, exit 1."""
     missing = str(tmp_path / "absent")
     if directory is not None:
         os.makedirs(os.path.join(missing, directory))
     argv = _cli_argv(command, tmp_path, **{flag: missing})
-    assert main(argv) == code
+    assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
+    error = "FileNotFoundError" if directory is None else "IsADirectoryError"
     assert err["error"] == error and missing in err["message"]
 
 
@@ -586,9 +618,9 @@ def test_cli_evaluate_refuses_a_model_its_config_does_not_describe(
     argv = _cli_argv("evaluate", tmp_path)
     model = str(tmp_path / "model.npz")
     _store_config(model, config)
-    assert main(argv) == 2
+    assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ShapeMismatch", "message": f"{model}: {fault}"}
+    assert err == {"error": "ValueError", "message": f"{model}: {fault}"}
 
 
 def test_cli_refuses_preprocessed_streams_not_at_284_hz(small_dataset,

@@ -21,7 +21,6 @@ from pwdrecon.core import (
     write_json,
 )
 from pwdrecon.dsp import WINDOW_SECONDS
-from pwdrecon.errors import BadMagic, FileMissing, ShapeMismatch, SizeMismatch
 from pwdrecon.harness.experiment import ExperimentConfig
 from pwdrecon.harness.io import (
     MODEL_VERSION,
@@ -57,12 +56,20 @@ def test_raw_f32_little_endian_layout(tmp_path):
 
 
 def test_raw_f32_errors(tmp_path):
-    with pytest.raises(FileMissing):
-        read_raw_f32(str(tmp_path / "absent.f32"))
-    bad = tmp_path / "bad.f32"
-    bad.write_bytes(b"\x00\x00\x00")  # 3 bytes
-    with pytest.raises(SizeMismatch):
-        read_raw_f32(str(bad))
+    absent = str(tmp_path / "absent.f32")
+    with pytest.raises(FileNotFoundError) as exc:
+        read_raw_f32(absent)
+    assert exc.value.filename == absent
+    with pytest.raises(IsADirectoryError) as exc:
+        read_raw_f32(str(tmp_path))
+    assert exc.value.filename == str(tmp_path)
+    for size in (0, 3):
+        bad = tmp_path / "bad.f32"
+        bad.write_bytes(bytes(size))
+        with pytest.raises(ValueError) as exc:
+            read_raw_f32(str(bad))
+        assert str(exc.value) == (f"{bad}: {size} bytes is not a float32 "
+                                  "multiple")
 
 
 def test_pgm_roundtrip_bit_exact(tmp_path):
@@ -72,8 +79,6 @@ def test_pgm_roundtrip_bit_exact(tmp_path):
     write_pgm(path, px)
     back = read_pgm(path)
     assert np.array_equal(back, px)
-    with pytest.raises(ValueError, match="must be uint8, got float64"):
-        write_pgm(path, px.astype(np.float64))
 
 
 def test_read_pgm_keeps_the_file_bytes(tmp_path):
@@ -94,13 +99,21 @@ def test_pgm_reads_comments_and_rejects_bad(tmp_path):
     assert img.shape == (2, 3)
     assert np.all(img == 0)
 
-    (tmp_path / "p2.pgm").write_bytes(b"P2\n3 2\n255\n0 0 0 0 0 0\n")
-    with pytest.raises(BadMagic):
-        read_pgm(str(tmp_path / "p2.pgm"))
+    p2 = tmp_path / "p2.pgm"
+    p2.write_bytes(b"P2\n3 2\n255\n0 0 0 0 0 0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p2}: only binary P5 PGM supported")):
+        read_pgm(str(p2))
 
-    (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(4))
-    with pytest.raises(SizeMismatch):
-        read_pgm(str(tmp_path / "short.pgm"))
+    short = tmp_path / "short.pgm"
+    short.write_bytes(b"P5\n3 2\n255\n" + bytes(4))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{short}: expected 6 pixel bytes, got 4")):
+        read_pgm(str(short))
+
+    with pytest.raises(FileNotFoundError) as exc:
+        read_pgm(str(tmp_path / "absent.pgm"))
+    assert exc.value.filename == str(tmp_path / "absent.pgm")
 
 
 @pytest.mark.parametrize("blob, fault", [
@@ -108,11 +121,12 @@ def test_pgm_reads_comments_and_rejects_bad(tmp_path):
     (b"P5\nab 2\n255\n" + bytes(4), "malformed PGM header"),
     (b"P5\n-2 2\n255\n" + bytes(4), "malformed PGM header"),
     (b"P5\n1 1\n255\n" + bytes(1), "image must be at least 2x2"),
-], ids=["truncated", "non-numeric", "negative", "too-small"])
+    (b"P5\n2 2\n65535\n" + bytes(8), "only maxval 255 supported"),
+], ids=["truncated", "non-numeric", "negative", "too-small", "16-bit"])
 def test_read_pgm_header_faults_name_the_file(blob, fault, tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(blob)
-    with pytest.raises(BadMagic) as exc:
+    with pytest.raises(ValueError) as exc:
         read_pgm(str(path))
     assert str(exc.value).startswith(f"{path}: {fault}")
 
@@ -140,8 +154,9 @@ def test_manifest_file_roundtrip(tmp_path):
     ms = [_manifest("a"), _manifest("b")]
     write_json(path, ms)
     assert load_manifests(path) == ms
-    with pytest.raises(FileMissing):
+    with pytest.raises(FileNotFoundError) as exc:
         load_manifests(str(tmp_path / "nope.json"))
+    assert exc.value.filename == str(tmp_path / "nope.json")
 
 
 def test_load_record_checks_sizes(tmp_path):
@@ -162,12 +177,15 @@ def test_load_record_checks_sizes(tmp_path):
     assert img.shape == (20, 30)
 
     # wrong-length channel file is rejected, against the manifest and,
-    # without its n_samples, against the other channels
-    write_raw_f32(str(tmp_path / "ch0.f32"), chans[0, :63])
-    with pytest.raises(SizeMismatch, match="manifest says 64"):
+    # without its n_samples, against the first channel read
+    ch0, ch2 = str(tmp_path / "ch0.f32"), str(tmp_path / "ch2.f32")
+    write_raw_f32(ch0, chans[0, :63])
+    with pytest.raises(ValueError) as exc:
         load_record(m, str(tmp_path))
-    with pytest.raises(SizeMismatch, match="disagree on length"):
+    assert str(exc.value) == f"{ch0}: 63 samples, manifest says 64"
+    with pytest.raises(ValueError) as exc:
         load_record(dataclasses.replace(m, aux={}), str(tmp_path))
+    assert str(exc.value) == f"{ch0}: 63 samples, {ch2} has 64"
 
 
 @pytest.mark.parametrize("name, bad, read", [
@@ -221,8 +239,13 @@ def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):
     for name in ("upper", "lower"):
         path = str(tmp_path / "prep" / f"{rid}.{name}.f32")
         write_raw_f32(path, read_raw_f32(path)[:-300])
-    with pytest.raises(SizeMismatch, match=f"^{rid}: upper stream"):
+    upper = os.path.join(prep, f"{rid}.upper.f32")
+    n = records[0].fecg.size
+    with pytest.raises(ValueError) as exc:
         load_preprocessed(prep)
+    assert str(exc.value) == (f"{upper}: {n - 300} samples, "
+                              f"{os.path.join(prep, 'preprocessed.json')} "
+                              f"says {n}")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -376,7 +399,8 @@ FIRST_ARRAY = {"PwDRecNet": "enc0.conv0.w", "Ridge": "weight",
                "Lasso": "weight"}
 FAULTS = [
     # (kind, fault, edit of the saved file, error, message)
-    *((kind, "missing-file", os.remove, FileMissing, "") for kind in CONFIGS),
+    *((kind, "missing-file", os.remove, FileNotFoundError, "")
+      for kind in CONFIGS),
     *((kind, "not-an-archive", _write_npy, ValueError, "not an .npz archive")
       for kind in CONFIGS),
     *((kind, "corrupt-member", _flip_member_byte(f"{FIRST_ARRAY[kind]}.npy"),
@@ -390,26 +414,26 @@ FAULTS = [
        "no __config__ array") for kind in CONFIGS),
     *((kind, "bad-config", _resave(_flip_config_byte), ValueError, WINDOW)
       for kind in CONFIGS),
-    ("PwDRecNet", "missing-array", _drop("head.b"), ShapeMismatch,
+    ("PwDRecNet", "missing-array", _drop("head.b"), ValueError,
      "array head.b is missing, expected (2,)"),
-    ("Ridge", "missing-array", _drop("weight"), ShapeMismatch,
+    ("Ridge", "missing-array", _drop("weight"), ValueError,
      "array weight is missing, expected (142, 71)"),
-    ("Lasso", "missing-array", _drop("n_iter"), ShapeMismatch,
+    ("Lasso", "missing-array", _drop("n_iter"), ValueError,
      "array n_iter is missing, expected ()"),
     ("PwDRecNet", "misshaped-array", _set("enc0.conv0.w", np.ones((1, 1, 5))),
-     ShapeMismatch, "array enc0.conv0.w is (1, 1, 5), expected (4, 1, 5)"),
-    ("Ridge", "misshaped-array", _set("bias", np.zeros(1)), ShapeMismatch,
+     ValueError, "array enc0.conv0.w is (1, 1, 5), expected (4, 1, 5)"),
+    ("Ridge", "misshaped-array", _set("bias", np.zeros(1)), ValueError,
      "array bias is (1,), expected (142,)"),
-    ("Lasso", "misshaped-array", _set("weight", np.zeros(71)), ShapeMismatch,
+    ("Lasso", "misshaped-array", _set("weight", np.zeros(71)), ValueError,
      "array weight is (71,), expected (71, 71)"),
     # a config that does not describe the arrays stored beside it
-    ("PwDRecNet", "other-family", _config(RIDGE), ShapeMismatch,
+    ("PwDRecNet", "other-family", _config(RIDGE), ValueError,
      "array weight is missing, expected (142, 71)"),
-    ("Ridge", "other-family", _config(NET), ShapeMismatch,
+    ("Ridge", "other-family", _config(NET), ValueError,
      "array enc0.conv0.w is missing, expected (4, 1, 5)"),
-    ("Lasso", "other-family", _config(NET), ShapeMismatch,
+    ("Lasso", "other-family", _config(NET), ValueError,
      "array enc0.conv0.w is missing, expected (4, 1, 5)"),
-    ("Lasso", "other-channels", _config(RIDGE), ShapeMismatch,
+    ("Lasso", "other-channels", _config(RIDGE), ValueError,
      "array weight is (71, 71), expected (142, 71)"),
 ]
 
@@ -423,4 +447,7 @@ def test_model_file_faults_name_the_file(kind, fault, edit, error, message,
     edit(path)
     with pytest.raises(error) as exc:
         load_model(path)
-    assert str(exc.value) == (f"{path}: {message}" if message else path)
+    if message:
+        assert str(exc.value) == f"{path}: {message}"
+    else:  # the OSError of opening it
+        assert exc.value.filename == path

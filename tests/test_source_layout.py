@@ -1,6 +1,7 @@
 """Structural checks on the package source: each file format and each
-signal primitive has one owner, the one module that calls it, and each
-error type has a raise."""
+signal primitive has one owner, the one module that calls it, each
+error type has a raise, and a fault in a file read from outside is an
+OSError or a ValueError."""
 
 import ast
 import pathlib
@@ -55,8 +56,8 @@ def _raised(tree):
                 yield exc.id
 
 
-def test_every_error_type_is_raised():
-    # each PwdReconError subclass names a fault that some run can meet
+def _error_types():
+    """Names of the PwdReconError subclasses in errors.py."""
     types = set()
     for node in ast.parse((SRC / "errors.py").read_text()).body:
         if isinstance(node, ast.ClassDef) and any(
@@ -64,8 +65,29 @@ def test_every_error_type_is_raised():
                 and base.id in types | {"PwdReconError"}
                 for base in node.bases):
             types.add(node.name)
+    return types
+
+
+def test_every_error_type_is_raised():
+    # each PwdReconError subclass names a fault that some run can meet
+    types = _error_types()
     raised = set()
     for path in SRC.rglob("*.py"):
         if path.name != "errors.py":
             raised.update(_raised(ast.parse(path.read_text())))
     assert types and sorted(types - raised) == []
+
+
+def test_a_file_fault_is_an_os_error_or_a_value_error():
+    # the readers of outside files and the JSON codec raise no PwdReconError
+    # (those are for data the pipeline cannot process), and no path is
+    # checked before it is opened: opening it names the path
+    types = _error_types() | {"PwdReconError"}
+    for module in ("harness/io.py", "core.py"):
+        raised = set(_raised(ast.parse((SRC / module).read_text())))
+        assert sorted(raised & types) == [], module
+    prechecks = [f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "isfile"]
+    assert prechecks == []

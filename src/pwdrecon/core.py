@@ -119,6 +119,9 @@ class RecordManifest:
                                  f"got {getattr(self, name)!r}")
 
 
+ENVELOPES = ("upper", "lower")  # PreprocessedRecord.env's rows, in order
+
+
 @dataclass(frozen=True)
 class PreprocessedRecord:
     """One record after the full preprocessing pipeline, at 284 Hz: the

@@ -69,7 +69,7 @@ def resample_linear(x: np.ndarray, fs_in: float) -> np.ndarray:
     interpolation at exact output timestamps."""
     n_out = int(round(x.size * TARGET_FS / fs_in))
     if n_out < 1:
-        raise ValueError("resampled signal would be empty")
+        raise SignalTooShort("resampled signal would be empty")
     t_out = np.arange(n_out) / TARGET_FS
     t_in = np.arange(x.size) / fs_in
     return np.interp(t_out, t_in, x)

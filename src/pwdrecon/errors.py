@@ -5,19 +5,21 @@ class PwdReconError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- dsp ---
-
-class NumericalInstability(PwdReconError):
-    """A result that cannot be trusted: a FastICA unmixing or a baseline
-    fit that did not converge."""
-
+# --- signal too short or flat: dsp and separation ---
 
 class SignalTooShort(PwdReconError):
-    """Signal too short for the requested filtering operation."""
+    """Signal too short for a stage."""
 
 
 class ZeroVariance(PwdReconError):
     """Operation requires a non-constant signal."""
+
+
+# --- solvers: FastICA and the baseline fits ---
+
+class NumericalInstability(PwdReconError):
+    """A result that cannot be trusted: a FastICA unmixing or a baseline
+    fit that did not converge."""
 
 
 # --- separation ---

@@ -10,6 +10,7 @@ import numpy as np
 
 from ..baselines import lasso_fit, linmap_predict, ols_fit, ridge_fit
 from ..core import (
+    ENVELOPES,
     TARGET_FS,
     EnvelopeSelection,
     ModelKind,
@@ -132,24 +133,27 @@ class ExperimentConfig:
             raise ValueError("PCA-compressed output consumes both envelopes")
 
     @property
-    def out_channels(self) -> int:
+    def targets(self) -> tuple[str, ...]:
+        """The names of the target's channels, in row order: envelopes
+        by ENVELOPES name, or "pca" for the PCA-compressed envelope."""
         if self.output_mode is OutputMode.PCA_SINGLE:
-            return 1
-        return 2 if self.envelope_selection is EnvelopeSelection.BOTH else 1
+            return ("pca",)
+        return {EnvelopeSelection.UPPER: ENVELOPES[:1],
+                EnvelopeSelection.LOWER: ENVELOPES[1:],
+                EnvelopeSelection.BOTH: ENVELOPES}[self.envelope_selection]
+
+    @property
+    def out_channels(self) -> int:
+        return len(self.targets)
 
 
 def _target_channels(rec: PreprocessedRecord,
                      config: ExperimentConfig) -> np.ndarray:
-    """The config's normalized training targets, as (C, n) rows."""
-    if config.output_mode is OutputMode.PCA_SINGLE:
-        rows = pca_compress_envelopes(rec.env)[None]
-    elif config.envelope_selection is EnvelopeSelection.UPPER:
-        rows = rec.env[:1]
-    elif config.envelope_selection is EnvelopeSelection.LOWER:
-        rows = rec.env[1:]
-    else:
-        rows = rec.env
-    return zscore(rows)
+    """The config's normalized training targets, as (C, n) rows in
+    `config.targets` order."""
+    if config.targets == ("pca",):
+        return zscore(pca_compress_envelopes(rec.env)[None])
+    return zscore(rec.env[[ENVELOPES.index(t) for t in config.targets]])
 
 
 def build_windows(records: list[PreprocessedRecord],
@@ -233,9 +237,9 @@ def run_experiment(config: ExperimentConfig,
                 test_set.x[:3], test_set.y, test_set.t_start, preds)):
             t = t0 + np.arange(x.size) / TARGET_FS
             traces = {"fecg": x}
-            for c, nm in enumerate(["true_upper", "true_lower"][:len(y)]):
-                traces[nm] = y[c]
-                traces[nm.replace("true", "pred")] = pred[c]
+            for name, true, predicted in zip(config.targets, y, pred):
+                traces[f"true_{name}"] = true
+                traces[f"pred_{name}"] = predicted
             stem = os.path.join(out_dir, f"window{i}")
             write_window_csv(stem + ".csv", t, traces)
             write_window_svg(stem + ".svg", t, traces)

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..baselines import LinearMap
 from ..core import ModelKind, Polarity, PreprocessedRecord, RecordManifest
-from ..core import TARGET_FS, WaveConfig, check_record_id, from_json_dict
-from ..core import read_json, to_json_dict, write_json
+from ..core import ENVELOPES, TARGET_FS, WaveConfig, check_record_id
+from ..core import from_json_dict, read_json, to_json_dict, write_json
 from ..dsp import window_length
 from ..net.model import init_params
 from .experiment import ExperimentConfig
@@ -29,31 +29,35 @@ def write_raw_f32(path: str, samples: np.ndarray) -> None:
     np.asarray(samples, dtype="<f4").tofile(path)
 
 
-def _f32_count(fh) -> int:
-    """The number of float32 values in the open raw file `fh`, refused when
-    it is empty or not a whole number of them."""
-    size = os.fstat(fh.fileno()).st_size
-    if size == 0 or size % 4 != 0:
-        raise ValueError(f"{fh.name}: {size} bytes is not a float32 multiple")
-    return size // 4
-
-
-def _finite(path: str, samples: np.ndarray) -> np.ndarray:
-    """The samples read from `path`, refused when any is NaN or infinite."""
-    bad = samples.size - np.count_nonzero(np.isfinite(samples))
-    if bad:
-        raise ValueError(f"{path}: {bad} of {samples.size} samples are NaN "
-                         "or infinite")
-    return samples
-
-
-def read_raw_f32(path: str) -> np.ndarray:
-    """Read a raw little-endian float32 file; returns float64 values,
-    refused when any is NaN or infinite."""
-    with open(path, "rb") as fh:
-        _f32_count(fh)
-        samples = np.fromfile(fh, dtype="<f4").astype(np.float64)
-    return _finite(path, samples)
+def read_f32_rows(paths: list[str], n: int | None, says: str) -> np.ndarray:
+    """The raw little-endian float32 files at `paths`, each read into its
+    row of one (len(paths), m) float64 array through one open handle, with
+    no other float64 copy. A file is refused, in this order, with a
+    ValueError whose message starts with its path: when it is empty or
+    not a whole number of float32 values, when its length differs from
+    `n` (the length that `says` states; None states none) or from the
+    first file's, and when a sample is NaN or infinite."""
+    rows = None
+    for k, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size == 0 or size % 4 != 0:
+                raise ValueError(f"{path}: {size} bytes is not a float32 "
+                                 "multiple")
+            m = size // 4
+            if n is not None and m != n:
+                raise ValueError(f"{path}: {m} samples, {says} says {n}")
+            if rows is None:
+                rows = np.empty((len(paths), m))
+            elif m != rows.shape[1]:
+                raise ValueError(f"{path}: {m} samples, {paths[0]} has "
+                                 f"{rows.shape[1]}")
+            rows[k] = np.fromfile(fh, dtype="<f4")
+        bad = m - np.count_nonzero(np.isfinite(rows[k]))
+        if bad:
+            raise ValueError(f"{path}: {bad} of {m} samples are NaN or "
+                             "infinite")
+    return rows
 
 
 def write_pgm(path: str, px: np.ndarray) -> None:
@@ -114,27 +118,11 @@ def load_manifests(path: str) -> list[RecordManifest]:
 def load_record(manifest: RecordManifest,
                 base_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """The manifest's three bipolar channels, in bipolar_channel_indices
-    order, as (3, n_samples) float64 rows, and its PwD image as read_pgm
-    returns it. Each channel is read into its row, with no other float64
-    copy, and refused when a sample is NaN or infinite or when its length
-    differs from the manifest's n_samples or from the first channel's."""
-    paths = [os.path.join(base_dir, manifest.channel_paths[i])
-             for i in manifest.bipolar_channel_indices]
-    expected = manifest.aux.get("n_samples")
-    rows = None
-    for k, path in enumerate(paths):
-        with open(path, "rb") as fh:
-            n = _f32_count(fh)
-            if expected is not None and n != expected:
-                raise ValueError(
-                    f"{path}: {n} samples, manifest says {expected}")
-            if rows is None:
-                rows = np.empty((len(paths), n))
-            elif n != rows.shape[1]:
-                raise ValueError(f"{path}: {n} samples, {paths[0]} has "
-                                 f"{rows.shape[1]}")
-            rows[k] = np.fromfile(fh, dtype="<f4")
-        _finite(path, rows[k])
+    order, as read_f32_rows returns them against the manifest's
+    n_samples, and its PwD image as read_pgm returns it."""
+    rows = read_f32_rows([os.path.join(base_dir, manifest.channel_paths[i])
+                          for i in manifest.bipolar_channel_indices],
+                         manifest.aux.get("n_samples"), "manifest")
     return rows, read_pgm(os.path.join(base_dir, manifest.image_path))
 
 
@@ -155,7 +143,7 @@ class PreprocessedIndexEntry:
                              f"{TARGET_FS}, got {self.fs!r}")
 
 
-_STREAMS = ("fecg", "upper", "lower")  # a record's .f32 files, in row order
+_STREAMS = ("fecg", *ENVELOPES)  # a record's .f32 files, in row order
 
 
 def save_preprocessed(out_dir: str, records: list[PreprocessedRecord]) -> None:
@@ -178,17 +166,11 @@ def load_preprocessed(data_dir: str) -> list[PreprocessedRecord]:
     records = []
     for e in _unique_ids(path, read_json(
             path, tuple[PreprocessedIndexEntry, ...])):
-        rid, n = e.record_id, e.n_samples
-        streams = []
-        for name in _STREAMS:
-            stream = os.path.join(data_dir, f"{rid}.{name}.f32")
-            samples = read_raw_f32(stream)
-            if samples.size != n:
-                raise ValueError(f"{stream}: {samples.size} samples, {path} "
-                                 f"says {n}")
-            streams.append(samples)
+        rows = read_f32_rows(
+            [os.path.join(data_dir, f"{e.record_id}.{name}.f32")
+             for name in _STREAMS], e.n_samples, path)
         records.append(PreprocessedRecord(
-            record_id=rid, fecg=streams[0], env=np.array(streams[1:]),
+            record_id=e.record_id, fecg=rows[0], env=rows[1:],
             wave_config=e.wave_config, polarity=e.polarity))
     return records
 

@@ -12,6 +12,8 @@ _COLORS = {
     "true_lower": "#2ca02c",    # green
     "pred_upper": "#800000",    # maroon
     "pred_lower": "#7f00ff",    # violet
+    "true_pca": "#ff7f0e",      # orange
+    "pred_pca": "#000000",      # black
 }
 
 

@@ -21,6 +21,7 @@ from .errors import (
     NoFetalComponent,
     NoPeaksDetected,
     NumericalInstability,
+    SignalTooShort,
 )
 
 FETAL_RATE_HZ = (1.8, 3.0)  # plausible fetal beat rates, 108-180 bpm
@@ -60,7 +61,7 @@ def pca_fit(data: np.ndarray) -> PcaModel:
     """
     c, n = data.shape
     if n <= c:
-        raise ValueError("need n_samples > n_channels")
+        raise SignalTooShort("need n_samples > n_channels")
     mean = data.mean(axis=1)
     centered = data - mean[:, None]
     cov = centered @ centered.T / (n - 1)
@@ -279,7 +280,8 @@ def detect_polarity(x: np.ndarray, fs: float) -> Polarity:
     period; the median signed amplitude at peak locations decides.
     """
     if x.size / fs < 1.0:
-        raise ValueError("polarity detection needs at least 1 s of signal")
+        raise SignalTooShort(
+            "polarity detection needs at least 1 s of signal")
     sd = np.std(x)
     if sd == 0:
         raise NoPeaksDetected("flat signal")

@@ -30,7 +30,7 @@ from pwdrecon.harness.experiment import (
     run_ablation,
     run_experiment,
 )
-from pwdrecon.harness.io import load_record, read_raw_f32
+from pwdrecon.harness.io import load_record, read_f32_rows
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.metrics import render_r
 from pwdrecon.net.model import backward, forward_batch, init_params
@@ -214,7 +214,8 @@ def test_a5_source_separation(tmp_path):
     for m in manifests:
         rows, _ = load_record(m, out)
         fecg = extract_fecg(rows, m.aecg_fs, seed=0)
-        clean = read_raw_f32(os.path.join(out, m.aux["fetal_clean_path"]))
+        (clean,) = read_f32_rows(
+            [os.path.join(out, m.aux["fetal_clean_path"])], None, "")
         worst_r = min(worst_r, abs(np.corrcoef(fecg, clean)[0, 1]))
     elapsed = time.monotonic() - t0
     assert worst_r >= 0.8
@@ -232,8 +233,10 @@ def test_a6_envelope_round_trip(tmp_path):
     _, img = load_record(m, out)
     upper, lower = extract_envelopes(img, np.arange(256.0), 128.0,
                                      m.image_baseline_row)
-    up = read_raw_f32(os.path.join(out, m.aux["truth_upper_path"]))
-    lo = read_raw_f32(os.path.join(out, m.aux["truth_lower_path"]))
+    up, lo = read_f32_rows(
+        [os.path.join(out, m.aux[k]) for k in ("truth_upper_path",
+                                               "truth_lower_path")],
+        None, "")
     err_u = np.max(np.abs(upper - np.round(up)))
     err_l = np.max(np.abs(lower - np.round(lo)))
     assert err_u <= 1.0 and err_l <= 1.0

@@ -204,6 +204,23 @@ def test_preprocess_error_names_the_record(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "prep")
 
 
+def test_preprocess_refuses_a_record_too_short_for_a_stage(tmp_path,
+                                                          capsys):
+    """A record the run reads but the pipeline cannot process exits 2."""
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 3, "duration_s": 0.6, "seed": 1})
+    ds = str(tmp_path / "ds")
+    assert main(["synth", "--spec", spec, "--out", ds]) == 0
+    capsys.readouterr()
+    rc = main(["preprocess", "--manifest", os.path.join(ds, "records.json"),
+               "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SignalTooShort", "message": "rec000: "
+                   "polarity detection needs at least 1 s of signal"}
+    assert not os.path.exists(tmp_path / "prep")
+
+
 def test_failed_train_leaves_no_output_directory(small_dataset, tmp_path,
                                                  capsys):
     _, _, records = small_dataset  # every record is EA+
@@ -264,7 +281,7 @@ def test_preprocess_value_error_names_the_record(tmp_path, capsys):
 # edits of one file of a synthesised record; each returns the message
 # that follows the record id
 def _nan_sample(path, monkeypatch):
-    samples = io.read_raw_f32(path)
+    (samples,) = io.read_f32_rows([path], None, "")
     samples[5] = np.nan
     io.write_raw_f32(path, samples)
     return f"{path}: 1 of {samples.size} samples are NaN or infinite"
@@ -279,7 +296,7 @@ def _directory(path, monkeypatch):
 def _truncated_without_n_samples(path, monkeypatch):
     """The channel loses its last sample, and the manifest its aux, so
     only the other channels' length is left to refuse it by."""
-    samples = io.read_raw_f32(path)
+    (samples,) = io.read_f32_rows([path], None, "")
     io.write_raw_f32(path, samples[:-1])
     manifest = os.path.join(os.path.dirname(path), "records.json")
     with open(manifest) as fh:
@@ -710,7 +727,8 @@ def test_train_refuses_an_index_whose_ids_cannot_name_streams(
     entries[1]["record_id"] = rid
     index.write_text(json.dumps(entries))
     read = []
-    monkeypatch.setattr(io, "read_raw_f32", lambda path: read.append(path))
+    monkeypatch.setattr(io, "read_f32_rows",
+                        lambda paths, n, says: read.append(paths))
     assert main(_cli_argv("train", tmp_path)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": f"{index}: {fault}"}
@@ -782,8 +800,8 @@ def test_readme_rec012_extracts_its_fetal_source(readme_raw):
         os.path.join(readme_raw, "records.json")) if m.record_id == "rec012"]
     rows, _ = io.load_record(m, readme_raw)
     fecg = extract_fecg(rows, m.aecg_fs, seed=0)
-    clean = io.read_raw_f32(os.path.join(readme_raw,
-                                         m.aux["fetal_clean_path"]))
+    (clean,) = io.read_f32_rows(
+        [os.path.join(readme_raw, m.aux["fetal_clean_path"])], None, "")
     assert abs(np.corrcoef(fecg, clean)[0, 1]) >= 0.85
 
 

@@ -135,6 +135,8 @@ def test_resample_identity_and_affine():
 
 def test_resample_sample_count():
     assert len(resample_linear(np.zeros(2048), 2048.0)) == 284
+    with pytest.raises(SignalTooShort, match="would be empty"):
+        resample_linear(np.zeros(3), 2048.0)  # 0.4 output samples
 
 
 def test_zscore_contract():

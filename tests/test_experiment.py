@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import warnings
 
 import numpy as np
@@ -234,6 +235,27 @@ def test_run_experiment_baseline_and_artifacts(small_dataset, tmp_path):
         header, row = fh.read().strip().split("\n")
     assert header.startswith("window_s,")
     assert row.startswith("1.0,")
+
+
+@pytest.mark.parametrize("change, names, colors", [
+    ({}, "true_upper,pred_upper,true_lower,pred_lower",
+     ("#bfa800", "#800000", "#2ca02c", "#7f00ff")),
+    ({"envelope_selection": EnvelopeSelection.LOWER},
+     "true_lower,pred_lower", ("#2ca02c", "#7f00ff")),
+    ({"output_mode": OutputMode.PCA_SINGLE}, "true_pca,pred_pca",
+     ("#ff7f0e", "#000000")),
+], ids=["both", "lower", "pca"])
+def test_window_files_name_the_target_channels(change, names, colors,
+                                               small_dataset, tmp_path):
+    _, _, records = small_dataset
+    cfg = ExperimentConfig(window_s=1.0, model=ModelKind.RIDGE, **FAST,
+                           **change)
+    run_experiment(cfg, records, out_dir=str(tmp_path))
+    with open(tmp_path / "window0.csv") as fh:
+        assert fh.readline() == f"time,fecg,{names}\n"
+    svg = (tmp_path / "window0.svg").read_text()
+    strokes = re.findall(r'stroke="(#[0-9a-f]{6})"', svg)
+    assert strokes == ["#1f77b4", *colors]  # the fECG, then the targets
 
 
 def test_run_experiment_net_smoke(small_dataset, tmp_path):

@@ -29,7 +29,7 @@ from pwdrecon.harness.io import (
     load_preprocessed,
     load_record,
     read_pgm,
-    read_raw_f32,
+    read_f32_rows,
     save_model,
     save_preprocessed,
     write_pgm,
@@ -42,7 +42,7 @@ def test_raw_f32_roundtrip(tmp_path):
     path = str(tmp_path / "x.f32")
     x = np.array([0.0, -1.5, 3.25, 1e-7, 2e9])
     write_raw_f32(path, x)
-    back = read_raw_f32(path)
+    (back,) = read_f32_rows([path], None, "")
     assert back.dtype == np.float64
     # float32 quantization is the only loss
     assert np.array_equal(back, x.astype(np.float32).astype(np.float64))
@@ -58,18 +58,23 @@ def test_raw_f32_little_endian_layout(tmp_path):
 def test_raw_f32_errors(tmp_path):
     absent = str(tmp_path / "absent.f32")
     with pytest.raises(FileNotFoundError) as exc:
-        read_raw_f32(absent)
+        read_f32_rows([absent], None, "")
     assert exc.value.filename == absent
     with pytest.raises(IsADirectoryError) as exc:
-        read_raw_f32(str(tmp_path))
+        read_f32_rows([str(tmp_path)], None, "")
     assert exc.value.filename == str(tmp_path)
     for size in (0, 3):
         bad = tmp_path / "bad.f32"
         bad.write_bytes(bytes(size))
         with pytest.raises(ValueError) as exc:
-            read_raw_f32(str(bad))
+            read_f32_rows([str(bad)], None, "")
         assert str(exc.value) == (f"{bad}: {size} bytes is not a float32 "
                                   "multiple")
+    # a file both short and holding a NaN is refused for its length
+    write_raw_f32(str(bad), np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(ValueError) as exc:
+        read_f32_rows([str(bad)], 4, "index.json")
+    assert str(exc.value) == f"{bad}: 3 samples, index.json says 4"
 
 
 def test_pgm_roundtrip_bit_exact(tmp_path):
@@ -204,7 +209,7 @@ def test_readers_refuse_a_non_finite_sample(name, bad, read, tmp_path):
         {"record_id": "r", "fs": 284.0, "n_samples": 64, "wave_config": "EA+",
          "polarity": "+ve"}]))
     path = str(tmp_path / name)
-    samples = read_raw_f32(path)
+    (samples,) = read_f32_rows([path], None, "")
     samples[17] = bad
     write_raw_f32(path, samples)
     with pytest.raises(ValueError) as exc:
@@ -238,7 +243,7 @@ def test_load_preprocessed_checks_every_stream(small_dataset, tmp_path):
     rid = records[0].record_id
     for name in ("upper", "lower"):
         path = str(tmp_path / "prep" / f"{rid}.{name}.f32")
-        write_raw_f32(path, read_raw_f32(path)[:-300])
+        write_raw_f32(path, read_f32_rows([path], None, "")[0][:-300])
     upper = os.path.join(prep, f"{rid}.upper.f32")
     n = records[0].fecg.size
     with pytest.raises(ValueError) as exc:

@@ -7,8 +7,12 @@ import pytest
 
 from pwdrecon import separation
 from pwdrecon.core import Polarity
-from pwdrecon.errors import DegenerateInput, NoPeaksDetected
-from pwdrecon.harness.io import load_record, read_raw_f32
+from pwdrecon.errors import (
+    DegenerateInput,
+    NoPeaksDetected,
+    SignalTooShort,
+)
+from pwdrecon.harness.io import load_record, read_f32_rows
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.separation import (
     FETAL_RATE_HZ,
@@ -50,7 +54,7 @@ def test_pca_eigenvalues_sorted_and_orthonormal():
 def test_pca_fit_rejects_degenerate():
     with pytest.raises(DegenerateInput):
         pca_fit(np.zeros((50, 3)).T)
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalTooShort, match="need n_samples > n_channels"):
         pca_fit(np.zeros((2, 3)).T)
 
 
@@ -322,7 +326,8 @@ def test_extract_fecg_keeps_the_strongest_fetal_component(tmp_path,
     assert min(strength0, strength1) >= MIN_BEAT_STRENGTH
     strongest, weaker = (x0, x1) if strength0 > strength1 else (x1, x0)
     assert np.array_equal(np.abs(out), np.abs(strongest))
-    clean = read_raw_f32(os.path.join(tmp_path, m.aux["fetal_clean_path"]))
+    (clean,) = read_f32_rows(
+        [os.path.join(tmp_path, m.aux["fetal_clean_path"])], None, "")
     assert abs(np.corrcoef(out, clean)[0, 1]) >= 0.9
 
     # with the two strengths swapped the other source is kept, whichever
@@ -386,6 +391,8 @@ def test_detect_polarity():
     assert detect_polarity(neg + noise, FS) is Polarity.NEGATIVE
     with pytest.raises(NoPeaksDetected):
         detect_polarity(np.zeros(600), FS)
+    with pytest.raises(SignalTooShort, match="needs at least 1 s"):
+        detect_polarity(pos[:int(0.9 * FS)], FS)
 
 
 def test_detect_polarity_antisymmetric():

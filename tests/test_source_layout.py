@@ -91,3 +91,13 @@ def test_a_file_fault_is_an_os_error_or_a_value_error():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute) and node.attr == "isfile"]
     assert prechecks == []
+
+
+def test_raw_float32_files_have_one_reader():
+    # load_record and load_preprocessed both read through read_f32_rows,
+    # the one place that sizes, reads and checks a raw float32 file
+    tree = ast.parse((SRC / "harness" / "io.py").read_text())
+    sites = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             for alias, name, _ in _calls(fn) if (alias, name)
+             == ("np", "fromfile")]
+    assert sites == ["read_f32_rows"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwdrecon.core import WaveConfig
-from pwdrecon.harness.io import load_manifests, load_record, read_raw_f32
+from pwdrecon.harness.io import load_manifests, load_record, read_f32_rows
 from pwdrecon.harness.synth import (
     SyntheticSpec,
     _gauss_train,
@@ -297,8 +297,10 @@ def test_render_extract_roundtrip(tmp_path):
     _, img = load_record(m, out)
     upper, lower = extract_envelopes(img, np.arange(256.0), threshold=128.0,
                                      baseline_row=m.image_baseline_row)
-    upper_truth = read_raw_f32(os.path.join(out, m.aux["truth_upper_path"]))
-    lower_truth = read_raw_f32(os.path.join(out, m.aux["truth_lower_path"]))
+    upper_truth, lower_truth = read_f32_rows(
+        [os.path.join(out, m.aux[k]) for k in ("truth_upper_path",
+                                               "truth_lower_path")],
+        None, "")
     # sub-pixel truth values round to the rasterized column heights
     assert np.max(np.abs(upper - np.round(upper_truth))) <= 1.0
     assert np.max(np.abs(lower - np.round(lower_truth))) <= 1.0
@@ -311,7 +313,8 @@ def test_fetal_maternal_amplitude_ratio(tmp_path):
                          noise_sigma=0.0)
     out = str(tmp_path / "ds")
     (m,) = generate_synthetic(spec, out)
-    fetal = read_raw_f32(os.path.join(out, m.aux["fetal_clean_path"]))
+    (fetal,) = read_f32_rows([os.path.join(out, m.aux["fetal_clean_path"])],
+                             None, "")
     # fetal train peaks at ratio * R amplitude (=1.0)
     assert np.max(np.abs(fetal)) == pytest.approx(
         spec.fetal_maternal_ratio, rel=0.1)
@@ -325,10 +328,9 @@ def test_ea_minus_swaps_envelope_roles(tmp_path):
         SyntheticSpec(wave_config=WaveConfig.EA_PLUS, **base), out_p)
     (mm,) = generate_synthetic(
         SyntheticSpec(wave_config=WaveConfig.EA_MINUS, **base), out_m)
-    up_p = read_raw_f32(os.path.join(out_p, mp.aux["truth_upper_path"]))
-    lo_p = read_raw_f32(os.path.join(out_p, mp.aux["truth_lower_path"]))
-    up_m = read_raw_f32(os.path.join(out_m, mm.aux["truth_upper_path"]))
-    lo_m = read_raw_f32(os.path.join(out_m, mm.aux["truth_lower_path"]))
+    up_p, lo_p, up_m, lo_m = read_f32_rows(
+        [os.path.join(out, m.aux[k]) for out, m in ((out_p, mp), (out_m, mm))
+         for k in ("truth_upper_path", "truth_lower_path")], None, "")
     # same seed: EA- upper equals EA+ outflow (-lower), EA- lower = -inflow
     assert np.allclose(up_m, -lo_p)
     assert np.allclose(lo_m, -up_p)

@@ -16,7 +16,8 @@ writes into a file is the same on both sides. The runs:
 - the quick start's train and evaluate again with the network at
   `window_s` 0.25 (L = 71, not a multiple of 8) and 2 epochs;
 - Linear, Ridge and Lasso train + evaluate on the train_net set of
-  seed 1.
+  seed 1, and Ridge again with the lower envelope alone and with the
+  PCA-compressed envelope as the target.
 
 Every file the runs write is compared byte for byte, and so is
 everything they print (`printed.txt`, with the tree's path and the
@@ -86,9 +87,16 @@ def _drive(work: str) -> None:
     fits = [(quick, name, config, prep)
             for name, config in (("ridge", QUICK_CONFIG), ("net", QUICK_NET))]
     train_net = os.path.join(work, "train_net-1")
-    fits += [(train_net, model, dict(workloads.TrainNet.config, model=model),
+    fits += [(train_net, name, dict(workloads.TrainNet.config, **change),
               os.path.join(train_net, "setup", "prep"))
-             for model in ("Linear", "Ridge", "Lasso")]
+             for name, change in (
+                 ("Linear", {"model": "Linear"}),
+                 ("Ridge", {"model": "Ridge"}),
+                 ("Lasso", {"model": "Lasso"}),
+                 ("Ridge-Lower", {"model": "Ridge",
+                                  "envelope_selection": "Lower"}),
+                 ("Ridge-PcaSingle", {"model": "Ridge",
+                                      "output_mode": "PcaSingle"}))]
     for root, name, config, data in fits:
         out = os.path.join(root, name)
         cli(["train", "--config",

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: synth, preprocess, train, evaluate, ablate. A refused run
-writes one JSON object, {"error": <type>, "message": <text>}, on stderr
-and exits nonzero:
+Subcommands: synth, preprocess, train, evaluate, ablate. Each handler
+returns its result, which main prints as one JSON object on stdout
+before it exits 0. A refused run writes one JSON object,
+{"error": <type>, "message": <text>}, on stderr and exits nonzero:
 
 - 1: an input the run cannot read. A file that cannot be opened is the
   OSError of opening it; a file, option or field that is malformed or
@@ -52,15 +53,14 @@ def _seeded(obj, seed: int | None):
     return obj if seed is None else dataclasses.replace(obj, seed=seed)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     spec = _seeded(read_json(args.spec, SyntheticSpec), args.seed)
     manifests = generate_synthetic(spec, args.out)
-    print(json.dumps({"records": len(manifests),
-                      "manifest": os.path.join(args.out, "records.json")}))
-    return 0
+    return {"records": len(manifests),
+            "manifest": os.path.join(args.out, "records.json")}
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args) -> dict:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed: must be >= 0, got {args.seed}")
     manifests = load_manifests(args.manifest)
@@ -74,11 +74,10 @@ def _cmd_preprocess(args) -> int:
         except (PwdReconError, ValueError, OSError) as exc:
             raise type(exc)(f"{m.record_id}: {exc}") from exc
     save_preprocessed(args.out, records)
-    print(json.dumps({"records": len(records), "out": args.out}))
-    return 0
+    return {"records": len(records), "out": args.out}
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> dict:
     config = _seeded(read_json(args.config, ExperimentConfig), args.seed)
     records = load_preprocessed(args.data)
     report, model = run_experiment(config, records, out_dir=args.out)
@@ -87,26 +86,22 @@ def _cmd_train(args) -> int:
               "mean_mse": report.mean_mse}
     if config.model is ModelKind.LASSO:
         result["gap"] = model.gap
-    print(json.dumps(result))
-    return 0
+    return result
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> dict:
     config, model = load_model(args.model)
     records = load_preprocessed(args.data)
     # looked up at call time, where perfbench/layers.py wraps it
     from .harness.experiment import build_windows
     _, test = build_windows(records, config)
     _, report = evaluate(config, model, test)
-    print(json.dumps({"mean_r": report.mean_r,
-                      "rendered_r": report.rendered_r,
-                      "mean_mse": report.mean_mse,
-                      "n_windows": report.n_windows,
-                      "n_excluded": report.n_excluded}))
-    return 0
+    return {"mean_r": report.mean_r, "rendered_r": report.rendered_r,
+            "mean_mse": report.mean_mse, "n_windows": report.n_windows,
+            "n_excluded": report.n_excluded}
 
 
-def _cmd_ablate(args) -> int:
+def _cmd_ablate(args) -> dict:
     if args.grid in GRID_NAMES:
         grid = GridFile(grids=(args.grid,))
     elif args.grid == "all":
@@ -117,8 +112,7 @@ def _cmd_ablate(args) -> int:
     records = load_preprocessed(args.data)
     for name in grid.grids:
         run_ablation(name, records, base, out_dir=args.out)
-    print(json.dumps({"grids": grid.grids, "out": args.out}))
-    return 0
+    return {"grids": grid.grids, "out": args.out}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print(json.dumps(args.func(args)))
+        return 0
     except (PwdReconError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

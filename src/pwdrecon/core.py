@@ -1,4 +1,5 @@
-"""Shared domain vocabulary: records, windows, config enums, JSON codec.
+"""Shared domain vocabulary: records, windows, config enums, the JSON
+codec and the JSON and CSV file writers.
 
 A stream is a plain float64 array on the TARGET_FS time base: the fECG
 is (n,) and the upper and lower PwD envelopes are the rows of one (2, n)
@@ -78,13 +79,21 @@ class WindowSet:
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
 
-def check_record_id(owner: str, record_id: str) -> None:
-    """Refuse a record id that cannot name the record's files: an empty
-    one, `.`, `..` or one holding a path separator or a NUL."""
-    if record_id in ("", ".", "..") \
-            or any(c in record_id for c in ("/", "\\", "\0")):
-        raise ValueError(f"{owner}.record_id: must be a file name, "
-                         f"got {record_id!r}")
+def refuse(value, *checks) -> None:
+    """Refuse a dataclass value at the first (field, ok, rule) of `checks`
+    whose `ok` is false: a ValueError `<Class>.<field>: must be <rule>,
+    got <the field's value>`."""
+    for name, ok, rule in checks:
+        if not ok:
+            raise ValueError(f"{type(value).__name__}.{name}: must be "
+                             f"{rule}, got {getattr(value, name)!r}")
+
+
+def names_a_file(record_id: str) -> bool:
+    """Whether a record id can name the record's files: it is not empty,
+    `.` or `..` and holds no path separator or NUL."""
+    return record_id not in ("", ".", "..") \
+        and not any(c in record_id for c in ("/", "\\", "\0"))
 
 
 @dataclass(frozen=True)
@@ -102,21 +111,19 @@ class RecordManifest:
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_record_id("RecordManifest", self.record_id)
         idx, n_ch = self.bipolar_channel_indices, len(self.channel_paths)
-        for name, ok, rule in (
-                ("bipolar_channel_indices", len(set(idx)) == 3,
-                 "3 distinct integers"),
-                ("bipolar_channel_indices", all(0 <= i < n_ch for i in idx),
-                 f"indices into the {n_ch} channel_paths"),
-                ("aecg_fs", 0 < self.aecg_fs < np.inf, "finite and > 0"),
-                ("image_columns_per_second",
-                 0 < self.image_columns_per_second < np.inf, "finite and > 0"),
-                # image row 0 has no row above it
-                ("image_baseline_row", self.image_baseline_row >= 1, ">= 1")):
-            if not ok:
-                raise ValueError(f"RecordManifest.{name}: must be {rule}, "
-                                 f"got {getattr(self, name)!r}")
+        refuse(self,
+               ("record_id", names_a_file(self.record_id), "a file name"),
+               ("bipolar_channel_indices", len(set(idx)) == 3,
+                "3 distinct integers"),
+               ("bipolar_channel_indices", all(0 <= i < n_ch for i in idx),
+                f"indices into the {n_ch} channel_paths"),
+               ("aecg_fs", 0 < self.aecg_fs < np.inf, "finite and > 0"),
+               ("image_columns_per_second",
+                0 < self.image_columns_per_second < np.inf,
+                "finite and > 0"),
+               # image row 0 has no row above it
+               ("image_baseline_row", self.image_baseline_row >= 1, ">= 1"))
 
 
 ENVELOPES = ("upper", "lower")  # PreprocessedRecord.env's rows, in order
@@ -213,9 +220,15 @@ def read_json(path: str, tp):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def write_json(path: str, value) -> None:
-    """Write a dataclass, or a list of them, as read_json reads it back."""
-    obj = ([to_json_dict(v) for v in value] if isinstance(value, list)
-           else to_json_dict(value))
+def write_json(path: str, values: list) -> None:
+    """Write a list of dataclasses as read_json reads it back."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
+        json.dump([to_json_dict(v) for v in values], fh, indent=1)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row, each value
+    by str(); callers pass values already formatted."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n"
+                      for row in (header, *rows))

@@ -20,6 +20,8 @@ from ..core import (
     RecordManifest,
     WaveConfig,
     WindowSet,
+    refuse,
+    write_csv,
 )
 from ..dsp import (
     WINDOW_SECONDS,
@@ -37,7 +39,7 @@ from ..errors import (
     PwdReconError,
     ZeroVariance,
 )
-from ..metrics import MetricReport, window_metrics
+from ..metrics import window_metrics
 from ..net.model import predict
 from ..net.train import train
 from ..pwd_envelope import (
@@ -49,7 +51,7 @@ from ..pwd_envelope import (
     preprocess_envelopes,
 )
 from ..separation import detect_polarity, extract_fecg
-from .plots import write_window_csv, write_window_svg
+from .plots import write_window_svg
 
 # the fixed protocol: per-record time split, RMSprop rate, penalties
 TRAIN_RATIO = 0.8
@@ -115,19 +117,16 @@ class ExperimentConfig:
     kernel_size: int = 7
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("window_s", self.window_s in WINDOW_SECONDS,
-                 f"one of {WINDOW_SECONDS}"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("kernel_size", self.kernel_size >= 1
-                 and self.kernel_size % 2 == 1, "odd and >= 1"),
-                ("net_channels", all(c >= 1 for c in self.net_channels),
-                 ">= 1 in every entry")):
-            if not ok:
-                raise ValueError(f"ExperimentConfig.{name}: must be {rule}, "
-                                 f"got {getattr(self, name)!r}")
+        refuse(self,
+               ("window_s", self.window_s in WINDOW_SECONDS,
+                f"one of {WINDOW_SECONDS}"),
+               ("batch_size", self.batch_size >= 1, ">= 1"),
+               ("seed", self.seed >= 0, ">= 0"),
+               ("epochs", self.epochs >= 1, ">= 1"),
+               ("kernel_size", self.kernel_size >= 1
+                and self.kernel_size % 2 == 1, "odd and >= 1"),
+               ("net_channels", all(c >= 1 for c in self.net_channels),
+                ">= 1 in every entry"))
         if self.output_mode is OutputMode.PCA_SINGLE \
                 and self.envelope_selection is not EnvelopeSelection.BOTH:
             raise ValueError("PCA-compressed output consumes both envelopes")
@@ -220,6 +219,14 @@ def evaluate(config: ExperimentConfig, model, test: WindowSet):
     return preds, window_metrics(preds, test.y)
 
 
+# `split` is always TimeBased, the one split protocol; the column keeps
+# the file layout
+METRICS_HEADER = ("window_s", "batch_size", "wave_config", "envelope",
+                  "polarity", "output_mode", "model", "split", "seed",
+                  "mean_r", "rendered_r", "mean_mse", "n_windows",
+                  "n_excluded")
+
+
 def run_experiment(config: ExperimentConfig,
                    records: list[PreprocessedRecord],
                    out_dir: str | None = None):
@@ -230,9 +237,16 @@ def run_experiment(config: ExperimentConfig,
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_report_csv(os.path.join(out_dir, "metrics.csv"), config,
-                          report)
-        _write_training_log(os.path.join(out_dir, "training_log.csv"), log)
+        write_csv(os.path.join(out_dir, "metrics.csv"), METRICS_HEADER, [(
+            config.window_s, config.batch_size, config.wave_config.value,
+            config.envelope_selection.value, config.polarity_filter.value,
+            config.output_mode.value, config.model.value, "TimeBased",
+            config.seed, f"{report.mean_r:.6f}", report.rendered_r,
+            f"{report.mean_mse:.6f}", report.n_windows, report.n_excluded)])
+        write_csv(os.path.join(out_dir, "training_log.csv"),
+                  ("epoch", "train_loss", "val_loss", "steps"),
+                  [(e["epoch"], f"{e['train_loss']:.9g}",
+                    f"{e['val_loss']:.9g}", e["steps"]) for e in log])
         for i, (x, y, t0, pred) in enumerate(zip(
                 test_set.x[:3], test_set.y, test_set.t_start, preds)):
             t = t0 + np.arange(x.size) / TARGET_FS
@@ -241,38 +255,11 @@ def run_experiment(config: ExperimentConfig,
                 traces[f"true_{name}"] = true
                 traces[f"pred_{name}"] = predicted
             stem = os.path.join(out_dir, f"window{i}")
-            write_window_csv(stem + ".csv", t, traces)
+            write_csv(stem + ".csv", ("time", *traces), zip(
+                [f"{v:.6f}" for v in t],
+                *([f"{v:.9g}" for v in tr] for tr in traces.values())))
             write_window_svg(stem + ".svg", t, traces)
     return report, model
-
-
-# `split` is always TimeBased, the one split protocol; the column keeps
-# the file layout
-METRICS_HEADER = ("window_s,batch_size,wave_config,envelope,polarity,"
-                  "output_mode,model,split,seed,mean_r,rendered_r,mean_mse,"
-                  "n_windows,n_excluded\n")
-
-
-def _write_report_csv(path: str, config: ExperimentConfig,
-                      report: MetricReport) -> None:
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER)
-        fh.write(f"{config.window_s},{config.batch_size},"
-                 f"{config.wave_config.value},"
-                 f"{config.envelope_selection.value},"
-                 f"{config.polarity_filter.value},{config.output_mode.value},"
-                 f"{config.model.value},TimeBased,{config.seed},"
-                 f"{report.mean_r:.6f},{report.rendered_r},"
-                 f"{report.mean_mse:.6f},{report.n_windows},"
-                 f"{report.n_excluded}\n")
-
-
-def _write_training_log(path: str, log: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_loss,steps\n")
-        for e in log:
-            fh.write(f"{e['epoch']},{e['train_loss']:.9g},"
-                     f"{e['val_loss']:.9g},{e['steps']}\n")
 
 
 # --- ablation grids --------------------------------------------------------
@@ -358,9 +345,6 @@ def run_ablation(name: str, records: list[PreprocessedRecord],
         except PwdReconError:
             cells[(row, col)] = "x"
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{name}.csv"), "w") as fh:
-        fh.write("," + ",".join(cols) + "\n")
-        for row in rows:
-            fh.write(row + "," +
-                     ",".join(cells[(row, c)] for c in cols) + "\n")
+    write_csv(os.path.join(out_dir, f"{name}.csv"), ("", *cols),
+              [(row, *(cells[(row, c)] for c in cols)) for row in rows])
     return rows, cols, cells

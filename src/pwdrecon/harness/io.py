@@ -17,7 +17,7 @@ import numpy as np
 
 from ..baselines import LinearMap
 from ..core import ModelKind, Polarity, PreprocessedRecord, RecordManifest
-from ..core import ENVELOPES, TARGET_FS, WaveConfig, check_record_id
+from ..core import ENVELOPES, TARGET_FS, WaveConfig, names_a_file, refuse
 from ..core import from_json_dict, read_json, to_json_dict, write_json
 from ..dsp import window_length
 from ..net.model import init_params
@@ -137,10 +137,9 @@ class PreprocessedIndexEntry:
     polarity: Polarity
 
     def __post_init__(self):
-        check_record_id("PreprocessedIndexEntry", self.record_id)
-        if self.fs != TARGET_FS:
-            raise ValueError(f"PreprocessedIndexEntry.fs: must be "
-                             f"{TARGET_FS}, got {self.fs!r}")
+        refuse(self,
+               ("record_id", names_a_file(self.record_id), "a file name"),
+               ("fs", self.fs == TARGET_FS, str(TARGET_FS)))
 
 
 _STREAMS = ("fecg", *ENVELOPES)  # a record's .f32 files, in row order

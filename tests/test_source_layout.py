@@ -1,7 +1,7 @@
 """Structural checks on the package source: each file format and each
-signal primitive has one owner, the one module that calls it, each
-error type has a raise, and a fault in a file read from outside is an
-OSError or a ValueError."""
+signal primitive has one owner, the one module that calls it, each text
+format has one writer, each error type has a raise, and a fault in a
+file read from outside is an OSError or a ValueError."""
 
 import ast
 import pathlib
@@ -44,6 +44,34 @@ def test_each_file_format_has_one_reader_and_writer():
                 stray.append(f"{module}:{line}: {alias}.{fn}")
     assert stray == []
     assert seen == set(OWNERS)  # the walk found each owner's calls
+
+
+def _opens_to_write(tree):
+    """Lines of every `open(...)` call whose mode writes, appends or
+    updates a file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            mode = node.args[1:2] + [k.value for k in node.keywords
+                                     if k.arg == "mode"]
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and set(mode[0].value).isdisjoint("wax+")):
+                yield node.lineno
+
+
+def test_each_text_format_has_one_writer():
+    # every CSV table goes through core.write_csv and every JSON file
+    # through core.write_json; the SVG plot and the PGM image have one
+    # writer each
+    writers = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", "<module>")
+            writers += [f"{module}:{name}" for _ in _opens_to_write(node)]
+    assert writers == ["core.py:write_json", "core.py:write_csv",
+                       "harness/io.py:write_pgm",
+                       "harness/plots.py:write_window_svg"]
 
 
 def _raised(tree):

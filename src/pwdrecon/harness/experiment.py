@@ -187,9 +187,12 @@ def build_windows(records: list[PreprocessedRecord],
 
 
 def _fit(config: ExperimentConfig, x: np.ndarray, y: np.ndarray):
-    """Train the configured model; returns (model, training log)."""
+    """Train the configured model; returns (model, training log). The
+    network trains and predicts in float32, the one place its precision
+    is chosen: half the bytes of float64 through every convolution."""
     if config.model is ModelKind.PWDRECNET:
-        return train(x, y, config.net_channels, config.kernel_size,
+        return train(x.astype(np.float32), y.astype(np.float32),
+                     config.net_channels, config.kernel_size,
                      config.epochs, config.batch_size, config.seed, LR)
     Y = y.reshape(len(y), -1)
     if config.model is ModelKind.LINEAR:

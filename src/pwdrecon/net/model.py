@@ -2,11 +2,12 @@
 
 Three encoder blocks (residual 1-D conv stacks followed by max pooling),
 a mirrored decoder with nearest-neighbor upsampling and skip
-concatenations, and a linear 1x1 head. Everything runs in float64 on one
-padded channel-major batch layout, k//2 zero columns on each side of
-every window; this module alone writes them, so that the convolutions,
-which run over the flat batch, never mix two windows. Gradients are
-hand-derived and validated against finite differences.
+concatenations, and a linear 1x1 head. Everything runs in the
+parameters' dtype on one padded channel-major batch layout, k//2 zero
+columns on each side of every window; this module alone writes them, so
+that the convolutions, which run over the flat batch, never mix two
+windows. Gradients are hand-derived and validated against finite
+differences.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
     n, L = x.shape
     pad = params["enc0.conv0.w"].shape[2] // 2
     cache = {"pad": pad, "enc": [], "pool_arg": [], "dec": []}
-    h = np.zeros((1, n, -(-L // LENGTH_MULTIPLE) * LENGTH_MULTIPLE + 2 * pad))
+    h = np.zeros((1, n, -(-L // LENGTH_MULTIPLE) * LENGTH_MULTIPLE + 2 * pad),
+                 dtype=params["head.w"].dtype)
     h[0, :, pad:pad + L] = x
     pre_pools = []
     for i in range(N_LEVELS):
@@ -152,7 +154,8 @@ def backward(params: dict[str, np.ndarray], cache: dict,
     grad_out (N, out_channels, L) = d(loss)/d(output of forward_batch)."""
     pad = cache["pad"]
     grads: dict[str, np.ndarray] = {}
-    dy = np.zeros((grad_out.shape[1], *cache["head_in"].shape[1:]))
+    dy = np.zeros((grad_out.shape[1], *cache["head_in"].shape[1:]),
+                  dtype=params["head.w"].dtype)
     dy[..., pad:pad + grad_out.shape[2]] = grad_out.transpose(1, 0, 2)
     dh = _conv_backward(params, "head", cache["head_in"], dy, grads)
 
@@ -173,7 +176,8 @@ def backward(params: dict[str, np.ndarray], cache: dict,
 
 
 def predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Predict envelope windows: x (N, L) -> output (N, out_channels, L).
+    """Predict envelope windows: x (N, L) -> output (N, out_channels, L),
+    float64 whatever the parameters' dtype.
 
     One window per forward pass: batch-wide GEMMs sum in an order that
     depends on the batch.

@@ -1,4 +1,5 @@
-"""Differentiable 1-D primitives on batched (N, C, L) float64 arrays.
+"""Differentiable 1-D primitives on batched (N, C, L) float arrays, each
+computed in the dtype of its inputs.
 
 Each forward has a matching backward computing exact analytic gradients;
 correctness is pinned by finite-difference checks in the test suite. The
@@ -45,7 +46,7 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
     n, cin, L = x.shape
     cout, _, k = w.shape
     d = dout.transpose(1, 0, 2).reshape(cout, n * L)
-    cols = np.empty((k, cout, n * L))
+    cols = np.empty((k, cout, n * L), dtype=dout.dtype)
     for j in range(k):
         dst, src = _shift(k // 2 - j, n * L)
         cols[j, :, dst] = d[:, src]

@@ -16,7 +16,8 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
           lr: float):
     """Train the reconstruction net of `net_channels` and `kernel_size`
     (init_params) on x (N, L) -> y (N, C, L), with C outputs; returns
-    (best_params, log).
+    (best_params, log). The seeded parameter draw is cast to the dtype
+    of x, and the network computes in it.
 
     Each epoch takes RMSprop steps of rate `lr` on shuffled batches of
     `batch_size` windows; `seed` fixes the initial parameters, the
@@ -32,7 +33,8 @@ def train(x: np.ndarray, y: np.ndarray, net_channels: tuple[int, int, int],
     n_val = min(int(round(VAL_FRACTION * n)), n - 1)
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
 
-    params = init_params(net_channels, kernel_size, y.shape[1], seed=seed)
+    params = {name: p.astype(x.dtype) for name, p in init_params(
+        net_channels, kernel_size, y.shape[1], seed=seed).items()}
     v: dict[str, np.ndarray] = {}
 
     best = {name: p.copy() for name, p in params.items()}

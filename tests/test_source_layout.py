@@ -129,3 +129,25 @@ def test_raw_float32_files_have_one_reader():
              for alias, name, _ in _calls(fn) if (alias, name)
              == ("np", "fromfile")]
     assert sites == ["read_f32_rows"]
+
+
+def _names_float32(tree):
+    """Whether the tree names float32: `np.float32`, a bare `float32`, or
+    the dtype string "float32" or "f4"."""
+    return any(isinstance(node, ast.Attribute) and node.attr == "float32"
+               or isinstance(node, ast.Name) and node.id == "float32"
+               or isinstance(node, ast.Constant)
+               and node.value in ("float32", "f4")
+               for node in ast.walk(tree))
+
+
+def test_the_network_precision_has_one_chooser():
+    # the network computes in its parameters' dtype and experiment._fit
+    # alone picks float32 for them, so no config field, flag or second
+    # cast can choose it too; the "<f4" of the raw files is their format
+    sites = [f"{path.relative_to(SRC).as_posix()}:"
+             f"{getattr(node, 'name', '<module>')}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if _names_float32(node)]
+    assert sites == ["harness/experiment.py:_fit"]

@@ -125,13 +125,13 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, group):
     most `group` of them.
 
     A live chain is on one column and moves its target from its source's
-    (the left neighbour, or column m: a zero target appended to Yc and
-    Xty) to its own over t in [0, 1]. Every step moves all live chains to
-    their next event: a feature entering the active set, an active weight
-    reaching zero and leaving it, or the segment's end. Each chain carries
-    the inverse of its active Gram block (zero outside its active entries),
-    so a step takes batched products with the inverses and one product
-    with Xc^T for the correlations. The active set never grows past
+    (the left neighbour, or column m: a zero target appended to the targets
+    and Xty) to its own over t in [0, 1]. Every step moves all live chains
+    to their next event: a feature entering the active set, an active
+    weight reaching zero and leaving it, or the segment's end. Each chain
+    carries the inverse of its active Gram block (zero outside its active
+    entries), so a step takes batched products with the inverses and one
+    product with Xc^T for the correlations. The active set never grows past
     rank(Xc), and a feature whose column lies in the span of the active
     ones never enters. On the step after an event, the feature that
     entered may not leave and the one that left may not re-enter on the
@@ -153,7 +153,9 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, group):
     near = np.einsum("ij,ij->j", Yc[:, :-1], Yc[:, :-1]) \
         < 2 * np.einsum("ij,ij->j", Yc[:, :-1], Yc[:, 1:])
     restart = np.append(True, ~near)
-    Yc = np.column_stack([Yc, np.zeros(n)])
+    # one row per target column, with the zero target last: each step
+    # gathers its chains' source and target rows
+    YT = np.vstack([Yc.T, np.zeros(n)])
     Xty = np.vstack([Xty, np.zeros(d)])
     # ceil(sqrt(m)) chains balance the chains' starts from zero against
     # their segments from a neighbour; a column that starts from zero gains
@@ -182,37 +184,43 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, group):
     f_k, f_col = np.zeros((2, 2 * chains), dtype=np.intp)
     W = np.zeros((d, m))
     nb = it = 0
-    while col.size:
-        c = col.size
-        rows = np.arange(c)
-        kk = Ginv.shape[1]
-        valid = np.arange(kk) < k[:, None]
-        A, s_act = act[:, :kk], sgn[:, :kk]
-        # on a fixed active set with fixed signs the solution is affine
-        # along the segment: G w = X_A^T y / n - lam * s, where y moves by
-        # y1 - y0 per unit t, so dw = G^{-1} X_A^T (y1 - y0) / n
-        b0 = Xty[src[:, None], A]
-        db = Xty[col[:, None], A] - b0
-        rhs = np.stack([s_act, db, b0 + t[:, None] * db], -1)
-        gs, dA, gb = np.moveaxis(Ginv @ rhs, -1, 0)
-        wA = gb - lam * gs
-        ra, pa = np.nonzero(valid)
-        ids = A[ra, pa]                # the feature of active entry (ra, pa)
-        # correlations and their rates along the step, both (c, d):
-        # X^T r / n moves as corr - gamma * slope
-        WD = np.zeros((2 * c, d))
-        WD[ra, ids] = wA[ra, pa]
-        WD[c + ra, ids] = dA[ra, pa]
-        XWD = WD @ Xc.T
-        del WD
-        Y0 = Yc[:, src].T
-        dY = Yc[:, col].T - Y0
-        XWD[:c] = Y0 + t[:, None] * dY - XWD[:c]
-        XWD[c:] -= dY
-        corr, slope = np.split(XWD @ Xc / n, 2)
-        del XWD, Y0, dY
+    # the step lengths divide by rates that may be zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while col.size:
+            c = col.size
+            rows = np.arange(c)
+            kk = Ginv.shape[1]
+            valid = np.arange(kk) < k[:, None]
+            A, s_act = act[:, :kk], sgn[:, :kk]
+            # on a fixed active set with fixed signs the solution is affine
+            # along the segment: G w = X_A^T y / n - lam * s, where y moves by
+            # y1 - y0 per unit t, so dw = G^{-1} X_A^T (y1 - y0) / n
+            b0 = Xty[src[:, None], A]
+            rhs = np.empty((c, kk, 3))
+            rhs[..., 0] = s_act
+            db = np.subtract(Xty[col[:, None], A], b0, out=rhs[..., 1])
+            rhs[..., 2] = b0 + t[:, None] * db
+            sol = Ginv @ rhs
+            gs, dA, gb = sol[..., 0], sol[..., 1], sol[..., 2]
+            wA = gb - lam * gs
+            ra, pa = valid.nonzero()
+            ids = A[ra, pa]        # the feature of active entry (ra, pa)
+            # correlations and their rates along the step, both (c, d):
+            # X^T r / n moves as corr - gamma * slope
+            WD = np.zeros((2 * c, d))
+            WD[ra, ids] = wA[ra, pa]
+            WD[c + ra, ids] = dA[ra, pa]
+            XWD = WD @ Xc.T
+            del WD
+            Y0 = YT[src]
+            dY = YT[col] - Y0
+            XWD[:c] = Y0 + t[:, None] * dY - XWD[:c]
+            XWD[c:] -= dY
+            corr_slope = XWD @ Xc
+            corr_slope /= n
+            corr, slope = corr_slope[:c], corr_slope[c:]
+            del XWD, Y0, dY
 
-        with np.errstate(divide="ignore", invalid="ignore"):
             # entering: |corr - gamma * slope| meets lam
             up = lam - corr
             up /= -slope
@@ -225,123 +233,132 @@ def _homotopy(Xc, Yc, Gram, Xty, rank, lam, group):
             moving = valid & (s_act * dA < 0) & (A != last_in[:, None])
             leave = np.where(moving, np.maximum(s_act * wA, 0.0) / np.abs(dA),
                              np.inf)
-        # the feature that left on the last event may not re-enter on the
-        # side it left from
-        o = np.flatnonzero(last_out >= 0)
-        j = last_out[o]
-        up[o, j] = np.where(out_sgn[o] > 0, np.inf, up[o, j])
-        down[o, j] = np.where(out_sgn[o] < 0, np.inf, down[o, j])
-        positive = up <= down
-        enter = np.minimum(up, down, out=up)
-        del down
-        np.maximum(enter, 0.0, out=enter)
-        shut = blocked.copy()
-        shut[ra, ids] = True
-        shut[k >= rank] = True
-        enter[shut] = np.inf
-        j_add = enter.argmin(axis=1)
-        g_add = enter[rows, j_add]
-        s_add = np.where(positive[rows, j_add], 1.0, -1.0)
-        del corr, slope, up, enter, positive, shut    # before Ginv grows
-        p_drop = leave.argmin(axis=1)
-        g_drop = leave[rows, p_drop]
-        j_drop, s_drop = A[rows, p_drop], s_act[rows, p_drop]
+            # the feature that left on the last event may not re-enter on the
+            # side it left from
+            o = (last_out >= 0).nonzero()[0]
+            if o.size:
+                j = last_out[o]
+                up[o, j] = np.where(out_sgn[o] > 0, np.inf, up[o, j])
+                down[o, j] = np.where(out_sgn[o] < 0, np.inf, down[o, j])
+            positive = up <= down
+            enter = np.minimum(up, down, out=up)
+            del down
+            np.maximum(enter, 0.0, out=enter)
+            # shut: refused features, active ones, and every feature of a chain
+            # whose active set has reached rank(Xc)
+            enter[blocked] = np.inf
+            enter[ra, ids] = np.inf
+            enter[k >= rank] = np.inf
+            j_add = enter.argmin(axis=1)
+            g_add = enter[rows, j_add]
+            s_add = np.where(positive[rows, j_add], 1.0, -1.0)
+            # before Ginv grows
+            del corr, slope, corr_slope, up, enter, positive
+            p_drop = leave.argmin(axis=1)
+            g_drop = leave[rows, p_drop]
+            j_drop, s_drop = A[rows, p_drop], s_act[rows, p_drop]
 
-        g_end = 1.0 - t
-        gamma = np.minimum(g_end, np.minimum(g_add, g_drop))
-        is_end = g_end <= gamma
-        is_drop = ~is_end & (g_drop <= g_add)
-        is_add = ~is_end & ~is_drop
+            g_end = 1.0 - t
+            gamma = np.minimum(g_end, np.minimum(g_add, g_drop))
+            is_end = g_end <= gamma
+            is_drop = ~is_end & (g_drop <= g_add)
+            is_add = ~is_end & ~is_drop
 
-        # an entering feature borders its chain's inverse with its Schur
-        # complement gjj - g^T G^-1 g = |(I - P_A) x_j|^2 / n; a dependent
-        # one is refused and the chain stays where it is for this step
-        if (is_add & (k == kk)).any():     # the inverses grow a slot
-            Ginv = np.concatenate([Ginv, np.zeros((c, 1, kk))], 1)
-            Ginv = np.concatenate([Ginv, np.zeros((c, kk + 1, 1))], 2)
-            kk += 1
-        g = Gram[act[:, :kk], j_add[:, None]]
-        z = (Ginv @ g[..., None])[..., 0]
-        schur = Gram[j_add, j_add] - (g * z).sum(axis=1)
-        dep = is_add & (schur <= _DEPENDENT * gmax)
-        blocked[dep, j_add[dep]] = True
-        is_add &= ~dep
-        gamma[dep] = 0.0
-        # bordering adds z z^T / s to an entering chain's inverse, and
-        # eliminating slot p subtracts Ginv[:, p] Ginv[p, :] / Ginv[p, p]:
-        # both u v^T
-        a, r = np.flatnonzero(is_add), np.flatnonzero(is_drop)
-        p, q = k[a], p_drop[r]
-        u, v = np.zeros((c, kk)), np.zeros((c, kk))
-        u[a], u[r] = z[a], Ginv[r, :, q]
-        v[a], v[r] = z[a] / schur[a, None], -Ginv[r, q] / Ginv[r, q, q, None]
-        Ginv += u[:, :, None] * v[:, None, :]
-        # then an entering feature takes slot k, and a leaving one's slot
-        # takes the last active entry
-        Ginv[a, p] = Ginv[a, :, p] = -v[a]
-        Ginv[a, p, p] = 1 / schur[a]
-        act[a, p], sgn[a, p] = j_add[a], s_add[a]
-        k[a] += 1
-        last = k[r] = k[r] - 1
-        act[r, q], sgn[r, q] = act[r, last], sgn[r, last]
-        Ginv[r, q] = Ginv[r, last]
-        Ginv[r, :, q] = Ginv[r, :, last]
-        Ginv[r, last] = Ginv[r, :, last] = 0.0
-        ev = is_add | is_drop
-        last_in[ev] = np.where(is_add, j_add, -1)[ev]
-        last_out[ev] = np.where(is_drop, j_drop, -1)[ev]
-        out_sgn[ev] = s_drop[ev]
-        t += gamma
-        steps += 1
+            # an entering feature borders its chain's inverse with its Schur
+            # complement gjj - g^T G^-1 g = |(I - P_A) x_j|^2 / n; a dependent
+            # one is refused and the chain stays where it is for this step
+            if (is_add & (k == kk)).any():     # the inverses grow a slot
+                Ginv = np.concatenate([Ginv, np.zeros((c, 1, kk))], 1)
+                Ginv = np.concatenate([Ginv, np.zeros((c, kk + 1, 1))], 2)
+                kk += 1
+            g = Gram[act[:, :kk], j_add[:, None]]
+            z = (Ginv @ g[..., None])[..., 0]
+            schur = Gram[j_add, j_add] - (g * z).sum(axis=1)
+            dep = is_add & (schur <= _DEPENDENT * gmax)
+            blocked[dep, j_add[dep]] = True
+            is_add &= ~dep
+            gamma[dep] = 0.0
+            # bordering adds z z^T / s to an entering chain's inverse, and
+            # eliminating slot p subtracts Ginv[:, p] Ginv[p, :] / Ginv[p, p]:
+            # both u v^T
+            a, r = is_add.nonzero()[0], is_drop.nonzero()[0]
+            p, q = k[a], p_drop[r]
+            u, v = np.zeros((c, kk)), np.zeros((c, kk))
+            u[a] = z[a]
+            v[a] = z[a] / schur[a, None]
+            if r.size:
+                u[r] = Ginv[r, :, q]
+                v[r] = -Ginv[r, q] / Ginv[r, q, q, None]
+            Ginv += u[:, :, None] * v[:, None, :]
+            # then an entering feature takes slot k, and a leaving one's slot
+            # takes the last active entry
+            Ginv[a, p] = Ginv[a, :, p] = -v[a]
+            Ginv[a, p, p] = 1 / schur[a]
+            act[a, p], sgn[a, p] = j_add[a], s_add[a]
+            k[a] += 1
+            if r.size:
+                last = k[r] = k[r] - 1
+                act[r, q], sgn[r, q] = act[r, last], sgn[r, last]
+                Ginv[r, q] = Ginv[r, last]
+                Ginv[r, :, q] = Ginv[r, :, last]
+                Ginv[r, last] = Ginv[r, :, last] = 0.0
+            ev = is_add | is_drop
+            last_in[ev] = np.where(is_add, j_add, -1)[ev]
+            last_out[ev] = np.where(is_drop, j_drop, -1)[ev]
+            out_sgn[ev] = s_drop[ev]
+            t += gamma
+            steps += 1
 
-        cut = steps >= LASSO_MAX_ITER
-        done = np.flatnonzero(is_end | cut)
-        # a segment from a neighbour that has to refuse a feature as
-        # dependent can end off the column's solution (on near-collinear
-        # designs), so the column starts again from zero
-        redo = np.flatnonzero(dep & (src < m) & ~cut)
-        if done.size == 0 and redo.size == 0:
-            continue
-        if done.size:
-            it = max(it, int(steps[done].max()))
-            e = slice(nb, nb + done.size)
-            f_act[e, :kk], f_sgn[e, :kk] = act[done, :kk], sgn[done, :kk]
-            f_k[e], f_col[e] = k[done], col[done]
-            nb += done.size
-            if nb >= chains:
-                _solve_active(Gram, Xty, f_act[:nb], f_sgn[:nb], f_k[:nb],
-                              f_col[:nb], lam, W)
-                nb = 0
-                # rank-one updates let the carried inverses drift along a
-                # chain (on the ablation fits up to 5e-7 relative at a
-                # column's end, against 2e-9 at the end of a start from
-                # zero; 5e-9 when they are re-formed this often)
-                G, both = _gram_blocks(Gram, act[:, :kk], k)
-                Ginv = np.linalg.inv(G)
-                Ginv *= both
-        # a finished chain moves on to its next column: from its final
-        # state if the column ended its segment, from zero if it was cut or
-        # the next column starts from zero
-        more = col[done] + 1 < stop[done]
-        go, fin = done[more], done[~more]
-        fresh = np.concatenate([go[~is_end[go] | restart[col[go] + 1]], redo])
-        src[go] = col[go]
-        col[go] += 1
-        src[fresh] = m
-        k[fresh] = 0
-        Ginv[fresh] = 0.0
-        moved = np.concatenate([go, redo])
-        t[moved] = 0.0
-        steps[moved] = 0
-        last_in[moved] = last_out[moved] = -1
-        blocked[moved] = False
-        if fin.size:
-            keep = np.ones(c, dtype=bool)
-            keep[fin] = False
-            (col, stop, src, t, act, sgn, k, steps, last_in, last_out,
-             out_sgn, blocked, Ginv) = (
-                x[keep] for x in (col, stop, src, t, act, sgn, k, steps,
-                                  last_in, last_out, out_sgn, blocked, Ginv))
+            cut = steps >= LASSO_MAX_ITER
+            done = (is_end | cut).nonzero()[0]
+            # a segment from a neighbour that has to refuse a feature as
+            # dependent can end off the column's solution (on near-collinear
+            # designs), so the column starts again from zero
+            redo = (dep & (src < m) & ~cut).nonzero()[0]
+            if done.size == 0 and redo.size == 0:
+                continue
+            if done.size:
+                it = max(it, int(steps[done].max()))
+                e = slice(nb, nb + done.size)
+                f_act[e, :kk], f_sgn[e, :kk] = act[done, :kk], sgn[done, :kk]
+                f_k[e], f_col[e] = k[done], col[done]
+                nb += done.size
+                if nb >= chains:
+                    _solve_active(Gram, Xty, f_act[:nb], f_sgn[:nb], f_k[:nb],
+                                  f_col[:nb], lam, W)
+                    nb = 0
+                    # rank-one updates let the carried inverses drift along a
+                    # chain (on the ablation fits up to 5e-7 relative at a
+                    # column's end, against 2e-9 at the end of a start from
+                    # zero; 5e-9 when they are re-formed this often)
+                    G, both = _gram_blocks(Gram, act[:, :kk], k)
+                    Ginv = np.linalg.inv(G)
+                    Ginv *= both
+            # a finished chain moves on to its next column: from its final
+            # state if the column ended its segment, from zero if it was cut or
+            # the next column starts from zero
+            more = col[done] + 1 < stop[done]
+            go, fin = done[more], done[~more]
+            fresh = np.concatenate([go[~is_end[go] | restart[col[go] + 1]],
+                                    redo])
+            src[go] = col[go]
+            col[go] += 1
+            src[fresh] = m
+            k[fresh] = 0
+            Ginv[fresh] = 0.0
+            moved = np.concatenate([go, redo])
+            t[moved] = 0.0
+            steps[moved] = 0
+            last_in[moved] = last_out[moved] = -1
+            blocked[moved] = False
+            if fin.size:
+                keep = np.ones(c, dtype=bool)
+                keep[fin] = False
+                (col, stop, src, t, act, sgn, k, steps, last_in, last_out,
+                 out_sgn, blocked, Ginv) = (
+                    x[keep] for x in (col, stop, src, t, act, sgn, k,
+                                      steps, last_in, last_out, out_sgn,
+                                      blocked, Ginv))
     _solve_active(Gram, Xty, f_act[:nb], f_sgn[:nb], f_k[:nb], f_col[:nb],
                   lam, W)
     return W, it

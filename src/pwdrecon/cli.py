@@ -110,8 +110,9 @@ def _cmd_ablate(args) -> dict:
         grid = read_json(args.grid, GridFile)
     base = _seeded(grid.base, args.seed)
     records = load_preprocessed(args.data)
+    cache: dict = {}  # one for all grids: a cell they share is fitted once
     for name in grid.grids:
-        run_ablation(name, records, base, out_dir=args.out)
+        run_ablation(name, records, base, args.out, cache)
     return {"grids": grid.grids, "out": args.out}
 
 

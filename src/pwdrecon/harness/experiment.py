@@ -155,6 +155,16 @@ def _target_channels(rec: PreprocessedRecord,
     return zscore(rec.env[[ENVELOPES.index(t) for t in config.targets]])
 
 
+def _selected(records: list[PreprocessedRecord],
+              config: ExperimentConfig) -> list[PreprocessedRecord]:
+    """The records that pass the config's wave and polarity filters."""
+    return [rec for rec in records
+            if (config.wave_config is WaveConfig.GROUP
+                or rec.wave_config is config.wave_config)
+            and (config.polarity_filter is Polarity.GROUP
+                 or rec.polarity is config.polarity_filter)]
+
+
 def build_windows(records: list[PreprocessedRecord],
                   config: ExperimentConfig) -> tuple[WindowSet, WindowSet]:
     """Filter records per config, cut each into windows in time order
@@ -163,13 +173,7 @@ def build_windows(records: list[PreprocessedRecord],
     to train and the rest to test; a shorter record is left out."""
     L = window_length(config.window_s)
     sides: tuple[list, list] = ([], [])
-    for rec in sorted(records, key=lambda r: r.record_id):
-        if config.wave_config is not WaveConfig.GROUP \
-                and rec.wave_config is not config.wave_config:
-            continue
-        if config.polarity_filter is not Polarity.GROUP \
-                and rec.polarity is not config.polarity_filter:
-            continue
+    for rec in sorted(_selected(records, config), key=lambda r: r.record_id):
         if rec.fecg.size < 2 * L:  # split needs two windows a record
             continue
         try:
@@ -330,23 +334,44 @@ class GridFile:
             list(grid_cells(name, self.base))  # refuse a bad cell up front
 
 
+def _cell_key(config: ExperimentConfig,
+              records: list[PreprocessedRecord]) -> tuple:
+    """Everything a cell's value depends on: the records the filters
+    select, the fields that cut and target the windows, the model, and
+    for the network the fields that train it. A baseline reads none of
+    the network's fields."""
+    key = (tuple(sorted(rec.record_id for rec in _selected(records, config))),
+           config.window_s, config.envelope_selection, config.output_mode,
+           config.model)
+    if config.model is ModelKind.PWDRECNET:
+        key += (config.batch_size, config.epochs, config.net_channels,
+                config.kernel_size, config.seed)
+    return key
+
+
 def run_ablation(name: str, records: list[PreprocessedRecord],
-                 base: ExperimentConfig, out_dir: str):
+                 base: ExperimentConfig, out_dir: str, cache: dict):
     """Run every cell of a named grid; failures become marker cells.
 
+    `cache` maps a cell key (_cell_key) to the cell's string. Pass one
+    dict to every grid run on the same records: a cell whose key is in
+    it takes that string and is not fitted again, so each distinct fit
+    runs once.
     Returns (rows, cols, cell strings dict) and writes `<name>.csv` in
     out_dir, in the paper's row-by-column layout.
     """
     rows, cols = ([label for label, _ in axis] for axis in GRIDS[name])
     cells: dict[tuple[str, str], str] = {}
     for row, col, config in grid_cells(name, base):
-        try:
-            report, _ = run_experiment(config, records)
-            cells[(row, col)] = report.rendered_r
-        except NoWindowsAfterFilter:
-            cells[(row, col)] = "-"
-        except PwdReconError:
-            cells[(row, col)] = "x"
+        key = _cell_key(config, records)
+        if key not in cache:
+            try:
+                cache[key] = run_experiment(config, records)[0].rendered_r
+            except NoWindowsAfterFilter:
+                cache[key] = "-"
+            except PwdReconError:
+                cache[key] = "x"
+        cells[(row, col)] = cache[key]
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, f"{name}.csv"), ("", *cols),
               [(row, *(cells[(row, c)] for c in cols)) for row in rows])

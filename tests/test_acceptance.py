@@ -321,7 +321,8 @@ def test_a9_protocol_fidelity(small_dataset, tmp_path):
     dirs = [str(tmp_path / "runA"), str(tmp_path / "runB")]
     for d in dirs:
         for name in GRID_NAMES:
-            _, _, cells = run_ablation(name, records, out_dir=d, base=base)
+            _, _, cells = run_ablation(name, records, out_dir=d, base=base,
+                                       cache={})
             assert len(cells) == GRID_SIZES[name], name
     for name in GRID_NAMES:
         a = os.path.join(dirs[0], f"{name}.csv")

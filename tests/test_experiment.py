@@ -1,4 +1,6 @@
 import dataclasses
+import filecmp
+import json
 import os
 import re
 import warnings
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from pwdrecon import baselines, separation
+from pwdrecon.cli import main as cli_main
 from pwdrecon.core import (
     TARGET_FS,
     EnvelopeSelection,
@@ -395,7 +398,7 @@ def test_run_ablation_writes_csv_with_markers(small_dataset, tmp_path):
     out = str(tmp_path / "abl")
     base = ExperimentConfig(model=ModelKind.RIDGE, **FAST)
     rows, cols, cells = run_ablation("table2", records, out_dir=out,
-                                     base=base)
+                                     base=base, cache={})
     assert len(cells) == 9
     path = os.path.join(out, "table2.csv")
     with open(path) as fh:
@@ -439,10 +442,127 @@ def test_untrustworthy_fit_gives_no_number(fault, model, error, match,
         with pytest.raises(error, match=match):
             run_experiment(base, records)
         _, cols, cells = run_ablation("table2", records, base=base,
-                                      out_dir=str(tmp_path))
+                                      out_dir=str(tmp_path), cache={})
     # all records are EA+: EA- cells have no windows, the rest fail
     assert [cells[("EA+", c)] for c in cols] == ["x"] * 3
     assert [cells[("EA-", c)] for c in cols] == ["-"] * 3
+
+
+def _mixed_records():
+    """Random records whose envelopes follow the fECG, so each cell has
+    its own r: two groups of wave and polarity, one record that crosses
+    them, and a 3 s record that no 2 s window cell can use."""
+    specs = (("a", WaveConfig.EA_PLUS, Polarity.POSITIVE, 10.0),
+             ("b", WaveConfig.EA_MINUS, Polarity.NEGATIVE, 10.0),
+             ("c", WaveConfig.EA_PLUS, Polarity.NEGATIVE, 10.0),
+             ("d", WaveConfig.EA_MINUS, Polarity.NEGATIVE, 3.0))
+    records = []
+    for i, (rid, wave, polarity, seconds) in enumerate(specs):
+        rng = np.random.default_rng(100 + i)
+        fecg = rng.normal(size=int(seconds * TARGET_FS))
+        env = np.array([fecg, -fecg]) + rng.normal(size=(2, fecg.size))
+        records.append(PreprocessedRecord(rid, fecg, env, wave, polarity))
+    return records
+
+
+MIXED_BASE = ExperimentConfig(model=ModelKind.RIDGE, **FAST)
+
+
+def _counted_fits(monkeypatch):
+    """The configs run_ablation fits, in call order."""
+    fits, run = [], experiment.run_experiment
+
+    def counted(config, records, out_dir=None):
+        fits.append(config)
+        return run(config, records, out_dir)
+
+    monkeypatch.setattr(experiment, "run_experiment", counted)
+    return fits
+
+
+def _distinct_fit(config, records):
+    """What decides a cell, written out apart from the program: the
+    records its filters select, the window and target fields and the
+    model, and for the network the fields that train it."""
+    ids = sorted(r.record_id for r in records
+                 if config.wave_config in (WaveConfig.GROUP, r.wave_config)
+                 and config.polarity_filter in (Polarity.GROUP, r.polarity))
+    net = (config.batch_size, config.epochs, config.net_channels,
+           config.kernel_size, config.seed) \
+        if config.model is ModelKind.PWDRECNET else ()
+    return (tuple(ids), config.window_s, config.envelope_selection,
+            config.output_mode, config.model, *net)
+
+
+def test_grid_cells_share_failure_markers_through_the_cache(
+        small_dataset, monkeypatch, tmp_path):
+    """A cell that takes its key's value from the cache takes an `x` or a
+    `-` as it would a number: all records are EA+, so the Group row reads
+    the EA+ row's fits."""
+    _, _, records = small_dataset
+    _unconverged_lasso(monkeypatch)
+    fits = _counted_fits(monkeypatch)
+    base = ExperimentConfig(model=ModelKind.LASSO, **FAST)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # lasso's own warning
+        _, cols, cells = run_ablation("table2", records, base,
+                                      str(tmp_path), {})
+    assert [cells[(row, c)] for row in ("EA+", "Group") for c in cols] \
+        == ["x"] * 6
+    assert [cells[("EA-", c)] for c in cols] == ["-"] * 3
+    assert len(fits) == 6
+
+
+def test_ablate_writes_the_same_tables_with_one_cache_for_all_grids(
+        tmp_path):
+    """`pwdrecon ablate --grid all` shares one cache across the grids;
+    every table is byte-identical to one run with a fresh cache per
+    grid, where no grid reads another's fits."""
+    data = str(tmp_path / "prep")
+    save_preprocessed(data, _mixed_records())
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grids": list(GRID_NAMES),
+                                "base": to_json_dict(MIXED_BASE)}))
+    shared = str(tmp_path / "shared")
+    assert cli_main(["ablate", "--grid", str(grid), "--data", data,
+                     "--out", shared]) == 0
+    records = load_preprocessed(data)
+    fresh = str(tmp_path / "fresh")
+    for name in GRID_NAMES:
+        run_ablation(name, records, MIXED_BASE, fresh, {})
+    files = [f"{name}.csv" for name in GRID_NAMES]
+    assert filecmp.cmpfiles(shared, fresh, files, shallow=False)[0] == files
+
+
+def test_ablate_fits_each_distinct_cell_once(monkeypatch, tmp_path):
+    """The fits equal the distinct cells; table1's baseline rows repeat
+    one fit across the five batch sizes; and every cell reads what its
+    own fit gives."""
+    records = _mixed_records()
+    fits = _counted_fits(monkeypatch)
+    run_ablation("table1", records, MIXED_BASE, str(tmp_path), {})
+    assert len(fits) == 5
+    fits.clear()
+    cache, cells = {}, {}
+    for name in GRID_NAMES:
+        cells[name] = run_ablation(name, records, MIXED_BASE, str(tmp_path),
+                                   cache)[2]
+    configs = [c for name in GRID_NAMES
+               for _, _, c in grid_cells(name, MIXED_BASE)]
+    assert len(fits) == len({_distinct_fit(c, records) for c in configs})
+    assert len({_distinct_fit(c, records) for c in fits}) == len(fits)
+    assert len(fits) < len(configs)
+    monkeypatch.undo()
+    kinds = set()
+    for name in GRID_NAMES:
+        for row, col, config in grid_cells(name, MIXED_BASE):
+            try:
+                want = run_experiment(config, records)[0].rendered_r
+            except NoWindowsAfterFilter:
+                want = "-"
+            assert cells[name][(row, col)] == want, (name, row, col)
+            kinds.add(_cell_kind(want))
+    assert kinds == {"-", "number"}
 
 
 # The benchmark's ablate_all set at seed 1604 (np.random.SeedSequence(1604)
@@ -487,7 +607,7 @@ def test_grid_cells_survive_round_off_perturbation_of_the_input(
         out = str(tmp_path / "tables")
         return {(name, *key): cell for name in ("table3", "table6")
                 for key, cell in run_ablation(name, records, base,
-                                              out)[2].items()}
+                                              out, {})[2].items()}
 
     plain = cells(lambda shape: 1.0)
     # two sources per record, so consecutive pairs of rates

@@ -494,6 +494,38 @@ def test_lasso_tied_features_do_not_cycle(frac):
     assert m.converged and m.n_iter < 30
 
 
+def _random_tied_design(seed):
+    """A random-walk design with one to four features +-x_i + z appended,
+    z orthogonal to the constant, X and Y, at norms from 1e-4 to 10 (a
+    random _tied_design)."""
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(12, 40), rng.integers(3, 10)
+    X = np.cumsum(rng.normal(size=(n, d)), axis=1)
+    Y = 3 * np.cumsum(rng.normal(size=(n, rng.integers(2, 10))), axis=1) \
+        + X @ rng.normal(size=(d, 1))
+    basis = np.column_stack([np.ones(n), X, Y])
+    ties = []
+    for _ in range(rng.integers(1, 5)):
+        z = rng.normal(size=n)
+        z -= basis @ np.linalg.lstsq(basis, z, rcond=None)[0]
+        sign, i = rng.choice([-1, 1]), rng.integers(d)
+        ties.append(sign * X[:, i]
+                    + 10.0 ** rng.uniform(-4, 1) * z / np.linalg.norm(z))
+    return np.column_stack([X] + ties), Y
+
+
+@pytest.mark.parametrize("seed, frac", [(49, 0.01), (80, 0.001)],
+                         ids=["cycles", "stalls"])
+def test_lasso_left_feature_does_not_reenter_on_its_side(seed, frac):
+    """Regression examples from a seeded search of 1000 random tied designs
+    at 4 penalties: with the feature that left on the last event allowed
+    to re-enter on its side, a column on the first design cycles until
+    LASSO_MAX_ITER (gap 5e-4) and one on the second ends with gap 0.08."""
+    X, Y = _random_tied_design([seed, 2])
+    m = lasso_fit(X, Y, frac * lasso_lambda_max(X, Y))
+    assert m.converged and m.n_iter < 30
+
+
 @pytest.mark.parametrize("frac", [0.01, 0.001])
 def test_lasso_segment_refusing_a_feature_runs_the_path(frac):
     """Regression example: with near-twin features (pairs 1e-3 apart) a

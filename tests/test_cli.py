@@ -130,6 +130,32 @@ def test_train_evaluate_and_ablate_never_load_scipy(small_dataset, tmp_path):
     assert os.path.isfile(tmp_path / "abl" / "table2.csv")
 
 
+def test_no_command_loads_scipy(tmp_path):
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 3, "duration_s": 8.0, "seed": 1})
+    cfg = _write_json(tmp_path / "cfg.json", {"window_s": 1.0,
+                                              "model": "Ridge"})
+    grid = _write_json(tmp_path / "grid.json",
+                       {"base": {"model": "Ridge"}, "grids": ["table2"]})
+    ds, prep, run = (str(tmp_path / d) for d in ("ds", "prep", "run"))
+    argvs = [["synth", "--spec", spec, "--out", ds],
+             ["preprocess", "--manifest", os.path.join(ds, "records.json"),
+              "--out", prep, "--seed", "0"],
+             ["train", "--config", cfg, "--data", prep, "--out", run],
+             ["evaluate", "--model", os.path.join(run, "model.npz"),
+              "--data", prep],
+             ["ablate", "--grid", grid, "--data", prep,
+              "--out", str(tmp_path / "abl")]]
+    code = ("import json, sys\n"
+            "from pwdrecon.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('scipy' in sys.modules)")
+    assert _fresh_python(code, json.dumps(argvs)) == "False"
+    assert os.path.isfile(tmp_path / "prep" / "preprocessed.json")
+    assert os.path.isfile(tmp_path / "abl" / "table2.csv")
+
+
 @pytest.mark.parametrize("model", list(ModelKind),
                          ids=[m.value for m in ModelKind])
 def test_evaluate_reproduces_train_for_every_model(model, small_dataset,

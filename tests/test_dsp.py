@@ -206,3 +206,25 @@ def test_row_calls_equal_one_call_per_row(n):
         want = np.array([mean_center(filtfilt(bessel, resample_linear(
             mean_center(row), fs))) for row in raw])
         assert preprocess_envelopes(raw, fs).tobytes() == want.tobytes()
+
+
+# worst drift measured: 6.7e-11 of max|y| on these inputs (bessel, n = 25),
+# 9.3e-11 over seeds 0-19 of the same shapes
+FILTFILT_DRIFT = 5e-10
+
+
+@pytest.mark.parametrize("kind", ["butterworth", "bessel"])
+@pytest.mark.parametrize("n", [25, 300, 2840, 2841, 34080])
+def test_filtfilt_matches_scipy_sosfiltfilt(kind, n):
+    # oracle: scipy's zero-phase filter with the same padding and start
+    # states; the block scan reorders sums, so results drift by rounding
+    sos = design_bandpass(kind)
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(2, n)) * [[3.0], [0.5]] + [[7.0], [-2.0]]
+    want = sps.sosfiltfilt(sos, rows, axis=-1, padtype="even",
+                           padlen=min(n - 1, 2840))
+    for x, y in ((rows, want), (rows[0], want[0]), (rows[1], want[1])):
+        got = filtfilt(sos, x)
+        assert got.shape == x.shape
+        drift = np.max(np.abs(got - y), axis=-1) / np.max(np.abs(y), axis=-1)
+        assert np.all(drift <= FILTFILT_DRIFT)

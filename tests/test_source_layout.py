@@ -1,7 +1,8 @@
 """Structural checks on the package source: each file format and each
-signal primitive has one owner, the one module that calls it, each text
-format has one writer, each error type has a raise, and a fault in a
-file read from outside is an OSError or a ValueError."""
+signal primitive has one owner, the one module that calls it, no module
+imports scipy, each text format has one writer, each error type has a
+raise, and a fault in a file read from outside is an OSError or a
+ValueError."""
 
 import ast
 import pathlib
@@ -17,7 +18,6 @@ OWNERS = {
     ("np", "fromfile"): "harness/io.py",
     ("np", "frombuffer"): "harness/io.py",  # the PGM pixels, the model's config
     ("np", "bincount"): "pwd_envelope.py",  # the one pixel counter
-    ("sps", "sosfiltfilt"): "dsp.py",  # the one zero-phase filter
     ("np", "interp"): "dsp.py",        # the one resampler
 }
 
@@ -44,6 +44,23 @@ def test_each_file_format_has_one_reader_and_writer():
                 stray.append(f"{module}:{line}: {alias}.{fn}")
     assert stray == []
     assert seen == set(OWNERS)  # the walk found each owner's calls
+
+
+def test_no_module_imports_scipy():
+    # the zero-phase filter is numpy only; scipy is a test dependency
+    stray = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            stray += [f"{module}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert stray == []
 
 
 def _opens_to_write(tree):

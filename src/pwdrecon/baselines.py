@@ -376,7 +376,13 @@ def _solve_active(Gram, Xty, act, sgn, k, cols, lam, W):
     idx = np.where(valid, np.take_along_axis(act, order, 1), 0)
     s = np.take_along_axis(sgn, order, 1) * valid
     rhs = np.stack([s, Xty[cols[:, None], idx] * valid], -1)
-    sol = np.linalg.solve(_gram_blocks(Gram, idx, k)[0], rhs)
+    G = _gram_blocks(Gram, idx, k)[0]
+    try:
+        sol = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        # a block singular to round-off has no unique solution: take the
+        # minimum-norm one, which the duality gap certifies or refuses
+        sol = np.linalg.pinv(G) @ rhs
     wA = sol[..., 1] - lam * sol[..., 0]
     ra, pa = np.nonzero(valid)
     W[idx[ra, pa], cols[ra]] = wA[ra, pa]

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .core import TARGET_FS, WindowSet
-from .errors import SignalTooShort, ZeroVariance
+from .errors import DegenerateInput, SignalTooShort
 
 WINDOW_SECONDS = (0.25, 0.5, 0.75, 1.0, 2.0)
 BLOCK = 128  # samples per block of a causal filter pass
@@ -45,10 +45,10 @@ def design_bandpass(kind: str) -> np.ndarray:
     Discretization is bilinear with band-edge prewarping. Bessel
     prototypes are magnitude-normalized (-3 dB at the band edges).
     Returns the (4, 6) second-order sections, one [b0, b1, b2, 1, a1, a2]
-    row each; every caller shares one array: never write to it.
+    row each, in a copy of its own that the caller may write to.
     """
     try:
-        return _DESIGNS[kind]
+        return _DESIGNS[kind].copy()
     except KeyError:
         raise ValueError(f"unknown filter kind: {kind!r}") from None
 
@@ -178,7 +178,7 @@ def zscore(x: np.ndarray) -> np.ndarray:
     """Normalize along the last axis to zero mean, unit standard deviation."""
     sd = np.std(x, axis=-1, keepdims=True)
     if np.any(sd == 0.0):
-        raise ZeroVariance("constant signal has no z-score")
+        raise DegenerateInput("constant signal has no z-score")
     return (x - np.mean(x, axis=-1, keepdims=True)) / sd
 
 

@@ -1,56 +1,36 @@
-"""Exception hierarchy shared by all pwdrecon modules."""
+"""Exception hierarchy shared by all pwdrecon modules.
+
+Each subclass is one way a run refuses data it cannot process; the CLI
+exits 2 on any of them. The program tells two apart: `build_windows`
+leaves a record out on DegenerateInput, and `ablate` renders
+NoWindowsAfterFilter as an empty cell and every other error as a
+failed one.
+"""
 
 
 class PwdReconError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- signal too short or flat: dsp and separation ---
-
 class SignalTooShort(PwdReconError):
     """Signal too short for a stage."""
 
 
-class ZeroVariance(PwdReconError):
-    """Operation requires a non-constant signal."""
+class DegenerateInput(PwdReconError):
+    """Input data has no usable variance structure: a constant signal,
+    image or channel pair, an all-zero covariance, or a window set in
+    which no correlation is defined."""
 
-
-# --- solvers: FastICA and the baseline fits ---
 
 class NumericalInstability(PwdReconError):
     """A result that cannot be trusted: a FastICA unmixing or a baseline
-    fit that did not converge."""
-
-
-# --- separation ---
-
-class DegenerateInput(PwdReconError):
-    """Input data has no usable variance structure."""
+    fit that did not converge, or a prediction that is not finite."""
 
 
 class NoFetalComponent(PwdReconError):
-    """No independent component has a beat rate in the fetal band."""
+    """No fetal beat found in the record: no independent component has a
+    beat rate in the fetal band, or the fECG has no QRS-like peaks."""
 
-
-class NoPeaksDetected(PwdReconError):
-    """Polarity detection found no QRS-like peaks."""
-
-
-# --- pwd envelope ---
-
-class ConstantImage(PwdReconError):
-    """Image has a single intensity value; thresholding undefined."""
-
-
-# --- harness / eval ---
 
 class NoWindowsAfterFilter(PwdReconError):
     """Config filters excluded every window; cell reported as empty."""
-
-
-class AllWindowsExcluded(PwdReconError):
-    """Every window pair had zero variance; no correlation defined."""
-
-
-class NonFinitePrediction(PwdReconError):
-    """A model predicted NaN or infinite samples; no metric is defined."""

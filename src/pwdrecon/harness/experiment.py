@@ -37,7 +37,6 @@ from ..errors import (
     NoWindowsAfterFilter,
     NumericalInstability,
     PwdReconError,
-    ZeroVariance,
 )
 from ..metrics import window_metrics
 from ..net.model import predict
@@ -178,7 +177,7 @@ def build_windows(records: list[PreprocessedRecord],
             continue
         try:
             targets = _target_channels(rec, config)
-        except (ZeroVariance, DegenerateInput):
+        except DegenerateInput:
             continue
         ws = segment(rec.fecg, targets, config.window_s)
         k = split(len(ws.x))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWindowsExcluded, NonFinitePrediction
+from .errors import DegenerateInput, NumericalInstability
 
 NEAR_ZERO_R = 0.001
 
@@ -49,12 +49,12 @@ def window_metrics(pred: np.ndarray, true: np.ndarray) -> MetricReport:
     channels-first then windows; pairs where either side has zero
     variance are excluded from the correlation mean (but not from the
     MSE), and a window with no pair left is counted as excluded. A NaN
-    or infinite prediction raises NonFinitePrediction.
+    or infinite prediction raises NumericalInstability.
     """
     bad = pred.size - np.count_nonzero(np.isfinite(pred))
     if bad:
-        raise NonFinitePrediction(f"{bad} of {pred.size} predicted samples "
-                                  "are NaN or infinite")
+        raise NumericalInstability(f"{bad} of {pred.size} predicted samples "
+                                   "are NaN or infinite")
     n_windows = len(pred)
     mse = np.mean(((pred - true) ** 2).reshape(n_windows, -1), axis=1)
 
@@ -68,7 +68,7 @@ def window_metrics(pred: np.ndarray, true: np.ndarray) -> MetricReport:
     n_defined = defined.sum(axis=1)
     kept = n_defined > 0
     if not kept.any():
-        raise AllWindowsExcluded("no window had a defined correlation")
+        raise DegenerateInput("no window had a defined correlation")
     window_r = r[kept].sum(axis=1) / n_defined[kept]
     # a running sum in window order (not numpy's pairwise sum) keeps
     # mean_mse bit-identical to previously recorded metrics.csv files

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dsp import design_bandpass, filtfilt, mean_center, resample_linear
-from .errors import ConstantImage
+from .errors import DegenerateInput
 from .separation import pca_fit
 
 COUNT_SLICE = 1 << 16  # pixel pairs per bincount, which copies them to intp
@@ -58,7 +58,7 @@ def normalize_intensity(counts: np.ndarray) -> np.ndarray:
     present = np.flatnonzero(counts)
     lo, hi = present[0], present[-1]
     if hi == lo:
-        raise ConstantImage("cannot normalize a constant image")
+        raise DegenerateInput("cannot normalize a constant image")
     # clipping also takes the top level back to 255 where the rescale
     # rounds it one ulp above
     return np.clip((np.arange(256.0) - lo) * (255.0 / (hi - lo)), 0.0, 255.0)

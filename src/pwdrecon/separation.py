@@ -19,7 +19,6 @@ from .core import Polarity
 from .errors import (
     DegenerateInput,
     NoFetalComponent,
-    NoPeaksDetected,
     NumericalInstability,
     SignalTooShort,
 )
@@ -284,11 +283,11 @@ def detect_polarity(x: np.ndarray, fs: float) -> Polarity:
             "polarity detection needs at least 1 s of signal")
     sd = np.std(x)
     if sd == 0:
-        raise NoPeaksDetected("flat signal")
+        raise DegenerateInput("flat signal")
     z = (x - x.mean()) / sd
     above = np.flatnonzero(np.abs(z) > 2.5)
     if above.size == 0:
-        raise NoPeaksDetected("no |z| > 2.5 excursions")
+        raise NoFetalComponent("no |z| > 2.5 excursions")
 
     peaks = _group_peaks(z, above, int(round(0.25 * fs)))
     med = float(np.median(z[peaks]))

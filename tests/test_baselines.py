@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,23 @@ def test_lasso_left_feature_does_not_reenter_on_its_side(seed, frac):
     X, Y = _random_tied_design([seed, 2])
     m = lasso_fit(X, Y, frac * lasso_lambda_max(X, Y))
     assert m.converged and m.n_iter < 30
+
+
+@pytest.mark.parametrize("seed", [8, 85])
+def test_lasso_singular_active_block_is_a_fit_or_a_refusal(seed):
+    """Regression examples from the same search: at 0.1 lambda_max a
+    column's final active set has a Gram block singular to round-off, and
+    the batched solve of the final weights used to raise LinAlgError. The
+    fit is now either certified or unconverged with the lasso's warning,
+    which evaluate and the grids refuse."""
+    X, Y = _random_tied_design([seed, 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = lasso_fit(X, Y, 0.1 * lasso_lambda_max(X, Y))
+    warned = [w for w in caught if issubclass(w.category, RuntimeWarning)
+              and str(w.message).startswith("lasso did not converge")]
+    assert len(warned) == (0 if m.converged else 1)
+    assert np.isfinite(m.weight).all() and np.isfinite(m.gap)
 
 
 @pytest.mark.parametrize("frac", [0.01, 0.001])

@@ -247,6 +247,25 @@ def test_preprocess_refuses_a_record_too_short_for_a_stage(tmp_path,
     assert not os.path.exists(tmp_path / "prep")
 
 
+def test_preprocess_refuses_a_constant_image(tmp_path, capsys):
+    """A PwD image of one grey value has no intensity range to normalize:
+    data the pipeline cannot process, exit 2, record and stage named."""
+    spec = _write_json(tmp_path / "spec.json",
+                       {"n_records": 2, "duration_s": 4.0, "seed": 1})
+    ds = tmp_path / "ds"
+    assert main(["synth", "--spec", spec, "--out", str(ds)]) == 0
+    capsys.readouterr()
+    pgm = str(ds / "rec000.pwd.pgm")
+    io.write_pgm(pgm, np.full(io.read_pgm(pgm).shape, 128, np.uint8))
+    rc = main(["preprocess", "--manifest", str(ds / "records.json"),
+               "--out", str(tmp_path / "prep"), "--seed", "0"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "DegenerateInput",
+                   "message": "rec000: cannot normalize a constant image"}
+    assert not os.path.exists(tmp_path / "prep")
+
+
 def test_failed_train_leaves_no_output_directory(small_dataset, tmp_path,
                                                  capsys):
     _, _, records = small_dataset  # every record is EA+

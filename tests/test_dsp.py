@@ -13,7 +13,7 @@ from pwdrecon.dsp import (
     segment,
     zscore,
 )
-from pwdrecon.errors import SignalTooShort, ZeroVariance
+from pwdrecon.errors import DegenerateInput, SignalTooShort
 from pwdrecon.pwd_envelope import preprocess_envelopes
 
 FS = 284.0
@@ -71,9 +71,14 @@ def test_stream_filters_are_cached_designs():
     for kind, sos in want.items():
         got = design_bandpass(kind)
         assert got.shape == sos.shape and got.tobytes() == sos.tobytes()
-        assert design_bandpass(kind) is got  # designed once
-        filtfilt(got, x)  # every caller shares the cached array
+        y = filtfilt(got, x)
         assert got.tobytes() == sos.tobytes()
+        # each caller gets its own copy: writing into one changes neither
+        # a later design nor a later filter
+        got[:] = 0.0
+        again = design_bandpass(kind)
+        assert again.tobytes() == sos.tobytes()
+        assert filtfilt(again, x).tobytes() == y.tobytes()
 
 
 def test_filtfilt_passes_inband_sinusoid():
@@ -143,7 +148,8 @@ def test_zscore_contract():
     out = zscore(np.array([1.0, 2.0, 3.0]))
     assert abs(np.mean(out)) < 1e-9
     assert abs(np.std(out) - 1.0) < 1e-9
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(DegenerateInput,
+                       match="constant signal has no z-score"):
         zscore(np.full(10, 7.0))
 
 

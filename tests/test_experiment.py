@@ -21,7 +21,6 @@ from pwdrecon.core import (
 )
 from pwdrecon.dsp import window_length
 from pwdrecon.errors import (
-    NonFinitePrediction,
     NoWindowsAfterFilter,
     NumericalInstability,
 )
@@ -426,7 +425,7 @@ def _nan_predictions(monkeypatch):
 @pytest.mark.parametrize("fault, model, error, match", [
     (_unconverged_lasso, ModelKind.LASSO, NumericalInstability,
      "Lasso fit did not converge in 1 steps: relative duality gap"),
-    (_nan_predictions, ModelKind.RIDGE, NonFinitePrediction,
+    (_nan_predictions, ModelKind.RIDGE, NumericalInstability,
      "predicted samples are NaN or infinite")],
     ids=["unconverged-lasso", "nan-prediction"])
 def test_untrustworthy_fit_gives_no_number(fault, model, error, match,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwdrecon.core import TARGET_FS
-from pwdrecon.errors import ConstantImage, DegenerateInput
+from pwdrecon.errors import DegenerateInput
 from pwdrecon.harness.io import load_record, read_pgm, write_pgm
 from pwdrecon.harness.synth import SyntheticSpec, generate_synthetic
 from pwdrecon.pwd_envelope import (
@@ -81,7 +81,8 @@ def test_normalize_intensity():
     out = normalize_intensity(pixel_counts(px))[px]
     assert out.min() == 0.0 and out.max() == 255.0
     assert out[0, 1] == pytest.approx((20 - 10) / 40 * 255)
-    with pytest.raises(ConstantImage):
+    with pytest.raises(DegenerateInput,
+                       match="cannot normalize a constant image"):
         normalize_intensity(pixel_counts(np.full((3, 3), 9, np.uint8)))
 
 

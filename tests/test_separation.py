@@ -9,7 +9,7 @@ from pwdrecon import separation
 from pwdrecon.core import Polarity
 from pwdrecon.errors import (
     DegenerateInput,
-    NoPeaksDetected,
+    NoFetalComponent,
     SignalTooShort,
 )
 from pwdrecon.harness.io import load_record, read_f32_rows
@@ -389,8 +389,12 @@ def test_detect_polarity():
     noise = 0.02 * np.random.default_rng(6).normal(size=t.size)
     assert detect_polarity(pos + noise, FS) is Polarity.POSITIVE
     assert detect_polarity(neg + noise, FS) is Polarity.NEGATIVE
-    with pytest.raises(NoPeaksDetected):
+    with pytest.raises(DegenerateInput, match="flat signal"):
         detect_polarity(np.zeros(600), FS)
+    # a square wave sits at |z| = 1 throughout: no peak to classify
+    square = np.where(np.arange(600) % 100 < 50, 1.0, -1.0)
+    with pytest.raises(NoFetalComponent, match=r"no \|z\| > 2\.5 excursions"):
+        detect_polarity(square, FS)
     with pytest.raises(SignalTooShort, match="needs at least 1 s"):
         detect_polarity(pos[:int(0.9 * FS)], FS)
 

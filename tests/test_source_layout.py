@@ -123,6 +123,13 @@ def test_every_error_type_is_raised():
     assert types and sorted(types - raised) == []
 
 
+def test_one_error_type_per_way_a_run_refuses_data():
+    # a new type must name a way of refusing data that none of these does
+    assert _error_types() == {"SignalTooShort", "DegenerateInput",
+                              "NumericalInstability", "NoFetalComponent",
+                              "NoWindowsAfterFilter"}
+
+
 def test_a_file_fault_is_an_os_error_or_a_value_error():
     # the readers of outside files and the JSON codec raise no PwdReconError
     # (those are for data the pipeline cannot process), and no path is
